@@ -4,14 +4,13 @@ result cache.  See ``docs/batching.md``.
 * :func:`run_batch` / :class:`BatchResult` -- the multi-process driver
   behind ``repro batch``;
 * :class:`ResultCache` -- the SHA-256-keyed persistent cache
-  (``~/.cache/repro`` by default), corruption-tolerant and versioned;
+  (``~/.cache/repro`` by default), a :class:`repro.util.ContentStore`;
 * :mod:`repro.batch.manifest` -- the canonical machine-readable
   manifest CI diffs.
 """
 
 from repro.batch.cache import (
     CACHE_FORMAT_VERSION,
-    CacheStats,
     ResultCache,
     default_cache_dir,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "CRASH_ENV_VAR",
     "CRASH_EXIT_CODE",
-    "CacheStats",
     "ClaimedWorker",
     "MANIFEST_SCHEMA",
     "ResultCache",

@@ -1,7 +1,8 @@
-"""Persistent content-addressed result cache for batch compilation.
+"""Persistent content-addressed result cache.
 
-Every cache key is a SHA-256 digest over *content*, never over file
-names or timestamps:
+A :class:`~repro.util.store.ContentStore` of compilation results.
+Every key is a SHA-256 digest over *content*, never over file names or
+timestamps:
 
 * the **program key** hashes the cache format version, the
   :meth:`~repro.core.config.SptConfig.fingerprint` of the active
@@ -9,34 +10,31 @@ names or timestamps:
   canonicalized textual IR of the whole module (comments, whitespace
   and the source file name do not matter -- two byte-different files
   that lower to the same IR share one entry);
-* each **loop key** extends the program key with the function name and
-  loop header label.  Loop analyses depend on profiles gathered over
-  the whole module, so the module digest must stay in the key --
-  per-loop entries buy per-loop observability and serialization
-  granularity, not cross-program sharing of a single loop.
+* the **loop key** extends the program key with the function name and
+  loop header label, and a **search key** extends that with the
+  search's own config and the post-SSA function text.  Loop analyses
+  depend on profiles gathered over the whole module under one
+  workload, so no key narrower than the program key is sound.
 
-Entries live under ``<cache_dir>/v<FORMAT>/<k[:2]>/<k>.json`` as small
-JSON documents.  Writes are atomic (temp file + ``os.replace``); loads
-are corruption-tolerant -- any unreadable, truncated, or mismatching
-entry is treated as a miss (and deleted best-effort), never raised.
+Two entry kinds live here: ``program`` entries (a batch run's
+whole-module summary, ``{"summary": ...}``) and ``search`` entries (one
+loop's completed partition search, written by ``--checkpoint-phases``;
+see :mod:`repro.checkpoint.phases`).  Batch entries are written without
+``fsync`` -- an entry lost to a crash is recomputed on the next miss.
 
 Bumping :data:`CACHE_FORMAT_VERSION` invalidates everything at once:
-the version participates in the digest *and* namespaces the directory,
-so old and new formats never even see each other's files.
+the version participates in the digest *and* namespaces the directory.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.util.atomicio import atomic_write_json
+from repro.util.store import ContentStore, content_key
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
-    "CacheStats",
     "ResultCache",
     "default_cache_dir",
 ]
@@ -57,78 +55,30 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-class CacheStats:
-    """Hit/miss/write/eviction counters for one cache handle."""
-
-    __slots__ = ("hits", "misses", "writes", "evictions", "corrupt")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.evictions = 0
-        #: Entries that existed but failed to load (subset of misses).
-        self.corrupt = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def as_counters(self) -> Dict[str, int]:
-        """Telemetry counter names -> values (see docs/observability.md)."""
-        return {
-            "batch.cache.hits": self.hits,
-            "batch.cache.misses": self.misses,
-            "batch.cache.writes": self.writes,
-            "batch.cache.evictions": self.evictions,
-            "batch.cache.corrupt": self.corrupt,
-        }
-
-    def merge(self, other: Dict) -> None:
-        """Fold in a ``to_dict()``-shaped stats dict (from a worker)."""
-        self.hits += other.get("hits", 0)
-        self.misses += other.get("misses", 0)
-        self.writes += other.get("writes", 0)
-        self.evictions += other.get("evictions", 0)
-        self.corrupt += other.get("corrupt", 0)
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"writes={self.writes}, evictions={self.evictions})"
-        )
+def _program_payload(payload: Dict) -> Dict:
+    if "summary" not in payload:
+        raise KeyError("program entry without a summary")
+    return payload
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-class ResultCache:
+class ResultCache(ContentStore):
     """A persistent, content-addressed store of compilation results."""
 
-    def __init__(self, cache_dir: Optional[str] = None):
-        self.cache_dir = cache_dir or default_cache_dir()
-        self.stats = CacheStats()
-
-    # -- key derivation --------------------------------------------------
+    def __init__(self, cache_dir: Optional[str] = None, *,
+                 fsync: bool = False, fault_site: Optional[str] = None):
+        super().__init__(cache_dir or default_cache_dir(), fsync=fsync,
+                         fault_site=fault_site)
 
     @property
-    def version_dir(self) -> str:
-        return os.path.join(self.cache_dir, f"v{CACHE_FORMAT_VERSION}")
+    def version(self) -> int:
+        # Read on every use: a format bump applies to live handles too.
+        return CACHE_FORMAT_VERSION
+
+    @property
+    def cache_dir(self) -> str:
+        return self.root
+
+    # -- key derivation --------------------------------------------------
 
     @staticmethod
     def workload_token(entry: str, args, fuel: int) -> str:
@@ -138,135 +88,33 @@ class ResultCache:
     def program_key(
         canonical_ir: str, config_fingerprint: str, workload_token: str
     ) -> str:
-        return _sha256(
-            "\x1f".join(
-                (
-                    f"repro-batch-cache/{CACHE_FORMAT_VERSION}",
-                    config_fingerprint,
-                    workload_token,
-                    canonical_ir,
-                )
-            )
+        return content_key(
+            f"repro-batch-cache/{CACHE_FORMAT_VERSION}",
+            config_fingerprint,
+            workload_token,
+            canonical_ir,
         )
 
     @staticmethod
     def loop_key(program_key: str, function: str, header: str) -> str:
-        return _sha256(f"{program_key}\x1f{function}\x1f{header}")
+        return content_key(program_key, function, header)
 
-    # -- entry IO ---------------------------------------------------------
+    @staticmethod
+    def search_key(program_key: str, function: str, header: str,
+                   config_fingerprint: str, function_text: str) -> str:
+        """One partition search: the loop key x the (ladder-rung) config
+        x the post-SSA function text, which separates the pass-1 search
+        from the re-search after an SVP rewrite."""
+        return content_key(
+            ResultCache.loop_key(program_key, function, header),
+            config_fingerprint,
+            function_text,
+        )
 
-    def _path_for(self, key: str) -> str:
-        return os.path.join(self.version_dir, key[:2], f"{key}.json")
-
-    def get(self, key: str, kind: str) -> Optional[Dict]:
-        """Load the payload stored under ``key``, or None on miss.
-
-        Any failure mode -- missing file, invalid JSON, truncated
-        write, wrong kind/key/format inside the document -- degrades to
-        a miss; corrupt files are removed so the rewrite is clean."""
-        path = self._path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-            if (
-                not isinstance(document, dict)
-                or document.get("format") != CACHE_FORMAT_VERSION
-                or document.get("kind") != kind
-                or document.get("key") != key
-                or "payload" not in document
-            ):
-                raise ValueError("malformed cache entry")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError):
-            # Truncated/corrupted/foreign file: recompute, never crash.
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return document["payload"]
-
-    def put(self, key: str, kind: str, payload: Dict) -> None:
-        """Atomically store ``payload`` under ``key``.
-
-        Concurrent writers racing on the same key are harmless: both
-        write identical content (the key is a digest of every input)
-        and the publish rename is atomic."""
-        path = self._path_for(key)
-        document = {
-            "format": CACHE_FORMAT_VERSION,
-            "kind": kind,
-            "key": key,
-            "payload": payload,
-        }
-        # fsync=False: a cache entry lost to a crash is recomputed on
-        # the next miss; durability is not worth a sync per write here.
-        atomic_write_json(path, document, fsync=False)
-        self.stats.writes += 1
-
-    # -- typed accessors ---------------------------------------------------
+    # -- program entries ---------------------------------------------------
 
     def get_program(self, key: str) -> Optional[Dict]:
-        return self.get(key, "program")
+        return self.get(key, "program", decode=_program_payload)
 
     def put_program(self, key: str, payload: Dict) -> None:
         self.put(key, "program", payload)
-
-    def get_loop(self, key: str) -> Optional[Dict]:
-        return self.get(key, "loop")
-
-    def put_loop(self, key: str, payload: Dict) -> None:
-        self.put(key, "loop", payload)
-
-    # -- maintenance -------------------------------------------------------
-
-    def entry_paths(self) -> List[str]:
-        """Every entry file in the current-format namespace."""
-        paths: List[str] = []
-        root = self.version_dir
-        if not os.path.isdir(root):
-            return paths
-        for shard in sorted(os.listdir(root)):
-            shard_dir = os.path.join(root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json") and not name.startswith(".tmp-"):
-                    paths.append(os.path.join(shard_dir, name))
-        return paths
-
-    def prune(self, max_entries: int) -> int:
-        """Evict oldest entries (by mtime) down to ``max_entries``.
-
-        Returns the number of evicted entries (also counted in
-        ``stats.evictions``)."""
-        if max_entries < 0:
-            return 0
-        paths = self.entry_paths()
-        if len(paths) <= max_entries:
-            return 0
-
-        def mtime(path: str) -> float:
-            try:
-                return os.path.getmtime(path)
-            except OSError:
-                return 0.0
-
-        paths.sort(key=lambda p: (mtime(p), p))
-        evicted = 0
-        for path in paths[: len(paths) - max_entries]:
-            try:
-                os.remove(path)
-                evicted += 1
-            except OSError:
-                pass
-        self.stats.evictions += evicted
-        return evicted
-
-    def __repr__(self) -> str:
-        return f"ResultCache({self.cache_dir!r}, {self.stats!r})"

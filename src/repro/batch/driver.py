@@ -22,12 +22,13 @@ import os
 import time
 from typing import Dict, List, Optional
 
-from repro.batch.cache import CacheStats, ResultCache, default_cache_dir
+from repro.batch.cache import ResultCache, default_cache_dir
 from repro.batch.lifecycle import ClaimedWorker, drain_queue
 from repro.batch.manifest import build_manifest
 from repro.batch.progress import ProgressTracker
 from repro.batch.worker import worker_main
 from repro.obs.telemetry import NULL_TELEMETRY
+from repro.util.store import StoreStats
 
 __all__ = ["BatchResult", "expand_inputs", "run_batch"]
 
@@ -54,7 +55,7 @@ class BatchResult:
         manifest: Dict,
         entries: List[Dict],
         stats: Dict,
-        cache_stats: CacheStats,
+        cache_stats: StoreStats,
     ):
         #: The canonical, run-shape-independent manifest document.
         self.manifest = manifest
@@ -267,7 +268,7 @@ def run_batch(
     wall = time.perf_counter() - started
 
     if telemetry.enabled:
-        telemetry.merge_counters(cache_stats.as_counters())
+        telemetry.merge_counters(cache_stats.as_counters("batch.cache"))
         telemetry.count("batch.programs", len(entries))
         telemetry.count(
             "batch.programs_failed",
@@ -306,7 +307,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
              stall_timeout=STALL_TIMEOUT, progress_path=None,
              heartbeat_s=None, status=None, journal=None,
              resumed_entries=None):
-    """Run the worker pool; returns (entries in task order, CacheStats,
+    """Run the worker pool; returns (entries in task order, StoreStats,
     ProgressTracker)."""
     entries: List[Optional[Dict]] = [None] * len(tasks)
     pending = set(range(len(tasks)))
@@ -335,7 +336,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
         heartbeat_s = max(0.05, min(HEARTBEAT_S, stall_timeout / 4.0))
     observe = bool(telemetry.enabled)
 
-    cache_stats = CacheStats()
+    cache_stats = StoreStats()
     tracker = ProgressTracker(len(tasks), jobs)
     for index in sorted((resumed_entries or {})):
         tracker.on_done(None, entries[index])

@@ -15,8 +15,7 @@ fingerprint, workload, and the exact (path, source sha256) list -- so a
 changed source file, config, or program set silently starts a fresh
 journal instead of resuming stale results.  Within the file, each line
 re-checks path + sha256 against the current task before it is trusted.
-Appends go through :func:`repro.util.atomicio.append_line` (one
-``O_APPEND`` write under an advisory lock): a crash can only ever
+The file is a :class:`repro.util.JsonlLog`: a crash can only ever
 truncate the *last* line, and unparsable lines are skipped on replay.
 
 Only deterministic outcomes resume (``status: "ok"`` and the
@@ -27,9 +26,10 @@ compile-error statuses); run-shape-dependent failures (``crashed``,
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Dict, List, Optional
+
+from repro.util.store import JsonlLog, content_key
 
 __all__ = ["JOURNAL_SCHEMA", "BatchJournal", "batch_key", "default_journal_dir"]
 
@@ -47,21 +47,19 @@ def default_journal_dir() -> str:
     return os.path.join(default_checkpoint_dir(), "batches")
 
 
+def _source_digest(task: Dict) -> str:
+    return hashlib.sha256(task["source"].encode("utf-8")).hexdigest()
+
+
 def batch_key(
     config_fingerprint: str, entry: str, args, fuel: int, tasks: List[Dict]
 ) -> str:
     """Content-addressed identity of one batch run."""
-    hasher = hashlib.sha256()
-    hasher.update(
-        "\x1f".join(
-            (JOURNAL_SCHEMA, config_fingerprint, entry, repr(tuple(args)),
-             str(fuel))
-        ).encode("utf-8")
-    )
+    parts = [JOURNAL_SCHEMA, config_fingerprint, entry, repr(tuple(args)),
+             str(fuel)]
     for task in tasks:
-        digest = hashlib.sha256(task["source"].encode("utf-8")).hexdigest()
-        hasher.update(f"\x1f{task['path']}\x1f{digest}".encode("utf-8"))
-    return hasher.hexdigest()
+        parts += [task["path"], _source_digest(task)]
+    return content_key(*parts)
 
 
 class BatchJournal:
@@ -71,6 +69,7 @@ class BatchJournal:
         self.directory = directory or default_journal_dir()
         self.key = key
         self.path = os.path.join(self.directory, "v1", f"{key}.journal")
+        self._log = JsonlLog(self.path, JOURNAL_SCHEMA)
         #: Lines skipped on the last :meth:`load` because they were
         #: unparsable (torn trailing append) or failed validation.
         self.skipped = 0
@@ -78,24 +77,13 @@ class BatchJournal:
     def record(self, index: int, task: Dict, entry: Dict) -> None:
         """Durably append one finished entry; failures are swallowed
         (losing a journal line only costs recompute on resume)."""
-        from repro.util.atomicio import append_line
-
-        line = json.dumps(
-            {
-                "schema": JOURNAL_SCHEMA,
+        try:
+            self._log.append({
                 "index": index,
                 "path": task["path"],
-                "sha256": hashlib.sha256(
-                    task["source"].encode("utf-8")
-                ).hexdigest(),
+                "sha256": _source_digest(task),
                 "entry": entry,
-            },
-            sort_keys=True,
-        )
-        try:
-            append_line(self.path, line)
-        except (KeyboardInterrupt, SystemExit):
-            raise
+            })
         except Exception:  # noqa: BLE001 - journaling must not fail the batch
             pass
 
@@ -106,51 +94,30 @@ class BatchJournal:
         existing task (validated by index, path, and source sha256) and
         carries a resumable status.  Later lines win; anything
         unparsable or mismatched is counted in :attr:`skipped`."""
-        self.skipped = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return {}
-        digests = [
-            hashlib.sha256(task["source"].encode("utf-8")).hexdigest()
-            for task in tasks
-        ]
+        records = self._log.load()
+        self.skipped = self._log.skipped
+        digests = [_source_digest(task) for task in tasks]
         resumed: Dict[int, Dict] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if record.get("schema") != JOURNAL_SCHEMA:
-                    raise ValueError("foreign journal line")
-                index = record["index"]
-                entry = record["entry"]
-                if not (
-                    isinstance(index, int)
-                    and 0 <= index < len(tasks)
-                    and isinstance(entry, dict)
-                    and record.get("path") == tasks[index]["path"]
-                    and record.get("sha256") == digests[index]
-                    and entry.get("status") in RESUMABLE_STATUSES
-                ):
-                    raise ValueError("journal line does not match batch")
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:  # noqa: BLE001 - torn/stale line => recompute
+        for record in records:
+            index = record.get("index")
+            entry = record.get("entry")
+            if (
+                isinstance(index, int)
+                and 0 <= index < len(tasks)
+                and isinstance(entry, dict)
+                and record.get("path") == tasks[index]["path"]
+                and record.get("sha256") == digests[index]
+                and entry.get("status") in RESUMABLE_STATUSES
+            ):
+                resumed[index] = entry
+            else:
                 self.skipped += 1
-                continue
-            resumed[index] = entry
         return resumed
 
     def discard(self) -> None:
         """Remove the journal (called after the manifest is built: the
         durable artifact now exists, the journal is scaffolding)."""
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
+        self._log.discard()
 
     def __repr__(self) -> str:
         return f"BatchJournal({self.path!r})"

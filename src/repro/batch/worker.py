@@ -51,6 +51,7 @@ from repro.frontend import compile_minic
 from repro.ir import format_module, parse_module
 from repro.resilience.ladder import degraded_retry_overrides
 from repro.resilience.watchdog import ProgramTimeout
+from repro.util.store import StoreStats
 
 __all__ = [
     "CRASH_ENV_VAR",
@@ -79,13 +80,7 @@ def canonical_module_text(source: str) -> str:
     parsed and re-printed.  Comments, whitespace and declaration
     formatting all wash out, so cosmetically different files hit the
     same cache entries."""
-    stripped = source.lstrip()
-    if stripped.startswith("module ") or stripped.startswith("func "):
-        module = parse_module(source)
-        module.name = "m"
-    else:
-        module = compile_minic(source, name="m")
-    return format_module(module)
+    return format_module(_load_module(source, "m"), name="m")
 
 
 def config_from_task(task: Dict) -> SptConfig:
@@ -178,9 +173,8 @@ def compile_program_task(
     ``telemetry`` is an optional worker-side observing Telemetry whose
     counters the caller ships back to the driver.  The manifest entry
     is byte-for-byte identical whether it was recomputed or served
-    warm: the cache stores the exact summary and per-loop records the
-    cold path produced."""
-    stats_before = cache.stats.to_dict() if cache else None
+    warm: the cache stores the exact summary the cold path produced."""
+    stats_before = cache.stats.to_dict() if cache else {}
     source = task["source"]
     entry: Dict = {
         "path": task["path"],
@@ -201,19 +195,22 @@ def compile_program_task(
             "message": str(exc),
         }
         entry["traceback"] = traceback.format_exc(limit=8)
-    delta = _stats_delta(cache, stats_before)
+    stats_after = cache.stats.to_dict() if cache else {}
+    delta = {
+        name: stats_after.get(name, 0) - stats_before.get(name, 0)
+        for name in StoreStats.__slots__
+    }
     return entry, delta
 
 
-def _stats_delta(cache: Optional[ResultCache], before: Optional[Dict]) -> Dict:
-    if cache is None or before is None:
-        return {"hits": 0, "misses": 0, "writes": 0, "evictions": 0,
-                "corrupt": 0}
-    after = cache.stats.to_dict()
-    return {
-        name: after[name] - before[name]
-        for name in ("hits", "misses", "writes", "evictions", "corrupt")
-    }
+def _program_key(task: Dict, config: SptConfig, workload: Workload) -> str:
+    return ResultCache.program_key(
+        canonical_module_text(task["source"]),
+        config.fingerprint(),
+        ResultCache.workload_token(
+            workload.entry, workload.args, workload.fuel
+        ),
+    )
 
 
 def _compile_with_cache(
@@ -224,34 +221,16 @@ def _compile_with_cache(
         entry=task["entry"], args=tuple(task["args"]), fuel=task["fuel"]
     )
 
-    program_key = None
     if cache is not None:
-        canonical = canonical_module_text(task["source"])
-        program_key = ResultCache.program_key(
-            canonical,
-            config.fingerprint(),
-            ResultCache.workload_token(
-                workload.entry, workload.args, workload.fuel
-            ),
-        )
+        program_key = _program_key(task, config, workload)
         cached = cache.get_program(program_key)
         if cached is not None:
-            loops = []
-            complete = True
-            for loop_key in cached.get("loop_keys", ()):
-                record = cache.get_loop(loop_key)
-                if record is None:
-                    complete = False
-                    break
-                loops.append(record)
-            if complete and "summary" in cached:
-                return {
-                    "status": "ok",
-                    "summary": cached["summary"],
-                    "cached": True,
-                    "program_key": program_key,
-                }
-            # Partial/corrupt state: fall through and recompute fully.
+            return {
+                "status": "ok",
+                "summary": cached["summary"],
+                "cached": True,
+                "program_key": program_key,
+            }
 
     module = _load_module(task["source"], task["name"])
     result = compile_spt(module, config, workload, telemetry=telemetry)
@@ -260,24 +239,9 @@ def _compile_with_cache(
     # keys become strings) -- warm and cold entries must compare equal,
     # not just serialize equal.
     summary = json.loads(json.dumps(result.to_dict()))
-
-    if cache is not None:
-        loop_keys = []
-        for record in json.loads(json.dumps(result.loop_records())):
-            loop_key = ResultCache.loop_key(
-                program_key, record["function"], record["header"]
-            )
-            cache.put_loop(loop_key, record)
-            loop_keys.append(loop_key)
-            # A cold per-loop analysis is a cache miss in the telemetry
-            # sense: it was requested and had to be computed.
-            cache.stats.misses += 1
-        cache.put_program(
-            program_key, {"summary": summary, "loop_keys": loop_keys}
-        )
-
     out = {"status": "ok", "summary": summary, "cached": False}
-    if program_key is not None:
+    if cache is not None:
+        cache.put_program(program_key, {"summary": summary})
         out["program_key"] = program_key
     return out
 
@@ -285,34 +249,15 @@ def _compile_with_cache(
 def probe_cache(
     source: str, config: SptConfig, workload: Workload, cache: ResultCache
 ) -> Dict:
-    """Read-only cache inspection for ``repro explain --cache-dir``.
-
-    Reports whether this (program, config, workload) combination is
-    warm: the program key, whether the program entry is present, and
-    how many of its per-loop records are loadable."""
-    canonical = canonical_module_text(source)
-    program_key = ResultCache.program_key(
-        canonical,
-        config.fingerprint(),
-        ResultCache.workload_token(workload.entry, workload.args, workload.fuel),
-    )
-    probe = {
+    """Read-only cache inspection for ``repro explain --cache-dir``:
+    the program key, and whether this (program, config, workload)
+    combination has a loadable program entry."""
+    program_key = _program_key({"source": source}, config, workload)
+    return {
         "cache_dir": cache.cache_dir,
         "program_key": program_key,
-        "program_hit": False,
-        "loops_present": 0,
-        "loops_total": 0,
+        "program_hit": cache.get_program(program_key) is not None,
     }
-    cached = cache.get_program(program_key)
-    if cached is None:
-        return probe
-    probe["program_hit"] = True
-    loop_keys = cached.get("loop_keys", [])
-    probe["loops_total"] = len(loop_keys)
-    probe["loops_present"] = sum(
-        1 for loop_key in loop_keys if cache.get_loop(loop_key) is not None
-    )
-    return probe
 
 
 def worker_main(

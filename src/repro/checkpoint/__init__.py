@@ -5,13 +5,14 @@ Layers (bottom up):
 * :mod:`repro.checkpoint.state` -- the :class:`InstrIndex` stable
   instruction identity and the snapshot/restore orchestration over one
   simulation's interpreter + timing + SPT-collector state;
-* :mod:`repro.checkpoint.store` -- the versioned, content-addressed
-  on-disk snapshot store (``repro-checkpoint/1``), written with atomic
-  rename + fsync, corruption-tolerant on load;
+* :mod:`repro.checkpoint.store` -- the on-disk snapshot store
+  (``repro-checkpoint/1``), a :class:`repro.util.ContentStore` written
+  with atomic rename + fsync, corruption-tolerant on load;
 * :mod:`repro.checkpoint.runner` -- the checkpointing simulation
   driver behind ``repro simulate --checkpoint-every/--resume-from``;
-* :mod:`repro.checkpoint.phases` -- the compile-side phase-output
-  checkpoints the resilience ladder resumes from.
+* :mod:`repro.checkpoint.phases` -- the compile-side partition-search
+  entries (kept in a :class:`repro.batch.ResultCache`) a re-run resumes
+  from.
 
 See docs/checkpointing.md for the format, keys, and resume semantics.
 """
@@ -24,7 +25,6 @@ from repro.checkpoint.state import (
 )
 from repro.checkpoint.store import (
     CHECKPOINT_SCHEMA,
-    CheckpointStats,
     CheckpointStore,
     default_checkpoint_dir,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
     "CheckpointReport",
-    "CheckpointStats",
     "CheckpointStore",
     "InstrIndex",
     "default_checkpoint_dir",

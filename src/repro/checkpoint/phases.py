@@ -1,13 +1,22 @@
-"""Durable checkpoints of compile-phase outputs for the ladder.
+"""Partition-search entries: the compile-phase checkpoints behind
+``--checkpoint-phases``.
 
 The partition search is the one compilation phase whose cost is
 unbounded in the worst case, and the one the resilience ladder retries
-on ever-cheaper rungs.  :class:`PhaseCheckpointStore` makes its output
-durable: a compile that crashed (or was SIGKILLed) mid-run re-runs, and
-every loop whose search already completed restores its
-:class:`~repro.core.partition.PartitionResult` instead of searching
-again -- so a ``REPRO_FAULT`` hang or crash costs one phase, not the
-whole compile.
+on ever-cheaper rungs.  With ``--checkpoint-phases`` every completed
+search becomes a ``search`` entry of a
+:class:`~repro.batch.cache.ResultCache` (fsynced, under
+``<checkpoint-dir>/phases``): a compile that crashed (or was
+SIGKILLed) mid-run re-runs, and every loop whose search already
+completed restores its :class:`~repro.core.partition.PartitionResult`
+instead of searching again.
+
+The entry key (:meth:`ResultCache.search_key`) extends the loop key of
+the *program key* -- canonical module IR x config x workload -- with
+the rung config fingerprint and the post-SSA function text.  Pass 1
+derives its probabilities from one training run's profiles, so a
+search is reusable only for the same module *and* workload; a
+different workload, config, or an SVP rewrite of the function misses.
 
 A :class:`~repro.core.partition.PartitionResult` holds live
 :class:`~repro.core.violation.ViolationCandidate` and IR instruction
@@ -16,245 +25,149 @@ durable form possible:
 
 * ``find_violation_candidates(graph)`` is cheap and deterministic --
   re-running it on the freshly rebuilt dependence graph reproduces the
-  exact candidate list, so the checkpoint only needs to *name* the
-  pre-fork members, not embed them;
+  exact candidate list, so the entry only needs to *name* the pre-fork
+  members, not embed them;
 * instructions are named by their stable ``block<US>position``
   coordinate within the (post-SSA) function, exactly like
-  :class:`repro.checkpoint.state.InstrIndex` does module-wide.
+  :class:`repro.checkpoint.state.InstrIndex` does module-wide, and the
+  dependence graph's inner-loop summary nodes by ``summary<US>header``.
 
-The key is a SHA-256 over the phase schema, the rung config
-fingerprint, the loop header, and the canonical text of the post-SSA
-function -- so an SVP rewrite (or any other change to the function)
-cleanly misses instead of restoring a stale partition.  Unloadable or
-mismatched documents degrade to a miss (counted, removed best-effort);
-the search then simply runs.
+An entry whose candidate count differs from rediscovery, or that names
+an instruction the function does not have, is a corrupt miss; the
+search then simply runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.checkpoint.store import CheckpointStats, default_checkpoint_dir
-from repro.ir.printer import format_function
-from repro.resilience.faults import maybe_inject
-from repro.util.atomicio import atomic_write_json
+from repro.batch.cache import ResultCache
+from repro.checkpoint.store import default_checkpoint_dir
+from repro.ir.printer import format_function, format_module
 
-__all__ = ["PHASE_SCHEMA", "PhaseCheckpointStore"]
-
-PHASE_FORMAT_VERSION = 1
-PHASE_SCHEMA = f"repro-phase-checkpoint/{PHASE_FORMAT_VERSION}"
+__all__ = ["load_search", "module_key", "phase_cache", "save_search"]
 
 _SEP = "\x1f"
 
-
-def _function_instr_index(func) -> Tuple[Dict[int, str], Dict[str, object]]:
-    """``id(instr) -> key`` and ``key -> instr`` over one function,
-    with keys the stable ``block<US>position`` coordinates."""
-    key_by_id: Dict[int, str] = {}
-    instr_by_key: Dict[str, object] = {}
-    for block in func.blocks:
-        for position, instr in enumerate(block.instrs):
-            key = _SEP.join((block.label, str(position)))
-            key_by_id[id(instr)] = key
-            instr_by_key[key] = instr
-    return key_by_id, instr_by_key
+#: PartitionResult attributes stored verbatim: JSON round-trips int vs
+#: float exactly, and manifests must stay byte-identical whether the
+#: search ran or restored.
+_SCALARS = (
+    "cost", "prefork_size", "body_size", "search_nodes",
+    "skipped_too_many_vcs", "evaluations", "cache_hits",
+    "cost_node_visits", "pruned_size", "pruned_bound",
+    "budget_exhausted", "deadline_exhausted",
+)
 
 
-class PhaseCheckpointStore:
-    """Content-addressed store of completed search-phase outputs."""
+def phase_cache(checkpoint_dir: Optional[str] = None) -> ResultCache:
+    """The result cache search entries live in:
+    ``<checkpoint-dir>/phases``, fsynced, with the ``checkpoint.save``
+    / ``checkpoint.restore`` fault sites."""
+    return ResultCache(
+        os.path.join(checkpoint_dir or default_checkpoint_dir(), "phases"),
+        fsync=True, fault_site="checkpoint",
+    )
 
-    def __init__(self, directory: Optional[str] = None, telemetry=None):
-        self.directory = directory or os.path.join(
-            default_checkpoint_dir(), "phases"
+
+def module_key(module, config, workload) -> str:
+    """The result-cache program key of ``module`` before compilation --
+    the same key a batch run derives from the module's source."""
+    return ResultCache.program_key(
+        format_module(module, name="m"),
+        config.fingerprint(),
+        ResultCache.workload_token(
+            workload.entry, workload.args, workload.fuel
+        ),
+    )
+
+
+def _search_key(program_key: str, func, loop_header: str, config) -> str:
+    return ResultCache.search_key(
+        program_key, func.name, loop_header, config.fingerprint(),
+        format_function(func),
+    )
+
+
+def _instr_index(func, graph) -> Tuple[Dict[int, str], Dict[str, object]]:
+    """``id(instr) -> key`` and ``key -> instr`` over one function's
+    instructions and one loop graph's inner-loop summary nodes."""
+    named = [
+        (_SEP.join((block.label, str(position))), instr)
+        for block in func.blocks
+        for position, instr in enumerate(block.instrs)
+    ]
+    named += [
+        (_SEP.join(("summary", header)), summary)
+        for header, summary in graph.summaries.items()
+    ]
+    key_by_id = {id(instr): key for key, instr in named}
+    return key_by_id, dict(named)
+
+
+def save_search(cache: ResultCache, program_key: str, func,
+                loop_header: str, config, graph, partition) -> None:
+    """Durably record a completed partition search of ``program_key``
+    (see :func:`module_key`).  A partition naming an instruction the coordinate
+    index cannot name is counted as a failed write; the next compile
+    just searches again."""
+    key_by_id, _ = _instr_index(func, graph)
+    try:
+        state = {
+            "n_candidates": len(partition.candidates),
+            "prefork_vc_keys": [
+                key_by_id[id(vc.instr)] for vc in partition.prefork_vcs
+            ],
+            "prefork_stmt_keys": sorted(
+                key_by_id[id(instr)] for instr in partition.prefork_stmts
+            ),
+            "vc_breakdown": [
+                [key_by_id[id(vc.instr)], bool(in_prefork), marginal]
+                for vc, in_prefork, marginal in partition.vc_breakdown
+            ],
+            "scalars": {name: getattr(partition, name) for name in _SCALARS},
+        }
+    except KeyError:
+        cache.stats.write_failures += 1
+        return
+    cache.put(
+        _search_key(program_key, func, loop_header, config), "search", state
+    )
+
+
+def load_search(cache: ResultCache, program_key: str, func,
+                loop_header: str, config, graph):
+    """Rebuild the stored :class:`PartitionResult` for this exact
+    (program, workload, function, loop, rung config), or None.
+
+    Re-runs the cheap, deterministic violation-candidate discovery on
+    ``graph`` and grafts the stored pre-fork assignment onto the
+    rediscovered objects; only the expensive branch-and-bound is
+    skipped."""
+    from repro.core.partition import PartitionResult
+    from repro.core.violation import find_violation_candidates
+
+    def decode(state):
+        candidates = find_violation_candidates(graph)
+        if len(candidates) != int(state["n_candidates"]):
+            raise ValueError("candidate count mismatch")
+        key_by_id, instr_by_key = _instr_index(func, graph)
+        vc_by_key = {key_by_id[id(vc.instr)]: vc for vc in candidates}
+        partition = PartitionResult(
+            graph.loop,
+            candidates,
+            [vc_by_key[k] for k in state["prefork_vc_keys"]],
+            {instr_by_key[k] for k in state["prefork_stmt_keys"]},
+            **{name: state["scalars"][name] for name in _SCALARS},
         )
-        self.stats = CheckpointStats()
-        self.telemetry = telemetry
-
-    # -- keys ----------------------------------------------------------
-
-    @staticmethod
-    def search_key(func, loop_header: str, config) -> str:
-        """Identity of one loop's partition search: rung config x loop
-        x canonical post-SSA function text."""
-        return hashlib.sha256(
-            _SEP.join(
-                (
-                    PHASE_SCHEMA,
-                    config.fingerprint(),
-                    loop_header,
-                    format_function(func),
-                )
-            ).encode("utf-8")
-        ).hexdigest()
-
-    def _path_for(self, key: str) -> str:
-        return os.path.join(
-            self.directory, f"v{PHASE_FORMAT_VERSION}", key[:2], f"{key}.json"
-        )
-
-    def _count(self, name: str, value: int = 1) -> None:
-        if self.telemetry is not None and getattr(
-            self.telemetry, "enabled", False
-        ):
-            self.telemetry.count(name, value)
-
-    # -- search phase --------------------------------------------------
-
-    def save_search(self, func, loop_header: str, config, partition) -> None:
-        """Durably record a completed partition search.
-
-        Failures (injected ``checkpoint.save`` faults, IO errors,
-        instructions the coordinate index cannot name) suppress exactly
-        this checkpoint -- the next compile just searches again."""
-        key = self.search_key(func, loop_header, config)
-        try:
-            maybe_inject("checkpoint.save")
-            key_by_id, _ = _function_instr_index(func)
-            state = {
-                "n_candidates": len(partition.candidates),
-                "prefork_vc_keys": [
-                    key_by_id[id(vc.instr)] for vc in partition.prefork_vcs
-                ],
-                "prefork_stmt_keys": sorted(
-                    key_by_id[id(instr)] for instr in partition.prefork_stmts
-                ),
-                "vc_breakdown": [
-                    [key_by_id[id(vc.instr)], bool(in_prefork), marginal]
-                    for vc, in_prefork, marginal in partition.vc_breakdown
-                ],
-                "scalars": {
-                    "cost": partition.cost,
-                    "prefork_size": partition.prefork_size,
-                    "body_size": partition.body_size,
-                    "search_nodes": partition.search_nodes,
-                    "skipped_too_many_vcs": partition.skipped_too_many_vcs,
-                    "evaluations": partition.evaluations,
-                    "cache_hits": partition.cache_hits,
-                    "cost_node_visits": partition.cost_node_visits,
-                    "pruned_size": partition.pruned_size,
-                    "pruned_bound": partition.pruned_bound,
-                    "budget_exhausted": partition.budget_exhausted,
-                    "deadline_exhausted": partition.deadline_exhausted,
-                },
-            }
-            document = {
-                "schema": PHASE_SCHEMA,
-                "format": PHASE_FORMAT_VERSION,
-                "key": key,
-                "phase": "search",
-                "state": state,
-            }
-            atomic_write_json(
-                self._path_for(key), document, fault_site="checkpoint.save"
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - checkpointing must not fail a compile
-            self.stats.save_failures += 1
-            self._count("checkpoint.save_failures")
-            return
-        self.stats.saves += 1
-        self._count("checkpoint.saves")
-
-    def load_search(self, func, loop_header: str, config, graph):
-        """Rebuild the stored :class:`PartitionResult` for this exact
-        (function, loop, rung config), or None.
-
-        Re-runs the cheap, deterministic violation-candidate discovery
-        on ``graph`` and grafts the stored pre-fork assignment onto the
-        rediscovered objects; only the expensive branch-and-bound is
-        skipped.  Any mismatch -- corrupt file, wrong schema, a
-        candidate count that differs from rediscovery -- is a miss."""
-        from repro.core.partition import PartitionResult
-        from repro.core.violation import find_violation_candidates
-
-        key = self.search_key(func, loop_header, config)
-        path = self._path_for(key)
-        try:
-            maybe_inject("checkpoint.restore")
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - injected restore fault => miss
-            self.stats.misses += 1
-            self._count("checkpoint.misses")
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            self._count("checkpoint.misses")
-            return None
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - unreadable => corrupt miss
-            return self._corrupt_miss(path)
-        try:
-            if (
-                not isinstance(document, dict)
-                or document.get("schema") != PHASE_SCHEMA
-                or document.get("format") != PHASE_FORMAT_VERSION
-                or document.get("key") != key
-                or document.get("phase") != "search"
-            ):
-                raise ValueError("malformed phase checkpoint")
-            state = document["state"]
-            candidates = find_violation_candidates(graph)
-            if len(candidates) != int(state["n_candidates"]):
-                raise ValueError("candidate count mismatch")
-            key_by_id, instr_by_key = _function_instr_index(func)
-            vc_by_key = {key_by_id[id(vc.instr)]: vc for vc in candidates}
-            prefork_vcs = [vc_by_key[k] for k in state["prefork_vc_keys"]]
-            prefork_stmts = {
-                instr_by_key[k] for k in state["prefork_stmt_keys"]
-            }
-            # Scalars are passed through untouched: JSON round-trips
-            # int vs float exactly, and manifests must stay
-            # byte-identical whether the search ran or restored.
-            scalars = state["scalars"]
-            partition = PartitionResult(
-                graph.loop,
-                candidates,
-                prefork_vcs,
-                prefork_stmts,
-                cost=scalars["cost"],
-                prefork_size=scalars["prefork_size"],
-                body_size=scalars["body_size"],
-                search_nodes=scalars["search_nodes"],
-                skipped_too_many_vcs=scalars["skipped_too_many_vcs"],
-                evaluations=scalars["evaluations"],
-                cache_hits=scalars["cache_hits"],
-                cost_node_visits=scalars["cost_node_visits"],
-                pruned_size=scalars["pruned_size"],
-                pruned_bound=scalars["pruned_bound"],
-                budget_exhausted=scalars["budget_exhausted"],
-                deadline_exhausted=scalars["deadline_exhausted"],
-            )
-            partition.vc_breakdown = [
-                (vc_by_key[coord], in_prefork, marginal)
-                for coord, in_prefork, marginal in state["vc_breakdown"]
-            ]
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - stale/mismatched => corrupt miss
-            return self._corrupt_miss(path)
-        self.stats.restores += 1
-        self._count("checkpoint.restores")
+        partition.vc_breakdown = [
+            (vc_by_key[coord], in_prefork, marginal)
+            for coord, in_prefork, marginal in state["vc_breakdown"]
+        ]
         return partition
 
-    def _corrupt_miss(self, path: str):
-        self.stats.misses += 1
-        self.stats.corrupt += 1
-        self._count("checkpoint.misses")
-        self._count("checkpoint.corrupt")
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-
-    def __repr__(self) -> str:
-        return f"PhaseCheckpointStore({self.directory!r}, {self.stats!r})"
+    return cache.get(
+        _search_key(program_key, func, loop_header, config), "search",
+        decode=decode,
+    )

@@ -102,7 +102,7 @@ def run_checkpointed_simulation(
     :class:`CheckpointReport`.
     """
     if store is None:
-        store = CheckpointStore(checkpoint_dir, telemetry=telemetry)
+        store = CheckpointStore(checkpoint_dir)
     key = simulation_key(module, config, entry=entry, args=args, fuel=fuel)
     index = InstrIndex(module)
 
@@ -137,7 +137,7 @@ def run_checkpointed_simulation(
 
     report = CheckpointReport(
         key=key,
-        directory=store.directory,
+        directory=store.root,
         checkpoint_every=checkpoint_every,
         resumed_from=resumed_from,
     )
@@ -160,7 +160,7 @@ def run_checkpointed_simulation(
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception:  # noqa: BLE001 - snapshot must not kill the run
-                store.stats.save_failures += 1
+                store.stats.write_failures += 1
                 return
             if store.save(key, m.executed, state) is not None:
                 report.saved_at.append(m.executed)
@@ -176,4 +176,6 @@ def run_checkpointed_simulation(
         result_value, tracer, collectors, telemetry=telemetry
     )
     report.stats = store.stats.to_dict()
+    if telemetry is not None:
+        telemetry.merge_counters(store.stats.as_counters("checkpoint"))
     return outcome, report

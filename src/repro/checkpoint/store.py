@@ -1,46 +1,38 @@
 """The on-disk snapshot store (schema ``repro-checkpoint/1``).
 
-Layout mirrors the batch result cache::
+A :class:`~repro.util.store.ContentStore` with one named entry per
+snapshot::
 
     <dir>/v1/<k[:2]>/<k>/<executed:020>.json
 
-where ``k`` is a SHA-256 digest over the checkpoint format version, the
+where ``k`` is a SHA-256 digest over the checkpoint schema, the
 :meth:`~repro.core.config.SptConfig.fingerprint`, the workload token,
 and the canonical textual IR of the simulated module -- the same
 content-addressing discipline as :mod:`repro.batch.cache`, so a
 snapshot can never be restored into a different program, configuration
 or workload.  Within one run key, snapshots are ordered by the fuel
-odometer (``executed``), which doubles as the instruction-index part of
-the key.
+odometer (``executed``), which names the entry.
 
-Writes go through :func:`repro.util.atomicio.atomic_write_json` with
-``fsync`` (a checkpoint that does not survive the crash it exists for
-is worthless).  Loads are corruption-tolerant: a torn, truncated,
-version-mismatched or otherwise unreadable snapshot is counted in
-``checkpoint.corrupt``, removed best-effort, and skipped -- the caller
-falls back to the next older snapshot or a cold start, never crashes.
-
-Both IO paths are chaos injection sites (``checkpoint.save`` /
-``checkpoint.restore`` in the ``REPRO_FAULT`` grammar); ``torn`` mode
-additionally makes :func:`atomic_write_json` publish a deliberately
-truncated document through the normal rename path.
+Writes ``fsync`` (a checkpoint that does not survive the crash it
+exists for is worthless).  A torn, truncated, version-mismatched or
+otherwise unreadable snapshot is a counted corrupt miss, removed
+best-effort and skipped -- the caller falls back to the next older
+snapshot or a cold start, never crashes.  Both IO paths are chaos
+injection sites (``checkpoint.save`` / ``checkpoint.restore`` in the
+``REPRO_FAULT`` grammar).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.batch.cache import default_cache_dir
-from repro.resilience.faults import maybe_inject
-from repro.util.atomicio import atomic_write_json
+from repro.util.store import ContentStore, content_key
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CHECKPOINT_SCHEMA",
-    "CheckpointStats",
     "CheckpointStore",
     "default_checkpoint_dir",
 ]
@@ -60,184 +52,45 @@ def default_checkpoint_dir() -> str:
     return os.path.join(default_cache_dir(), "checkpoints")
 
 
-class CheckpointStats:
-    """Save/restore/corruption counters for one store handle."""
-
-    __slots__ = ("saves", "restores", "misses", "corrupt", "save_failures")
-
-    def __init__(self):
-        self.saves = 0
-        self.restores = 0
-        self.misses = 0
-        #: Snapshots that existed but failed to load (subset of misses).
-        self.corrupt = 0
-        #: Save attempts a fault or IO error suppressed.
-        self.save_failures = 0
-
-    def to_dict(self) -> Dict:
-        return {
-            "saves": self.saves,
-            "restores": self.restores,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "save_failures": self.save_failures,
-        }
-
-    def as_counters(self) -> Dict[str, int]:
-        """Telemetry counter names -> values (docs/observability.md)."""
-        return {
-            "checkpoint.saves": self.saves,
-            "checkpoint.restores": self.restores,
-            "checkpoint.misses": self.misses,
-            "checkpoint.corrupt": self.corrupt,
-            "checkpoint.save_failures": self.save_failures,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckpointStats(saves={self.saves}, restores={self.restores}, "
-            f"corrupt={self.corrupt})"
-        )
+def _snapshot_state(payload) -> Dict:
+    if not isinstance(payload, dict):
+        raise TypeError("snapshot state is not a JSON object")
+    return payload
 
 
-class CheckpointStore:
+class CheckpointStore(ContentStore):
     """A content-addressed directory of simulation snapshots."""
 
-    def __init__(self, directory: Optional[str] = None, telemetry=None):
-        self.directory = directory or default_checkpoint_dir()
-        self.stats = CheckpointStats()
-        self.telemetry = telemetry
+    version = CHECKPOINT_FORMAT_VERSION
 
-    # -- keys ----------------------------------------------------------
-
-    @property
-    def version_dir(self) -> str:
-        return os.path.join(self.directory, f"v{CHECKPOINT_FORMAT_VERSION}")
+    def __init__(self, directory: Optional[str] = None):
+        super().__init__(directory or default_checkpoint_dir(),
+                         fault_site="checkpoint")
 
     @staticmethod
     def run_key(
         canonical_ir: str, config_fingerprint: str, workload_token: str
     ) -> str:
         """The content-addressed identity of one simulated run."""
-        return hashlib.sha256(
-            "\x1f".join(
-                (
-                    CHECKPOINT_SCHEMA,
-                    config_fingerprint,
-                    workload_token,
-                    canonical_ir,
-                )
-            ).encode("utf-8")
-        ).hexdigest()
-
-    def run_dir(self, key: str) -> str:
-        return os.path.join(self.version_dir, key[:2], key)
-
-    def _path_for(self, key: str, executed: int) -> str:
-        return os.path.join(self.run_dir(key), f"{executed:020d}.json")
-
-    # -- IO ------------------------------------------------------------
-
-    def _count(self, name: str, value: int = 1) -> None:
-        if self.telemetry is not None and getattr(
-            self.telemetry, "enabled", False
-        ):
-            self.telemetry.count(name, value)
+        return content_key(
+            CHECKPOINT_SCHEMA, config_fingerprint, workload_token,
+            canonical_ir,
+        )
 
     def save(self, key: str, executed: int, state: Dict) -> Optional[str]:
         """Durably publish one snapshot; returns its path (None when
-        the save was suppressed).
-
-        An injected ``checkpoint.save`` fault or an IO error suppresses
-        exactly this snapshot (counted in ``save_failures``): losing a
-        checkpoint degrades resume granularity, never correctness.
-        """
-        document = {
-            "schema": CHECKPOINT_SCHEMA,
-            "format": CHECKPOINT_FORMAT_VERSION,
-            "key": key,
-            "executed": int(executed),
-            "state": state,
-        }
-        path = self._path_for(key, executed)
-        try:
-            maybe_inject("checkpoint.save")
-            atomic_write_json(path, document, fault_site="checkpoint.save")
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - checkpointing must not kill the run
-            self.stats.save_failures += 1
-            self._count("checkpoint.save_failures")
-            return None
-        self.stats.saves += 1
-        self._count("checkpoint.saves")
-        return path
+        the save was suppressed -- losing a checkpoint degrades resume
+        granularity, never correctness)."""
+        return self.put(key, "snapshot", state, name=f"{int(executed):020d}")
 
     def available(self, key: str) -> List[int]:
         """Executed-indices of stored snapshots for ``key``, ascending."""
-        directory = self.run_dir(key)
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return []
-        indices = []
-        for name in names:
-            if not name.endswith(".json") or name.startswith(".tmp-"):
-                continue
-            try:
-                indices.append(int(name[: -len(".json")]))
-            except ValueError:
-                continue
-        return sorted(indices)
+        return sorted(int(name) for name in self.names(key) if name.isdigit())
 
     def load(self, key: str, executed: int) -> Optional[Dict]:
-        """The state snapshotted at ``executed``, or None.
-
-        Every failure mode -- missing file, torn write, foreign or
-        version-mismatched document, key mismatch -- degrades to a miss
-        (corrupt files are removed so the slot is clean)."""
-        path = self._path_for(key, executed)
-        try:
-            maybe_inject("checkpoint.restore")
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - injected restore fault
-            # Chaos: a restore fault degrades to a miss (cold start),
-            # but never deletes the -- perfectly healthy -- snapshot.
-            self.stats.misses += 1
-            self._count("checkpoint.misses")
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-            if (
-                not isinstance(document, dict)
-                or document.get("schema") != CHECKPOINT_SCHEMA
-                or document.get("format") != CHECKPOINT_FORMAT_VERSION
-                or document.get("key") != key
-                or document.get("executed") != executed
-                or not isinstance(document.get("state"), dict)
-            ):
-                raise ValueError("malformed checkpoint")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            self._count("checkpoint.misses")
-            return None
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:  # noqa: BLE001 - corrupt snapshot => cold start
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            self._count("checkpoint.misses")
-            self._count("checkpoint.corrupt")
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-        self.stats.restores += 1
-        self._count("checkpoint.restores")
-        return document["state"]
+        """The state snapshotted at ``executed``, or None."""
+        return self.get(key, "snapshot", name=f"{int(executed):020d}",
+                        decode=_snapshot_state)
 
     def load_latest(
         self, key: str, at_or_before: Optional[int] = None
@@ -251,6 +104,3 @@ class CheckpointStore:
             if state is not None:
                 return executed, state
         return None
-
-    def __repr__(self) -> str:
-        return f"CheckpointStore({self.directory!r}, {self.stats!r})"

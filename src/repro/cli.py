@@ -34,7 +34,12 @@ from repro.core.config import (
     basic_config,
     best_config,
 )
-from repro.core.pipeline import Workload, compile_spt
+from repro.core.pipeline import (
+    Workload,
+    WorkloadError,
+    check_workload,
+    compile_spt,
+)
 from repro.frontend import compile_minic
 from repro.ir import format_module, parse_module
 from repro.ir.function import Module
@@ -139,12 +144,14 @@ def _finish_telemetry(telemetry, args: argparse.Namespace) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     module = load_module(args.source)
+    workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
+    check_workload(module, workload)
     machine = Machine(module, fuel=args.fuel)
     tracer = None
     if args.timing:
         tracer = TimingTracer(TimingModel())
         machine.add_tracer(tracer)
-    result = machine.run(args.entry, _parse_args_list(args.args))
+    result = machine.run(workload.entry, list(workload.args))
     print(f"result: {result}")
     if tracer is not None:
         print(f"instructions: {tracer.instructions}")
@@ -166,16 +173,25 @@ def cmd_dump_ir(args: argparse.Namespace) -> int:
     return 0
 
 
-def _phase_checkpoints_from_args(args: argparse.Namespace, telemetry):
-    """Build the PhaseCheckpointStore for --checkpoint-phases, or None."""
-    if not getattr(args, "checkpoint_phases", False):
-        return None
-    from repro.checkpoint.phases import PhaseCheckpointStore
+def _compile_checkpointed(args: argparse.Namespace, module, config,
+                          workload, telemetry):
+    """``compile_spt`` for the commands with ``--checkpoint-phases``:
+    returns the result and the phase cache (None when the flag is off),
+    whose counters are merged into ``telemetry``."""
+    phase_checkpoints = None
+    if getattr(args, "checkpoint_phases", False):
+        from repro.checkpoint.phases import phase_cache
 
-    directory = getattr(args, "checkpoint_dir", None)
-    if directory is not None:
-        directory = os.path.join(directory, "phases")
-    return PhaseCheckpointStore(directory, telemetry=telemetry)
+        phase_checkpoints = phase_cache(getattr(args, "checkpoint_dir", None))
+    result = compile_spt(
+        module, config, workload, telemetry=telemetry,
+        phase_checkpoints=phase_checkpoints,
+    )
+    if phase_checkpoints is not None and telemetry is not None:
+        telemetry.merge_counters(
+            phase_checkpoints.stats.as_counters("checkpoint")
+        )
+    return result, phase_checkpoints
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -183,10 +199,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
     telemetry = _telemetry_from_args(args)
-    phase_checkpoints = _phase_checkpoints_from_args(args, telemetry)
-    result = compile_spt(
-        module, config, workload, telemetry=telemetry,
-        phase_checkpoints=phase_checkpoints,
+    result, phase_checkpoints = _compile_checkpointed(
+        args, module, config, workload, telemetry
     )
 
     print(f"configuration: {args.config}")
@@ -214,8 +228,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if phase_checkpoints is not None:
         stats = phase_checkpoints.stats
         print(
-            f"phase checkpoints: saves={stats.saves} "
-            f"restores={stats.restores} corrupt={stats.corrupt}"
+            f"phase checkpoints: saves={stats.writes} "
+            f"restores={stats.hits} corrupt={stats.corrupt}"
         )
     if args.emit_ir:
         print()
@@ -231,12 +245,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     train = _parse_args_list(args.train_args or args.args)
     workload = Workload(entry=args.entry, args=tuple(train))
+    eval_args = _parse_args_list(args.args)
+    # The evaluation run must fit the entry too: fail before compiling.
+    check_workload(module, Workload(entry=args.entry, args=tuple(eval_args)))
     telemetry = _telemetry_from_args(args)
-    phase_checkpoints = _phase_checkpoints_from_args(args, telemetry)
-    result = compile_spt(
-        module, config, workload, telemetry=telemetry,
-        phase_checkpoints=phase_checkpoints,
-    )
+    result, _ = _compile_checkpointed(args, module, config, workload, telemetry)
     if not result.spt_loops:
         print("no SPT loops selected; nothing to simulate")
         _finish_telemetry(telemetry, args)
@@ -249,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         outcome, report = run_checkpointed_simulation(
             module, result, config, entry=args.entry,
-            args=tuple(_parse_args_list(args.args)), fuel=args.fuel,
+            args=tuple(eval_args), fuel=args.fuel,
             checkpoint_every=checkpoint_every, resume_from=resume_from,
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
             telemetry=telemetry,
@@ -262,8 +275,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   f"(key {report.key[:12]}..., dir {report.directory})")
     else:
         outcome = simulate_program(
-            module, result, entry=args.entry,
-            args=_parse_args_list(args.args), fuel=args.fuel,
+            module, result, entry=args.entry, args=eval_args, fuel=args.fuel,
             telemetry=telemetry,
         )
     print(f"result: {outcome.result}")
@@ -370,7 +382,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         cache = ResultCache(args.cache_dir or None)
         probe = probe_cache(source, config, workload, cache)
         if telemetry is not None:
-            telemetry.merge_counters(cache.stats.as_counters())
+            telemetry.merge_counters(cache.stats.as_counters("batch.cache"))
         print()
         print(cache_probe_text(probe))
     if args.profile:
@@ -1170,6 +1182,10 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except WorkloadError as exc:
+        # A user mistake, not a contained degradation: one line, exit 2.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed early (`repro perf diff | head`);
         # detach stdout so the interpreter's shutdown flush stays quiet.

@@ -67,6 +67,27 @@ class Workload:
     fuel: int = 50_000_000
 
 
+class WorkloadError(ValueError):
+    """The workload does not fit the program: no such entry function, or
+    the wrong number of arguments.  A user mistake, reported as a usage
+    error -- never contained as a profiling degradation."""
+
+
+def check_workload(module: Module, workload: Workload) -> None:
+    """Raise :class:`WorkloadError` unless ``workload`` can call its
+    entry function in ``module``."""
+    func = module.functions.get(workload.entry)
+    if func is None:
+        raise WorkloadError(
+            f"entry function {workload.entry!r} not found in the program"
+        )
+    if len(workload.args) != len(func.params):
+        raise WorkloadError(
+            f"{workload.entry} expects {len(func.params)} argument(s), "
+            f"got {len(workload.args)}"
+        )
+
+
 class CompilationResult:
     """Everything the two-pass compilation produced."""
 
@@ -109,9 +130,9 @@ class CompilationResult:
     def candidate_dict(c: LoopCandidate) -> Dict:
         """The JSON-serializable record for one loop candidate.
 
-        This is the unit the batch result cache stores per loop, so it
-        must be deterministic: floats are rounded, all collections are
-        emitted in a fixed order."""
+        Batch manifests and result-cache entries embed it, so it must be
+        deterministic: floats are rounded, all collections are emitted
+        in a fixed order."""
         entry = {
             "function": c.func_name,
             "header": c.loop.header,
@@ -139,24 +160,6 @@ class CompilationResult:
             entry["cost_node_visits"] = c.partition.cost_node_visits
             entry["optimal"] = c.partition.optimal
         return entry
-
-    def loop_records(self) -> List[Dict]:
-        """Per-loop serialized records (candidate + full partition).
-
-        One record per analyzed loop, each self-contained so the batch
-        cache (:mod:`repro.batch.cache`) can content-address them
-        individually."""
-        records = []
-        for c in self.candidates:
-            record = {
-                "function": c.func_name,
-                "header": c.loop.header,
-                "candidate": self.candidate_dict(c),
-            }
-            if c.partition is not None:
-                record["partition"] = c.partition.to_dict()
-            records.append(record)
-        return records
 
     def to_dict(self) -> Dict:
         """A JSON-serializable summary (for tooling and the CLI)."""
@@ -225,6 +228,7 @@ def _analyze_loop(
     rung: str = RUNG_FULL,
     phase_checkpoints=None,
     prebuilt_graph: Optional[LoopDepGraph] = None,
+    program_key: Optional[str] = None,
 ) -> Tuple[Optional[LoopCandidate], Optional[LoopDepGraph],
            Optional[DegradationRecord]]:
     """Run the pass-1 core (Figure 3) on one loop.
@@ -236,13 +240,14 @@ def _analyze_loop(
     ``prebuilt_graph`` is a dependence graph a previous (faulted) rung
     already built for this loop: the dep-graph phase is then skipped --
     sound because ladder rungs only vary search-phase knobs.
-    ``phase_checkpoints`` is an optional :class:`repro.checkpoint.
-    phases.PhaseCheckpointStore`; when set, a completed search restores
-    from it and a fresh search is durably recorded into it."""
+    ``phase_checkpoints`` is an optional :class:`repro.batch.cache.
+    ResultCache`; when set, a completed search restores from its
+    ``search`` entry under ``program_key`` and a fresh search is durably
+    recorded into it."""
     with telemetry.span("analyze_loop", function=func.name, loop=loop.header):
         return _analyze_loop_inner(
             module, func, loop, config, edge_profile, dep_profile, modref,
-            telemetry, rung, phase_checkpoints, prebuilt_graph,
+            telemetry, rung, phase_checkpoints, prebuilt_graph, program_key,
         )
 
 
@@ -258,6 +263,7 @@ def _analyze_loop_inner(
     rung: str = RUNG_FULL,
     phase_checkpoints=None,
     prebuilt_graph: Optional[LoopDepGraph] = None,
+    program_key: Optional[str] = None,
 ) -> Tuple[Optional[LoopCandidate], Optional[LoopDepGraph],
            Optional[DegradationRecord]]:
     loop_key = f"{func.name}:{loop.header}"
@@ -331,8 +337,11 @@ def _analyze_loop_inner(
             info.instr.cost * info.reach for info in graph.info.values()
         )
         if phase_checkpoints is not None:
-            restored = phase_checkpoints.load_search(
-                func, loop.header, config, graph
+            from repro.checkpoint.phases import load_search
+
+            restored = load_search(
+                phase_checkpoints, program_key, func, loop.header, config,
+                graph,
             )
             if restored is not None:
                 return dynamic_size, restored, True
@@ -350,7 +359,12 @@ def _analyze_loop_inner(
         # Durably record the completed search (outside the firewall:
         # save suppresses its own failures) so a crashed/killed compile
         # resumes here instead of searching this loop again.
-        phase_checkpoints.save_search(func, loop.header, config, partition)
+        from repro.checkpoint.phases import save_search
+
+        save_search(
+            phase_checkpoints, program_key, func, loop.header, config,
+            graph, partition,
+        )
 
     candidate = LoopCandidate(
         func.name,
@@ -393,6 +407,7 @@ def _analyze_loop_resilient(
     modref: Optional[ModRefSummaries],
     telemetry=NULL_TELEMETRY,
     phase_checkpoints=None,
+    program_key: Optional[str] = None,
 ) -> Tuple[LoopCandidate, Optional[LoopDepGraph], List[DegradationRecord]]:
     """The degradation-ladder driver around :func:`_analyze_loop`.
 
@@ -416,6 +431,7 @@ def _analyze_loop_resilient(
             module, func, loop, rung_config, edge_profile, dep_profile,
             modref, telemetry, rung=rung,
             phase_checkpoints=phase_checkpoints, prebuilt_graph=built_graph,
+            program_key=program_key,
         )
         if graph is not None and built_graph is None:
             built_graph = graph
@@ -482,13 +498,23 @@ def compile_spt(
     the search/profiling layers below report counters.  The caller owns
     the telemetry lifecycle (``close()`` flushes the sinks).
 
-    ``phase_checkpoints`` is an optional :class:`repro.checkpoint.
-    phases.PhaseCheckpointStore`: completed partition searches are
-    durably recorded there and restored on a re-run, so a compile that
-    crashed or hung mid-search resumes from its last finished phase
-    (see docs/checkpointing.md)."""
+    ``phase_checkpoints`` is an optional :class:`repro.batch.cache.
+    ResultCache`: completed partition searches are durably recorded
+    there as ``search`` entries keyed by this module, config and
+    workload, and restored on a re-run, so a compile that crashed or
+    hung mid-search resumes from its last finished phase (see
+    docs/checkpointing.md).
+
+    Raises :class:`WorkloadError` before any work when the workload
+    cannot call its entry function."""
+    check_workload(module, workload)
     telemetry = telemetry or NULL_TELEMETRY
     result = CompilationResult(module, config)
+    program_key = None
+    if phase_checkpoints is not None:
+        from repro.checkpoint.phases import module_key
+
+        program_key = module_key(module, config, workload)
 
     # -- loop preprocessing: unrolling (pre-SSA, §7.1) -------------------
     with telemetry.span("unroll"):
@@ -550,6 +576,7 @@ def compile_spt(
                 candidate, graph, records = _analyze_loop_resilient(
                     module, func, loop, config, edge_profile, dep_profile,
                     modref, telemetry, phase_checkpoints=phase_checkpoints,
+                    program_key=program_key,
                 )
                 result.degradations.extend(records)
                 candidates.append(candidate)
@@ -575,6 +602,7 @@ def compile_spt(
                     result,
                     telemetry,
                     phase_checkpoints,
+                    program_key,
                 ),
                 telemetry=telemetry,
                 deadline_ms=config.phase_deadline_ms,
@@ -694,6 +722,7 @@ def _svp_round(
     result,
     telemetry=NULL_TELEMETRY,
     phase_checkpoints=None,
+    program_key=None,
 ):
     """Value-profile critical VCs of high-cost loops, apply SVP, and
     re-analyze the loops that changed."""
@@ -762,6 +791,7 @@ def _svp_round(
         refreshed, graph, records = _analyze_loop_resilient(
             module, func, matching[0], config, edge_profile, dep_profile,
             modref, telemetry, phase_checkpoints=phase_checkpoints,
+            program_key=program_key,
         )
         result.degradations.extend(records)
         refreshed.svp_applied = True

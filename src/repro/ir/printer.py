@@ -20,7 +20,7 @@ The format round-trips through :mod:`repro.ir.parser`::
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
@@ -120,8 +120,9 @@ def format_function(func: Function) -> str:
     return "\n".join(lines)
 
 
-def format_module(module: Module) -> str:
-    lines: List[str] = [f"module {module.name}"]
+def format_module(module: Module, name: Optional[str] = None) -> str:
+    """The module's textual IR; ``name`` overrides the module name."""
+    lines: List[str] = [f"module {name or module.name}"]
     for decl in module.globals.values():
         escapes = " escapes" if decl.escapes else ""
         lines.append(f"global {decl.sym}[{decl.size}]{escapes}")

@@ -11,10 +11,10 @@ and turn the ledger into a machine-checked regression baseline.
 
 Design notes:
 
-* **Append-only.**  Records are never rewritten; each append is a
-  single ``O_APPEND`` write under an exclusive ``flock``, so concurrent
-  writers (parallel CI shards, batch workers) interleave whole lines
-  and never corrupt each other.
+* **Append-only.**  The ledger is a :class:`repro.util.JsonlLog`:
+  records are never rewritten, and each append is one whole line under
+  an exclusive lock, so concurrent writers (parallel CI shards, batch
+  workers) interleave whole lines and never corrupt each other.
 * **Schema-versioned.**  Every line embeds ``"schema":
   "repro-ledger/1"``; loaders skip lines they cannot parse or whose
   major version they do not understand, so a newer writer never bricks
@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.util.atomicio import append_line
+from repro.util.store import JsonlLog
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -61,13 +61,6 @@ def host_token() -> str:
         platform.machine() or "unknown",
         platform.python_version(),
     )
-
-
-def _schema_major(schema: str) -> Optional[str]:
-    if not isinstance(schema, str) or "/" not in schema:
-        return None
-    name, _, version = schema.rpartition("/")
-    return f"{name}/{version.split('.', 1)[0]}"
 
 
 def make_record(
@@ -122,7 +115,7 @@ def make_record(
     return record
 
 
-class Ledger:
+class Ledger(JsonlLog):
     """One append-only JSONL run store rooted at ``directory``.
 
     ``directory`` defaults to ``$REPRO_LEDGER_DIR`` or
@@ -136,54 +129,26 @@ class Ledger:
         if path.suffix == ".jsonl" or path.is_file():
             # A direct ledger file (e.g. a committed baseline).
             self.directory = path.parent
-            self.path = path
         else:
             self.directory = path
-            self.path = path / LEDGER_FILENAME
+            path = path / LEDGER_FILENAME
+        super().__init__(path, LEDGER_SCHEMA)
 
     # -- writing -------------------------------------------------------
 
     def append(self, record: Dict) -> str:
-        """Atomically append one record; returns its ``run_id``.
-
-        The whole line is written by a single ``write`` on an
-        ``O_APPEND`` descriptor under an exclusive ``flock``
-        (:func:`repro.util.atomicio.append_line`), so concurrent
-        appenders never interleave partial lines.
-        """
+        """Atomically append one record (built by :func:`make_record`);
+        returns its ``run_id``."""
         if "run_id" not in record:
             raise ValueError("ledger records need a run_id (use make_record)")
         if record.get("schema") != LEDGER_SCHEMA:
             raise ValueError(
                 f"record schema {record.get('schema')!r} != {LEDGER_SCHEMA!r}"
             )
-        append_line(str(self.path), json.dumps(record, sort_keys=True))
+        super().append(record)
         return record["run_id"]
 
-    # -- reading -------------------------------------------------------
-
-    def load(self) -> List[Dict]:
-        """All parseable records, oldest first.  Corrupt or
-        foreign-schema lines are skipped, never fatal."""
-        if not self.path.exists():
-            return []
-        records: List[Dict] = []
-        wanted = _schema_major(LEDGER_SCHEMA)
-        with open(self.path, encoding="utf-8", errors="replace") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                if _schema_major(record.get("schema", "")) != wanted:
-                    continue
-                records.append(record)
-        return records
+    # -- reading (``load`` skips corrupt and foreign lines) ------------
 
     def runs(
         self,

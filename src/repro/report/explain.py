@@ -217,24 +217,14 @@ def cache_probe_text(probe: dict) -> str:
 
     ``probe`` is the dict :func:`repro.batch.worker.probe_cache`
     produces: whether this exact (program, config, workload) is warm in
-    the persistent result cache, and how complete its per-loop records
-    are."""
+    the persistent result cache."""
     lines = [f"result cache ({probe['cache_dir']}):"]
     lines.append(f"  program key    {probe['program_key'][:16]}…")
     if probe["program_hit"]:
+        lines.append("  program entry  HIT")
         lines.append(
-            f"  program entry  HIT ({probe['loops_present']}/"
-            f"{probe['loops_total']} loop records present)"
+            "  note           a batch run would serve this result warm"
         )
-        if probe["loops_present"] < probe["loops_total"]:
-            lines.append(
-                "  note           incomplete loop records: the next batch"
-                " run recomputes this program"
-            )
-        else:
-            lines.append(
-                "  note           a batch run would serve this result warm"
-            )
     else:
         lines.append(
             "  program entry  MISS (a batch run would compile this"

@@ -26,15 +26,13 @@ clears transport framing, in tier order:
 Every response is also an observation: counters/histograms go into a
 :class:`repro.obs.telemetry.MetricsRegistry` (exported by
 ``GET /metrics`` through the Prometheus sink) and, when a request log
-is configured, one JSONL ledger line per request (same
-``O_APPEND`` + ``flock`` whole-line discipline as the run ledger).
+is configured, one line per request in a :class:`repro.util.JsonlLog`
+(the same whole-line append discipline as the run ledger).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 import time
 from typing import Dict, Optional
@@ -53,47 +51,20 @@ from repro.serve.protocol import (
     ServeRejection,
     normalize_compile_params,
 )
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
+from repro.util.store import JsonlLog
 
 __all__ = ["REQUEST_LOG_SCHEMA", "CompileService", "RequestLog"]
 
 REQUEST_LOG_SCHEMA = "repro-serve-log/1"
 
 
-class RequestLog:
-    """Append-only JSONL record of every served request.
-
-    Same whole-line ``O_APPEND`` + ``flock`` discipline as
-    :class:`repro.obs.ledger.Ledger`: handler threads (and multiple
-    daemons sharing a log) interleave whole lines, never fragments."""
+class RequestLog(JsonlLog):
+    """Append-only JSONL record of every served request: handler
+    threads (and multiple daemons sharing a log) interleave whole
+    lines, never fragments."""
 
     def __init__(self, path: str):
-        self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-
-    def append(self, record: Dict) -> None:
-        line = (
-            json.dumps(
-                dict(record, schema=REQUEST_LOG_SCHEMA), sort_keys=True
-            )
-            + "\n"
-        ).encode()
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            os.write(fd, line)
-        finally:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+        super().__init__(path, REQUEST_LOG_SCHEMA)
 
 
 class CompileService:

@@ -1,12 +1,11 @@
 """Durable file IO primitives: atomic whole-file writes and whole-line
 appends.
 
-Four subsystems grew the same two idioms independently -- the batch
-result cache, the batch ``progress.json`` writer, the serve daemon's
-ready file, and the obs run ledger.  This module is the one shared
-implementation, and the checkpoint store builds on it, so a SIGKILL at
-any instant can leave behind **either** the old file or the new file,
-never a torn hybrid:
+:mod:`repro.util.store` builds every content-addressed store and JSONL
+log on these two idioms, and the batch ``progress.json`` writer and the
+serve daemon's ready file use the write helper directly, so a SIGKILL
+at any instant can leave behind **either** the old file or the new
+file, never a torn hybrid:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` -- write to a
   temp file in the destination directory, ``fsync`` it, then
@@ -14,9 +13,8 @@ never a torn hybrid:
   the fsync closes the window where the rename survives a crash but the
   data does not.
 * :func:`append_line` -- append one whole line via a single ``write``
-  on an ``O_APPEND`` descriptor under an exclusive ``flock``; used by
-  the obs ledger and the batch resume journal so concurrent appenders
-  interleave whole records, never fragments.
+  on an ``O_APPEND`` descriptor under an exclusive ``flock``, so
+  concurrent appenders interleave whole records, never fragments.
 
 Torn-write fault injection (``REPRO_FAULT=<site>:torn``) is honoured by
 the write helpers when the caller passes its fault site: the helper

@@ -18,6 +18,7 @@ from repro.batch import (
     compile_program_task,
 )
 from repro.core.config import best_config
+from tests.util.test_content_store import CORRUPTORS
 
 PROGRAM = """
 global int data[256];
@@ -139,17 +140,11 @@ def test_fingerprint_stability():
 
 
 @pytest.mark.parametrize(
-    "corruptor",
-    [
-        lambda raw: b"",  # truncated to nothing
-        lambda raw: raw[: len(raw) // 2],  # torn write
-        lambda raw: b"not json at all{{{",
-        lambda raw: json.dumps({"format": 1, "kind": "program"}).encode(),
-        lambda raw: json.dumps(["wrong", "shape"]).encode(),
-    ],
-    ids=["empty", "truncated", "garbage", "missing-fields", "wrong-shape"],
+    "corruptor", CORRUPTORS.values(), ids=CORRUPTORS.keys()
 )
 def test_corrupt_entries_recover(cache, corruptor):
+    """The batch worker recomputes past every corruption the shared
+    store matrix (tests/util/test_content_store.py) counts as a miss."""
     compile_program_task(make_task(), cache)
     paths = cache.entry_paths()
     assert paths
@@ -162,23 +157,9 @@ def test_corrupt_entries_recover(cache, corruptor):
     entry, stats = compile_program_task(make_task(), cache)
     assert entry["status"] == "ok"
     assert entry["cached"] is False  # recomputed, did not crash
-    assert stats["corrupt"] > 0
+    assert stats["corrupt"] == 1
 
     # The rewrite healed the cache: next lookup is warm again.
-    entry, _ = compile_program_task(make_task(), cache)
-    assert entry["cached"] is True
-
-
-def test_corrupt_loop_record_forces_full_recompute(cache):
-    cold, _ = compile_program_task(make_task(), cache)
-    # Damage exactly one loop entry, keep the program entry intact.
-    program_key = cold["program_key"]
-    program_payload = cache.get_program(program_key)
-    loop_key = program_payload["loop_keys"][0]
-    with open(cache._path_for(loop_key), "w") as handle:
-        handle.write('{"half a docu')
-    entry, _ = compile_program_task(make_task(), cache)
-    assert entry["status"] == "ok" and entry["cached"] is False
     entry, _ = compile_program_task(make_task(), cache)
     assert entry["cached"] is True
 
@@ -190,7 +171,7 @@ def test_prune_evicts_oldest(cache):
             cache,
         )
     total = len(cache.entry_paths())
-    assert total >= 10
+    assert total == 5  # one program entry per program
     # Age entries deterministically so mtime ordering is unambiguous.
     for age, path in enumerate(cache.entry_paths()):
         os.utime(path, (age, age))

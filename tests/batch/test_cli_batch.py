@@ -128,4 +128,4 @@ def test_explain_cache_dir_probe(corpus, tmp_path, capsys):
                  "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
     assert "HIT" in out
-    assert "loop records present" in out
+    assert "a batch run would serve this result warm" in out

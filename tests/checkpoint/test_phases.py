@@ -1,13 +1,14 @@
 """Compile-phase checkpoints: a restored partition search must be
-indistinguishable from a fresh one, and the resilience ladder must
-reuse work across rungs."""
+indistinguishable from a fresh one, a search from another workload must
+never be restored, and the resilience ladder must reuse work across
+rungs."""
 
 import json
 import os
 
 import pytest
 
-from repro.checkpoint.phases import PhaseCheckpointStore
+from repro.checkpoint.phases import phase_cache
 from repro.core.config import best_config
 from repro.core.pipeline import Workload, compile_spt
 from repro.frontend import compile_minic
@@ -31,6 +32,8 @@ int main(int n) {
 }
 """
 
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "golden", "corpus")
+
 
 @pytest.fixture(autouse=True)
 def _clean_faults(monkeypatch):
@@ -40,8 +43,13 @@ def _clean_faults(monkeypatch):
     reset_fault_state()
 
 
-def _loop_records(result):
-    return json.dumps(result.loop_records(), sort_keys=True)
+def _compiled_bytes(result):
+    """The summary plus every full partition, canonically serialized."""
+    partitions = {
+        f"{func}:{header}": partition.to_dict()
+        for (func, header), partition in result.partitions.items()
+    }
+    return json.dumps([result.to_dict(), partitions], sort_keys=True)
 
 
 def test_restored_search_is_byte_identical_to_fresh(tmp_path):
@@ -49,42 +57,69 @@ def test_restored_search_is_byte_identical_to_fresh(tmp_path):
         compile_minic(SOURCE), best_config(), Workload(args=(48,))
     )
 
-    store = PhaseCheckpointStore(str(tmp_path))
+    store = phase_cache(str(tmp_path))
     saved = compile_spt(
         compile_minic(SOURCE), best_config(), Workload(args=(48,)),
         phase_checkpoints=store,
     )
-    assert store.stats.saves > 0 and store.stats.restores == 0
+    assert store.stats.writes > 0 and store.stats.hits == 0
 
     restored = compile_spt(
         compile_minic(SOURCE), best_config(), Workload(args=(48,)),
         phase_checkpoints=store,
     )
-    assert store.stats.restores == store.stats.saves
+    assert store.stats.hits == store.stats.writes
     assert (
-        _loop_records(reference)
-        == _loop_records(saved)
-        == _loop_records(restored)
+        _compiled_bytes(reference)
+        == _compiled_bytes(saved)
+        == _compiled_bytes(restored)
     )
 
 
+@pytest.mark.parametrize(
+    "program", sorted(p for p in os.listdir(CORPUS) if p.endswith(".c"))
+)
+def test_search_entries_are_workload_keyed(tmp_path, program):
+    """Pass 1 takes its probabilities from one training run, so a search
+    checkpointed under one workload must never answer for another."""
+    with open(os.path.join(CORPUS, program)) as handle:
+        source = handle.read()
+
+    def compile_with(args, store=None):
+        return compile_spt(
+            compile_minic(source), best_config(), Workload(args=args),
+            phase_checkpoints=store,
+        )
+
+    compile_with((8,), phase_cache(str(tmp_path)))
+    other = phase_cache(str(tmp_path))
+    result = compile_with((200,), other)
+    assert _compiled_bytes(result) == _compiled_bytes(compile_with((200,)))
+    assert other.stats.hits == 0 and other.stats.corrupt == 0
+
+    # ...while the same workload again restores every search.
+    again = phase_cache(str(tmp_path))
+    repeated = compile_with((200,), again)
+    assert again.stats.hits == other.stats.writes > 0
+    assert again.stats.misses == again.stats.writes == 0
+    assert _compiled_bytes(repeated) == _compiled_bytes(result)
+
+
 def test_corrupt_phase_checkpoint_misses_and_recovers(tmp_path):
-    store = PhaseCheckpointStore(str(tmp_path))
+    store = phase_cache(str(tmp_path))
     compile_spt(
         compile_minic(SOURCE), best_config(), Workload(args=(48,)),
         phase_checkpoints=store,
     )
     # Corrupt every stored document.
-    version_dir = os.path.join(store.directory, "v1")
     corrupted = 0
-    for root, _dirs, files in os.walk(version_dir):
-        for name in files:
-            with open(os.path.join(root, name), "w") as handle:
-                handle.write("{not json")
-            corrupted += 1
+    for path in store.entry_paths():
+        with open(path, "w") as handle:
+            handle.write("{not json")
+        corrupted += 1
     assert corrupted > 0
 
-    fresh = PhaseCheckpointStore(str(tmp_path))
+    fresh = phase_cache(str(tmp_path))
     result = compile_spt(
         compile_minic(SOURCE), best_config(), Workload(args=(48,)),
         phase_checkpoints=fresh,
@@ -95,13 +130,13 @@ def test_corrupt_phase_checkpoint_misses_and_recovers(tmp_path):
 
 def test_save_fault_never_fails_the_compile(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_FAULT", "checkpoint.save:raise")
-    store = PhaseCheckpointStore(str(tmp_path))
+    store = phase_cache(str(tmp_path))
     result = compile_spt(
         compile_minic(SOURCE), best_config(), Workload(args=(48,)),
         phase_checkpoints=store,
     )
     assert result.spt_loops
-    assert store.stats.saves == 0 and store.stats.save_failures > 0
+    assert store.stats.writes == 0 and store.stats.write_failures > 0
 
 
 def test_ladder_reuses_depgraph_across_rungs(monkeypatch):

@@ -156,7 +156,7 @@ def test_diff_text_renders_metrics_and_host_note():
 def test_recorded_identical_runs_pass(tmp_path):
     ledger = Ledger(tmp_path)
     for _ in range(2):
-        record, result = record_program(GOLDEN, kind="compile")
+        record, result = record_program(GOLDEN, kind="compile", args=[64])
         ledger.append(record)
         assert result is not None
     records = ledger.load()
@@ -168,10 +168,10 @@ def test_recorded_identical_runs_pass(tmp_path):
 def test_injected_search_slowdown_fails_check(tmp_path, monkeypatch):
     """The acceptance scenario: a REPRO_FAULT-injected slowdown of the
     search phase must trip the same-host wall gate."""
-    baseline, _ = record_program(GOLDEN, kind="compile")
+    baseline, _ = record_program(GOLDEN, kind="compile", args=[64])
     monkeypatch.setenv(FAULT_ENV_VAR, "search:slow:0.2")
     reset_fault_state()
-    slowed, _ = record_program(GOLDEN, kind="compile")
+    slowed, _ = record_program(GOLDEN, kind="compile", args=[64])
     report = check_regression([baseline], [slowed], floor_ms=25.0)
     assert not report.ok
     assert any("phase 'search'" in f for f in report.failures), report.failures

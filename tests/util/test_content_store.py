@@ -1,0 +1,237 @@
+"""The shared persistence primitive: one corruption matrix over every
+store built on :class:`repro.util.ContentStore`, key compatibility, and
+the :class:`repro.util.JsonlLog` append/load discipline."""
+
+import json
+import os
+import threading
+
+import pytest
+
+from repro.batch.cache import ResultCache
+from repro.batch.journal import JOURNAL_SCHEMA, batch_key
+from repro.checkpoint.phases import phase_cache
+from repro.checkpoint.store import CheckpointStore
+from repro.core.config import best_config
+from repro.core.pipeline import Workload, compile_spt
+from repro.frontend import compile_minic
+from repro.resilience.faults import reset_fault_state
+from repro.util import JsonlLog, content_key
+
+SOURCE = """
+global int data[512];
+global int out[512];
+
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        int x = data[i & 511];
+        int a = x * 3 + i;
+        int b = (a << 2) ^ x;
+        out[i & 511] = b & 1023;
+        s += b & 31;
+    }
+    return s;
+}
+"""
+
+KEY = content_key("test", "entry")
+
+
+def _rewrite(mutate):
+    def corrupt(raw):
+        document = json.loads(raw)
+        mutate(document)
+        return json.dumps(document).encode()
+
+    return corrupt
+
+
+#: Every way an entry file can be damaged or foreign.  The batch
+#: worker's recovery test (tests/batch/test_cache.py) runs the same set.
+CORRUPTORS = {
+    "empty": lambda raw: b"",
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "garbage": lambda raw: b"not json at all{{{",
+    "missing-fields": _rewrite(lambda d: (d.pop("key"), d.pop("payload"))),
+    "wrong-shape": lambda raw: json.dumps(["wrong", "shape"]).encode(),
+    "wrong-format": _rewrite(lambda d: d.update(format=999)),
+    "wrong-kind": _rewrite(lambda d: d.update(kind="other")),
+    "wrong-key": _rewrite(lambda d: d.update(key="m" * 64)),
+    "wrong-name": _rewrite(lambda d: d.update(name="00000000000000000007")),
+    "bad-payload": _rewrite(lambda d: d.update(payload=None)),
+}
+
+
+def _compiled(store=None):
+    result = compile_spt(
+        compile_minic(SOURCE), best_config(), Workload(args=(48,)),
+        phase_checkpoints=store,
+    )
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+class ProgramEntries:
+    """Batch result-cache program entries, read back directly."""
+
+    def open(self, root):
+        return ResultCache(root)
+
+    def fill(self, store):
+        store.put_program(KEY, {"summary": {"candidates": []}})
+
+    def read(self, store):
+        return store.get_program(KEY)
+
+    def miss(self):
+        return None
+
+
+class SnapshotEntries:
+    """Named snapshot entries of one simulated run."""
+
+    def open(self, root):
+        return CheckpointStore(root)
+
+    def fill(self, store):
+        store.save(KEY, 5, {"interp": {"executed": 5}})
+
+    def read(self, store):
+        return store.load(KEY, 5)
+
+    def miss(self):
+        return None
+
+
+class SearchEntries:
+    """``--checkpoint-phases`` search entries: a corrupt entry makes the
+    compile search again, to the same answer."""
+
+    def open(self, root):
+        return phase_cache(root)
+
+    def fill(self, store):
+        _compiled(store)
+
+    def read(self, store):
+        return _compiled(store)
+
+    def miss(self):
+        return _compiled()
+
+
+STORES = {
+    "result-cache": ProgramEntries(),
+    "snapshot": SnapshotEntries(),
+    "search": SearchEntries(),
+}
+
+
+@pytest.fixture(autouse=True)
+def _clean_faults(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULT", raising=False)
+    reset_fault_state()
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTORS.values(), ids=CORRUPTORS.keys())
+@pytest.mark.parametrize("entries", STORES.values(), ids=STORES.keys())
+def test_corrupt_entry_is_a_counted_miss(tmp_path, entries, corrupt):
+    root = str(tmp_path)
+    store = entries.open(root)
+    entries.fill(store)
+    paths = store.entry_paths()
+    assert paths
+    for path in paths:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(corrupt(raw))
+
+    reader = entries.open(root)
+    assert entries.read(reader) == entries.miss()
+    assert reader.stats.hits == 0
+    assert reader.stats.corrupt == reader.stats.misses == len(paths)
+
+    # The damaged files were replaced: a refilled store reads back warm.
+    entries.fill(reader)
+    healed = entries.open(root)
+    entries.read(healed)
+    assert healed.stats.hits == len(paths) and healed.stats.corrupt == 0
+
+
+def test_keys_are_unit_separated_sha256():
+    """Existing keys survive the move to ``content_key``."""
+    import hashlib
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    program = ResultCache.program_key("module m", "fp", "wl")
+    assert program == sha("repro-batch-cache/1\x1ffp\x1fwl\x1fmodule m")
+    assert ResultCache.loop_key(program, "main", "h") == sha(
+        f"{program}\x1fmain\x1fh"
+    )
+    assert CheckpointStore.run_key("module m", "fp", "wl") == sha(
+        "repro-checkpoint/1\x1ffp\x1fwl\x1fmodule m"
+    )
+    # The journal key was an incremental hasher over the same parts.
+    tasks = [{"path": "a.c", "source": "x"}, {"path": "b.c", "source": "y"}]
+    digests = [sha("x"), sha("y")]
+    assert batch_key("fp", "main", [96], 1000, tasks) == sha(
+        f"{JOURNAL_SCHEMA}\x1ffp\x1fmain\x1f(96,)\x1f1000"
+        f"\x1fa.c\x1f{digests[0]}\x1fb.c\x1f{digests[1]}"
+    )
+
+
+def test_legacy_program_entry_with_loop_keys_still_hits(tmp_path):
+    """A v1 program entry written when loop records still existed."""
+    cache = ResultCache(str(tmp_path))
+    legacy = {"summary": {"candidates": []}, "loop_keys": ["a" * 64]}
+    os.makedirs(os.path.dirname(cache.path(KEY)))
+    with open(cache.path(KEY), "w") as handle:
+        json.dump({"format": 1, "kind": "program", "key": KEY,
+                   "payload": legacy}, handle, sort_keys=True)
+    assert cache.get_program(KEY) == legacy
+    assert cache.stats.hits == 1 and cache.stats.corrupt == 0
+
+
+def test_prune_covers_named_entries(tmp_path):
+    store = CheckpointStore(str(tmp_path))
+    for executed in range(6):
+        store.save(KEY, executed, {"n": executed})
+    assert store.prune(2) == 4 and store.stats.evictions == 4
+    assert len(store.entry_paths()) == 2
+
+
+def test_jsonl_log_skips_and_counts_damaged_lines(tmp_path):
+    log = JsonlLog(str(tmp_path / "sub" / "log.jsonl"), "repro-test/1")
+    log.append({"n": 1})
+    with open(log.path, "a") as handle:
+        handle.write("\n")  # blank
+        handle.write('{"schema": "repro-test/1", "n": \n')  # torn
+        handle.write(json.dumps({"schema": "other/1", "n": 2}) + "\n")
+        handle.write(json.dumps(["not", "a", "record"]) + "\n")
+    log.append({"n": 3})
+    newer = JsonlLog(log.path, "repro-test/1.4")
+    newer.append({"n": 4})  # a newer minor version still reads back
+    assert [r["n"] for r in log.load()] == [1, 3, 4]
+    assert log.skipped == 4
+    assert all(r["schema"].startswith("repro-test/1") for r in log.load())
+    log.discard()
+    assert log.load() == [] and log.skipped == 0
+
+
+def test_jsonl_log_concurrent_appends_stay_whole(tmp_path):
+    log = JsonlLog(str(tmp_path / "log.jsonl"), "repro-test/1")
+
+    def writer(tag):
+        for i in range(50):
+            log.append({"tag": tag, "i": i, "pad": tag * 512})
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in "abcd"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    records = log.load()
+    assert len(records) == 200 and log.skipped == 0
