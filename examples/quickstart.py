@@ -7,10 +7,7 @@ Run:  python examples/quickstart.py
 from repro.core import SptConfig, Workload, compile_spt
 from repro.frontend import compile_minic
 from repro.ir import format_function
-from repro.machine.spt_sim import SptTraceCollector, simulate_spt_loop
-from repro.machine.timing import TimingModel
-from repro.analysis.loops import LoopNest
-from repro.profiling import Machine
+from repro.perf import simulate_program
 
 SOURCE = """
 global int data[2048];
@@ -68,17 +65,8 @@ def main() -> None:
     print(format_function(module.function("main")))
 
     if result.spt_loops:
-        info = result.spt_loops[0]
-        func = module.function("main")
-        nest = LoopNest.build(func)
-        loop = next(l for l in nest.loops if l.header == info.header)
-        collector = SptTraceCollector(
-            "main", loop.header, loop.body, info.loop_id, TimingModel()
-        )
-        machine = Machine(module)
-        machine.add_tracer(collector)
-        machine.run("main", [2000])
-        stats = simulate_spt_loop(collector)
+        outcome = simulate_program(module, result, args=[2000])
+        stats = outcome.loops[0]
         print("\n== SPT machine simulation of the selected loop ==")
         print(f"iterations:            {stats.iterations}")
         print(f"sequential cycles:     {stats.seq_cycles:.0f}")

@@ -15,24 +15,22 @@ The *base reference* is the same module compiled without any SPT work
 (SSA + cleanup only, our -O3 stand-in) and timed on a single core.  The
 SPT run replays the transformed module; program SPT time substitutes
 each selected loop's simulated two-core time for its measured
-sequential time.
+sequential time.  Both runs go through the simulation driver in
+:mod:`repro.perf.runner`, on the tier ``config.fast_interp`` selects.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.loops import LoopNest
 from repro.benchsuite.programs import Benchmark
 from repro.core.config import SptConfig
 from repro.core.pipeline import CompilationResult, Workload, compile_spt
-from repro.core.selection import CATEGORY_VALID
 from repro.frontend import compile_minic
-from repro.machine.spt_sim import SptLoopStats, SptTraceCollector, simulate_spt_loop
-from repro.machine.timing import TimingModel, TimingTracer
-from repro.machine.vector_timing import VectorTimingEngine
-from repro.profiling.compiled import CompiledMachine
-from repro.profiling.interp import Machine
+# simulate_spt_loop is unused here; it stays importable because
+# perfbench/tracing.py wraps this module's attribute.
+from repro.machine.spt_sim import SptLoopStats, simulate_spt_loop  # noqa: F401
+from repro.perf.runner import run_machine, simulate_program, timed_machine
 from repro.ssa import build_ssa, optimize
 
 
@@ -73,6 +71,9 @@ class BenchmarkRun:
         # SPT run.
         self.spt_run_cycles = 0.0
         self.program_spt_cycles = 0.0
+        #: (function, loop header) -> cycles the SPT run spent in every
+        #: loop it entered (Figure 16's maximum coverage).
+        self.spt_loop_cycles: Dict[Tuple[str, str], float] = {}
         self.loops: List[LoopReport] = []
         self.compilation: Optional[CompilationResult] = None
         self.result_value = None
@@ -102,7 +103,7 @@ class BenchmarkRun:
         covered = sum(report.stats.seq_cycles for report in self.loops)
         return min(1.0, covered / self.spt_run_cycles)
 
-    def max_loop_coverage(self, tracer_loop_cycles: Dict, config: SptConfig) -> float:
+    def max_loop_coverage(self, config: SptConfig) -> float:
         """Coverage of *all* loop candidates within the size limit --
         the upper bound the paper compares against in Figure 16."""
         if not self.spt_run_cycles or self.compilation is None:
@@ -111,7 +112,7 @@ class BenchmarkRun:
         for candidate in self.compilation.candidates:
             if candidate.dynamic_body_size > config.max_body_size:
                 continue
-            cycles = tracer_loop_cycles.get(
+            cycles = self.spt_loop_cycles.get(
                 (candidate.func_name, candidate.loop.header), 0.0
             )
             eligible.append((candidate, cycles))
@@ -157,37 +158,10 @@ def _build_clean_module(bench: Benchmark):
     return module
 
 
-def _timed_run(module, entry: str, args, extra_tracers=(), config=None):
-    """Simulate one run and return (timing accounting, result).
-
-    The default path runs the trace-compiled interpreter with the
-    vectorized timing engine (bitwise-identical cycles to a
-    ``Machine`` + ``TimingTracer`` run; see
-    ``tests/machine/test_vector_timing.py``).  ``config`` flags select
-    slower paths: ``vector_timing=False`` falls back to a
-    :class:`TimingTracer`, ``fast_interp=False`` to the reference
-    interpreter.  Per-instruction tracers (e.g. SPT trace collectors)
-    automatically disable hot traces but still ride the compiled
-    machine.
-    """
-    fast = config.fast_interp if config is not None else True
-    trace = config.trace_interp if config is not None else True
-    vector = config.vector_timing if config is not None else True
-    if fast and vector:
-        engine = VectorTimingEngine(TimingModel())
-        machine = CompiledMachine(module, trace=trace, timing_engine=engine)
-        for extra in extra_tracers:
-            machine.add_tracer(extra)
-        result = machine.run(entry, list(args))
-        engine.flush()
-        return engine, result
-    tracer = TimingTracer(TimingModel())
-    machine = CompiledMachine(module, trace=trace) if fast else Machine(module)
-    machine.add_tracer(tracer)
-    for extra in extra_tracers:
-        machine.add_tracer(extra)
-    result = machine.run(entry, list(args))
-    return tracer, result
+def _timed_run(module, entry: str, args, fast: bool = True):
+    """The single-core base run: ``(timing accounting, result)``."""
+    machine, accounting = timed_machine(module, fast=fast)
+    return accounting, run_machine(machine, entry, args)
 
 
 def run_benchmark(
@@ -199,7 +173,7 @@ def run_benchmark(
     # -- base reference (Table 1) ----------------------------------------
     base_module = _build_clean_module(bench)
     base_tracer, base_result = _timed_run(
-        base_module, "main", [bench.eval_n], config=config
+        base_module, "main", [bench.eval_n], fast=config.fast_interp
     )
     run.base_cycles = base_tracer.cycles
     run.base_instructions = base_tracer.instructions
@@ -212,49 +186,27 @@ def run_benchmark(
     run.compilation = compilation
 
     # -- SPT evaluation run -----------------------------------------------------
-    collectors: List[SptTraceCollector] = []
-    collector_meta: List[Tuple[str, str, float, float, float]] = []
-    for candidate, info in zip(compilation.selected, compilation.spt_loops):
-        func = spt_module.function(candidate.func_name)
-        nest = LoopNest.build(func)
-        loop = next(
-            (l for l in nest.loops if l.header == candidate.loop.header), None
-        )
-        if loop is None:
-            continue
-        collectors.append(
-            SptTraceCollector(
-                candidate.func_name,
-                loop.header,
-                loop.body,
-                info.loop_id,
-                TimingModel(),
-            )
-        )
-        collector_meta.append(
-            (
-                candidate.func_name,
-                loop.header,
+    outcome = simulate_program(
+        spt_module, compilation, args=[bench.eval_n], fast=config.fast_interp
+    )
+    run.spt_run_cycles = outcome.seq_cycles
+    run.result_value = outcome.result
+    run.spt_loop_cycles = outcome.loop_cycles
+    run.program_spt_cycles = outcome.spt_cycles
+    candidates = {
+        (candidate.func_name, candidate.loop.header): candidate
+        for candidate in compilation.selected
+    }
+    for stats in outcome.loops:
+        candidate = candidates[stats.key]
+        run.loops.append(
+            LoopReport(
+                stats.func_name,
+                stats.header,
+                stats,
                 candidate.partition.cost_ratio,
                 candidate.partition.prefork_size,
                 candidate.dynamic_body_size,
             )
         )
-
-    spt_tracer, spt_result = _timed_run(
-        spt_module, "main", [bench.eval_n], extra_tracers=collectors, config=config
-    )
-    run.spt_run_cycles = spt_tracer.cycles
-    run.result_value = spt_result
-    run._spt_loop_cycles = dict(spt_tracer.loop_cycles)
-
-    substituted = spt_tracer.cycles
-    for collector, meta in zip(collectors, collector_meta):
-        stats = simulate_spt_loop(collector)
-        func_name, header, cost_ratio, prefork_size, body_size = meta
-        run.loops.append(
-            LoopReport(func_name, header, stats, cost_ratio, prefork_size, body_size)
-        )
-        substituted += stats.spt_cycles - stats.seq_cycles
-    run.program_spt_cycles = substituted
     return run

@@ -9,6 +9,10 @@ is bitwise-identical to the uninterrupted one -- same result, same
 cycle counts, same per-loop statistics -- which the ``checkpoint``
 testkit oracle enforces at every boundary.
 
+Checkpointed runs use the reference tier, the only one with
+``checkpoint_hook`` / ``resume_frame``; its outcome equals the fast
+tier's bit for bit.
+
 Anything that goes wrong around checkpointing (unloadable snapshot,
 failed save, module mismatch) degrades to the uncheckpointed behavior:
 a cold start and/or a skipped save, counted on the store's stats, never
@@ -28,7 +32,8 @@ from repro.checkpoint.state import (
 )
 from repro.checkpoint.store import CheckpointStore
 from repro.ir.printer import format_module
-from repro.perf.runner import SimOutcome, build_simulation, finalize_simulation
+from repro.perf.runner import (
+    SimOutcome, build_simulation, finalize_simulation, spt_loop_sites)
 
 __all__ = [
     "CheckpointReport",
@@ -105,9 +110,10 @@ def run_checkpointed_simulation(
         store = CheckpointStore(checkpoint_dir)
     key = simulation_key(module, config, entry=entry, args=args, fuel=fuel)
     index = InstrIndex(module)
+    loops = spt_loop_sites(compile_result)
 
     machine, tracer, collectors = build_simulation(
-        module, compile_result, fuel=fuel, telemetry=telemetry
+        module, loops, fuel=fuel, fast=False, telemetry=telemetry
     )
 
     frame = None
@@ -131,7 +137,7 @@ def run_checkpointed_simulation(
                 # them away and start cold on a fresh build.
                 store.stats.corrupt += 1
                 machine, tracer, collectors = build_simulation(
-                    module, compile_result, fuel=fuel, telemetry=telemetry
+                    module, loops, fuel=fuel, fast=False, telemetry=telemetry
                 )
                 frame = None
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.analysis.loops import LoopNest
@@ -44,7 +45,7 @@ from repro.frontend import compile_minic
 from repro.ir import format_module, parse_module
 from repro.ir.function import Module
 from repro.machine.timing import TimingModel, TimingTracer
-from repro.profiling import Machine
+from repro.profiling import InterpError, Machine
 
 CONFIG_FACTORIES = {
     "basic": basic_config,
@@ -86,10 +87,6 @@ def _override_dict_from_args(args: argparse.Namespace) -> dict:
     overrides = {}
     if getattr(args, "no_fast_interp", False):
         overrides["fast_interp"] = False
-    if getattr(args, "no_trace_interp", False):
-        overrides["trace_interp"] = False
-    if getattr(args, "no_vector_timing", False):
-        overrides["vector_timing"] = False
     if getattr(args, "no_incremental_cost", False):
         overrides["incremental_cost"] = False
     if getattr(args, "search_deadline_ms", None) is not None:
@@ -142,6 +139,19 @@ def _finish_telemetry(telemetry, args: argparse.Namespace) -> None:
         print(summary_text(telemetry))
 
 
+@contextmanager
+def _workload_run():
+    """Around the run of the user's workload: an interpreter fault there
+    (an invalid address, exhausted fuel) is the workload's, reported as
+    a :class:`WorkloadError` -- one line on stderr, exit 2."""
+    try:
+        yield
+    except InterpError as exc:
+        raise WorkloadError(
+            f"the run failed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
@@ -151,7 +161,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.timing:
         tracer = TimingTracer(TimingModel())
         machine.add_tracer(tracer)
-    result = machine.run(workload.entry, list(workload.args))
+    with _workload_run():
+        result = machine.run(workload.entry, list(workload.args))
     print(f"result: {result}")
     if tracer is not None:
         print(f"instructions: {tracer.instructions}")
@@ -257,34 +268,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     checkpoint_every = getattr(args, "checkpoint_every", 0) or 0
     resume_from = getattr(args, "resume_from", None)
-    if checkpoint_every or resume_from is not None:
-        from repro.checkpoint import run_checkpointed_simulation
+    with _workload_run():
+        if checkpoint_every or resume_from is not None:
+            from repro.checkpoint import run_checkpointed_simulation
 
-        outcome, report = run_checkpointed_simulation(
-            module, result, config, entry=args.entry,
-            args=tuple(eval_args), fuel=args.fuel,
-            checkpoint_every=checkpoint_every, resume_from=resume_from,
-            checkpoint_dir=getattr(args, "checkpoint_dir", None),
-            telemetry=telemetry,
-        )
-        if report.resumed_from is not None:
-            print(f"resumed from snapshot at {report.resumed_from} "
-                  f"executed instructions")
-        if checkpoint_every:
-            print(f"snapshots saved: {len(report.saved_at)} "
-                  f"(key {report.key[:12]}..., dir {report.directory})")
-    else:
-        outcome = simulate_program(
-            module, result, entry=args.entry, args=eval_args, fuel=args.fuel,
-            telemetry=telemetry,
-        )
+            outcome, report = run_checkpointed_simulation(
+                module, result, config, entry=args.entry,
+                args=tuple(eval_args), fuel=args.fuel,
+                checkpoint_every=checkpoint_every, resume_from=resume_from,
+                checkpoint_dir=getattr(args, "checkpoint_dir", None),
+                telemetry=telemetry,
+            )
+            if report.resumed_from is not None:
+                print(f"resumed from snapshot at {report.resumed_from} "
+                      f"executed instructions")
+            if checkpoint_every:
+                print(f"snapshots saved: {len(report.saved_at)} "
+                      f"(key {report.key[:12]}..., dir {report.directory})")
+        else:
+            outcome = simulate_program(
+                module, result, entry=args.entry, args=eval_args,
+                fuel=args.fuel, fast=config.fast_interp, telemetry=telemetry,
+            )
     print(f"result: {outcome.result}")
     print(f"single-core cycles: {outcome.seq_cycles:.0f}"
           f"  (IPC {outcome.ipc:.3f})")
     for loop in outcome.loops:
         print(
             f"  loop {loop.func_name}:{loop.header}: "
-            f"speedup {loop.speedup:.2f}x, "
+            f"speedup {loop.loop_speedup:.2f}x, "
             f"misspec {loop.misspeculation_ratio:.3f}, "
             f"{loop.iterations} iterations"
         )
@@ -351,7 +363,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
     summary = result.to_dict()
     if result.trace_stats:
         # Added here, NOT in to_dict(): batch manifests embed to_dict()
-        # and must stay byte-identical across trace_interp on/off.
+        # and must stay byte-identical whether or not hot traces engaged.
         summary["trace_interp"] = result.trace_stats
     print(json.dumps(summary, indent=2))
     _finish_telemetry(telemetry, args)
@@ -758,18 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", choices=sorted(CONFIG_FACTORIES), default="best")
         p.add_argument(
             "--no-fast-interp", action="store_true",
-            help="profile with the reference interpreter instead of the "
-                 "block-compiled fast path",
-        )
-        p.add_argument(
-            "--no-trace-interp", action="store_true",
-            help="disable hot-trace (superblock) compilation on the "
-                 "fast interpreter; block-compiled execution only",
-        )
-        p.add_argument(
-            "--no-vector-timing", action="store_true",
-            help="use per-op timing accounting instead of the "
-                 "block-batched vectorized timing engine",
+            help="profile and simulate on the reference interpreter with "
+                 "per-op timing instead of the fast tier (block-compiled "
+                 "with hot traces and vectorized timing)",
         )
         p.add_argument(
             "--no-incremental-cost", action="store_true",

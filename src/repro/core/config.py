@@ -8,7 +8,7 @@ constraints (§5).  Sizes are measured in elementary-operation units
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 
@@ -107,25 +107,13 @@ class SptConfig:
     enable_privatization: bool = False
 
     # -- framework fast paths (infrastructure, not paper semantics) ----------
-    #: Profile workloads on the block-compiled interpreter
-    #: (repro.profiling.compiled).  The reference interpreter stays
-    #: available as the oracle for differential testing.
+    #: Profile and simulate workloads on the fast tier: the
+    #: block-compiled interpreter with hot traces
+    #: (repro.profiling.compiled, repro.profiling.traces) and, for timed
+    #: runs, the vectorized timing engine (repro.machine.vector_timing).
+    #: ``False`` selects the reference interpreter with per-op timing,
+    #: which stays available as the oracle for differential testing.
     fast_interp: bool = True
-    #: Splice hot block paths into superblock traces on the compiled
-    #: interpreter (repro.profiling.traces): guarded straight-line
-    #: closures with fall-back to block execution on guard failure.
-    #: Bitwise-identical results; only wall-clock changes.  Excluded
-    #: from the fingerprint (infrastructure knob, not semantics).
-    trace_interp: bool = field(
-        default=True, metadata={"fingerprint": False}
-    )
-    #: Batch timing/cache accounting per block or trace instead of per
-    #: op (repro.machine.vector_timing).  Exact under the integer-tick
-    #: timing model, so simulated cycle counts are unchanged.  Excluded
-    #: from the fingerprint for the same reason as ``trace_interp``.
-    vector_timing: bool = field(
-        default=True, metadata={"fingerprint": False}
-    )
     #: Evaluate misspeculation costs incrementally during the partition
     #: search: only cost-graph nodes downstream of the pseudo nodes that
     #: changed are re-propagated.  ``False`` selects the full-recompute
@@ -183,18 +171,8 @@ class SptConfig:
         produces a new digest.  The batch result cache
         (:mod:`repro.batch.cache`) keys every entry on this, so cached
         analyses can never be served under a different configuration.
-
-        Fields marked ``metadata={"fingerprint": False}`` are pure
-        infrastructure accelerators whose on/off state provably cannot
-        change any analysis result (``trace_interp``,
-        ``vector_timing``); they are excluded so cached results and
-        golden manifests stay valid across those switches.
         """
-        parts = [
-            f"{f.name}={getattr(self, f.name)!r}"
-            for f in fields(self)
-            if f.metadata.get("fingerprint", True)
-        ]
+        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
     # -- derived thresholds ----------------------------------------------------

@@ -68,9 +68,10 @@ class Workload:
 
 
 class WorkloadError(ValueError):
-    """The workload does not fit the program: no such entry function, or
-    the wrong number of arguments.  A user mistake, reported as a usage
-    error -- never contained as a profiling degradation."""
+    """The workload does not fit the program: no such entry function,
+    the wrong number of arguments, or a fault in the CLI's run of it.
+    A user mistake, reported as a usage error -- never contained as a
+    profiling degradation."""
 
 
 def check_workload(module: Module, workload: Workload) -> None:
@@ -114,10 +115,10 @@ class CompilationResult:
         #: still completed.
         self.degradations: List[DegradationRecord] = []
         #: Trace-compilation statistics of the profiling run
-        #: ("func:entry" -> counters), when ``config.trace_interp`` was
-        #: on.  Deliberately NOT part of :meth:`to_dict`: the batch
-        #: manifest embeds that dict, and manifests must stay
-        #: byte-identical whether or not hot traces were engaged.
+        #: ("func:entry" -> counters) on the fast interpreter.
+        #: Deliberately NOT part of :meth:`to_dict`: the batch manifest
+        #: embeds that dict, and manifests must stay byte-identical
+        #: whether or not hot traces were engaged.
         self.trace_stats: Dict[str, Dict] = {}
 
     def category_histogram(self) -> Dict[str, int]:
@@ -196,19 +197,23 @@ class CompilationResult:
 
 def _profile(
     module: Module, workload: Workload, tracers, fast: bool = True,
-    trace: bool = False, telemetry=NULL_TELEMETRY, watchdog=None,
+    telemetry=NULL_TELEMETRY, watchdog=None,
 ) -> Dict[str, Dict]:
     """Run one profiling workload; returns the trace-compilation report
-    (empty when hot traces were off or never engaged)."""
+    (empty when hot traces never engaged)."""
     machine = make_machine(
-        module, fuel=workload.fuel, fast=fast, trace=trace and fast,
-        telemetry=telemetry, watchdog=watchdog,
+        module, fuel=workload.fuel, fast=fast, telemetry=telemetry,
+        watchdog=watchdog,
     )
     for name, fn in workload.intrinsics.items():
         machine.register_intrinsic(name, fn)
     for tracer in tracers:
         machine.add_tracer(tracer)
-    machine.run(workload.entry, list(workload.args))
+    try:
+        machine.run(workload.entry, list(workload.args))
+    finally:
+        if fast:  # otherwise the machine lives until the cyclic GC runs
+            machine.release_code()
     report = getattr(machine, "trace_report", None)
     traces = report() if report is not None else {}
     if not traces:
@@ -552,7 +557,7 @@ def compile_spt(
             "profile",
             lambda wd: _profile(
                 module, workload, tracers, fast=config.fast_interp,
-                trace=config.trace_interp, telemetry=telemetry, watchdog=wd,
+                telemetry=telemetry, watchdog=wd,
             ),
             telemetry=telemetry,
             deadline_ms=config.phase_deadline_ms,
@@ -750,7 +755,7 @@ def _svp_round(
     value_profile = ValueProfile([vc.instr for _, vc in svp_targets])
     _profile(
         module, workload, [value_profile], fast=config.fast_interp,
-        trace=config.trace_interp, telemetry=telemetry,
+        telemetry=telemetry,
     )
 
     changed_funcs = set()

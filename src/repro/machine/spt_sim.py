@@ -35,6 +35,7 @@ plots against the compiler's misspeculation cost estimates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.block import Block
@@ -267,8 +268,6 @@ class SptTraceCollector(Tracer):
                 op.mem_reads = set()
                 op.mem_writes = {}
                 self._call_stack.append(op)
-            if isinstance(instr, Branch):
-                taken = None  # resolved in on_edge
         else:
             # Inside a callee: charge latency onto the call aggregate.
             record = self._record()
@@ -472,27 +471,27 @@ class SptTraceCollector(Tracer):
         self.model.restore_state(state["model"], id_of)
 
 
+@dataclass(repr=False)
 class SptLoopStats:
     """Simulated SPT statistics of one loop.
 
     Cycle totals accumulate as integer ticks (``*_ticks`` fields); the
     ``*_cycles`` properties expose float cycles (exact conversions)."""
 
-    def __init__(self, func_name: str, header: str):
-        self.func_name = func_name
-        self.header = header
-        self.invocations = 0
-        self.iterations = 0
-        self.seq_ticks = 0
-        self.spt_ticks = 0
-        #: Dynamic operations executed speculatively / re-executed.
-        self.spec_ops = 0
-        self.reexec_ops = 0
-        self.reexec_ticks = 0
-        self.spec_ticks = 0
-        #: Dynamic instruction count per iteration (body size, Fig 17).
-        self.total_ops = 0
-        self.prefork_ticks = 0
+    func_name: str
+    header: str
+    invocations: int = 0
+    iterations: int = 0
+    seq_ticks: int = 0
+    spt_ticks: int = 0
+    #: Dynamic operations executed speculatively / re-executed.
+    spec_ops: int = 0
+    reexec_ops: int = 0
+    reexec_ticks: int = 0
+    spec_ticks: int = 0
+    #: Dynamic instruction count per iteration (body size, Fig 17).
+    total_ops: int = 0
+    prefork_ticks: int = 0
 
     @property
     def seq_cycles(self) -> float:

@@ -8,9 +8,10 @@ and powers the ``repro perf`` CLI family:
   simulate) one program under an observing telemetry and produce a
   ledger record carrying phase self-times, deterministic counters, and
   simulated cycles;
-* :func:`~repro.perf.runner.simulate_program` -- the shared
-  compile-result -> SPT-machine-model simulation used by both
-  ``repro simulate`` and ``perf record --kind simulate``;
+* :func:`~repro.perf.runner.simulate_program` -- the one simulation
+  driver's compile-result -> SPT-machine-model entry point, used by
+  ``repro simulate``, ``perf record --kind simulate`` and the suite
+  evaluation (:mod:`repro.perf.runner` builds every timed machine);
 * :func:`~repro.perf.compare.diff_text` / :func:`~repro.perf.compare.
   check_regression` -- align ledger records on fingerprint x workload x
   host and render deltas or a noise-aware CI verdict.

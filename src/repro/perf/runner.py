@@ -1,15 +1,20 @@
-"""Run one program under observation and turn it into a ledger record.
+"""The one simulation driver, and run recording for the ledger.
+
+Every timed run on the machine model is built here, on one of two
+tiers with bitwise-identical outcomes: the fast tier (a
+:class:`~repro.profiling.compiled.CompiledMachine` with hot traces and a
+:class:`~repro.machine.vector_timing.VectorTimingEngine`), or the
+reference tier (:class:`~repro.profiling.interp.Machine` with a per-op
+:class:`~repro.machine.timing.TimingTracer`), which is the oracle and
+the only tier that checkpoints.  ``repro simulate``, ``perf record``,
+the suite evaluation, the checkpoint runner and the fuzz oracles all
+simulate through :func:`build_simulation` / :func:`simulate_program`.
 
 ``record_program`` is the engine behind ``repro perf record``: it
-compiles (and for ``kind="simulate"`` also runs the SPT machine model
-on) one source file with a throwaway observing telemetry, then distills
-the run into one :func:`repro.obs.ledger.make_record` record -- phase
-self-times from the span tree, the deterministic search/selection/
-transform/spt counters, degradation records, and simulated cycles.
-
-``simulate_program`` is the shared "compile result -> machine model"
-step; ``repro simulate`` renders its outcome for humans, ``perf
-record`` feeds it into the ledger.
+compiles (and for ``kind="simulate"`` also simulates) one source file
+under a throwaway observing telemetry, then distills the run into one
+:func:`repro.obs.ledger.make_record` record -- phase self-times from the
+span tree, the deterministic counters, degradations and cycles.
 """
 
 from __future__ import annotations
@@ -18,107 +23,135 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.loops import LoopNest
+from repro.machine import spt_sim
+from repro.machine.timing import TimingModel, TimingTracer
+from repro.machine.vector_timing import VectorTimingEngine
 from repro.obs.ledger import make_record
 from repro.obs.telemetry import Telemetry
+from repro.profiling.compiled import CompiledMachine, make_machine
 
-__all__ = ["LoopSim", "SimOutcome", "record_program", "simulate_program"]
-
-
-@dataclass
-class LoopSim:
-    """Per-loop outcome of the SPT machine model."""
-
-    func_name: str
-    header: str
-    speedup: float
-    misspeculation_ratio: float
-    iterations: int
-    seq_cycles: float
-    spt_cycles: float
+__all__ = ["SimOutcome", "build_simulation", "record_program", "simulate_program"]
 
 
 @dataclass
 class SimOutcome:
-    """One program's trip through the SPT machine model."""
+    """One program's trip through the SPT machine model (equality is
+    exact: both tiers must produce the same outcome bit for bit)."""
 
     result: int
     seq_cycles: float
     ipc: float
     spt_cycles: float
-    loops: List[LoopSim] = field(default_factory=list)
+    #: One per simulated SPT loop, in selection order.
+    loops: List[spt_sim.SptLoopStats] = field(default_factory=list)
+    #: (function, loop header) -> sequential cycles attributed to every
+    #: loop the run entered, SPT loop or not.
+    loop_cycles: Dict[Tuple[str, str], float] = field(default_factory=dict)
 
     @property
     def program_speedup(self) -> float:
         return self.seq_cycles / self.spt_cycles if self.spt_cycles else 1.0
 
 
-def build_simulation(module, compile_result, *, fuel: int, telemetry=None):
-    """Assemble the (machine, timing tracer, SPT collectors) triple one
-    simulation runs on.
+def spt_loop_sites(compile_result) -> List[Tuple[str, str, int]]:
+    """``(function, header, loop id)`` of every loop ``compile_result``
+    transformed, in selection order."""
+    return [
+        (candidate.func_name, candidate.loop.header, info.loop_id)
+        for candidate, info in zip(
+            compile_result.selected, compile_result.spt_loops
+        )
+    ]
 
-    Deterministic: the same ``(module, compile_result)`` always builds
-    the same collector sequence, which is what lets a checkpoint
-    restored in a fresh process (:mod:`repro.checkpoint`) line up its
-    per-collector state positionally."""
-    from repro.analysis.loops import LoopNest
-    from repro.machine.spt_sim import SptTraceCollector
-    from repro.machine.timing import TimingModel, TimingTracer
-    from repro.profiling import Machine
 
+def timed_machine(
+    module, *, fuel: int = 50_000_000, fast: bool = True, telemetry=None
+):
+    """The ``(machine, cycle accounting)`` pair one timed run executes
+    on: the fast tier, or with ``fast=False`` the reference tier."""
+    if fast:
+        accounting = VectorTimingEngine(TimingModel())
+        machine = make_machine(
+            module, fuel=fuel, telemetry=telemetry, timing_engine=accounting
+        )
+    else:
+        accounting = TimingTracer(TimingModel())
+        machine = make_machine(module, fuel=fuel, fast=False, telemetry=telemetry)
+        machine.add_tracer(accounting)
+    return machine, accounting
+
+
+def build_simulation(
+    module,
+    loops: Iterable[Tuple[str, str, int]],
+    *,
+    fuel: int = 50_000_000,
+    fast: bool = True,
+    telemetry=None,
+):
+    """Assemble the ``(machine, cycle accounting, SPT collectors)``
+    triple one simulation runs on; ``loops`` are ``(function, header,
+    loop id)`` sites in the (already transformed) ``module``.
+
+    Deterministic: the same module and sites always build the same
+    collector sequence, which is what lets a checkpoint restored in a
+    fresh process (:mod:`repro.checkpoint`) line up its per-collector
+    state positionally."""
     collectors = []
-    for candidate, info in zip(compile_result.selected, compile_result.spt_loops):
-        func = module.function(candidate.func_name)
-        nest = LoopNest.build(func)
-        loop = next(
-            (l for l in nest.loops if l.header == candidate.loop.header), None
-        )
-        if loop is None:
-            continue
-        collectors.append(
-            SptTraceCollector(
-                candidate.func_name, loop.header, loop.body,
-                info.loop_id, TimingModel(),
-            )
-        )
+    for func_name, header, loop_id in loops:
+        nest = LoopNest.build(module.function(func_name))
+        loop = next((l for l in nest.loops if l.header == header), None)
+        if loop is not None:
+            collectors.append(spt_sim.SptTraceCollector(
+                func_name, header, loop.body, loop_id, TimingModel()
+            ))
 
-    machine = Machine(module, fuel=fuel, telemetry=telemetry)
-    tracer = TimingTracer(TimingModel())
-    machine.add_tracer(tracer)
+    machine, accounting = timed_machine(
+        module, fuel=fuel, fast=fast, telemetry=telemetry
+    )
     for collector in collectors:
         machine.add_tracer(collector)
-    return machine, tracer, collectors
+    return machine, accounting, collectors
+
+
+def run_machine(machine, entry: str, args: Sequence[int]):
+    """Run ``machine`` from ``entry`` and return the result.
+
+    The caller owns the machine, so once the run returns its compiled
+    code is dropped: the compiled blocks and trace namespaces point back
+    at the machine, and would otherwise keep it, its tracers and every
+    collected trace alive until the cyclic garbage collector runs."""
+    try:
+        return machine.run(entry, list(args))
+    finally:
+        if isinstance(machine, CompiledMachine):
+            machine.release_code()
 
 
 def finalize_simulation(
-    result_value, tracer, collectors, telemetry=None
+    result_value, accounting, collectors, telemetry=None
 ) -> SimOutcome:
-    """Recombine the collected traces into the program-level outcome."""
-    from repro.machine.spt_sim import simulate_spt_loop
-
-    loops: List[LoopSim] = []
+    """Recombine the collected traces into the program-level outcome:
+    each SPT loop's simulated two-core time replaces its sequential
+    time."""
+    # Called through the module: perfbench/tracing.py wraps the attribute.
+    loops = [
+        spt_sim.simulate_spt_loop(collector, telemetry=telemetry)
+        for collector in collectors
+    ]
     total_delta = 0.0
-    for collector in collectors:
-        stats = simulate_spt_loop(collector, telemetry=telemetry)
+    for stats in loops:
         total_delta += stats.spt_cycles - stats.seq_cycles
-        loops.append(
-            LoopSim(
-                func_name=stats.func_name,
-                header=stats.header,
-                speedup=stats.loop_speedup,
-                misspeculation_ratio=stats.misspeculation_ratio,
-                iterations=stats.iterations,
-                seq_cycles=stats.seq_cycles,
-                spt_cycles=stats.spt_cycles,
-            )
-        )
     return SimOutcome(
         result=result_value,
-        seq_cycles=tracer.cycles,
-        ipc=tracer.ipc,
-        spt_cycles=tracer.cycles + total_delta,
+        seq_cycles=accounting.cycles,
+        ipc=accounting.ipc,
+        spt_cycles=accounting.cycles + total_delta,
         loops=loops,
+        loop_cycles=accounting.loop_cycles,
     )
 
 
@@ -129,20 +162,23 @@ def simulate_program(
     entry: str = "main",
     args: Sequence[int] = (),
     fuel: int = 50_000_000,
+    fast: bool = True,
     telemetry=None,
 ) -> SimOutcome:
     """Run the SPT machine model over ``compile_result``'s selected
-    loops and aggregate program-level cycles.
+    loops and aggregate program-level cycles, on the fast tier or with
+    ``fast=False`` the reference tier.
 
     ``module`` must be the (already transformed) module that
     ``compile_spt`` returned ``compile_result`` for.
     """
-    machine, tracer, collectors = build_simulation(
-        module, compile_result, fuel=fuel, telemetry=telemetry
+    machine, accounting, collectors = build_simulation(
+        module, spt_loop_sites(compile_result), fuel=fuel, fast=fast,
+        telemetry=telemetry,
     )
-    result_value = machine.run(entry, list(args))
+    result_value = run_machine(machine, entry, args)
     return finalize_simulation(
-        result_value, tracer, collectors, telemetry=telemetry
+        result_value, accounting, collectors, telemetry=telemetry
     )
 
 
@@ -197,7 +233,7 @@ def record_program(
     if kind == "simulate" and result.spt_loops:
         outcome = simulate_program(
             module, result, entry=entry, args=args, fuel=fuel,
-            telemetry=telemetry,
+            fast=config.fast_interp, telemetry=telemetry,
         )
         cycles = outcome.spt_cycles
         extra_out["seq_cycles"] = outcome.seq_cycles

@@ -960,6 +960,16 @@ class CompiledMachine(Machine):
             code.hot_counts.clear()
             code.reject_counts.clear()
 
+    def release_code(self) -> None:
+        """Drop the last run's compiled code.  Compiled blocks and traces
+        refer back to the machine (and a trace's entry-phi helper to its
+        compiled function), so until this runs a finished machine and
+        its tracers live until the cyclic garbage collector finds them.
+        The next ``run`` recompiles."""
+        for code in self._code.values():
+            code.traces.clear()
+        self._code = {}
+
     def trace_report(self) -> Dict[str, Dict[str, object]]:
         """Per-entry trace statistics: ``{"func:entry": {...}}``."""
         return {
@@ -1017,21 +1027,22 @@ class CompiledMachine(Machine):
 
 def make_machine(
     module: Module, fuel: int = 50_000_000, fast: bool = True, telemetry=None,
-    watchdog=None, trace: bool = False, timing_engine=None,
+    watchdog=None, timing_engine=None,
 ) -> Machine:
-    """Build the fast machine, or the reference one with ``fast=False``.
+    """Build the fast machine -- block-compiled with hot traces -- or the
+    reference one with ``fast=False``.
 
-    ``trace`` enables hot-trace splicing and ``timing_engine`` attaches
-    a vectorized timing engine; both require ``fast=True``.
+    ``timing_engine`` attaches a vectorized timing engine, which
+    requires ``fast=True``.
     """
     if fast:
         return CompiledMachine(
             module, fuel=fuel, telemetry=telemetry, watchdog=watchdog,
-            trace=trace, timing_engine=timing_engine,
+            trace=True, timing_engine=timing_engine,
         )
-    if trace or timing_engine is not None:
+    if timing_engine is not None:
         raise ValueError(
-            "trace compilation and the vectorized timing engine require "
-            "the compiled fast path (fast=True)"
+            "the vectorized timing engine requires the compiled fast path "
+            "(fast=True)"
         )
     return Machine(module, fuel=fuel, telemetry=telemetry, watchdog=watchdog)

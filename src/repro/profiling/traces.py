@@ -791,8 +791,11 @@ class _TraceCompiler:
         source = out.source()
         code = _compile_cached(source, f"<trace {func_name}:{self.path[0]}>")
         exec(code, ns)
+        # Popped so the namespace does not refer back to its function: a
+        # dropped trace is then freed by reference counting.
         trace = CompiledTrace(
-            ns["_trace"], self.stats, tuple(self.path), self.cyclic, source
+            ns.pop("_trace"), self.stats, tuple(self.path), self.cyclic,
+            source,
         )
         return trace
 

@@ -180,9 +180,7 @@ def figure16_rows(config_name: str = "best"):
     rows = []
     config = CONFIGS[config_name]
     for run in evaluate_suite(config_name):
-        max_cov = run.max_loop_coverage(
-            getattr(run, "_spt_loop_cycles", {}), config
-        )
+        max_cov = run.max_loop_coverage(config)
         rows.append((run.name, run.coverage, max_cov, run.spt_loop_count))
     rows.append(
         (

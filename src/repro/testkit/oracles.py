@@ -24,14 +24,17 @@ implementations the framework keeps:
     Sequential vs SPT-transformed execution (the transformed module must
     be semantically identical under the reference interpreter), plus the
     misspeculation replay of :mod:`repro.machine.spt_sim` against an
-    independent reimplementation of the rollback rule.
+    independent reimplementation of the rollback rule, and the
+    simulation driver's fast tier against its reference tier: **bitwise**
+    equal outcomes.
 ``checkpoint``
     Uninterrupted vs snapshot-and-resumed simulation: the full SPT
     machine model (interpreter + timing tracer + trace collectors) is
     snapshotted at every Nth entry-frame boundary, each snapshot is
     restored into freshly built components, and every resumed run must
     reproduce the uninterrupted outcome **bitwise** -- result, memory,
-    fuel, cycles, and per-loop statistics.
+    fuel, cycles, and per-loop statistics.  The uninterrupted
+    (reference-tier) outcome must also equal the fast tier's.
 """
 
 from __future__ import annotations
@@ -69,15 +72,14 @@ from repro.core.transform import (
 from repro.core.vcdep import VCDepGraph
 from repro.core.violation import find_violation_candidates
 from repro.frontend import compile_minic
-from repro.machine.timing import TimingModel
-from repro.machine.spt_sim import (
-    SptTraceCollector,
-    _post_fork_writes,
-    _replay_speculative,
-    simulate_spt_loop,
+from repro.machine.spt_sim import _post_fork_writes, _replay_speculative
+from repro.perf.runner import (
+    build_simulation,
+    finalize_simulation,
+    run_machine,
+    simulate_program,
+    spt_loop_sites,
 )
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.perf.runner import build_simulation, finalize_simulation
 from repro.profiling.compiled import CompiledMachine
 from repro.profiling.interp import Machine, Tracer
 from repro.ssa.construct import build_ssa
@@ -427,22 +429,6 @@ def _stress_transform(module) -> List[Tuple[str, str, int]]:
     return transformed
 
 
-def _collectors_for(module, loops) -> List[SptTraceCollector]:
-    collectors = []
-    for func_name, header, loop_id in loops:
-        func = module.function(func_name)
-        nest = LoopNest.build(func)
-        loop = next((l for l in nest.loops if l.header == header), None)
-        if loop is None:
-            continue
-        collectors.append(
-            SptTraceCollector(
-                func_name, header, loop.body, loop_id, TimingModel()
-            )
-        )
-    return collectors
-
-
 def oracle_spt(spec, rng: random.Random) -> Optional[str]:
     source = _source_of(spec)
     train, n = _workload_args(rng)
@@ -457,12 +443,9 @@ def oracle_spt(spec, rng: random.Random) -> Optional[str]:
     compiled = compile_spt(
         spt_module, _eager_config(), Workload(args=(train,))
     )
-    selected = [
-        (candidate.func_name, candidate.loop.header, info.loop_id)
-        for candidate, info in zip(compiled.selected, compiled.spt_loops)
-    ]
     detail = _check_spt_equivalence(
-        seq_machine, seq_result, spt_module, selected, n, arm="pipeline"
+        seq_machine, seq_result, spt_module, spt_loop_sites(compiled), n,
+        arm="pipeline",
     )
     if detail is not None:
         return detail
@@ -479,10 +462,9 @@ def oracle_spt(spec, rng: random.Random) -> Optional[str]:
 def _check_spt_equivalence(
     seq_machine, seq_result, spt_module, loops, n: int, arm: str
 ) -> Optional[str]:
-    collectors = _collectors_for(spt_module, loops)
-    spt_machine = Machine(spt_module, fuel=FUEL)
-    for collector in collectors:
-        spt_machine.add_tracer(collector)
+    spt_machine, accounting, collectors = build_simulation(
+        spt_module, loops, fuel=FUEL, fast=False
+    )
     spt_result = spt_machine.run("main", [n])
 
     if spt_result != seq_result:
@@ -496,7 +478,8 @@ def _check_spt_equivalence(
             f"memory image"
         )
 
-    for collector in collectors:
+    reference = finalize_simulation(spt_result, accounting, collectors)
+    for collector, stats in zip(collectors, reference.loops):
         where = f"[{arm}] {collector.func_name}:{collector.header}"
         # Differential: library replay vs independent reimplementation,
         # pairwise over the exact iteration pairing simulate_spt_loop uses.
@@ -513,7 +496,6 @@ def _check_spt_equivalence(
                         f"round {index // 2}: library {lib!r} vs "
                         f"independent {ours!r}"
                     )
-        stats = simulate_spt_loop(collector, telemetry=NULL_TELEMETRY)
         if stats.reexec_ops > stats.spec_ops:
             return (
                 f"{where}: re-executed more ops ({stats.reexec_ops}) than "
@@ -525,6 +507,18 @@ def _check_spt_equivalence(
             )
         if stats.iterations and stats.spt_cycles <= 0:
             return f"{where}: {stats.iterations} iterations but no SPT cycles"
+
+    machine, accounting, collectors = build_simulation(
+        spt_module, loops, fuel=FUEL
+    )
+    fast = finalize_simulation(
+        run_machine(machine, "main", [n]), accounting, collectors
+    )
+    if fast != reference:
+        return (
+            f"[{arm}] n={n}: fast-tier simulation {fast!r} != "
+            f"reference tier {reference!r}"
+        )
     return None
 
 
@@ -534,29 +528,6 @@ def _check_spt_equivalence(
 #: it are thinned deterministically (every k-th) so pathological long
 #: runs cannot stall the campaign.
 MAX_RESUME_POINTS = 12
-
-
-def _outcome_fields(outcome) -> Tuple:
-    """A :class:`~repro.perf.runner.SimOutcome` as a comparable tuple
-    (bitwise: no tolerance, floats must match exactly)."""
-    return (
-        outcome.result,
-        outcome.seq_cycles,
-        outcome.ipc,
-        outcome.spt_cycles,
-        tuple(
-            (
-                loop.func_name,
-                loop.header,
-                loop.speedup,
-                loop.misspeculation_ratio,
-                loop.iterations,
-                loop.seq_cycles,
-                loop.spt_cycles,
-            )
-            for loop in outcome.loops
-        ),
-    )
 
 
 def oracle_checkpoint(spec, rng: random.Random) -> Optional[str]:
@@ -575,8 +546,11 @@ def oracle_checkpoint(spec, rng: random.Random) -> Optional[str]:
     module = compile_minic(source)
     compiled = compile_spt(module, _eager_config(), Workload(args=(train,)))
     index = InstrIndex(module)
+    loops = spt_loop_sites(compiled)
 
-    machine, tracer, collectors = build_simulation(module, compiled, fuel=FUEL)
+    machine, tracer, collectors = build_simulation(
+        module, loops, fuel=FUEL, fast=False
+    )
     snapshots: List[Tuple[int, Dict]] = []
     hook_errors: List[str] = []
     last_saved = [-every]
@@ -602,17 +576,23 @@ def oracle_checkpoint(spec, rng: random.Random) -> Optional[str]:
             f"({hook_errors[0]})"
         )
     reference = (
-        _outcome_fields(finalize_simulation(result, tracer, collectors)),
+        finalize_simulation(result, tracer, collectors),
         machine.memory,
         machine.executed,
     )
+    fast = simulate_program(module, compiled, args=[n], fuel=FUEL)
+    if fast != reference[0]:
+        return (
+            f"n={n}: fast-tier simulation {fast!r} != reference tier "
+            f"{reference[0]!r}"
+        )
 
     if len(snapshots) > MAX_RESUME_POINTS:
         step = -(-len(snapshots) // MAX_RESUME_POINTS)
         snapshots = snapshots[::step]
     for executed, state in snapshots:
         re_machine, re_tracer, re_collectors = build_simulation(
-            module, compiled, fuel=FUEL
+            module, loops, fuel=FUEL, fast=False
         )
         try:
             frame = restore_simulation(
@@ -627,9 +607,7 @@ def oracle_checkpoint(spec, rng: random.Random) -> Optional[str]:
             )
         resumed_result = re_machine.resume_frame(frame)
         resumed = (
-            _outcome_fields(
-                finalize_simulation(resumed_result, re_tracer, re_collectors)
-            ),
+            finalize_simulation(resumed_result, re_tracer, re_collectors),
             re_machine.memory,
             re_machine.executed,
         )

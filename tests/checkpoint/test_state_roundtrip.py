@@ -19,7 +19,11 @@ from repro.checkpoint import (
 from repro.core.config import best_config
 from repro.core.pipeline import Workload, compile_spt
 from repro.frontend import compile_minic
-from repro.perf.runner import build_simulation, finalize_simulation
+from repro.perf.runner import (
+    build_simulation,
+    finalize_simulation,
+    spt_loop_sites,
+)
 from repro.profiling.interp import Machine
 
 SOURCE = """
@@ -89,7 +93,7 @@ def _outcome_tuple(outcome):
         outcome.spt_cycles,
         [
             (
-                loop.func_name, loop.header, loop.speedup,
+                loop.func_name, loop.header, loop.loop_speedup,
                 loop.misspeculation_ratio, loop.iterations,
                 loop.seq_cycles, loop.spt_cycles,
             )
@@ -106,8 +110,10 @@ def test_full_simulation_snapshot_resume_identity():
     assert compiled.spt_loops, "fixture must select an SPT loop"
     index = InstrIndex(module)
 
+    loops = spt_loop_sites(compiled)
+    # The reference tier: only it has the checkpoint hook.
     machine, tracer, collectors = build_simulation(
-        module, compiled, fuel=FUEL
+        module, loops, fuel=FUEL, fast=False
     )
     snapshots = []
     last = [-500]
@@ -135,7 +141,7 @@ def test_full_simulation_snapshot_resume_identity():
 
     for state in snapshots:
         re_machine, re_tracer, re_collectors = build_simulation(
-            module, compiled, fuel=FUEL
+            module, loops, fuel=FUEL, fast=False
         )
         frame = restore_simulation(
             re_machine, state, re_tracer, re_collectors, index

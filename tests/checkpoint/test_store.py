@@ -51,7 +51,7 @@ def _outcome_tuple(outcome):
     return (
         outcome.result, outcome.seq_cycles, outcome.ipc, outcome.spt_cycles,
         [
-            (l.func_name, l.header, l.speedup, l.misspeculation_ratio,
+            (l.func_name, l.header, l.loop_speedup, l.misspeculation_ratio,
              l.iterations, l.seq_cycles, l.spt_cycles)
             for l in outcome.loops
         ],

@@ -3,6 +3,8 @@ one line on stderr and exit 2 from every compile-like command, and a
 ``status: "error"`` batch entry -- never a contained profiling
 degradation with verdicts computed from an empty profile."""
 
+import os
+
 import pytest
 
 from repro.batch import run_batch
@@ -60,6 +62,58 @@ def test_wrong_workload_is_a_one_line_usage_error(
     assert len(lines) == 1
     assert lines[0].startswith(f"repro {argv[0]}: ")
     assert "main expects 1 argument(s)" in lines[0] or "'nope'" in lines[0]
+
+
+#: The golden corpus's stream_scan.c with both ``& 511`` masks removed:
+#: in bounds at the training size, out of bounds at n = 1000.
+OUT_OF_BOUNDS = """
+global int data[512];
+global int out[512];
+
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        int x = data[i];
+        int a = x * 3 + i;
+        int b = (a << 2) ^ x;
+        out[i] = b & 1023;
+        s += b & 31;
+    }
+    return s;
+}
+"""
+
+NESTED = os.path.join(
+    os.path.dirname(__file__), "..", "golden", "corpus", "nested.c"
+)
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "program, flags, message",
+    [
+        ("oob", ["--args", "1000"],
+         "InterpError: load from invalid address 1024"),
+        ("nested", ["--args", "96", "--fuel", "20000"],
+         "FuelExhausted: exceeded 20000 dynamic instructions"),
+    ],
+    ids=["out-of-bounds", "fuel"],
+)
+def test_faulting_run_is_a_one_line_usage_error(
+    tmp_path, capsys, command, program, flags, message
+):
+    path = NESTED
+    if program == "oob":
+        path = tmp_path / "oob.c"
+        path.write_text(OUT_OF_BOUNDS)
+    argv = [command, str(path), *flags]
+    if command == "simulate":
+        argv += ["--train-args", "96"]  # training itself must not fault
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines == [f"repro {command}: the run failed: {message}"]
 
 
 def test_compile_spt_rejects_before_any_work():
