@@ -44,7 +44,6 @@ def _daemon_env():
         "PYTHONPATH": python_path,
         "REPRO_FAULT": "",
         "REPRO_BATCH_CRASH_ON": "",
-        "REPRO_SERVE_CRASH_ON": "",
         "REPRO_CACHE_DIR": "",
     }
 

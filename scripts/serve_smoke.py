@@ -49,7 +49,6 @@ def daemon_env():
         "PYTHONPATH": python_path,
         "REPRO_FAULT": "",
         "REPRO_BATCH_CRASH_ON": "",
-        "REPRO_SERVE_CRASH_ON": "",
         "REPRO_CACHE_DIR": "",
     }
 

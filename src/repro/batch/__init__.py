@@ -3,6 +3,8 @@ result cache.  See ``docs/batching.md``.
 
 * :func:`run_batch` / :class:`BatchResult` -- the multi-process driver
   behind ``repro batch``;
+* :class:`WorkerPool` -- the compile-worker pool ``repro batch`` and
+  ``repro serve`` share;
 * :class:`ResultCache` -- the SHA-256-keyed persistent cache
   (``~/.cache/repro`` by default), a :class:`repro.util.ContentStore`;
 * :mod:`repro.batch.manifest` -- the canonical machine-readable
@@ -15,11 +17,7 @@ from repro.batch.cache import (
     default_cache_dir,
 )
 from repro.batch.driver import BatchResult, expand_inputs, run_batch
-from repro.batch.lifecycle import (
-    ClaimedWorker,
-    drain_queue,
-    start_heartbeat_thread,
-)
+from repro.batch.lifecycle import CRASH_ENV_VAR, CRASH_EXIT_CODE, WorkerPool
 from repro.batch.manifest import (
     MANIFEST_SCHEMA,
     build_manifest,
@@ -27,23 +25,16 @@ from repro.batch.manifest import (
     load_manifest,
     manifest_to_bytes,
 )
-from repro.batch.worker import (
-    CRASH_ENV_VAR,
-    CRASH_EXIT_CODE,
-    canonical_module_text,
-    compile_program_task,
-)
+from repro.batch.worker import canonical_module_text, compile_program_task
 
 __all__ = [
     "BatchResult",
     "CACHE_FORMAT_VERSION",
     "CRASH_ENV_VAR",
     "CRASH_EXIT_CODE",
-    "ClaimedWorker",
     "MANIFEST_SCHEMA",
     "ResultCache",
-    "drain_queue",
-    "start_heartbeat_thread",
+    "WorkerPool",
     "build_manifest",
     "canonical_module_text",
     "compile_program_task",

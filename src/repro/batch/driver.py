@@ -1,44 +1,30 @@
 """The multi-process batch-compilation driver (``repro batch``).
 
-Programs are expanded from directories/globs, sorted, and pushed
-through a shared task queue to a pool of worker processes
-(:mod:`repro.batch.worker`).  Results arrive in completion order and
-are merged back into task order, so the manifest is deterministic
-regardless of ``--jobs`` or scheduling.
-
-Crash isolation: each worker advertises the task it claimed through a
-shared-memory slot.  When the driver notices a dead worker it first
-drains the result queue (the task may in fact have completed), then
-charges the still-unaccounted claimed task with a structured
-``status: "crashed"`` entry and respawns a replacement worker, so one
-bad program can never take down the batch.
+Programs are expanded from directories/globs, sorted, and submitted
+to the compile-worker pool (:class:`repro.batch.lifecycle.WorkerPool`).
+Results arrive in completion order and are merged back into task
+order, so the manifest is deterministic regardless of ``--jobs`` or
+scheduling.  The pool charges a hard worker death to the program the
+worker claimed (a structured ``status: "crashed"`` entry) and respawns
+the worker, so one bad program can never take down the batch; the
+driver adds the stall backstop, live progress and the resume journal.
 """
 
 from __future__ import annotations
 
 import glob as _glob
-import multiprocessing
 import os
 import time
 from typing import Dict, List, Optional
 
 from repro.batch.cache import ResultCache, default_cache_dir
-from repro.batch.lifecycle import ClaimedWorker, drain_queue
+from repro.batch.lifecycle import WorkerPool, crashed_entry
 from repro.batch.manifest import build_manifest
 from repro.batch.progress import ProgressTracker
-from repro.batch.worker import worker_main
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.util.store import StoreStats
 
 __all__ = ["BatchResult", "expand_inputs", "run_batch"]
-
-#: Default seconds of total silence (no results, no live claimed work)
-#: before the driver declares the remaining tasks lost.  A backstop for
-#: the tiny window where a worker dies between dequeue and claim;
-#: normal batches never get near it.  Configurable per run via
-#: ``run_batch(stall_timeout=...)`` / ``repro batch --stall-timeout``
-#: or :attr:`repro.core.config.SptConfig.batch_stall_timeout_s`.
-STALL_TIMEOUT = 60.0
 
 #: Default seconds between worker heartbeats (clamped to a quarter of
 #: the stall window so a healthy pool beats several times per window).
@@ -146,20 +132,6 @@ def _build_tasks(
             }
         )
     return tasks
-
-
-def _crashed_entry(task: Dict, exitcode: Optional[int], message: str) -> Dict:
-    import hashlib
-
-    return {
-        "path": task["path"],
-        "sha256": hashlib.sha256(task["source"].encode("utf-8")).hexdigest(),
-        "status": "crashed",
-        "error": {
-            "exitcode": exitcode if exitcode is not None else -1,
-            "message": message,
-        },
-    }
 
 
 def run_batch(
@@ -303,12 +275,16 @@ def run_batch(
     return BatchResult(manifest, entries, stats, cache_stats)
 
 
-def _execute(tasks, jobs, cache_dir, telemetry, progress,
-             stall_timeout=STALL_TIMEOUT, progress_path=None,
-             heartbeat_s=None, status=None, journal=None,
-             resumed_entries=None):
-    """Run the worker pool; returns (entries in task order, StoreStats,
-    ProgressTracker)."""
+def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
+             progress_path=None, heartbeat_s=None, status=None,
+             journal=None, resumed_entries=None):
+    """Drive the worker pool; returns (entries in task order,
+    StoreStats, ProgressTracker).
+
+    ``stall_timeout`` is the backstop for the tiny window where a worker
+    dies between dequeue and claim: after that long without any
+    heartbeat, start or result, the unfinished tasks are declared lost.
+    Normal batches never get near it."""
     entries: List[Optional[Dict]] = [None] * len(tasks)
     pending = set(range(len(tasks)))
 
@@ -319,22 +295,9 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
         pending.discard(index)
 
     jobs = max(1, min(jobs, len(pending))) if pending else 0
-    ctx = multiprocessing.get_context()
-    task_queue = ctx.Queue()
-    # Results travel over a SimpleQueue on purpose: its put() writes to
-    # the pipe synchronously in the calling thread, so a worker that
-    # hard-dies right after put() cannot strand finished results in an
-    # unflushed feeder-thread buffer (mp.Queue would).
-    result_queue = ctx.SimpleQueue()
-    for index in sorted(pending):
-        task_queue.put(tasks[index])
-    for _ in range(jobs):
-        task_queue.put(None)
-
     if heartbeat_s is None:
         # Several beats per backstop window, without busy-beating.
         heartbeat_s = max(0.05, min(HEARTBEAT_S, stall_timeout / 4.0))
-    observe = bool(telemetry.enabled)
 
     cache_stats = StoreStats()
     tracker = ProgressTracker(len(tasks), jobs)
@@ -342,20 +305,10 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
         tracker.on_done(None, entries[index])
         if progress is not None:
             progress(entries[index])
-    workers: Dict[int, ClaimedWorker] = {}
-    next_worker_id = 0
-
-    def spawn() -> None:
-        nonlocal next_worker_id
-        workers[next_worker_id] = ClaimedWorker(
-            ctx, next_worker_id, worker_main, task_queue, result_queue,
-            cache_dir, extra_args=(heartbeat_s, observe),
-            name_prefix="repro-batch-worker",
-        )
-        next_worker_id += 1
-
-    for _ in range(jobs):
-        spawn()
+    pool = WorkerPool(jobs, cache_dir, heartbeat_s=heartbeat_s,
+                      observe=bool(telemetry.enabled))
+    for index in sorted(pending):
+        pool.submit(index, tasks[index])
 
     last_publish = 0.0
 
@@ -384,86 +337,43 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
         if progress is not None:
             progress(entry)
 
-    def absorb_done(message: Dict) -> None:
-        finish(message["index"], message["entry"], message.get("worker"))
-        cache_stats.merge(message["stats"])
-        if telemetry.enabled and message.get("counters"):
-            telemetry.merge_counters(message["counters"])
+    def absorb(event: Dict) -> None:
+        finish(event["id"], event["entry"], event["worker"])
+        if event["kind"] == "crashed":
+            if telemetry.enabled:
+                telemetry.event(
+                    "batch.worker_crashed",
+                    worker=event["worker"],
+                    program=tasks[event["id"]]["path"],
+                    exitcode=event["entry"]["error"]["exitcode"],
+                )
+            return
+        cache_stats.merge(event["stats"])
         if telemetry.enabled:
-            for name, value in (message.get("gauges") or {}).items():
+            telemetry.merge_counters(event.get("counters") or {})
+            for name, value in (event.get("gauges") or {}).items():
                 telemetry.gauge(name, value)
 
     try:
         publish(force=True)
         while pending:
-            drained = False
-            if result_queue.empty():
-                time.sleep(0.02)
-                message = None
-            else:
-                message = result_queue.get()
-                drained = True
-            if message is not None:
-                kind = message["kind"]
-                if kind == "done":
-                    if message["index"] in pending:
-                        absorb_done(message)
+            for event in pool.poll():
+                kind = event["kind"]
+                if kind in ("done", "crashed"):
+                    if event["id"] in pending:
+                        absorb(event)
                 elif kind == "start":
-                    tracker.on_start(
-                        message["worker"], message["index"],
-                        tasks[message["index"]]["path"],
-                    )
+                    tracker.on_start(event["worker"], event["id"],
+                                     tasks[event["id"]]["path"])
                 elif kind == "heartbeat":
-                    tracker.on_heartbeat(message["worker"], message["index"])
-                publish()
-                continue
-
-            # No result just now: check worker liveness.
-            for worker_id, handle in list(workers.items()):
-                if handle.is_alive():
-                    continue
-                if handle.exitcode == 0:
-                    # Clean exit: the worker drained its sentinel after
-                    # the queue emptied.  Don't replace it.
-                    del workers[worker_id]
-                    tracker.on_worker_dead(worker_id)
-                    continue
-                # Drain anything the dead worker managed to send
-                # before attributing a crash.
-                for late in drain_queue(result_queue):
-                    if late["kind"] == "done" and late["index"] in pending:
-                        absorb_done(late)
-                claimed = handle.claimed
-                del workers[worker_id]
-                tracker.on_worker_dead(worker_id)
-                if claimed >= 0 and claimed in pending:
-                    exitcode = handle.exitcode
-                    finish(
-                        claimed,
-                        _crashed_entry(
-                            tasks[claimed],
-                            exitcode,
-                            f"worker process died (exit code {exitcode}) "
-                            f"while compiling this program",
-                        ),
-                    )
-                    if telemetry.enabled:
-                        telemetry.event(
-                            "batch.worker_crashed",
-                            worker=worker_id,
-                            program=tasks[claimed]["path"],
-                            exitcode=exitcode,
-                        )
-                if pending:
-                    # Replace lost capacity; its queue sentinel was
-                    # never consumed, so no extra sentinel is needed.
-                    spawn()
-                tracker.note_activity()
-                publish()
-
-            if drained or not pending:
-                continue
-            if tracker.seconds_since_heartbeat() > stall_timeout:
+                    tracker.on_heartbeat(event["worker"], event["id"])
+                elif kind == "exit":
+                    tracker.on_worker_dead(event["worker"])
+                    if event["exitcode"] != 0:
+                        # A crash was attributed and the worker respawned.
+                        tracker.note_activity()
+            publish()
+            if pending and tracker.seconds_since_heartbeat() > stall_timeout:
                 # Backstop: the pool shows no sign of life -- no
                 # heartbeat, start, or result for a whole window.  A
                 # slow-but-alive worker keeps heartbeating and never
@@ -472,17 +382,14 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
                 for index in sorted(pending):
                     finish(
                         index,
-                        _crashed_entry(
+                        crashed_entry(
                             tasks[index], None,
                             "task lost: no worker claimed or finished it "
                             f"within {stall_timeout:g}s",
                         ),
                     )
     finally:
-        for handle in workers.values():
-            handle.stop(grace_s=2.0)
-        task_queue.cancel_join_thread()
-        result_queue.close()
+        pool.close()
         publish(force=True)
 
     return ([entry for entry in entries if entry is not None], cache_stats,

@@ -1,122 +1,104 @@
-"""Shared worker-process lifecycle primitives.
+"""The one compile-worker pool behind ``repro batch`` and ``repro serve``.
 
-Both multi-process front ends -- the one-shot batch driver
-(:mod:`repro.batch.driver`) and the long-lived serving pool
-(:mod:`repro.serve.pool`) -- need the same three building blocks:
+Both front ends run the paper's two-pass compilation (§3.2) once per
+program in forked worker processes, and :class:`WorkerPool` is the only
+code that forks those workers and watches them:
 
-* a **claimed worker**: a child process paired with a shared-memory
-  claim slot it stores the identifier of its in-flight work item in.
-  Queue messages travel through a feeder thread a dying process may
-  never flush; shared-memory stores are visible immediately, so the
-  parent can always attribute a hard death (segfault, ``os._exit``)
-  to the right task and respawn capacity without losing the rest of
-  the workload;
-* a **heartbeat thread**: a daemon thread in the worker that reports
-  the claimed identifier every few hundred milliseconds -- the
-  parent's liveness signal, so slow-but-alive work never trips a
-  stall backstop;
-* **late-result draining**: before charging a dead worker's claimed
-  task, drain whatever it managed to put on the result queue -- the
-  task may in fact have completed.
+* every worker runs :func:`worker_main`: a ``ready`` message at start-up,
+  then per work item a ``start`` message, heartbeats from a daemon thread
+  while the item is in flight, and a ``done`` message carrying the
+  manifest entry -- plus the worker-side telemetry totals when the pool
+  was built with ``observe=True``;
+* each worker stores the id of the item it claimed in a shared-memory
+  claim slot.  Queue messages travel through a pipe a dying process may
+  never finish writing to; a shared-memory store is visible at once, so
+  a hard death (segfault, ``os._exit``) is always charged to the right
+  item;
+* when a worker dies, :meth:`WorkerPool.poll` first drains the result
+  queue (the claimed item may in fact have finished), then respawns the
+  worker and retries the claimed item until it has had ``max_attempts``
+  attempts; only then does the item resolve as a structured
+  ``status: "crashed"`` entry.
 
-:class:`ClaimedWorker` packages the first; :func:`start_heartbeat_thread`
-the second; :func:`drain_queue` the third.  The batch driver's merge
-policy (task-order manifests) and the serving pool's routing policy
-(request-id completion events) both sit *above* this module.
+``run_batch`` drives the pool from its main loop (one attempt per
+program); :class:`repro.serve.service.CompileService` drives it from a
+dispatcher thread (two attempts per request).
+
+Fault injection: ``$REPRO_BATCH_CRASH_ON=<substr>`` makes a worker
+hard-exit with code 13 right after claiming any item whose path contains
+``substr``.  ``<substr>@<dir>:<N>`` bounds the crashes: each one first
+claims a token file under ``dir`` (``O_CREAT|O_EXCL``), and once ``N``
+tokens are taken the fault stops firing, so a retried item succeeds.
 """
 
 from __future__ import annotations
 
+import hashlib
+import multiprocessing
+import os
+import queue
 import threading
-from typing import Callable, Iterator, Optional
+from typing import Dict, List, Optional
 
-__all__ = ["ClaimedWorker", "drain_queue", "start_heartbeat_thread"]
+from repro.batch.cache import ResultCache
+from repro.batch.worker import compile_program_task
+
+__all__ = [
+    "CRASH_ENV_VAR",
+    "CRASH_EXIT_CODE",
+    "WorkerPool",
+    "crashed_entry",
+    "worker_main",
+]
+
+CRASH_ENV_VAR = "REPRO_BATCH_CRASH_ON"
+CRASH_EXIT_CODE = 13
 
 #: The claim-slot value meaning "no work item in flight".
 NO_CLAIM = -1
 
 
-class ClaimedWorker:
-    """One live worker process plus its shared-memory claim slot.
-
-    ``target`` is the worker's main function; it receives
-    ``(task_queue, result_queue, worker_id, cache_dir, claim,
-    *extra_args)`` -- the signature both :func:`repro.batch.worker.
-    worker_main` and :func:`repro.serve.pool.serve_worker_main` share.
-    The claim slot is a lock-free ``ctx.Value`` (a single aligned store
-    per transition, no reader/writer coordination needed).
-    """
-
-    def __init__(
-        self,
-        ctx,
-        worker_id: int,
-        target: Callable,
-        task_queue,
-        result_queue,
-        cache_dir: Optional[str],
-        extra_args: tuple = (),
-        name_prefix: str = "repro-worker",
-    ):
-        self.worker_id = worker_id
-        # 'l' (signed long) rather than 'i': serving request ids are
-        # unbounded monotonic counters, not small task indices.
-        self.claim = ctx.Value("l", NO_CLAIM, lock=False)
-        self.process = ctx.Process(
-            target=target,
-            args=(task_queue, result_queue, worker_id, cache_dir, self.claim)
-            + tuple(extra_args),
-            daemon=True,
-            name=f"{name_prefix}-{worker_id}",
-        )
-        self.process.start()
-
-    @property
-    def claimed(self) -> int:
-        """The identifier of the in-flight work item, or ``NO_CLAIM``."""
-        return self.claim.value
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    @property
-    def exitcode(self) -> Optional[int]:
-        return self.process.exitcode
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self.process.join(timeout=timeout)
-
-    def stop(self, grace_s: float = 2.0) -> None:
-        """Join with a grace period, then terminate a straggler."""
-        self.process.join(timeout=grace_s)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=grace_s)
-
-    def __repr__(self) -> str:
-        state = "alive" if self.is_alive() else f"exit={self.exitcode}"
-        return (
-            f"ClaimedWorker(id={self.worker_id}, {state}, "
-            f"claimed={self.claimed})"
-        )
+def crashed_entry(task: Dict, exitcode: Optional[int], message: str) -> Dict:
+    """The manifest entry of an item no worker finished."""
+    return {
+        "path": task["path"],
+        "sha256": hashlib.sha256(task["source"].encode("utf-8")).hexdigest(),
+        "status": "crashed",
+        "error": {
+            "exitcode": exitcode if exitcode is not None else -1,
+            "message": message,
+        },
+    }
 
 
-def drain_queue(result_queue) -> Iterator[dict]:
-    """Yield every message currently sitting on ``result_queue``.
+def _should_crash(path: str) -> bool:
+    """Whether ``$REPRO_BATCH_CRASH_ON`` fires for the item at ``path``."""
+    spec = os.environ.get(CRASH_ENV_VAR)
+    if not spec:
+        return False
+    substring, _, tokens = spec.partition("@")
+    if substring not in path:
+        return False
+    if not tokens:
+        return True
+    directory, _, limit = tokens.rpartition(":")
+    for index in range(int(limit)):
+        token = os.path.join(directory, f"crash-token-{index}")
+        try:
+            os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            return True
+        except FileExistsError:
+            continue
+    return False
 
-    Used when a worker dies: anything it flushed before the death must
-    be absorbed *before* its claimed task is charged as crashed."""
-    while not result_queue.empty():
-        yield result_queue.get()
 
-
-def start_heartbeat_thread(
+def _start_heartbeat_thread(
     result_queue, worker_id: int, claim, heartbeat_s: float
 ) -> threading.Event:
     """Start the worker-side liveness thread; returns its stop event.
 
-    The thread reports the claimed identifier every ``heartbeat_s``
-    seconds while one is in flight.  SimpleQueue.put writes the pipe
+    The thread reports the claimed id every ``heartbeat_s`` seconds
+    while one is in flight.  SimpleQueue.put writes the pipe
     synchronously under a lock, so the heartbeat thread and the worker
     main loop can share the result queue.  The thread reads the shared
     claim slot rather than any in-process state, so a main thread
@@ -127,12 +109,12 @@ def start_heartbeat_thread(
 
     def beat():
         while not stop.wait(heartbeat_s):
-            index = claim.value
-            if index == NO_CLAIM:
+            item_id = claim.value
+            if item_id == NO_CLAIM:
                 continue
             try:
                 result_queue.put(
-                    {"kind": "heartbeat", "worker": worker_id, "index": index}
+                    {"kind": "heartbeat", "worker": worker_id, "id": item_id}
                 )
             except Exception:  # noqa: BLE001 - queue torn down at exit
                 return
@@ -142,3 +124,234 @@ def start_heartbeat_thread(
     )
     thread.start()
     return stop
+
+
+def worker_main(
+    task_queue,
+    result_queue,
+    worker_id: int,
+    cache_dir: Optional[str],
+    claim,
+    heartbeat_s: Optional[float] = None,
+    observe: bool = False,
+) -> None:
+    """Body of one worker process: compile ``(id, task)`` items until
+    the ``None`` sentinel, then return.  A worker whose parent was
+    killed (it has been reparented) returns too, within a second of
+    going idle, instead of waiting for a sentinel nobody will send.
+
+    Each item runs under a fresh :class:`~repro.core.config.SptConfig`
+    rebuilt from the task, so no configuration state leaks between the
+    items a process compiles.  ``heartbeat_s`` arms the liveness
+    thread; ``observe=True`` runs each compilation under a fresh
+    observing telemetry and ships its counter/gauge totals back in the
+    ``done`` message."""
+    parent = os.getppid()
+    cache = ResultCache(cache_dir) if cache_dir else None
+    stop_heartbeat = None
+    if heartbeat_s:
+        stop_heartbeat = _start_heartbeat_thread(
+            result_queue, worker_id, claim, heartbeat_s
+        )
+    result_queue.put({"kind": "ready", "worker": worker_id})
+    try:
+        while os.getppid() == parent:
+            try:
+                item = task_queue.get(timeout=1.0)
+            except queue.Empty:
+                continue
+            if item is None:
+                break
+            item_id, task = item
+            claim.value = item_id
+            result_queue.put(
+                {"kind": "start", "worker": worker_id, "id": item_id}
+            )
+            if _should_crash(task["path"]):
+                # Simulated hard death: no cleanup, no queue flush.
+                os._exit(CRASH_EXIT_CODE)
+            telemetry = None
+            if observe:
+                from repro.obs.telemetry import Telemetry
+
+                telemetry = Telemetry()
+            entry, stats = compile_program_task(task, cache, telemetry)
+            message = {
+                "kind": "done",
+                "worker": worker_id,
+                "id": item_id,
+                "entry": entry,
+                "stats": stats,
+            }
+            if telemetry is not None:
+                telemetry.close()
+                message["counters"] = dict(telemetry.counters)
+                message["gauges"] = dict(telemetry.gauges)
+            result_queue.put(message)
+            claim.value = NO_CLAIM
+    finally:
+        if stop_heartbeat is not None:
+            stop_heartbeat.set()
+
+
+class WorkerPool:
+    """``size`` forked workers sharing one task queue and one result
+    queue.
+
+    :meth:`submit` queues a task under a caller-chosen integer id;
+    :meth:`poll` reports what happened since the last call.  ``unit``
+    names an item in crash messages ("program", "request").
+    """
+
+    def __init__(
+        self,
+        size: int,
+        cache_dir: Optional[str] = None,
+        heartbeat_s: Optional[float] = None,
+        observe: bool = False,
+        max_attempts: int = 1,
+        unit: str = "program",
+    ):
+        self.size = size
+        self.max_attempts = max_attempts
+        self.unit = unit
+        self._worker_args = (heartbeat_s, observe)
+        self._cache_dir = cache_dir
+        self._ctx = multiprocessing.get_context()
+        self._tasks = self._ctx.Queue()
+        # Results travel over a SimpleQueue on purpose: its put() writes
+        # to the pipe synchronously in the calling thread, so a worker
+        # that hard-dies right after put() cannot strand finished results
+        # in an unflushed feeder-thread buffer (mp.Queue would).
+        self._results = self._ctx.SimpleQueue()
+        #: worker id -> (process, claim slot)
+        self._workers: Dict[int, tuple] = {}
+        #: item id -> [task, attempts so far]
+        self._inflight: Dict[int, list] = {}
+        self._next_worker = 0
+        self._closing = False
+        self.ready = 0
+        self.crashes = 0
+        self.respawns = 0
+        self.retries = 0
+        for _ in range(size):
+            self._spawn()
+
+    def _spawn(self) -> None:
+        worker_id = self._next_worker
+        self._next_worker += 1
+        # 'l' (signed long): serve request ids are unbounded counters.
+        claim = self._ctx.Value("l", NO_CLAIM, lock=False)
+        process = self._ctx.Process(
+            target=worker_main,
+            args=(self._tasks, self._results, worker_id, self._cache_dir,
+                  claim) + self._worker_args,
+            daemon=True,
+            name=f"repro-worker-{worker_id}",
+        )
+        process.start()
+        self._workers[worker_id] = (process, claim)
+
+    def submit(self, item_id: int, task: Dict) -> None:
+        if self._closing:
+            raise RuntimeError("pool is shutting down")
+        self._inflight[item_id] = [task, 1]
+        self._tasks.put((item_id, task))
+
+    def poll(self, timeout: float = 0.05) -> List[Dict]:
+        """Block until a message arrives or a worker dies (at most
+        ``timeout`` seconds), then return the events in order: worker
+        messages, an ``exit`` event per dead worker, and a ``crashed``
+        event (with its manifest ``entry``) per item that ran out of
+        attempts.  ``done`` and ``crashed`` events carry ``attempts``."""
+        # Imported here: a fresh `import repro.batch` stays free of the
+        # subprocess machinery this pulls in, and the pool's queues have
+        # already loaded it by the time anything polls.
+        from multiprocessing.connection import wait
+
+        # SimpleQueue has no public waitable handle; its read end makes
+        # the wait wake on results as well as on worker deaths.
+        wait([self._results._reader]
+             + [process.sentinel for process, _ in self._workers.values()],
+             timeout)
+        events = self._drain()
+        for worker_id, (process, claim) in list(self._workers.items()):
+            if process.is_alive():
+                continue
+            # Absorb what the dead worker sent before charging its
+            # claim: the claimed item may in fact have finished.
+            events += self._drain()
+            del self._workers[worker_id]
+            events += self._on_death(worker_id, process.exitcode, claim.value)
+        return events
+
+    def _drain(self) -> List[Dict]:
+        events = []
+        while not self._results.empty():
+            message = self._results.get()
+            if message["kind"] == "ready":
+                self.ready += 1
+            elif message["kind"] == "done":
+                item = self._inflight.pop(message["id"], None)
+                if item is not None:
+                    message["attempts"] = item[1]
+            events.append(message)
+        return events
+
+    def _on_death(
+        self, worker_id: int, exitcode: int, claimed: int
+    ) -> List[Dict]:
+        events = [{"kind": "exit", "worker": worker_id, "exitcode": exitcode}]
+        if exitcode == 0:
+            return events  # returned after its sentinel
+        self.crashes += 1
+        self._spawn()
+        self.respawns += 1
+        item = self._inflight.get(claimed)
+        if item is None:
+            return events
+        task, attempts = item
+        if attempts < self.max_attempts:
+            item[1] += 1
+            self.retries += 1
+            self._tasks.put((claimed, task))
+            return events
+        del self._inflight[claimed]
+        message = (f"worker process died (exit code {exitcode}) while "
+                   f"compiling this {self.unit}")
+        if self.max_attempts > 1:
+            message += f" ({attempts} attempt(s))"
+        events.append({
+            "kind": "crashed", "worker": worker_id, "id": claimed,
+            "attempts": attempts,
+            "entry": crashed_entry(task, exitcode, message),
+        })
+        return events
+
+    def stats(self) -> Dict:
+        # Iterates a copy: serve's dispatcher thread may respawn a worker
+        # while a handler thread reads the stats.
+        return {
+            "size": self.size,
+            "alive": sum(1 for process, _ in list(self._workers.values())
+                         if process.is_alive()),
+            "ready": self.ready,
+            "crashes": self.crashes,
+            "respawns": self.respawns,
+            "retries": self.retries,
+        }
+
+    def close(self, grace_s: float = 2.0) -> None:
+        """Send every worker its sentinel and join it, terminating a
+        straggler after ``grace_s``; then release the queues."""
+        self._closing = True
+        for _ in self._workers:
+            self._tasks.put(None)
+        for process, _claim in self._workers.values():
+            process.join(grace_s)
+            if process.is_alive():
+                process.terminate()
+                process.join(grace_s)
+        self._workers.clear()
+        self._tasks.cancel_join_thread()
+        self._results.close()

@@ -1,10 +1,10 @@
 """Live batch progress: heartbeat bookkeeping, the one-line status
 display, and the machine-readable ``progress.json`` document.
 
-Workers send ``{"kind": "heartbeat", "worker": w, "index": i}``
+Workers send ``{"kind": "heartbeat", "worker": w, "id": i}``
 messages over the result queue while a program is in flight (the
 ``start`` claim message counts as the first heartbeat).  The driver
-feeds every queue message into one :class:`ProgressTracker`, renders
+feeds every pool event into one :class:`ProgressTracker`, renders
 :meth:`ProgressTracker.status_line` for humans, and serializes
 :meth:`ProgressTracker.snapshot` -- schema ``repro-batch-progress/1``
 -- for external watchers (CI tails, dashboards, the future ``repro

@@ -1,45 +1,28 @@
-"""Worker side of the batch-compilation protocol.
+"""What a compile worker does with one task.
 
 A task is a plain picklable dict (``index``, ``path``, ``name``,
-``source`` plus the shared config/workload description); a worker
-process loops on the task queue and reports over the result queue:
+``source`` plus the shared config/workload description).
+:func:`compile_program_task` turns it into one manifest entry: it
+consults the content-addressed result cache, compiles cold on a miss,
+and never lets a per-program exception escape -- failures become
+``status: "error"`` entries, and an overrunning program gets one retry
+on the degraded ladder before it becomes ``status: "timeout"``.
 
-* ``{"kind": "start", "worker": w, "index": i}`` as soon as a task is
-  claimed (the driver uses this, together with a shared-memory claim
-  slot, to attribute a hard worker death to the right program; the
-  progress tracker counts it as the first heartbeat);
-* ``{"kind": "heartbeat", "worker": w, "index": i}`` every
-  ``heartbeat_s`` seconds while a task is in flight, sent by a daemon
-  thread -- the driver's liveness signal and stall backstop feed;
-* ``{"kind": "done", "worker": w, "index": i, "entry": ..., "stats":
-  ..., "counters": ..., "gauges": ...}`` when the program finished --
-  whether the compilation succeeded, was served from cache, or raised.
-  ``counters``/``gauges`` carry the worker-side telemetry totals when
-  the driver asked for observation (``observe=True``).
-
-A worker never lets a per-program exception escape: failures become
-``status: "error"`` manifest entries and the loop continues.  Only a
-hard process death (segfault, ``os._exit``) loses a worker, and the
-driver turns that into a ``status: "crashed"`` entry for the claimed
-program while the rest of the batch proceeds on respawned capacity.
-
-Fault injection: when ``$REPRO_BATCH_CRASH_ON`` is a non-empty
-substring of a task's path, the worker hard-exits with code 13 right
-after claiming it.  This exists for the crash-isolation tests and CI.
+The worker processes themselves -- their main loop, heartbeats, crash
+attribution and respawn -- are :mod:`repro.batch.lifecycle`'s, shared
+by ``repro batch`` and ``repro serve``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import signal
 import traceback
 from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 from repro.batch.cache import ResultCache
-from repro.batch.lifecycle import start_heartbeat_thread
 from repro.core.config import (
     SptConfig,
     anticipated_config,
@@ -54,16 +37,10 @@ from repro.resilience.watchdog import ProgramTimeout
 from repro.util.store import StoreStats
 
 __all__ = [
-    "CRASH_ENV_VAR",
-    "CRASH_EXIT_CODE",
     "canonical_module_text",
     "compile_program_task",
     "config_from_task",
-    "worker_main",
 ]
-
-CRASH_ENV_VAR = "REPRO_BATCH_CRASH_ON"
-CRASH_EXIT_CODE = 13
 
 _CONFIG_FACTORIES = {
     "basic": basic_config,
@@ -103,8 +80,9 @@ def _program_alarm(timeout_s: Optional[float]):
 
     A no-op when no timeout is requested or the platform has no SIGALRM
     (Windows).  Only valid in a process main thread -- which is where
-    :func:`worker_main` runs.  The signal breaks even uncooperative
-    hangs (C extensions excepted) that no in-process watchdog can."""
+    :func:`repro.batch.lifecycle.worker_main` runs.  The signal breaks
+    even uncooperative hangs (C extensions excepted) that no in-process
+    watchdog can."""
     if not timeout_s or not hasattr(signal, "SIGALRM"):
         yield
         return
@@ -259,67 +237,3 @@ def probe_cache(
         "program_hit": cache.get_program(program_key) is not None,
     }
 
-
-def worker_main(
-    task_queue,
-    result_queue,
-    worker_id,
-    cache_dir,
-    claim,
-    heartbeat_s: Optional[float] = None,
-    observe: bool = False,
-) -> None:
-    """Body of one worker process.
-
-    ``claim`` is a shared ``multiprocessing.Value('i')`` the worker
-    sets to the task index it is working on (and back to -1 when
-    done).  Unlike queue messages -- which travel through a feeder
-    thread a dying process may never flush -- shared-memory stores are
-    visible immediately, so the driver can attribute a hard crash to
-    the right program.
-
-    ``heartbeat_s`` arms the liveness thread; ``observe=True`` runs
-    each compilation under a fresh observing telemetry and ships its
-    counter/gauge totals back in the ``done`` message."""
-    crash_on = os.environ.get(CRASH_ENV_VAR) or None
-    cache = ResultCache(cache_dir) if cache_dir else None
-    stop_heartbeat = None
-    if heartbeat_s:
-        stop_heartbeat = start_heartbeat_thread(
-            result_queue, worker_id, claim, heartbeat_s
-        )
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            index = task["index"]
-            claim.value = index
-            result_queue.put(
-                {"kind": "start", "worker": worker_id, "index": index}
-            )
-            if crash_on and crash_on in task["path"]:
-                # Simulated hard death: no cleanup, no queue flush.
-                os._exit(CRASH_EXIT_CODE)
-            telemetry = None
-            if observe:
-                from repro.obs.telemetry import Telemetry
-
-                telemetry = Telemetry()
-            entry, stats = compile_program_task(task, cache, telemetry)
-            message = {
-                "kind": "done",
-                "worker": worker_id,
-                "index": index,
-                "entry": entry,
-                "stats": stats,
-            }
-            if telemetry is not None:
-                telemetry.close()
-                message["counters"] = dict(telemetry.counters)
-                message["gauges"] = dict(telemetry.gauges)
-            result_queue.put(message)
-            claim.value = -1
-    finally:
-        if stop_heartbeat is not None:
-            stop_heartbeat.set()

@@ -255,15 +255,13 @@ class _TraceCompiler:
         #: (executed-instruction prefix sums) fuel charged at each exit.
         self.fuel_so_far = 0
         hooks = cf.hooks
+        #: The machine's VectorTimingEngine, or None.  Traces accumulate
+        #: dynamic load/branch ticks in a trace local (``_tk``) and fold
+        #: them into the engine's pending counter only at settle points
+        #: (integer additions commute, and attribution only happens
+        #: inside engine calls, which every settle point precedes) --
+        #: saves two Python calls per dynamic load/branch.
         self.engine = cf.machine.timing_engine
-        #: Accumulate dynamic load/branch ticks in a trace local
-        #: (``_tk``) and fold into the engine's pending counter only at
-        #: settle points (integer additions commute, and attribution
-        #: only happens inside engine calls, which every settle point
-        #: precedes) -- saves two Python calls per dynamic load/branch.
-        self.direct_ticks = self.engine is not None and hasattr(
-            self.engine, "_pending"
-        )
         self.on_block = hooks.on_block
         self.on_edge = hooks.on_edge
         #: Pure-EdgeProfile observers get inline dict bumps.
@@ -384,7 +382,7 @@ class _TraceCompiler:
 
         Must precede any engine call (which may flush/attribute pending
         ticks) and any return from the trace."""
-        if self.direct_ticks:
+        if self.engine is not None:
             self.out.emit("if _tk: ENG._pending += _tk; _tk = 0")
 
     def _flush_block_events(self) -> None:
@@ -395,7 +393,7 @@ class _TraceCompiler:
             return
         self._emit_tick_settle()
         emit = self.out.emit
-        if len(buf) == 1 or not hasattr(self.engine, "blocks"):
+        if len(buf) == 1:
             for index, block, prev in buf:
                 name = self._bind_block(index, block)
                 emit(f"E_block(F, {name}, {prev!r})")
@@ -509,10 +507,8 @@ class _TraceCompiler:
             emit('raise InterpError(f"load from invalid address {_a}")')
             self.out.level -= 1
             emit(f"{self._assign(instr.dest)} = _m[_a]")
-            if self.direct_ticks:
+            if self.engine is not None:
                 emit("_tk += E_load(_a)")
-            elif self.engine is not None:
-                emit("E_load(_a)")
         elif isinstance(instr, Store):
             self._flush_block_events()
             emit(f"_a = {self._use_int(instr.base)} + {self._use_int(instr.offset)}")
@@ -584,10 +580,7 @@ class _TraceCompiler:
     # -- terminator emission --------------------------------------------
 
     def _emit_branch_event(self, key: str, taken: str) -> None:
-        if self.direct_ticks:
-            self.out.emit(f"_tk += E_branch({key}, {taken})")
-        else:
-            self.out.emit(f"E_branch({key}, {taken})")
+        self.out.emit(f"_tk += E_branch({key}, {taken})")
 
     def _emit_terminator(self, index: int, label: str, terminator: Instr) -> None:
         """Emit guard/exit/back-edge logic for block ``index``."""
@@ -745,17 +738,12 @@ class _TraceCompiler:
             ns["E_block"] = self.engine.block
             # store() only write-allocates; bind the hierarchy directly.
             ns["E_store"] = self.engine.model.hierarchy.fill_for_write
-            if self.direct_ticks:
-                # Ticks accumulate in the `_tk` local; bind the raw
-                # tick-returning model entry points.
-                ns["ENG"] = self.engine
-                ns["E_load"] = self.engine.model.hierarchy.access_ticks
-                ns["E_branch"] = self.engine.model.branch_ticks
-            else:
-                ns["E_load"] = self.engine.load
-                ns["E_branch"] = self.engine.branch
-            if hasattr(self.engine, "blocks"):
-                ns["E_blocks"] = self.engine.blocks
+            # Ticks accumulate in the `_tk` local; bind the raw
+            # tick-returning model entry points.
+            ns["ENG"] = self.engine
+            ns["E_load"] = self.engine.model.hierarchy.access_ticks
+            ns["E_branch"] = self.engine.model.branch_ticks
+            ns["E_blocks"] = self.engine.blocks
         if self.on_block and self.edge_profiles is None:
             ns["_TB"] = self.on_block
         if self.on_edge and self.edge_profiles is None:
@@ -807,7 +795,7 @@ class _TraceCompiler:
         self.out.level = outer.level
         emit = self.out.emit
 
-        if self.direct_ticks:
+        if self.engine is not None:
             emit("_tk = 0")
         if self.uses_prev_var:
             emit("_p = prev")

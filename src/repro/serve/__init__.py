@@ -5,16 +5,15 @@ The package splits along the request path:
 
 * :mod:`repro.serve.protocol` -- the wire schema (``repro-serve/1``),
   error codes and their HTTP mapping, request validation;
-* :mod:`repro.serve.pool` -- the pre-forked, pre-warmed worker pool,
-  built on the batch layer's claim-slot crash attribution;
 * :mod:`repro.serve.memcache` -- the in-memory LRU tier sharing the
   disk cache's content-addressed keys;
 * :mod:`repro.serve.service` -- admission control, cache tiers,
   deadlines, metrics, request log: the transport-agnostic core;
 * :mod:`repro.serve.http` / :mod:`repro.serve.stdio` -- the two
   transports (JSON-over-HTTP on localhost, JSON-RPC over stdio);
-* :mod:`repro.serve.daemon` -- assembly and lifecycle
-  (``repro serve``'s body);
+* :mod:`repro.serve.daemon` -- warm-up, assembly and lifecycle
+  (``repro serve``'s body) around the compile-worker pool ``repro
+  batch`` uses (:class:`repro.batch.lifecycle.WorkerPool`);
 * :mod:`repro.serve.client` -- the client and daemon-spawning helpers
   the tests, benchmark, and CI smoke script share.
 
@@ -31,9 +30,8 @@ from repro.serve.client import (
     ServeError,
     start_daemon,
 )
-from repro.serve.daemon import run_daemon
+from repro.serve.daemon import prime_process, run_daemon
 from repro.serve.memcache import MemoryCache
-from repro.serve.pool import WarmPool, prime_process, serve_worker_main
 from repro.serve.protocol import (
     DEFAULT_MAX_BODY_BYTES,
     PROTOCOL_SCHEMA,
@@ -57,13 +55,11 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "ServeRejection",
-    "WarmPool",
     "corpus_requests",
     "error_body",
     "http_status_for",
     "normalize_compile_params",
     "prime_process",
     "run_daemon",
-    "serve_worker_main",
     "start_daemon",
 ]

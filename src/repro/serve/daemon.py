@@ -2,13 +2,15 @@
 
 Order of operations matters here:
 
-1. :func:`~repro.serve.pool.prime_process` first -- the parent imports
-   the whole pipeline and compiles a warm-up program *before* forking,
-   so every worker is born warm (Linux ``fork`` start method);
-2. fork the :class:`~repro.serve.pool.WarmPool` and wait for every
-   worker's ``ready`` message;
+1. :func:`prime_process` first -- the parent imports the whole
+   pipeline and compiles a warm-up program *before* forking, so every
+   worker is born warm (Linux ``fork`` start method);
+2. fork the compile-worker pool ``repro batch`` also uses
+   (:class:`~repro.batch.lifecycle.WorkerPool`, two attempts per
+   request) and wait for every worker's ``ready`` message;
 3. assemble the :class:`~repro.serve.service.CompileService` (memory
-   LRU, admission limits, metrics registry, optional request log);
+   LRU, admission limits, metrics registry, optional request log),
+   whose dispatcher thread drives the pool from then on;
 4. bind the transport, then atomically write the ``--ready-file``
    (carrying the actual port -- tests bind port 0) so a supervising
    process knows exactly when requests will be accepted;
@@ -23,19 +25,58 @@ import os
 import signal
 import sys
 import threading
+import time
 from typing import Dict, Optional
 
 from repro.batch.cache import default_cache_dir
+from repro.batch.lifecycle import WorkerPool
 from repro.obs.telemetry import MetricsRegistry
 from repro.serve.http import serve_http
 from repro.serve.memcache import MemoryCache
-from repro.serve.pool import WarmPool, prime_process
 from repro.serve.protocol import DEFAULT_MAX_BODY_BYTES, PROTOCOL_SCHEMA
 from repro.serve.service import CompileService, RequestLog
 from repro.serve.stdio import serve_stdio
 from repro.util.atomicio import atomic_write_json
 
-__all__ = ["run_daemon"]
+__all__ = ["WARMUP_SOURCE", "prime_process", "run_daemon"]
+
+#: The tiny MiniC program the daemon compiles before forking workers:
+#: touches the frontend, SSA construction, profiling, the cost model
+#: and the partition search, so forked children inherit every lazily
+#: imported module already hot.
+WARMUP_SOURCE = """\
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        s += (s ^ i) & 7;
+    }
+    return s;
+}
+"""
+
+
+def prime_process() -> None:
+    """Import the pipeline and compile the warm-up program once.
+
+    Serve-only: ``repro batch`` forks its workers without it, so a
+    batch compiles nothing but its own programs.  Harmless to call
+    again (a few milliseconds once everything is hot)."""
+    from repro.core.config import (
+        anticipated_config,
+        basic_config,
+        best_config,
+    )
+    from repro.core.pipeline import Workload, compile_spt
+    from repro.frontend import compile_minic
+
+    for factory in (basic_config, best_config, anticipated_config):
+        factory()
+    module = compile_minic(WARMUP_SOURCE, name="warmup")
+    compile_spt(
+        module,
+        best_config(),
+        Workload(entry="main", args=(8,), fuel=100_000),
+    )
 
 
 def _write_ready_file(path: str, payload: Dict) -> None:
@@ -61,6 +102,8 @@ def run_daemon(
     log_stream=None,
 ) -> int:
     """Run the daemon to completion; the process exit code."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     log_stream = log_stream if log_stream is not None else sys.stderr
 
     def log(message: str) -> None:
@@ -70,11 +113,14 @@ def run_daemon(
     prime_process()
 
     disk_cache_dir = None if no_cache else (cache_dir or default_cache_dir())
-    pool = WarmPool(
-        workers=workers, cache_dir=disk_cache_dir, heartbeat_s=heartbeat_s
+    pool = WorkerPool(
+        workers, disk_cache_dir, heartbeat_s=heartbeat_s, max_attempts=2,
+        unit="request",
     )
-    pool.start()
-    if not pool.wait_ready(timeout=60.0):
+    deadline = time.monotonic() + 60.0
+    while pool.ready < workers and time.monotonic() < deadline:
+        pool.poll()
+    if pool.ready < workers:
         log("worker pool failed to become ready within 60s")
         pool.close()
         return 1

@@ -12,12 +12,14 @@ clears transport framing, in tier order:
    MemoryCache`) keyed by the *same* content digest as the disk cache:
    canonical module IR x ``SptConfig.fingerprint()`` x workload.  A
    hit answers in microseconds without touching the pool.
-3. **Worker pool.**  Misses are submitted to the :class:`repro.serve.
-   pool.WarmPool`; the worker consults the shared content-addressed
-   disk tier and compiles cold if needed, under the same SIGALRM
-   watchdog + degraded-ladder retry a ``repro batch`` worker uses --
-   which is exactly why served entries are byte-identical to CLI
-   entries.
+3. **Worker pool.**  Misses are submitted to the compile-worker pool
+   ``repro batch`` uses (:class:`repro.batch.lifecycle.WorkerPool`,
+   two attempts per request); a dispatcher thread routes each result
+   to the handler thread waiting for it.  The worker consults the
+   shared content-addressed disk tier and compiles cold if needed,
+   under the same SIGALRM watchdog + degraded-ladder retry a ``repro
+   batch`` worker uses -- which is exactly why served entries are
+   byte-identical to CLI entries.
 4. **Deadline.**  The handler thread waits on the pending event at
    most ``min(request deadline, request_timeout_s)``; a miss abandons
    the request (``deadline``, HTTP 504) while the worker's eventual
@@ -33,16 +35,17 @@ is configured, one line per request in a :class:`repro.util.JsonlLog`
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 import time
 from typing import Dict, Optional
 
 from repro.batch.cache import ResultCache
+from repro.batch.lifecycle import WorkerPool
 from repro.batch.worker import canonical_module_text, config_from_task
 from repro.obs.telemetry import MetricsRegistry
 from repro.resilience.faults import maybe_inject
 from repro.serve.memcache import MemoryCache
-from repro.serve.pool import WarmPool
 from repro.serve.protocol import (
     ERR_DEADLINE,
     ERR_QUEUE_FULL,
@@ -68,11 +71,14 @@ class RequestLog(JsonlLog):
 
 
 class CompileService:
-    """Admission control + cache tiers + pool dispatch + observation."""
+    """Admission control + cache tiers + pool dispatch + observation.
+
+    Starts the thread that drives ``pool``; :meth:`close` stops it and
+    closes the pool."""
 
     def __init__(
         self,
-        pool: WarmPool,
+        pool: WorkerPool,
         queue_limit: int = 64,
         request_timeout_s: float = 60.0,
         program_timeout_s: Optional[float] = None,
@@ -93,6 +99,16 @@ class CompileService:
         self._lock = threading.Lock()
         self._inflight = 0
         self._stopping = False
+        #: request id -> [completion event, the pool's done/crashed event]
+        self._waiting: Dict[int, list] = {}
+        self._rids = itertools.count()
+        self._closed = False
+        self.completed = 0
+        self.discarded = 0
+        self._dispatcher = threading.Thread(
+            target=self._dispatch, daemon=True, name="repro-serve-dispatcher"
+        )
+        self._dispatcher.start()
 
     # -- the request path -------------------------------------------------
 
@@ -155,22 +171,31 @@ class CompileService:
         if self.program_timeout_s:
             worker_task["timeout_s"] = self.program_timeout_s
 
+        rid = next(self._rids)
+        waiter = [threading.Event(), None]
+        with self._lock:
+            self._waiting[rid] = waiter
         try:
-            pending = self.pool.submit(worker_task)
+            self.pool.submit(rid, worker_task)
         except RuntimeError:
+            with self._lock:
+                self._waiting.pop(rid, None)
             self.metrics.count("serve.rejected.shutting_down")
             raise ServeRejection(
                 ERR_SHUTTING_DOWN, "worker pool is shutting down"
             )
         queue_wait_started = time.monotonic()
-        if not pending.wait(deadline_s):
-            self.pool.abandon(pending.rid)
+        if not waiter[0].wait(deadline_s):
+            # Abandon: the worker's eventual result is discarded.
+            with self._lock:
+                self._waiting.pop(rid, None)
             self.metrics.count("serve.rejected.deadline")
             raise ServeRejection(
                 ERR_DEADLINE,
                 f"request missed its {deadline_s:g}s deadline",
             )
-        if pending.shutdown or pending.entry is None:
+        result = waiter[1]
+        if result is None:
             self.metrics.count("serve.rejected.shutting_down")
             raise ServeRejection(
                 ERR_SHUTTING_DOWN,
@@ -181,7 +206,7 @@ class CompileService:
             (time.monotonic() - queue_wait_started) * 1e3,
         )
 
-        entry = pending.entry
+        entry = result["entry"]
         if entry.get("status") == "crashed":
             tier = "crashed"
         elif entry.get("cached"):
@@ -199,8 +224,26 @@ class CompileService:
                 if name not in ("path", "sha256")
             }
             self.memory_cache.put(key, payload)
-        return self._respond(entry, tier=tier, attempts=pending.attempts,
+        return self._respond(entry, tier=tier, attempts=result["attempts"],
                              started=started)
+
+    def _dispatch(self) -> None:
+        """Route each finished request to the handler thread waiting
+        for it, until :meth:`close`."""
+        while not self._closed:
+            for event in self.pool.poll():
+                if event["kind"] not in ("done", "crashed"):
+                    continue
+                with self._lock:
+                    waiter = self._waiting.pop(event["id"], None)
+                if waiter is None:
+                    # The client already gave up (deadline): drop it.
+                    self.discarded += 1
+                    continue
+                if event["kind"] == "done":
+                    self.completed += 1
+                waiter[1] = event
+                waiter[0].set()
 
     # -- helpers ----------------------------------------------------------
 
@@ -280,7 +323,7 @@ class CompileService:
             "uptime_s": round(time.time() - self.started_at, 3),
             "inflight": inflight,
             "queue_limit": self.queue_limit,
-            "pool": self.pool.stats(),
+            "pool": self._pool_stats(),
         }
         if self.memory_cache is not None:
             stats["memory_cache"] = self.memory_cache.snapshot()
@@ -297,11 +340,21 @@ class CompileService:
             gauges = snapshot["gauges"]
             gauges["serve.memcache.entries"] = memory["entries"]
             gauges["serve.memcache.bytes"] = memory["bytes"]
-        pool = self.pool.stats()
+        pool = self._pool_stats()
         snapshot["gauges"]["serve.pool.alive"] = pool["alive"]
         for name in ("crashes", "respawns", "retries", "discarded"):
             snapshot["counters"][f"serve.pool.{name}"] = pool[name]
         return snapshot
+
+    def _pool_stats(self) -> Dict:
+        with self._lock:
+            inflight = len(self._waiting)
+        return dict(
+            self.pool.stats(),
+            inflight=inflight,
+            completed=self.completed,
+            discarded=self.discarded,
+        )
 
     def begin_shutdown(self) -> None:
         """Start rejecting new work (``shutting_down``); in-flight
@@ -310,5 +363,14 @@ class CompileService:
             self._stopping = True
 
     def close(self) -> None:
+        """Stop the dispatcher and the pool; a request still waiting is
+        answered ``shutting_down``."""
         self.begin_shutdown()
+        self._closed = True
+        self._dispatcher.join(timeout=2.0)
         self.pool.close()
+        with self._lock:
+            leftovers = list(self._waiting.values())
+            self._waiting.clear()
+        for waiter in leftovers:
+            waiter[0].set()

@@ -17,12 +17,14 @@ import time
 
 import pytest
 
-from repro.batch import manifest_to_bytes, run_batch
+from repro.batch import CRASH_ENV_VAR, manifest_to_bytes, run_batch
 from repro.batch.journal import (
     JOURNAL_SCHEMA,
     BatchJournal,
     batch_key,
 )
+
+from .test_fault_injection import PROGRAM
 
 CORPUS = os.path.join(
     os.path.dirname(__file__), os.pardir, "golden", "corpus"
@@ -126,10 +128,76 @@ def test_resume_replays_finished_programs(tmp_path):
     )
 
 
+def test_crashed_program_is_the_only_one_resume_recompiles(
+    tmp_path, monkeypatch
+):
+    """A worker crash under ``resume=True``, end to end: the crashed
+    program is journaled but not replayed, so the resumed run compiles
+    it alone and ends byte-identical to a clean run."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for index in range(5):
+        (corpus / f"prog{index}.c").write_text(
+            PROGRAM.replace("y & 7", f"y & {7 + index}")
+        )
+    (corpus / "poison.c").write_text(PROGRAM.replace("y & 7", "y & 63"))
+    journal_dir = str(tmp_path / "journal")
+    cache_dir = str(tmp_path / "cache")
+
+    def run(**kwargs):
+        return run_batch([str(corpus)], args=(32,), jobs=2, **kwargs)
+
+    monkeypatch.setenv(CRASH_ENV_VAR, "poison")
+    crashed = run(cache_dir=cache_dir, resume=True, journal_dir=journal_dir)
+    assert crashed.stats["crashed"] == 1
+    (journal,) = glob.glob(os.path.join(journal_dir, "v1", "*.journal"))
+    with open(journal) as handle:
+        lines = [json.loads(line) for line in handle]
+    journaled = sorted(
+        (line["path"], line["entry"]["status"]) for line in lines
+    )
+    assert journaled == [("poison.c", "crashed")] + [
+        (f"prog{i}.c", "ok") for i in range(5)
+    ]
+
+    monkeypatch.delenv(CRASH_ENV_VAR)
+    resumed = run(cache_dir=cache_dir, resume=True, journal_dir=journal_dir)
+    assert resumed.ok
+    assert resumed.stats["resumed_programs"] == 5
+    # One program reached a worker: poison.c, a cache miss.
+    assert (resumed.cache_stats.hits, resumed.cache_stats.misses) == (0, 1)
+
+    clean = run(use_cache=False)
+    assert manifest_to_bytes(resumed.manifest) == manifest_to_bytes(
+        clean.manifest
+    )
+
+
+def _proc_stat(pid):
+    """``[state, ppid, ...]`` from Linux ``/proc/<pid>/stat``; [] once
+    the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _child_pids(pid):
+    names = os.listdir("/proc") if os.path.isdir("/proc") else []
+    return [int(name) for name in names
+            if name.isdigit() and _proc_stat(name)[1:2] == [str(pid)]]
+
+
+def _running(pid):
+    return _proc_stat(pid)[:1] not in ([], ["Z"], ["X"])
+
+
 @pytest.mark.slow
 def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
-    """kill -9 a ``repro batch --jobs 4 --resume`` mid-run; the resumed
-    run must produce a byte-identical manifest."""
+    """kill -9 a ``repro batch --jobs 4 --resume`` mid-run; its orphaned
+    workers must exit, and the resumed run must produce a
+    byte-identical manifest."""
     journal_dir = str(tmp_path / "journal")
     reference_path = str(tmp_path / "reference.json")
     resumed_path = str(tmp_path / "resumed.json")
@@ -157,6 +225,7 @@ def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
                 os.path.join(journal_dir, "v1", "*.journal")
             )
             if any(os.path.getsize(p) > 0 for p in journals):
+                workers = _child_pids(process.pid)
                 process.send_signal(signal.SIGKILL)
                 process.wait()
                 killed = True
@@ -170,6 +239,13 @@ def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
         # Too fast to catch: wipe and retry with a fresh journal.
         for path in glob.glob(os.path.join(journal_dir, "v1", "*.journal")):
             os.remove(path)
+
+    if killed and os.path.isdir("/proc"):
+        # No sentinel will ever reach the killed driver's workers.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert workers and not any(map(_running, workers))
 
     proc = subprocess.run(
         resume_cmd, capture_output=True, text=True, timeout=600,

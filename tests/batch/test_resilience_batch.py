@@ -111,7 +111,7 @@ def _task_swallowing_worker(task_queue, result_queue, worker_id, cache_dir,
 
 def test_stall_timeout_flags_lost_tasks(prog, tmp_path, monkeypatch):
     monkeypatch.setattr(
-        "repro.batch.driver.worker_main", _task_swallowing_worker
+        "repro.batch.lifecycle.worker_main", _task_swallowing_worker
     )
     result = run_batch(
         [str(prog)], args=(32,), jobs=1,
@@ -128,7 +128,7 @@ def test_stall_timeout_comes_from_config(prog, tmp_path, monkeypatch):
     # Satellite: with no explicit override the driver reads the
     # configurable SptConfig.batch_stall_timeout_s, not a constant.
     monkeypatch.setattr(
-        "repro.batch.driver.worker_main", _task_swallowing_worker
+        "repro.batch.lifecycle.worker_main", _task_swallowing_worker
     )
     result = run_batch(
         [str(prog)], args=(32,), jobs=1,

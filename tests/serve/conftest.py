@@ -89,8 +89,6 @@ def daemon_env(extra=None):
         "PYTHONPATH": python_path,
         "REPRO_FAULT": "",
         "REPRO_BATCH_CRASH_ON": "",
-        "REPRO_SERVE_CRASH_ON": "",
-        "REPRO_SERVE_CRASH_TOKENS": "",
         "REPRO_CACHE_DIR": "",
     }
     if extra:

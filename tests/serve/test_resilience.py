@@ -1,6 +1,6 @@
 """Resilience battery: the daemon under chaos.
 
-Worker deaths (``$REPRO_SERVE_CRASH_ON`` hard-exits a worker right
+Worker deaths (``$REPRO_BATCH_CRASH_ON`` hard-exits a worker right
 after it claims a matching request), in-process faults
 (``$REPRO_FAULT``), and hostile inputs (malformed JSON, oversized
 bodies, garbage endpoints).  In every scenario the daemon must answer
@@ -30,10 +30,7 @@ def test_crashed_worker_respawns_and_retry_succeeds(
     tokens.mkdir()
     daemon = daemon_factory(
         workers=2,
-        env={
-            "REPRO_SERVE_CRASH_ON": "victim",
-            "REPRO_SERVE_CRASH_TOKENS": f"{tokens}:1",
-        },
+        env={"REPRO_BATCH_CRASH_ON": f"victim@{tokens}:1"},
     )
     sources = corpus_sources()
     response = daemon.client.compile(
@@ -60,7 +57,7 @@ def test_persistent_crash_becomes_contained_entry(daemon_factory):
     structured ``crashed`` entry -- a contained degradation the client
     can reason about, never a hang or a dead daemon."""
     daemon = daemon_factory(
-        workers=2, env={"REPRO_SERVE_CRASH_ON": "doomed"}
+        workers=2, env={"REPRO_BATCH_CRASH_ON": "doomed"}
     )
     sources = corpus_sources()
     response = daemon.client.compile(
