@@ -22,7 +22,7 @@ from repro.core.transform import TransformError, check_transformable
 from repro.core.unroll import unroll_function
 from repro.core.violation import find_violation_candidates
 from repro.frontend import compile_minic
-from repro.profiling import CompiledMachine, EdgeProfile, Machine
+from repro.profiling import CompiledMachine, EdgeProfile, Machine, make_machine
 from repro.ssa import build_ssa, optimize
 
 SOURCE = """
@@ -60,12 +60,22 @@ def test_interpreter_throughput(benchmark):
     assert isinstance(result, int)
 
 
+#: A hot-trace threshold no run reaches: ``CompiledMachine`` then stays
+#: on its block-compiled closures, which is what the timings below
+#: measure (hot traces have their own bar in test_trace_interp_speedup).
+NEVER_HOT = 1 << 62
+
+
+def _block_machine(module):
+    return CompiledMachine(module, trace_hot_threshold=NEVER_HOT)
+
+
 def test_interpreter_throughput_fast(benchmark):
     """Same workload on the block-compiled fast path."""
     module = _module()
 
     def run():
-        return CompiledMachine(module).run("main", [2000])
+        return _block_machine(module).run("main", [2000])
 
     result = benchmark(run)
     assert result == Machine(module).run("main", [2000])
@@ -88,11 +98,11 @@ def test_interpreter_speedup():
     n = 20_000
     expected = Machine(module).run("main", [n])
 
-    machine_fast = CompiledMachine(module)
+    machine_fast = _block_machine(module)
     assert machine_fast.run("main", [n]) == expected  # warm + verify
 
     slow = _time_best_of(lambda: Machine(module).run("main", [n]))
-    fast = _time_best_of(lambda: CompiledMachine(module).run("main", [n]))
+    fast = _time_best_of(lambda: _block_machine(module).run("main", [n]))
     speedup = slow / fast
     print(f"\ninterpreter speedup (no tracers): {speedup:.2f}x")
     assert speedup >= 3.0
@@ -101,15 +111,15 @@ def test_interpreter_speedup():
         lambda: _run_with_edge_profile(Machine, module, n)
     )
     fast_traced = _time_best_of(
-        lambda: _run_with_edge_profile(CompiledMachine, module, n)
+        lambda: _run_with_edge_profile(_block_machine, module, n)
     )
     traced_speedup = slow_traced / fast_traced
     print(f"interpreter speedup (EdgeProfile): {traced_speedup:.2f}x")
     assert traced_speedup >= 1.5
 
 
-def _run_with_edge_profile(cls, module, n):
-    machine = cls(module)
+def _run_with_edge_profile(new_machine, module, n):
+    machine = new_machine(module)
     machine.add_tracer(EdgeProfile())
     return machine.run("main", [n])
 
@@ -383,7 +393,7 @@ def test_trace_interp_speedup():
 
         def run_trace():
             engine = VectorTimingEngine(TimingModel())
-            machine = CompiledMachine(module, trace=True, timing_engine=engine)
+            machine = make_machine(module, timing_engine=engine)
             machine.run("main", [n])
             engine.flush()
             return engine
@@ -417,7 +427,7 @@ def test_trace_interp_speedup():
         "benchmarks": per_bench,
         "aggregate_speedup": round(aggregate, 2),
         "baseline": "CompiledMachine + per-op TimingTracer",
-        "contender": "CompiledMachine(trace) + VectorTimingEngine",
+        "contender": "CompiledMachine (hot traces) + VectorTimingEngine",
     }
     emit_json("BENCH_interp", payload)
     print(f"\ntrace-interp trajectory: {payload}")

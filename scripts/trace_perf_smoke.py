@@ -64,7 +64,7 @@ def check_timing_speedup() -> bool:
     from repro.benchsuite.runner import _build_clean_module
     from repro.machine.timing import TimingModel, TimingTracer
     from repro.machine.vector_timing import VectorTimingEngine
-    from repro.profiling.compiled import CompiledMachine
+    from repro.profiling.compiled import make_machine
 
     bench = next(b for b in SUITE if b.name == "bzip2")
     module = _build_clean_module(bench)
@@ -72,14 +72,14 @@ def check_timing_speedup() -> bool:
 
     def run_base():
         tracer = TimingTracer(TimingModel())
-        machine = CompiledMachine(module)
+        machine = make_machine(module)
         machine.add_tracer(tracer)
         machine.run("main", [n])
         return tracer
 
     def run_trace():
         engine = VectorTimingEngine(TimingModel())
-        machine = CompiledMachine(module, trace=True, timing_engine=engine)
+        machine = make_machine(module, timing_engine=engine)
         machine.run("main", [n])
         engine.flush()
         return engine

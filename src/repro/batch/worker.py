@@ -23,12 +23,7 @@ from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 from repro.batch.cache import ResultCache
-from repro.core.config import (
-    SptConfig,
-    anticipated_config,
-    basic_config,
-    best_config,
-)
+from repro.core.config import CONFIG_FACTORIES, SptConfig
 from repro.core.pipeline import Workload, compile_spt
 from repro.frontend import compile_minic
 from repro.ir import format_module, parse_module
@@ -40,13 +35,9 @@ __all__ = [
     "canonical_module_text",
     "compile_program_task",
     "config_from_task",
+    "program_key",
+    "workload_from_task",
 ]
-
-_CONFIG_FACTORIES = {
-    "basic": basic_config,
-    "best": best_config,
-    "anticipated": anticipated_config,
-}
 
 
 def canonical_module_text(source: str) -> str:
@@ -62,9 +53,16 @@ def canonical_module_text(source: str) -> str:
 
 def config_from_task(task: Dict) -> SptConfig:
     """Rebuild the SptConfig a task describes (preset + overrides)."""
-    config = _CONFIG_FACTORIES[task["config"]]()
+    config = CONFIG_FACTORIES[task["config"]]()
     overrides = task.get("config_overrides") or {}
     return config.with_overrides(**overrides) if overrides else config
+
+
+def workload_from_task(task: Dict) -> Workload:
+    """The workload a task describes."""
+    return Workload(
+        entry=task["entry"], args=tuple(task["args"]), fuel=task["fuel"]
+    )
 
 
 def _load_module(source: str, name: str):
@@ -181,7 +179,11 @@ def compile_program_task(
     return entry, delta
 
 
-def _program_key(task: Dict, config: SptConfig, workload: Workload) -> str:
+def program_key(task: Dict, config: SptConfig, workload: Workload) -> str:
+    """The cache key of a task's program: canonical module IR x config
+    fingerprint x workload token.  The one derivation every cache tier
+    (batch, serve's memory and disk tiers, ``explain --cache-dir``)
+    uses."""
     return ResultCache.program_key(
         canonical_module_text(task["source"]),
         config.fingerprint(),
@@ -195,19 +197,17 @@ def _compile_with_cache(
     task: Dict, cache: Optional[ResultCache], telemetry=None
 ) -> Dict:
     config = config_from_task(task)
-    workload = Workload(
-        entry=task["entry"], args=tuple(task["args"]), fuel=task["fuel"]
-    )
+    workload = workload_from_task(task)
 
     if cache is not None:
-        program_key = _program_key(task, config, workload)
-        cached = cache.get_program(program_key)
+        key = program_key(task, config, workload)
+        cached = cache.get_program(key)
         if cached is not None:
             return {
                 "status": "ok",
                 "summary": cached["summary"],
                 "cached": True,
-                "program_key": program_key,
+                "program_key": key,
             }
 
     module = _load_module(task["source"], task["name"])
@@ -219,8 +219,8 @@ def _compile_with_cache(
     summary = json.loads(json.dumps(result.to_dict()))
     out = {"status": "ok", "summary": summary, "cached": False}
     if cache is not None:
-        cache.put_program(program_key, {"summary": summary})
-        out["program_key"] = program_key
+        cache.put_program(key, {"summary": summary})
+        out["program_key"] = key
     return out
 
 
@@ -230,10 +230,10 @@ def probe_cache(
     """Read-only cache inspection for ``repro explain --cache-dir``:
     the program key, and whether this (program, config, workload)
     combination has a loadable program entry."""
-    program_key = _program_key({"source": source}, config, workload)
+    key = program_key({"source": source}, config, workload)
     return {
         "cache_dir": cache.cache_dir,
-        "program_key": program_key,
-        "program_hit": cache.get_program(program_key) is not None,
+        "program_key": key,
+        "program_hit": cache.get_program(key) is not None,
     }
 

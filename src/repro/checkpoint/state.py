@@ -17,9 +17,9 @@ label, position in block)``, derived deterministically from the module
 -- two processes that loaded/compiled the same module agree on every
 key, which is what makes restore-into-a-fresh-process exact.
 
-Everything *derived* (timing tick memos, loop-nest caches, block fuel
-precharges) is deliberately not captured: it is recomputed on demand
-and cannot affect results, only wall-clock.
+Everything *derived* (timing tick memos, loop-nest caches) is
+deliberately not captured: it is recomputed on demand and cannot affect
+results, only wall-clock.
 """
 
 from __future__ import annotations

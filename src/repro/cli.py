@@ -29,12 +29,7 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.analysis.loops import LoopNest
-from repro.core.config import (
-    SptConfig,
-    anticipated_config,
-    basic_config,
-    best_config,
-)
+from repro.core.config import CONFIG_FACTORIES, SptConfig
 from repro.core.pipeline import (
     Workload,
     WorkloadError,
@@ -44,23 +39,22 @@ from repro.core.pipeline import (
 from repro.frontend import compile_minic
 from repro.ir import format_module, parse_module
 from repro.ir.function import Module
-from repro.machine.timing import TimingModel, TimingTracer
-from repro.profiling import InterpError, Machine
-
-CONFIG_FACTORIES = {
-    "basic": basic_config,
-    "best": best_config,
-    "anticipated": anticipated_config,
-}
+from repro.profiling import InterpError, make_machine
 
 
-def load_module(path: str, name: str = None) -> Module:
-    """Load MiniC or textual IR from ``path`` (``-`` for stdin)."""
+def _read_source(path: str) -> str:
+    """The program text at ``path`` (``-`` for stdin)."""
     if path == "-":
-        source = sys.stdin.read()
-    else:
-        with open(path) as handle:
-            source = handle.read()
+        return sys.stdin.read()
+    with open(path) as handle:
+        return handle.read()
+
+
+def load_module(path: str, name: str = None, source: str = None) -> Module:
+    """Load MiniC or textual IR from ``path`` (``-`` for stdin), or from
+    ``source`` when the caller has already read ``path``."""
+    if source is None:
+        source = _read_source(path)
     stripped = source.lstrip()
     module_name = name or (path.rsplit("/", 1)[-1].split(".")[0])
     if stripped.startswith("module ") or stripped.startswith("func "):
@@ -71,7 +65,12 @@ def load_module(path: str, name: str = None) -> Module:
 def _parse_args_list(raw: Optional[str]) -> List[int]:
     if not raw:
         return []
-    return [int(part) for part in raw.split(",") if part.strip()]
+    try:
+        return [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise WorkloadError(
+            f"arguments must be comma-separated integers, got {raw!r}"
+        ) from None
 
 
 def _config_from_args(args: argparse.Namespace) -> SptConfig:
@@ -156,18 +155,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
     check_workload(module, workload)
-    machine = Machine(module, fuel=args.fuel)
-    tracer = None
     if args.timing:
-        tracer = TimingTracer(TimingModel())
-        machine.add_tracer(tracer)
+        from repro.perf.runner import timed_machine
+
+        machine, accounting = timed_machine(module, fuel=args.fuel)
+    else:
+        machine, accounting = make_machine(module, fuel=args.fuel), None
     with _workload_run():
         result = machine.run(workload.entry, list(workload.args))
     print(f"result: {result}")
-    if tracer is not None:
-        print(f"instructions: {tracer.instructions}")
-        print(f"cycles:       {tracer.cycles:.0f}")
-        print(f"IPC:          {tracer.ipc:.3f}")
+    if accounting is not None:
+        print(f"instructions: {accounting.instructions}")
+        print(f"cycles:       {accounting.cycles:.0f}")
+        print(f"IPC:          {accounting.ipc:.3f}")
     return 0
 
 
@@ -373,7 +373,8 @@ def cmd_summary(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     from repro.report import explain_text
 
-    module = load_module(args.source)
+    source = _read_source(args.source)
+    module = load_module(args.source, source=source)
     config = _config_from_args(args)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
     telemetry = _telemetry_from_args(args)
@@ -389,8 +390,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         from repro.batch.worker import probe_cache
         from repro.report.explain import cache_probe_text
 
-        with open(args.source) as handle:
-            source = handle.read()
         cache = ResultCache(args.cache_dir or None)
         probe = probe_cache(source, config, workload, cache)
         if telemetry is not None:
@@ -525,7 +524,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ready_file=args.ready_file,
         request_log_path=args.request_log,
         max_body_bytes=args.max_body_bytes,
-        heartbeat_s=args.heartbeat,
     )
 
 
@@ -644,6 +642,7 @@ def cmd_perf_record(args: argparse.Namespace) -> int:
     from repro.perf import record_program
 
     config = _config_from_args(args)
+    workload_args = _parse_args_list(args.args)
     ledger = Ledger(args.ledger_dir)
     try:
         paths = _expand_perf_sources(args.sources)
@@ -656,7 +655,7 @@ def cmd_perf_record(args: argparse.Namespace) -> int:
             kind=args.kind,
             config=config,
             entry=args.entry,
-            args=_parse_args_list(args.args),
+            args=workload_args,
             fuel=args.fuel,
         )
         run_id = ledger.append(record)
@@ -1027,11 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reject request bodies larger than this with 413 "
              "(default 4 MiB)",
     )
-    serve_p.add_argument(
-        "--heartbeat", type=float, default=None,
-        help="worker heartbeat period in seconds (default: off; "
-             "liveness comes from the claim slots)",
-    )
     serve_p.set_defaults(fn=cmd_serve)
 
     perf_p = sub.add_parser(
@@ -1155,7 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument(
         "--oracle", action="append", default=None, metavar="NAME",
         help="restrict to one oracle (repeatable): "
-             "interp, cost, partition, spt",
+             "checkpoint, cost, interp, partition, spt",
     )
     fuzz_p.add_argument(
         "--corpus-dir", default=None, metavar="DIR",

@@ -206,3 +206,12 @@ def anticipated_config() -> SptConfig:
         enable_modref_summaries=True,
         enable_privatization=True,
     )
+
+
+#: The paper's three compilations (Figure 14) by name: the one preset
+#: table behind ``--config``, batch and serve tasks, and the figures.
+CONFIG_FACTORIES = {
+    "basic": basic_config,
+    "best": best_config,
+    "anticipated": anticipated_config,
+}

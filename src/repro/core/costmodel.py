@@ -33,73 +33,34 @@ Two evaluators serve the search:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from repro.core.costgraph import CostGraph, PseudoNode
+from repro.core.costgraph import CostGraph
 
 #: Default bound on memoized entries/states per evaluator.
 DEFAULT_CACHE_SIZE = 4096
 
 
-def reexecution_probabilities(
-    cg: CostGraph, prefork: Iterable[Hashable]
-) -> Dict[Hashable, float]:
-    """Re-execution probability of every node (pseudo keys included).
+class _Propagation:
+    """The one full-graph propagation (steps 1-2), the one cost sum
+    (step 3) and the counters every evaluator reports.
 
-    ``prefork`` holds the keys of violation candidates assigned to the
-    pre-fork region.
-    """
-    prefork_set: Set[Hashable] = set(prefork)
-    v: Dict[object, float] = {}
+    :func:`misspeculation_cost` and :func:`reexecution_probabilities`
+    run it once and both evaluators inherit it, so the incremental
+    evaluator is held bit for bit to this one routine, not a copy."""
 
-    for key, pseudo in cg.pseudos.items():
-        v[pseudo] = 0.0 if key in prefork_set else pseudo.violation_prob
-
-    for node in cg.topo_nodes:
-        x = 0.0
-        for pred, r in cg.in_edges.get(node, ()):
-            x = 1.0 - (1.0 - x) * (1.0 - r * v.get(pred, 0.0))
-        v[node] = x
-
-    # Re-key pseudo entries by their candidate for external consumption.
-    result: Dict[Hashable, float] = {}
-    for node in cg.topo_nodes:
-        result[node] = v[node]
-    for key, pseudo in cg.pseudos.items():
-        result[("pseudo", key)] = v[pseudo]
-    return result
-
-
-def misspeculation_cost(cg: CostGraph, prefork: Iterable[Hashable]) -> float:
-    """Expected re-executed computation per speculative iteration
-    (§4.2.4)."""
-    prefork_set: Set[Hashable] = set(prefork)
-    v: Dict[object, float] = {}
-    for key, pseudo in cg.pseudos.items():
-        v[pseudo] = 0.0 if key in prefork_set else pseudo.violation_prob
-
-    total = 0.0
-    for node in cg.topo_nodes:
-        x = 0.0
-        for pred, r in cg.in_edges.get(node, ()):
-            x = 1.0 - (1.0 - x) * (1.0 - r * v.get(pred, 0.0))
-        v[node] = x
-        total += x * cg.costs[node]
-    return total
-
-
-class CostEvaluator:
-    """Memoized full-recompute misspeculation-cost evaluation.
-
-    The branch-and-bound search evaluates many nearby partitions; the
-    evaluator caches results by frozen pre-fork set.  The cache is
-    LRU-bounded so large VC sets cannot grow it without limit.
-    """
-
-    def __init__(self, cg: CostGraph, max_size: int = DEFAULT_CACHE_SIZE):
+    def __init__(self, cg: CostGraph):
         self.cg = cg
-        self.max_size = max_size
-        self._cache: "OrderedDict[FrozenSet, float]" = OrderedDict()
         #: Number of cost computations actually performed (cache misses).
         self.evaluations = 0
         #: Number of cache hits.
@@ -114,7 +75,79 @@ class CostEvaluator:
 
     def stats(self) -> Dict[str, float]:
         """Counter snapshot for telemetry and diagnostics."""
-        return _evaluator_stats(self)
+        return {
+            "evaluations": self.evaluations,
+            "cache_hits": self.cache_hits,
+            "hit_rate": self.hit_rate,
+            "node_visits": self.node_visits,
+        }
+
+    def _propagate(self, prefork: AbstractSet[Hashable]) -> Dict[object, float]:
+        """Every node's re-execution probability, pseudo nodes keyed by
+        their :class:`~repro.core.costgraph.PseudoNode`."""
+        cg = self.cg
+        v: Dict[object, float] = {}
+        for key, pseudo in cg.pseudos.items():
+            v[pseudo] = 0.0 if key in prefork else pseudo.violation_prob
+        for node in cg.topo_nodes:
+            x = 0.0
+            for pred, r in cg.in_edges.get(node, ()):
+                x = 1.0 - (1.0 - x) * (1.0 - r * v.get(pred, 0.0))
+            v[node] = x
+        self.node_visits += cg.size
+        return v
+
+    def _total(self, v: Dict) -> float:
+        # Summed in one fixed (topological) order, so every evaluator's
+        # cost of the same vector agrees bitwise.
+        cg = self.cg
+        total = 0.0
+        for node in cg.topo_nodes:
+            total += v[node] * cg.costs[node]
+        return total
+
+    def _rekeyed(self, v: Dict) -> Dict[Hashable, float]:
+        """``v`` for external consumption: pseudo entries re-keyed as
+        ``("pseudo", candidate key)``."""
+        result: Dict[Hashable, float] = {}
+        for node in self.cg.topo_nodes:
+            result[node] = v[node]
+        for key, pseudo in self.cg.pseudos.items():
+            result[("pseudo", key)] = v[pseudo]
+        return result
+
+
+def reexecution_probabilities(
+    cg: CostGraph, prefork: Iterable[Hashable]
+) -> Dict[Hashable, float]:
+    """Re-execution probability of every node (pseudo keys included).
+
+    ``prefork`` holds the keys of violation candidates assigned to the
+    pre-fork region.
+    """
+    propagation = _Propagation(cg)
+    return propagation._rekeyed(propagation._propagate(set(prefork)))
+
+
+def misspeculation_cost(cg: CostGraph, prefork: Iterable[Hashable]) -> float:
+    """Expected re-executed computation per speculative iteration
+    (§4.2.4)."""
+    propagation = _Propagation(cg)
+    return propagation._total(propagation._propagate(set(prefork)))
+
+
+class CostEvaluator(_Propagation):
+    """Memoized full-recompute misspeculation-cost evaluation.
+
+    The branch-and-bound search evaluates many nearby partitions; the
+    evaluator caches results by frozen pre-fork set.  The cache is
+    LRU-bounded so large VC sets cannot grow it without limit.
+    """
+
+    def __init__(self, cg: CostGraph, max_size: int = DEFAULT_CACHE_SIZE):
+        super().__init__(cg)
+        self.max_size = max_size
+        self._cache: "OrderedDict[FrozenSet, float]" = OrderedDict()
 
     def cost(self, prefork: Iterable[Hashable]) -> float:
         key = frozenset(prefork)
@@ -124,15 +157,14 @@ class CostEvaluator:
             self._cache.move_to_end(key)
             return cached
         self.evaluations += 1
-        self.node_visits += self.cg.size
-        value = misspeculation_cost(self.cg, key)
+        value = self._total(self._propagate(key))
         self._cache[key] = value
         if len(self._cache) > self.max_size:
             self._cache.popitem(last=False)
         return value
 
 
-class IncrementalCostEvaluator:
+class IncrementalCostEvaluator(_Propagation):
     """Incremental misspeculation-cost evaluation over nearby subsets.
 
     The search's moves are tiny: a child subset adds one VC to the
@@ -150,14 +182,10 @@ class IncrementalCostEvaluator:
     """
 
     def __init__(self, cg: CostGraph, max_states: int = DEFAULT_CACHE_SIZE):
-        self.cg = cg
+        super().__init__(cg)
         self.max_states = max_states
         #: frozen pre-fork set -> (probability vector, cost)
         self._states: "OrderedDict[FrozenSet, Tuple[Dict, float]]" = OrderedDict()
-        self.evaluations = 0
-        self.cache_hits = 0
-        #: Cost-graph nodes visited by propagation (the ≥5× metric).
-        self.node_visits = 0
 
         #: successor adjacency: PseudoNode or node key -> [op nodes]
         self._succs: Dict[object, List[Hashable]] = {}
@@ -170,15 +198,6 @@ class IncrementalCostEvaluator:
         #: vc key -> topo-sorted list of operation nodes downstream of
         #: its pseudo node (computed lazily, memoized).
         self._downstream: Dict[Hashable, List[Hashable]] = {}
-
-    @property
-    def hit_rate(self) -> float:
-        requests = self.evaluations + self.cache_hits
-        return self.cache_hits / requests if requests else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Counter snapshot for telemetry and diagnostics."""
-        return _evaluator_stats(self)
 
     # -- reachability ---------------------------------------------------
 
@@ -200,29 +219,6 @@ class IncrementalCostEvaluator:
         return ordered
 
     # -- state construction ---------------------------------------------
-
-    def _full_state(self, key: FrozenSet) -> Tuple[Dict, float]:
-        """Propagate the whole graph (mirrors misspeculation_cost)."""
-        cg = self.cg
-        v: Dict[object, float] = {}
-        for vc_key, pseudo in cg.pseudos.items():
-            v[pseudo] = 0.0 if vc_key in key else pseudo.violation_prob
-        for node in cg.topo_nodes:
-            x = 0.0
-            for pred, r in cg.in_edges.get(node, ()):
-                x = 1.0 - (1.0 - x) * (1.0 - r * v.get(pred, 0.0))
-            v[node] = x
-        self.node_visits += cg.size
-        return v, self._total(v)
-
-    def _total(self, v: Dict) -> float:
-        # Summed in topological order with the same accumulation order
-        # as misspeculation_cost, so results agree bitwise.
-        cg = self.cg
-        total = 0.0
-        for node in cg.topo_nodes:
-            total += v[node] * cg.costs[node]
-        return total
 
     def _incremental_state(
         self, parent: Tuple[Dict, float], parent_key: FrozenSet, key: FrozenSet
@@ -325,7 +321,8 @@ class IncrementalCostEvaluator:
         self.evaluations += 1
         parent = self._find_parent(key)
         if parent is None:
-            state = self._full_state(key)
+            v = self._propagate(key)
+            state = v, self._total(v)
         else:
             parent_key, parent_state = parent
             state = self._incremental_state(parent_state, parent_key, key)
@@ -339,23 +336,7 @@ class IncrementalCostEvaluator:
         (re-keyed like :func:`reexecution_probabilities`)."""
         key = frozenset(prefork)
         self.cost(key)
-        v = self._states[key][0]
-        result: Dict[Hashable, float] = {}
-        for node in self.cg.topo_nodes:
-            result[node] = v[node]
-        for vc_key, pseudo in self.cg.pseudos.items():
-            result[("pseudo", vc_key)] = v[pseudo]
-        return result
-
-
-def _evaluator_stats(evaluator) -> Dict[str, float]:
-    """The common counter snapshot both evaluator flavours expose."""
-    return {
-        "evaluations": evaluator.evaluations,
-        "cache_hits": evaluator.cache_hits,
-        "hit_rate": evaluator.hit_rate,
-        "node_visits": evaluator.node_visits,
-    }
+        return self._rekeyed(self._states[key][0])
 
 
 def make_cost_evaluator(cg: CostGraph, config=None):

@@ -8,7 +8,9 @@ reference tier (:class:`~repro.profiling.interp.Machine` with a per-op
 :class:`~repro.machine.timing.TimingTracer`), which is the oracle and
 the only tier that checkpoints.  ``repro simulate``, ``perf record``,
 the suite evaluation, the checkpoint runner and the fuzz oracles all
-simulate through :func:`build_simulation` / :func:`simulate_program`.
+simulate through :func:`build_simulation` / :func:`simulate_program`;
+``repro run --timing`` and the suite's base run take a bare
+:func:`timed_machine`.
 
 ``record_program`` is the engine behind ``repro perf record``: it
 compiles (and for ``kind="simulate"`` also simulates) one source file

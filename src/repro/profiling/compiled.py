@@ -25,21 +25,23 @@ execution, into a flat list of specialized closures:
 
 Two further layers stack on top of the block-compiled path:
 
-* **hot-trace splicing** (``trace=True``): block paths that stay hot
-  are recorded and compiled into single superblock closures with
-  guarded side exits (:mod:`repro.profiling.traces`);
+* **hot-trace splicing**: wherever no per-op observer (``on_instr``,
+  ``on_def``, ``on_load``, ``on_store``, ``on_call``) is attached, block
+  paths that stay hot are recorded and compiled into single superblock
+  functions with guarded side exits (:mod:`repro.profiling.traces`);
 * a **vectorized timing engine** (``timing_engine=...``): block-batched
   cycle accounting that replaces a per-op
   :class:`~repro.machine.timing.TimingTracer`
   (:mod:`repro.machine.vector_timing`), driven from the block driver
   and from inside compiled traces.
 
-Semantics match the reference interpreter exactly on well-formed
-programs: return values, memory state, ``Machine.executed`` counts and
-tracer event streams are all identical (the differential tests in
-``tests/profiling/test_compiled.py`` and
+Semantics match the reference interpreter -- the one oracle -- exactly
+on well-formed programs: return values, memory state,
+``Machine.executed`` counts and tracer event streams are all identical
+(the differential tests in ``tests/profiling/test_compiled.py`` and
 ``tests/profiling/test_trace_interp.py`` assert this over the whole
-benchmark suite).  The only tolerated divergence is *which* error
+benchmark suite, and the fuzz oracle ``interp`` over generated
+programs).  The only tolerated divergence is *which* error
 surfaces first on already-broken programs: batched fuel may exhaust at
 block entry (or, under traces, at a pass boundary) where the reference
 interpreter would first hit, say, a division by zero mid-block.
@@ -86,6 +88,12 @@ _RETURN = object()
 #: Sentinel in ``_CompiledFunction.traces``: this entry label is known
 #: not to yield a useful trace; never record it again this run.
 _BLACKLISTED = object()
+
+#: Longest recordable path (superblock size cap).
+_TRACE_MAX_BLOCKS = 32
+
+#: Trace-count cap per function (memory bound).
+_TRACE_MAX_PER_FUNC = 64
 
 #: Tracer hook names that affect compiled code generation.
 _HOOK_NAMES = (
@@ -169,12 +177,8 @@ class _CompiledFunction:
         self.reject_counts: Dict[str, int] = {}
         #: Hot-trace splicing engages only when no per-op observer needs
         #: the individual instruction stream.
-        self.tracing = (
-            machine.trace_enabled
-            and not hooks.per_instr
-            and not hooks.on_load
-            and not hooks.on_store
-            and not hooks.on_call
+        self.tracing = not (
+            hooks.per_instr or hooks.on_load or hooks.on_store or hooks.on_call
         )
 
     # -- operand accessors -------------------------------------------
@@ -340,6 +344,9 @@ class _CompiledFunction:
         return core
 
     def _store_core(self, instr: Store) -> Callable:
+        # An out-of-range store fails as in the reference interpreter,
+        # whose store reads the old value first: "load from invalid
+        # address".
         get_base = self._accessor(instr.base)
         get_off = self._accessor(instr.offset)
         get_value = self._accessor(instr.value)
@@ -377,7 +384,7 @@ class _CompiledFunction:
                 if 0 <= addr < len(mem):
                     mem[addr] = value
                 else:
-                    raise InterpError(f"store to invalid address {addr}")
+                    raise InterpError(f"load from invalid address {addr}")
                 e_store(addr)
                 return None
 
@@ -390,7 +397,7 @@ class _CompiledFunction:
             if 0 <= addr < len(mem):
                 mem[addr] = value
             else:
-                raise InterpError(f"store to invalid address {addr}")
+                raise InterpError(f"load from invalid address {addr}")
             return None
 
         return core
@@ -682,6 +689,7 @@ class _CompiledFunction:
         label = func.entry.label
         prev_label: Optional[str] = None
         traces = self.traces if self.tracing else None
+        hot_counts = self.hot_counts
         hot_threshold = machine.trace_hot_threshold
         recording: Optional[List[str]] = None
         rec_seen = None
@@ -690,8 +698,8 @@ class _CompiledFunction:
             if traces is not None:
                 tr = traces.get(label)
                 if tr is None:
-                    count = self.hot_counts.get(label, 0) + 1
-                    self.hot_counts[label] = count
+                    count = hot_counts.get(label, 0) + 1
+                    hot_counts[label] = count
                     # ``>=`` not ``==``: a block can cross the threshold
                     # while another recording is active (or while the
                     # per-function trace budget is full) and must still
@@ -701,9 +709,9 @@ class _CompiledFunction:
                     if (
                         count >= hot_threshold
                         and recording is None
-                        and len(traces) < machine.trace_max_per_func
+                        and len(traces) < _TRACE_MAX_PER_FUNC
                     ):
-                        self.hot_counts[label] = 0
+                        hot_counts[label] = 0
                         recording = [label]
                         rec_seen = {label}
                 elif tr is not _BLACKLISTED and recording is None:
@@ -777,7 +785,7 @@ class _CompiledFunction:
                 elif nxt == recording[0]:
                     cyclic = True
                 elif (
-                    len(recording) >= machine.trace_max_blocks
+                    len(recording) >= _TRACE_MAX_BLOCKS
                     or nxt in rec_seen
                 ):
                     # Recording runs *through* blocks that already
@@ -887,38 +895,31 @@ class _CompiledFunction:
 class CompiledMachine(Machine):
     """A :class:`Machine` that executes through the compiled fast path.
 
-    Drop-in compatible: same constructor, same ``run``/``add_tracer``/
-    ``register_intrinsic`` API, same memory and symbol layout (both are
-    inherited untouched).  Blocks are compiled lazily on first
-    execution and the compiled code is discarded whenever ``run`` is
-    invoked, so modules mutated between runs are always re-lowered.
-
-    With ``trace=True``, hot block paths are additionally spliced into
-    superblock traces (:mod:`repro.profiling.traces`); a
+    Same ``run``/``add_tracer``/``register_intrinsic`` API and the same
+    memory and symbol layout (both are inherited untouched).  Blocks
+    are compiled lazily on first execution and the compiled code is
+    discarded whenever ``run`` is invoked, so modules mutated between
+    runs are always re-lowered.  Hot block paths are spliced into
+    superblock traces (:mod:`repro.profiling.traces`) wherever no
+    per-op observer is attached; a
     :class:`~repro.machine.vector_timing.VectorTimingEngine` passed as
     ``timing_engine`` receives block-batched timing events from both
-    the block driver and compiled traces.
+    the block driver and compiled traces.  Build it through
+    :func:`make_machine`.
     """
 
     def __init__(
         self, module: Module, fuel: int = 50_000_000, telemetry=None,
-        watchdog=None, trace: bool = False, timing_engine=None,
-        trace_hot_threshold: int = 16, trace_max_blocks: int = 32,
-        trace_max_per_func: int = 64,
+        watchdog=None, timing_engine=None, trace_hot_threshold: int = 16,
     ):
         super().__init__(
             module, fuel=fuel, telemetry=telemetry, watchdog=watchdog
         )
         self._hooks: Optional[_Hooks] = None
         self._code: Dict[str, _CompiledFunction] = {}
-        self.trace_enabled = trace
         self.timing_engine = timing_engine
         #: Block executions before an entry label starts recording.
         self.trace_hot_threshold = trace_hot_threshold
-        #: Longest recordable path (superblock size cap).
-        self.trace_max_blocks = trace_max_blocks
-        #: Trace-count cap per function (memory bound).
-        self.trace_max_per_func = trace_max_per_func
         #: (func_name, entry_label) -> TraceStats, accumulated across
         #: runs and recompilations (telemetry / ``repro explain``).
         self._trace_stats: Dict[Tuple[str, str], object] = {}
@@ -950,16 +951,6 @@ class CompiledMachine(Machine):
         self._bail_counter += 1
         return self._bail_counter % self._trace_bailout == 0
 
-    def invalidate_traces(self) -> None:
-        """Drop every installed trace and hot counter (the block-level
-        code and its semantics are untouched)."""
-        for code in self._code.values():
-            if code.traces:
-                self.trace_invalidations += len(code.traces)
-            code.traces.clear()
-            code.hot_counts.clear()
-            code.reject_counts.clear()
-
     def release_code(self) -> None:
         """Drop the last run's compiled code.  Compiled blocks and traces
         refer back to the machine (and a trace's entry-phi helper to its
@@ -985,7 +976,7 @@ class CompiledMachine(Machine):
         # invalidated here too.
         self._hooks = _Hooks(self.tracers)
         self._code = {}
-        if not (self.trace_enabled and self.telemetry.enabled):
+        if not self.telemetry.enabled:
             return super()._execute(func_name, args)
         before = self._trace_counters()
         try:
@@ -1038,7 +1029,7 @@ def make_machine(
     if fast:
         return CompiledMachine(
             module, fuel=fuel, telemetry=telemetry, watchdog=watchdog,
-            trace=True, timing_engine=timing_engine,
+            timing_engine=timing_engine,
         )
     if timing_engine is not None:
         raise ValueError(

@@ -2,7 +2,9 @@
 
 The interpreter is the execution substrate for the whole evaluation
 stack: profilers observe it through the :class:`Tracer` hook interface,
-and the SPT machine model replays the traces it produces.
+and the SPT machine model replays the traces it produces.  It is kept
+plain -- one exact per-op block loop -- because it is the one oracle the
+fast tier (:mod:`repro.profiling.compiled`) is tested against.
 
 Design notes:
 
@@ -202,9 +204,9 @@ class Machine:
         #: Telemetry collector; the NULL singleton keeps the hot path
         #: to a single ``enabled`` check per :meth:`run`.
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: Optional :class:`repro.resilience.Watchdog`; polled
-        #: (amortized) at every fuel spend so a phase deadline can break
-        #: a wedged or runaway profiling run.
+        #: Optional :class:`repro.resilience.Watchdog`; polled at every
+        #: fuel spend so a phase deadline can break a wedged or runaway
+        #: profiling run.
         self.watchdog = watchdog
         self.executed = 0
         #: Flat word-addressed memory.
@@ -215,9 +217,6 @@ class Machine:
         self.regions: List = []
         self.intrinsics: Dict[str, Callable] = {}
         self.tracers: List[Tracer] = []
-        # id(block) -> (block, fuel ops); the block reference pins the
-        # id.  Supports the amortized per-block fuel pre-charge.
-        self._block_costs: Dict[int, tuple] = {}
         #: Optional ``hook(machine, frame)`` fired at every block
         #: boundary of the *entry* frame (call depth 1) -- the only
         #: points where the full interpreter state is plain data, which
@@ -410,87 +409,19 @@ class Machine:
             return frame.env[value.name]
         raise InterpError(f"cannot evaluate {value!r}")
 
-    def _block_ops(self, block: Block) -> int:
-        """Ops a normal execution of ``block`` spends fuel on: leading
-        phis plus body instructions through the first terminator."""
-        entry = self._block_costs.get(id(block))
-        if entry is None:
-            count = 0
-            for instr in block.instrs:
-                count += 1
-                if instr.is_terminator:
-                    break
-            # The tuple pins the block object so its id cannot recycle.
-            entry = (block, count)
-            self._block_costs[id(block)] = entry
-        return entry[1]
-
     def _exec_block(self, frame: Frame) -> Optional[str]:
         """Execute ``frame.block``; return the next label or None on return.
 
-        Fuel accounting and watchdog polling are amortized: the block's
-        op count is pre-charged in one addition and the watchdog polled
-        once per block.  Near exhaustion (the pre-charge would cross the
-        fuel limit) the exact per-op slow path runs instead, so
-        ``FuelExhausted`` surfaces at the same op it always did.  If the
-        block aborts early (interpreter error), the charge for the
-        unexecuted tail is retracted before the exception propagates.
-        """
+        Every op spends its unit of fuel (and polls the watchdog) before
+        it runs, so ``FuelExhausted`` surfaces at the exact op that
+        crosses the budget."""
         block = frame.block
         func = frame.func
         tracers = self.tracers
         for tracer in tracers:
             tracer.on_block(func, block, frame.prev_label)
 
-        ops = self._block_ops(block)
-        if self.executed + ops > self.fuel:
-            return self._exec_block_ops_slow(frame, block, func)
-        if self.watchdog is not None:
-            self.watchdog.poll()
-        self.executed += ops
-        done = 0
-        try:
-            # Phis evaluate atomically against the incoming environment.
-            phi_updates: Dict[str, object] = {}
-            index = 0
-            for instr in block.instrs:
-                if not isinstance(instr, Phi):
-                    break
-                index += 1
-                done += 1
-                for tracer in tracers:
-                    tracer.on_instr(func, block, instr)
-                if frame.prev_label is None:
-                    raise InterpError(f"phi in entry block {block.label}")
-                if frame.prev_label not in instr.incomings:
-                    raise InterpError(
-                        f"phi {instr.dest} has no incoming for {frame.prev_label}"
-                    )
-                value = self._eval(frame, instr.incomings[frame.prev_label])
-                phi_updates[instr.dest.name] = value
-                for tracer in tracers:
-                    tracer.on_def(instr, value)
-            frame.env.update(phi_updates)
-
-            for instr in block.instrs[index:]:
-                done += 1
-                for tracer in tracers:
-                    tracer.on_instr(func, block, instr)
-                outcome = self._exec_instr(frame, instr)
-                if outcome is not _FALLTHROUGH:
-                    return outcome
-            raise InterpError(f"block {block.label} fell off the end")
-        except BaseException:
-            # Retract this block's unexecuted tail only -- charges made
-            # by nested calls stay (they retract their own tails).
-            self.executed -= ops - done
-            raise
-
-    def _exec_block_ops_slow(
-        self, frame: Frame, block: Block, func: Function
-    ) -> Optional[str]:
-        """Exact per-op fuel accounting (the pre-amortization hot loop),
-        used when the block's pre-charge could cross the fuel limit."""
+        # Phis evaluate atomically against the incoming environment.
         phi_updates: Dict[str, object] = {}
         index = 0
         for instr in block.instrs:
@@ -498,7 +429,7 @@ class Machine:
                 break
             index += 1
             self._spend_fuel()
-            for tracer in self.tracers:
+            for tracer in tracers:
                 tracer.on_instr(func, block, instr)
             if frame.prev_label is None:
                 raise InterpError(f"phi in entry block {block.label}")
@@ -508,13 +439,13 @@ class Machine:
                 )
             value = self._eval(frame, instr.incomings[frame.prev_label])
             phi_updates[instr.dest.name] = value
-            for tracer in self.tracers:
+            for tracer in tracers:
                 tracer.on_def(instr, value)
         frame.env.update(phi_updates)
 
         for instr in block.instrs[index:]:
             self._spend_fuel()
-            for tracer in self.tracers:
+            for tracer in tracers:
                 tracer.on_instr(func, block, instr)
             outcome = self._exec_instr(frame, instr)
             if outcome is not _FALLTHROUGH:
@@ -640,16 +571,13 @@ def run_module(
 ):
     """Convenience wrapper: build a machine, run, return (result, machine).
 
-    ``fast=True`` selects the block-compiled fast path
-    (:class:`repro.profiling.compiled.CompiledMachine`); the default is
-    the reference interpreter.
+    The machine comes from :func:`repro.profiling.compiled.make_machine`:
+    the reference interpreter by default, the fast tier with
+    ``fast=True``.
     """
-    if fast:
-        from repro.profiling.compiled import CompiledMachine
+    from repro.profiling.compiled import make_machine
 
-        machine: Machine = CompiledMachine(module, fuel=fuel)
-    else:
-        machine = Machine(module, fuel=fuel)
+    machine = make_machine(module, fuel=fuel, fast=fast)
     for name, fn in (intrinsics or {}).items():
         machine.register_intrinsic(name, fn)
     for tracer in tracers:

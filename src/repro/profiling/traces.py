@@ -25,7 +25,9 @@ specialized Python function compiled with :func:`compile`/``exec``:
 Correctness contract: a trace is only installed when it is bitwise
 equivalent to block-by-block execution -- same results, same memory,
 same ``Machine.executed``, same tracer event streams, same timing-model
-interaction order.  Undefined-variable uses are preserved through a
+interaction order.  Both answer to one oracle, the reference
+:class:`~repro.profiling.interp.Machine`: the differential tests and
+the fuzz oracle ``interp`` compare the traced fast tier against it.  Undefined-variable uses are preserved through a
 ``_MISS`` sentinel: locals not provably assigned before use are
 materialized as ``env.get(name, _MISS)`` and checked at each use, so
 the reference error surfaces at the same instruction.  The only
@@ -40,8 +42,7 @@ module mutation between runs) discards them.  Within a run, a trace
 whose guards fail too often relative to completed passes is dropped and
 re-recorded (a changed branch profile re-specializes the path), and
 entry labels that repeatedly fail to produce a useful trace are
-blacklisted.  ``CompiledMachine.invalidate_traces()`` drops everything
-explicitly.
+blacklisted.
 
 Set ``REPRO_TRACE_BAILOUT=<k>`` (see ``repro.resilience.faults`` for
 the convention) to force every *k*-th guard evaluation to exit the
@@ -516,7 +517,8 @@ class _TraceCompiler:
             emit("_m = M.memory")
             emit("if not (0 <= _a < len(_m)):")
             self.out.level += 1
-            emit('raise InterpError(f"store to invalid address {_a}")')
+            # The reference's store reads the old value first.
+            emit('raise InterpError(f"load from invalid address {_a}")')
             self.out.level -= 1
             emit("_m[_a] = _val")
             if self.engine is not None:

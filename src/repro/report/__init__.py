@@ -2,7 +2,6 @@
 formatting."""
 
 from repro.report.experiments import (
-    CONFIGS,
     PAPER_AVG_SPEEDUP,
     PAPER_IPC,
     evaluate,
@@ -27,7 +26,6 @@ from repro.report.explain import explain_loop_text, explain_text
 from repro.report.tables import arithmetic_mean, format_table, geometric_mean
 
 __all__ = [
-    "CONFIGS",
     "PAPER_AVG_SPEEDUP",
     "PAPER_IPC",
     "arithmetic_mean",

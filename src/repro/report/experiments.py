@@ -14,21 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.benchsuite.programs import SUITE, Benchmark
 from repro.benchsuite.runner import BenchmarkRun, run_benchmark
-from repro.core.config import (
-    SptConfig,
-    anticipated_config,
-    basic_config,
-    best_config,
-)
+from repro.core.config import CONFIG_FACTORIES
 from repro.core.selection import ALL_CATEGORIES
 from repro.report.tables import arithmetic_mean, format_table
-
-#: The three compiler configurations of Figure 14.
-CONFIGS: Dict[str, SptConfig] = {
-    "basic": basic_config(),
-    "best": best_config(),
-    "anticipated": anticipated_config(),
-}
 
 #: Paper reference values (for side-by-side reporting).
 PAPER_IPC = {
@@ -53,7 +41,9 @@ def evaluate(bench: Benchmark, config_name: str) -> BenchmarkRun:
     (memoized per process)."""
     key = (bench.name, config_name)
     if key not in _CACHE:
-        _CACHE[key] = run_benchmark(bench, CONFIGS[config_name], config_name)
+        _CACHE[key] = run_benchmark(
+            bench, CONFIG_FACTORIES[config_name](), config_name
+        )
     return _CACHE[key]
 
 
@@ -97,7 +87,7 @@ def table1_text() -> str:
 
 
 def figure14_rows() -> List[Tuple[str, float, float, float]]:
-    runs = {name: evaluate_suite(name) for name in CONFIGS}
+    runs = {name: evaluate_suite(name) for name in CONFIG_FACTORIES}
     rows = []
     for index, bench in enumerate(SUITE):
         rows.append(
@@ -178,7 +168,7 @@ def figure15_text(config_name: str = "best") -> str:
 
 def figure16_rows(config_name: str = "best"):
     rows = []
-    config = CONFIGS[config_name]
+    config = CONFIG_FACTORIES[config_name]()
     for run in evaluate_suite(config_name):
         max_cov = run.max_loop_coverage(config)
         rows.append((run.name, run.coverage, max_cov, run.spt_loop_count))

@@ -61,15 +61,11 @@ def prime_process() -> None:
     Serve-only: ``repro batch`` forks its workers without it, so a
     batch compiles nothing but its own programs.  Harmless to call
     again (a few milliseconds once everything is hot)."""
-    from repro.core.config import (
-        anticipated_config,
-        basic_config,
-        best_config,
-    )
+    from repro.core.config import CONFIG_FACTORIES, best_config
     from repro.core.pipeline import Workload, compile_spt
     from repro.frontend import compile_minic
 
-    for factory in (basic_config, best_config, anticipated_config):
+    for factory in CONFIG_FACTORIES.values():
         factory()
     module = compile_minic(WARMUP_SOURCE, name="warmup")
     compile_spt(
@@ -98,7 +94,6 @@ def run_daemon(
     ready_file: Optional[str] = None,
     request_log_path: Optional[str] = None,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    heartbeat_s: Optional[float] = None,
     log_stream=None,
 ) -> int:
     """Run the daemon to completion; the process exit code."""
@@ -114,8 +109,7 @@ def run_daemon(
 
     disk_cache_dir = None if no_cache else (cache_dir or default_cache_dir())
     pool = WorkerPool(
-        workers, disk_cache_dir, heartbeat_s=heartbeat_s, max_attempts=2,
-        unit="request",
+        workers, disk_cache_dir, max_attempts=2, unit="request",
     )
     deadline = time.monotonic() + 60.0
     while pool.ready < workers and time.monotonic() < deadline:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.config import CONFIG_FACTORIES
+
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
     "ERR_BAD_REQUEST",
@@ -67,8 +69,6 @@ _HTTP_STATUS = {
     ERR_SHUTTING_DOWN: 503,
     ERR_DEADLINE: 504,
 }
-
-_CONFIG_PRESETS = ("basic", "best", "anticipated")
 
 #: Fuel ceiling accepted from the wire (matches the CLI default's
 #: order of magnitude; a request cannot buy an unbounded interpreter
@@ -137,8 +137,8 @@ def normalize_compile_params(params) -> Dict:
     _require(isinstance(path, str) and path != "",
              "params.path must be a non-empty string")
     config = params.get("config", "best")
-    _require(config in _CONFIG_PRESETS,
-             f"params.config must be one of {_CONFIG_PRESETS}")
+    _require(config in CONFIG_FACTORIES,
+             f"params.config must be one of {tuple(CONFIG_FACTORIES)}")
     overrides = params.get("config_overrides") or {}
     _require(
         isinstance(overrides, dict)

@@ -40,9 +40,8 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.batch.cache import ResultCache
 from repro.batch.lifecycle import WorkerPool
-from repro.batch.worker import canonical_module_text, config_from_task
+from repro.batch.worker import config_from_task, program_key, workload_from_task
 from repro.obs.telemetry import MetricsRegistry
 from repro.resilience.faults import maybe_inject
 from repro.serve.memcache import MemoryCache
@@ -252,17 +251,11 @@ class CompileService:
         canonicalize (parse errors go to a worker so the error entry is
         produced by the same code path the CLI uses)."""
         try:
-            canonical = canonical_module_text(task["source"])
-            config = config_from_task(task)
+            return program_key(
+                task, config_from_task(task), workload_from_task(task)
+            )
         except Exception:  # noqa: BLE001 - any failure means "no key"
             return None
-        return ResultCache.program_key(
-            canonical,
-            config.fingerprint(),
-            ResultCache.workload_token(
-                task["entry"], tuple(task["args"]), task["fuel"]
-            ),
-        )
 
     def _retry_after_hint(self) -> float:
         """Seconds a rejected client should back off: the observed warm

@@ -7,9 +7,10 @@ failure-detail string.  The five oracles cross-check every pair of
 implementations the framework keeps:
 
 ``interp``
-    Reference interpreter vs block-compiled fast path: identical
-    results, final memory, fuel accounting (``executed``) and
-    block/edge trace streams.
+    Reference interpreter vs the fast tier (block-compiled, with hot
+    traces spliced in once a path runs hot): identical results, final
+    memory, fuel accounting (``executed``) and block/edge trace
+    streams.
 ``cost``
     Full (:class:`~repro.core.costmodel.CostEvaluator`) vs incremental
     (:class:`~repro.core.costmodel.IncrementalCostEvaluator`) cost
@@ -80,7 +81,7 @@ from repro.perf.runner import (
     simulate_program,
     spt_loop_sites,
 )
-from repro.profiling.compiled import CompiledMachine
+from repro.profiling.compiled import make_machine
 from repro.profiling.interp import Machine, Tracer
 from repro.ssa.construct import build_ssa
 from repro.ssa.optimize import optimize
@@ -118,9 +119,7 @@ class _TraceRecorder(Tracer):
 
 
 def _run(module, n: int, fast: bool):
-    machine = (
-        CompiledMachine(module, fuel=FUEL) if fast else Machine(module, fuel=FUEL)
-    )
+    machine = make_machine(module, fuel=FUEL, fast=fast)
     recorder = _TraceRecorder()
     machine.add_tracer(recorder)
     result = machine.run("main", [n])
@@ -131,7 +130,7 @@ def _workload_args(rng: random.Random) -> List[int]:
     return [rng.randint(0, 40), rng.randint(41, 400)]
 
 
-# -- oracle 1: reference vs compiled interpreter ----------------------------
+# -- oracle 1: reference interpreter vs the fast tier -----------------------
 
 
 def oracle_interp(spec, rng: random.Random) -> Optional[str]:

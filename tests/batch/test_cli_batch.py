@@ -1,5 +1,6 @@
 """CLI tests for ``repro batch`` and ``repro explain --cache-dir``."""
 
+import io
 import json
 import os
 
@@ -110,7 +111,7 @@ def test_batch_cli_obs_summary(corpus, tmp_path, capsys):
     assert "batch.cache.misses" in out
 
 
-def test_explain_cache_dir_probe(corpus, tmp_path, capsys):
+def test_explain_cache_dir_probe(corpus, tmp_path, capsys, monkeypatch):
     program = str(corpus / "p0.c")
     cache_dir = str(tmp_path / "cache")
 
@@ -129,3 +130,9 @@ def test_explain_cache_dir_probe(corpus, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "HIT" in out
     assert "a batch run would serve this result warm" in out
+
+    # A program read from stdin probes the same entry.
+    monkeypatch.setattr("sys.stdin", io.StringIO((corpus / "p0.c").read_text()))
+    assert main(["explain", "-", "--args", "48",
+                 "--cache-dir", cache_dir]) == 0
+    assert "HIT" in capsys.readouterr().out

@@ -35,24 +35,53 @@ def program(tmp_path):
     return str(path)
 
 
+ARITY = "main expects 1 argument(s)"
+
+
+def _case(argv, reason):
+    return pytest.param(
+        argv, reason, id="-".join(a for a in argv if "{" not in a)
+    )
+
+
+def _not_integers(raw):
+    return f"arguments must be comma-separated integers, got {raw!r}"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["compile", "{p}"],
-        ["compile", "{p}", "--args", "1,2"],
-        ["compile", "{p}", "--args", "64", "--entry", "nope"],
-        ["summary", "{p}"],
-        ["explain", "{p}"],
-        ["run", "{p}"],
-        ["simulate", "{p}"],
-        ["simulate", "{p}", "--train-args", "64"],  # eval args missing
-        ["simulate", "{p}", "--args", "64", "--train-args", "1,2"],
-        ["perf", "record", "{p}", "--ledger-dir", "{d}"],
+        _case(["compile", "{p}"], ARITY),
+        _case(["compile", "{p}", "--args", "1,2"], ARITY),
+        _case(["compile", "{p}", "--args", "64", "--entry", "nope"], "'nope'"),
+        _case(["summary", "{p}"], ARITY),
+        _case(["explain", "{p}"], ARITY),
+        _case(["run", "{p}"], ARITY),
+        _case(["simulate", "{p}"], ARITY),
+        # eval args missing
+        _case(["simulate", "{p}", "--train-args", "64"], ARITY),
+        _case(
+            ["simulate", "{p}", "--args", "64", "--train-args", "1,2"], ARITY
+        ),
+        _case(["perf", "record", "{p}", "--ledger-dir", "{d}"], ARITY),
+        _case(["run", "{p}", "--args", "x"], _not_integers("x")),
+        _case(["simulate", "{p}", "--args", "x"], _not_integers("x")),
+        _case(
+            ["simulate", "{p}", "--args", "64", "--train-args", "1.5"],
+            _not_integers("1.5"),
+        ),
+        _case(["compile", "{p}", "--args", "1.5"], _not_integers("1.5")),
+        _case(
+            ["batch", "{p}", "--args", "x", "--no-cache"], _not_integers("x")
+        ),
+        _case(
+            ["perf", "record", "{p}", "--ledger-dir", "{d}", "--args", "x"],
+            _not_integers("x"),
+        ),
     ],
-    ids=lambda argv: "-".join(a for a in argv if "{" not in a),
 )
 def test_wrong_workload_is_a_one_line_usage_error(
-    program, tmp_path, capsys, argv
+    program, tmp_path, capsys, argv, reason
 ):
     argv = [a.format(p=program, d=str(tmp_path / "ledger")) for a in argv]
     assert main(argv) == 2
@@ -61,7 +90,7 @@ def test_wrong_workload_is_a_one_line_usage_error(
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"repro {argv[0]}: ")
-    assert "main expects 1 argument(s)" in lines[0] or "'nope'" in lines[0]
+    assert reason in lines[0]
 
 
 #: The golden corpus's stream_scan.c with both ``& 511`` masks removed:

@@ -51,19 +51,17 @@ def _run_tracer(module, args):
     return tracer, result
 
 
-def _run_engine(module, args, trace=True, **kw):
+def _run_engine(module, args, **kw):
     engine = VectorTimingEngine(TimingModel())
-    machine = CompiledMachine(
-        module, trace=trace, timing_engine=engine, **kw
-    )
+    machine = CompiledMachine(module, timing_engine=engine, **kw)
     result = machine.run("main", list(args))
     engine.flush()
     return engine, result
 
 
-def _assert_equal_accounting(module, args, trace=True, **kw):
+def _assert_equal_accounting(module, args, **kw):
     tracer, ref_result = _run_tracer(module, args)
-    engine, result = _run_engine(module, args, trace=trace, **kw)
+    engine, result = _run_engine(module, args, **kw)
     assert result == ref_result
     assert engine.ticks == tracer.ticks
     assert engine.cycles == tracer.cycles
@@ -105,19 +103,21 @@ def test_benchsuite_exact_accounting(bench):
     _assert_equal_accounting(module, [bench.train_n])
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["driver", "traced"])
-def test_nested_loops_and_calls(trace):
+#: A hot threshold no test run reaches: only the block driver runs.
+NEVER_HOT = 1 << 62
+
+
+@pytest.mark.parametrize("hot", [NEVER_HOT, 4], ids=["driver", "traced"])
+def test_nested_loops_and_calls(hot):
     """Loop-stack push/pop across nested loops and function frames is
     attributed identically, with and without compiled traces."""
     module = _prepare(_NESTED)
-    engine = _assert_equal_accounting(
-        module, [40], trace=trace, trace_hot_threshold=4
-    )
+    engine = _assert_equal_accounting(module, [40], trace_hot_threshold=hot)
     assert engine.loop_cycles  # non-vacuous: per-loop attribution happened
     # The memo layers actually engaged (otherwise this test measures
     # nothing about the fast paths).
     assert engine._neutral
-    if trace:
+    if hot != NEVER_HOT:
         assert engine._pass_memo or engine._seqs == []
 
 

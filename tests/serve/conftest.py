@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.batch import build_manifest, manifest_to_bytes
-from repro.core.config import anticipated_config, basic_config, best_config
+from repro.core.config import CONFIG_FACTORIES
 from repro.serve.client import start_daemon
 
 REPO_ROOT = os.path.abspath(
@@ -28,12 +28,6 @@ GOLDEN_ARGS = [96]
 GOLDEN_CONFIG = "best"
 GOLDEN_ENTRY = "main"
 GOLDEN_FUEL = 50_000_000
-
-_CONFIG_FACTORIES = {
-    "basic": basic_config,
-    "best": best_config,
-    "anticipated": anticipated_config,
-}
 
 
 def corpus_paths():
@@ -71,7 +65,7 @@ def served_manifest_bytes(entries, config=GOLDEN_CONFIG,
                           fuel=GOLDEN_FUEL):
     """Assemble served entries into canonical manifest bytes, exactly
     as ``repro batch --manifest`` does."""
-    fingerprint = _CONFIG_FACTORIES[config]().fingerprint()
+    fingerprint = CONFIG_FACTORIES[config]().fingerprint()
     return manifest_to_bytes(
         build_manifest(entries, config, fingerprint, entry, args, fuel)
     )

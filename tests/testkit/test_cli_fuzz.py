@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.testkit import load_corpus
+from repro.testkit import ORACLE_NAMES, load_corpus
 
 
 def test_fuzz_clean_run(capsys):
@@ -28,6 +28,13 @@ def test_fuzz_rejects_unknown_oracle(capsys):
     assert main(["fuzz", "--oracle", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "unknown oracle" in err
+
+
+def test_fuzz_help_lists_every_oracle(capsys):
+    with pytest.raises(SystemExit):
+        main(["fuzz", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(repeatable): {', '.join(ORACLE_NAMES)}" in out
 
 
 def test_fuzz_failure_writes_corpus_and_exits_nonzero(

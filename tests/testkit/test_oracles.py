@@ -51,6 +51,48 @@ def test_interp_oracle_catches_result_divergence(monkeypatch):
     assert "result mismatch" in detail
 
 
+def test_interp_oracle_runs_hot_traces(monkeypatch):
+    """The fast machines the interp oracle compares against the
+    reference compile hot traces and run trace passes."""
+    from repro.profiling import CompiledMachine
+    from repro.testkit import oracles as oracles_mod
+
+    machines = []
+    original = oracles_mod.make_machine
+
+    def recording(module, **kwargs):
+        machines.append(original(module, **kwargs))
+        return machines[-1]
+
+    monkeypatch.setattr(oracles_mod, "make_machine", recording)
+    for seed in range(4):
+        detail = run_oracle("interp", _spec_for(seed), derive_rng("hot", seed))
+        assert detail is None, detail
+    stats = [
+        entry
+        for machine in machines
+        if isinstance(machine, CompiledMachine)
+        for entry in machine.trace_report().values()
+    ]
+    assert sum(entry["compiles"] for entry in stats) > 0
+    assert sum(entry["passes"] for entry in stats) > 0
+
+
+def test_interp_oracle_catches_trace_miscompile(monkeypatch):
+    """Sabotage one opcode of the trace compiler only (the block path
+    and the reference keep ``lt``): the interp oracle must see it."""
+    from repro.profiling import traces
+
+    monkeypatch.setitem(traces._BINOP_TEMPLATES, "lt", "({} <= {})")
+    monkeypatch.setattr(traces, "_CODE_CACHE", {})
+    found = any(
+        run_oracle("interp", _spec_for(seed), derive_rng("bad-trace", seed))
+        is not None
+        for seed in range(6)
+    )
+    assert found, "no generated program ran a miscompiled trace"
+
+
 def test_cost_oracle_catches_off_by_one(monkeypatch):
     from repro.core.costmodel import IncrementalCostEvaluator
 
