@@ -9,6 +9,7 @@ runs region B from the iteration-start context:
 Violation detection and re-execution propagation reuse the SPT loop
 machinery (:func:`repro.machine.spt_sim._replay_speculative`), with
 "post-fork writes" replaced by region A's writes of the same iteration.
+Each iteration folds into the totals as soon as it completes.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from repro.machine.spt_sim import (
     IterationTrace,
     SptTraceCollector,
     _replay_speculative,
+    _writes,
 )
 from repro.machine.timing import TICKS_PER_CYCLE, TimingModel
 
 
 class RegionTraceCollector(SptTraceCollector):
     """Tags each dynamic op with its region: ``pre_fork`` means region A
-    (run by the main core), cleared for region-B blocks."""
+    (run by the main core), cleared for region-B blocks.  Every finished
+    iteration folds into :attr:`region_stats` as one A ∥ B round."""
 
     def __init__(
         self,
@@ -41,6 +44,8 @@ class RegionTraceCollector(SptTraceCollector):
     ):
         super().__init__(func_name, header, body_labels, loop_id=-1, model=model)
         self.b_labels = set(b_labels)
+        #: Running totals of every folded A ∥ B iteration.
+        self.region_stats = RegionLoopStats(func_name, header, "?")
 
     def on_block(self, func: Function, block: Block, prev_label) -> None:
         super().on_block(func, block, prev_label)
@@ -62,6 +67,30 @@ class RegionTraceCollector(SptTraceCollector):
             # Header ops run before the fork: their defs are part of the
             # context region B starts from, never stale.
             self._pending_op.header_op = True
+
+    def _complete(self, trace: IterationTrace) -> None:
+        """Fold one finished iteration as its own A ∥ B round."""
+        stats = self.region_stats
+        t_a = trace.pre_ticks()
+        t_b = trace.post_ticks()
+        stats.iterations += 1
+        stats.seq_ticks += t_a + t_b
+        stats.a_ticks += t_a
+        stats.b_ticks += t_b
+
+        # Header ops resolve before the fork: never stale for region B.
+        reg, mem = _writes(
+            op for op in trace.ops if op.pre_fork and not op.header_op
+        )
+        b_ops = [op for op in trace.ops if not op.pre_fork]
+        reexec_ticks, reexec_ops = _replay_speculative(b_ops, reg, mem)
+
+        stats.region_ticks += (
+            FORK_TICKS + max(t_a, t_b) + COMMIT_TICKS + reexec_ticks
+        )
+        stats.reexec_ticks += reexec_ticks
+        stats.reexec_ops += reexec_ops
+        stats.b_ops += len(b_ops)
 
 
 class RegionLoopStats:
@@ -122,58 +151,9 @@ class RegionLoopStats:
         )
 
 
-def _region_writes(trace: IterationTrace):
-    """Register/memory locations region A redefines, with (value before,
-    value after) -- what region B's speculation is stale against."""
-    reg = {}
-    mem = {}
-    for op in trace.ops:
-        if not op.pre_fork:
-            continue  # region B
-        if op.header_op:
-            continue  # resolved before the fork
-        if op.def_name is not None:
-            if op.def_name in reg:
-                reg[op.def_name] = (reg[op.def_name][0], op.def_new)
-            else:
-                reg[op.def_name] = (op.def_old, op.def_new)
-        if op.store_addr is not None:
-            if op.store_addr in mem:
-                mem[op.store_addr] = (mem[op.store_addr][0], op.store_new)
-            else:
-                mem[op.store_addr] = (op.store_old, op.store_new)
-        if op.mem_writes:
-            for addr, (old, new) in op.mem_writes.items():
-                if addr in mem:
-                    mem[addr] = (mem[addr][0], new)
-                else:
-                    mem[addr] = (old, new)
-    return reg, mem
-
-
 def simulate_region_loop(
     collector: RegionTraceCollector, split_label: str = "?"
 ) -> RegionLoopStats:
-    """Recombine the traces into per-iteration A ∥ B rounds."""
-    stats = RegionLoopStats(collector.func_name, collector.header, split_label)
-    for iterations in collector.invocations:
-        for trace in iterations:
-            stats.iterations += 1
-            t_a = trace.pre_ticks()
-            t_b = trace.post_ticks()
-            stats.seq_ticks += t_a + t_b
-            stats.a_ticks += t_a
-            stats.b_ticks += t_b
-
-            reg, mem = _region_writes(trace)
-            b_trace = IterationTrace()
-            b_trace.ops = [op for op in trace.ops if not op.pre_fork]
-            reexec_ticks, reexec_ops = _replay_speculative(b_trace, reg, mem)
-
-            stats.region_ticks += (
-                FORK_TICKS + max(t_a, t_b) + COMMIT_TICKS + reexec_ticks
-            )
-            stats.reexec_ticks += reexec_ticks
-            stats.reexec_ops += reexec_ops
-            stats.b_ops += len(b_trace.ops)
-    return stats
+    """The A ∥ B totals ``collector`` folded, labelled with the split."""
+    collector.region_stats.split_label = split_label
+    return collector.region_stats

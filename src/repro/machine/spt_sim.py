@@ -6,9 +6,9 @@ that runs the next loop iteration from a register snapshot taken at the
 fork, with its stores buffered.  Fork costs 6 cycles and commit 5 (§8).
 
 Rather than lock-stepping two pipelines, the simulator replays the
-*transformed* program sequentially under the timing model, collecting a
-per-iteration trace of dynamic operations for each SPT loop, and then
-recombines consecutive iteration pairs into SPT rounds:
+*transformed* program sequentially under the timing model, recording
+the dynamic operations of each SPT-loop iteration, and folds
+consecutive iteration pairs into SPT rounds as soon as both complete:
 
 * main runs iteration ``i`` (pre-fork, fork, post-fork);
 * the speculative core runs iteration ``i+1`` concurrently, starting
@@ -26,7 +26,9 @@ Round wall-clock::
             + commit + t_reexec(i+1)
 
 versus ``t_iter(i) + t_iter(i+1)`` sequentially.  A trailing unpaired
-iteration runs on the main core alone (its fork is wasted).
+iteration runs on the main core alone (its fork is wasted).  A folded
+round leaves only running totals behind, so the collector never holds
+more than the unpaired iteration and the one in flight.
 
 Because the replay executes the real transformed code, the measured
 re-execution ratios are *observed* quantities -- exactly what Figure 19
@@ -35,14 +37,15 @@ plots against the compiler's misspeculation cost estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import Block
 from repro.ir.function import Function
-from repro.ir.instr import Branch, Call, Instr, Load, Phi, SptFork, Store
+from repro.ir.instr import Branch, Call, Instr, Phi, SptFork
 from repro.ir.values import Var
 from repro.machine.timing import TICKS_PER_CYCLE, TimingModel
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.profiling.interp import Tracer
 
 FORK_TICKS = 600
@@ -119,24 +122,20 @@ class IterationTrace:
     def post_ticks(self) -> int:
         return sum(op.ticks for op in self.ops if not op.pre_fork)
 
-    @property
-    def total_latency(self) -> float:
-        return self.total_ticks / TICKS_PER_CYCLE
-
-    def pre_latency(self) -> float:
-        return self.pre_ticks() / TICKS_PER_CYCLE
-
-    def post_latency(self) -> float:
-        return self.post_ticks() / TICKS_PER_CYCLE
-
 
 class SptTraceCollector(Tracer):
-    """Tracer that records per-iteration traces for one SPT loop.
+    """Tracer that folds one SPT loop's iterations into SPT rounds.
 
     Must observe the *transformed* function.  Operations executed inside
     callees are aggregated into the call-site's record (the call becomes
     one atomic op with a read/write address set), matching how the cost
     model treats calls.
+
+    Each finished iteration either waits as the unpaired main-thread
+    iteration or completes a round with the one waiting; a folded round
+    only updates :attr:`stats` and :attr:`counts`.  With enabled
+    ``telemetry`` every round emits one ``spt.round`` event (fork,
+    commit, re-execution outcome) as it folds.
     """
 
     def __init__(
@@ -146,14 +145,25 @@ class SptTraceCollector(Tracer):
         body_labels: Set[str],
         loop_id: int,
         model: TimingModel,
+        telemetry=None,
     ):
         self.func_name = func_name
         self.header = header
         self.body_labels = set(body_labels)
         self.loop_id = loop_id
         self.model = model
-        #: One list of iterations per loop invocation.
-        self.invocations: List[List[IterationTrace]] = []
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: Running totals of every folded round.
+        self.stats = SptLoopStats(func_name, header)
+        #: ``spt.*`` telemetry counter totals of the folded rounds.
+        self.counts: Dict[str, int] = {}
+        #: The current invocation's unpaired iteration, awaiting the
+        #: speculative iteration it forks.
+        self._unpaired: Optional[IterationTrace] = None
+        #: Rounds folded in the current invocation.
+        self._round = 0
+        #: A new invocation started but has completed no iteration yet.
+        self._opened = False
         self._current: Optional[IterationTrace] = None
         self._in_pre_fork = False
         self._depth_in_target = 0  # frames below the target function
@@ -162,7 +172,6 @@ class SptTraceCollector(Tracer):
         self._prev_label: Optional[str] = None
         self._pending_op: Optional[OpRecord] = None
         self._entered_body = False
-        self._in_target_frame = False
         self._frame_is_target: List[bool] = []
 
     # -- tracer hooks ----------------------------------------------------
@@ -205,11 +214,14 @@ class SptTraceCollector(Tracer):
             self._entered_body = True
 
     def _start_invocation(self) -> None:
-        self.invocations.append([])
+        # Pairing restarts at the new invocation's first iteration; the
+        # previous invocation keeps its unpaired iteration until then.
+        self._opened = True
 
     def _finish_invocation(self) -> None:
-        if self.invocations and not self.invocations[-1]:
-            self.invocations.pop()
+        # An invocation that completed no iteration never happened: the
+        # previous one stays open for pairing.
+        self._opened = False
 
     def _start_iteration(self) -> None:
         self._current = IterationTrace()
@@ -224,12 +236,90 @@ class SptTraceCollector(Tracer):
             and self._current.ops
             and self._entered_body
         ):
-            if not self.invocations:
-                self.invocations.append([])
-            self.invocations[-1].append(self._current)
+            self._complete(self._current)
         self._current = None
+        self._pending_op = None
         self._call_stack = []
         self._depth_in_target = 0
+
+    # -- folding -----------------------------------------------------
+
+    def _complete(self, trace: IterationTrace) -> None:
+        """Fold one finished iteration into the running totals."""
+        if self._opened:
+            self._flush()
+            self._opened = False
+            self._round = 0
+        stats = self.stats
+        if self._unpaired is None and self._round == 0:
+            stats.invocations += 1
+        stats.iterations += 1
+        stats.seq_ticks += trace.total_ticks
+        stats.total_ops += len(trace.ops)
+        stats.prefork_ticks += trace.pre_ticks()
+        main = self._unpaired
+        if main is None:
+            self._unpaired = trace
+            return
+        self._unpaired = None
+        post_reg, post_mem = _post_fork_writes(main)
+        reexec_ticks, reexec_ops = _replay_speculative(
+            trace.ops, post_reg, post_mem
+        )
+        t_spec = trace.total_ticks
+        round_ticks = (
+            main.pre_ticks()
+            + FORK_TICKS
+            + max(main.post_ticks(), t_spec)
+            + COMMIT_TICKS
+            + reexec_ticks
+        )
+        stats.spt_ticks += round_ticks
+        stats.spec_ops += len(trace.ops)
+        stats.spec_ticks += t_spec
+        stats.reexec_ops += reexec_ops
+        stats.reexec_ticks += reexec_ticks
+        self._count("spt.rounds")
+        self._count("spt.forks")
+        self._count("spt.commits")
+        self._count("spt.reexec_ops", reexec_ops)
+        if reexec_ops:
+            self._count("spt.misspeculation_events")
+        self._emit_round(
+            committed=True,
+            spec_ops=len(trace.ops),
+            reexec_ops=reexec_ops,
+            reexec_cycles=round(reexec_ticks / TICKS_PER_CYCLE, 3),
+            round_cycles=round(round_ticks / TICKS_PER_CYCLE, 3),
+        )
+
+    def _flush(self) -> None:
+        """Fold the unpaired trailing iteration: main runs it alone; the
+        fork it issued spawns a doomed thread (killed at exit)."""
+        main = self._unpaired
+        if main is None:
+            return
+        self._unpaired = None
+        self.stats.spt_ticks += main.total_ticks + FORK_TICKS
+        self._count("spt.forks")
+        self._count("spt.wasted_forks")
+        self._emit_round(committed=False, spec_ops=0, reexec_ops=0)
+
+    def _count(self, name: str, n: int = 1) -> None:
+        self.counts[name] = self.counts.get(name, 0) + n
+
+    def _emit_round(self, **outcome) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.event(
+                "spt.round",
+                loop=f"{self.func_name}:{self.header}",
+                invocation=self.stats.invocations - 1,
+                round=self._round,
+                **outcome,
+            )
+        self._round += 1
+
+    # -- op recording ------------------------------------------------
 
     def _record(self) -> Optional[OpRecord]:
         """The record receiving the current event (call aggregate when
@@ -412,28 +502,31 @@ class SptTraceCollector(Tracer):
         """Plain-data snapshot at an entry-frame block boundary.
 
         At such a boundary no call is in flight (calls complete within
-        their block), so the call-aggregation stack must be empty; the
-        in-progress iteration (``_current``), the finished invocation
-        traces, and the collector's private timing model are all
-        captured.  ``_pending_op`` is transient (only consulted while
-        its instruction's events are still being delivered) and
-        restores as None."""
+        their block), so the call-aggregation stack must be empty.  The
+        folded totals, the unpaired iteration, the in-progress iteration
+        (``_current``) and the collector's private timing model are
+        captured; finished rounds are already folded away, so the
+        snapshot does not grow with the run.  ``_pending_op`` is
+        transient (only consulted while its instruction's events are
+        still being delivered) and restores as None."""
         if self._call_stack or self._depth_in_target:
             raise ValueError(
                 "SptTraceCollector snapshot outside a block boundary "
                 "(call in flight)"
             )
-        encode = self._encode_op
+
+        def encode(trace: Optional[IterationTrace]) -> Optional[List]:
+            if trace is None:
+                return None
+            return [self._encode_op(op, key_of) for op in trace.ops]
+
         return {
-            "invocations": [
-                [[encode(op, key_of) for op in trace.ops] for trace in traces]
-                for traces in self.invocations
-            ],
-            "current": (
-                [encode(op, key_of) for op in self._current.ops]
-                if self._current is not None
-                else None
-            ),
+            "stats": asdict(self.stats),
+            "counts": dict(self.counts),
+            "unpaired": encode(self._unpaired),
+            "round": self._round,
+            "opened": self._opened,
+            "current": encode(self._current),
             "in_pre_fork": self._in_pre_fork,
             "reg_values": dict(self._reg_values),
             "prev_label": self._prev_label,
@@ -446,20 +539,19 @@ class SptTraceCollector(Tracer):
         """Inverse of :meth:`snapshot_state`.  ``instr_of`` maps an
         instruction key to the live instruction; ``id_of`` to its id."""
 
-        def decode_trace(ops: List) -> IterationTrace:
+        def decode(ops: Optional[List]) -> Optional[IterationTrace]:
+            if ops is None:
+                return None
             trace = IterationTrace()
             trace.ops = [self._decode_op(fields, instr_of) for fields in ops]
             return trace
 
-        self.invocations = [
-            [decode_trace(ops) for ops in traces]
-            for traces in state["invocations"]
-        ]
-        self._current = (
-            decode_trace(state["current"])
-            if state["current"] is not None
-            else None
-        )
+        self.stats = SptLoopStats(**state["stats"])
+        self.counts = dict(state["counts"])
+        self._unpaired = decode(state["unpaired"])
+        self._round = int(state["round"])
+        self._opened = bool(state["opened"])
+        self._current = decode(state["current"])
         self._in_pre_fork = bool(state["in_pre_fork"])
         self._reg_values = dict(state["reg_values"])
         self._prev_label = state["prev_label"]
@@ -546,37 +638,41 @@ class SptLoopStats:
         )
 
 
-def _post_fork_writes(trace: IterationTrace):
-    """Register and memory locations the main thread redefines after the
-    fork, with (value-at-fork, final-value)."""
+def _writes(ops: Iterable[OpRecord]):
+    """Register and memory locations ``ops`` redefine, each with (value
+    before the first write, value after the last)."""
     reg: Dict[str, Tuple] = {}
     mem: Dict[int, Tuple] = {}
-    for op in trace.ops:
-        if op.pre_fork:
-            continue
+    for op in ops:
         if op.def_name is not None:
-            if op.def_name in reg:
-                reg[op.def_name] = (reg[op.def_name][0], op.def_new)
-            else:
-                reg[op.def_name] = (op.def_old, op.def_new)
+            first = reg.get(op.def_name)
+            reg[op.def_name] = (
+                op.def_old if first is None else first[0], op.def_new
+            )
         if op.store_addr is not None:
-            if op.store_addr in mem:
-                mem[op.store_addr] = (mem[op.store_addr][0], op.store_new)
-            else:
-                mem[op.store_addr] = (op.store_old, op.store_new)
+            first = mem.get(op.store_addr)
+            mem[op.store_addr] = (
+                op.store_old if first is None else first[0], op.store_new
+            )
         if op.mem_writes:
             for addr, (old, new) in op.mem_writes.items():
-                if addr in mem:
-                    mem[addr] = (mem[addr][0], new)
-                else:
-                    mem[addr] = (old, new)
+                first = mem.get(addr)
+                mem[addr] = (old if first is None else first[0], new)
     return reg, mem
 
 
+def _post_fork_writes(trace: IterationTrace):
+    """Register and memory locations the main thread redefines after the
+    fork, with (value-at-fork, final-value)."""
+    return _writes(op for op in trace.ops if not op.pre_fork)
+
+
 def _replay_speculative(
-    spec: IterationTrace, post_reg: Dict[str, Tuple], post_mem: Dict[int, Tuple]
+    spec_ops: Iterable[OpRecord],
+    post_reg: Dict[str, Tuple],
+    post_mem: Dict[int, Tuple],
 ) -> Tuple[int, int]:
-    """Walk the speculative iteration, propagating misspeculation.
+    """Walk the speculative iteration's ops, propagating misspeculation.
 
     Returns (re-executed ticks, re-executed op count)."""
     tainted_regs: Set[str] = set()
@@ -598,7 +694,7 @@ def _replay_speculative(
         entry = post_mem.get(addr)
         return entry is not None and entry[0] != entry[1]
 
-    for op in spec.ops:
+    for op in spec_ops:
         tainted = False
         for name in op.uses:
             if name in tainted_regs or stale_reg(name):
@@ -644,92 +740,16 @@ def _replay_speculative(
 
 
 def simulate_spt_loop(collector: SptTraceCollector, telemetry=None) -> SptLoopStats:
-    """Recombine the collected traces into SPT rounds and total up the
-    loop's sequential vs. SPT execution time.
+    """Finish ``collector``'s loop once its run is over: fold the last
+    unpaired iteration and return the loop's sequential vs. SPT totals.
 
-    With enabled ``telemetry``, every round emits one ``spt.round``
-    event (fork, commit, re-execution outcome) and the fork/commit/
-    misspeculation totals accumulate as ``spt.*`` counters.
+    With enabled ``telemetry`` the fork/commit/misspeculation totals of
+    every folded round accumulate as ``spt.*`` counters.  They come from
+    the folded totals, so a run resumed from a snapshot reports the
+    same counters as an uninterrupted one.
     """
-    if telemetry is None:
-        from repro.obs.telemetry import NULL_TELEMETRY
-
-        telemetry = NULL_TELEMETRY
-    observed = telemetry.enabled
-    loop_key = f"{collector.func_name}:{collector.header}"
-    stats = SptLoopStats(collector.func_name, collector.header)
-    for invocation, iterations in enumerate(collector.invocations):
-        if not iterations:
-            continue
-        stats.invocations += 1
-        stats.iterations += len(iterations)
-        for trace in iterations:
-            stats.seq_ticks += trace.total_ticks
-            stats.total_ops += len(trace.ops)
-            stats.prefork_ticks += trace.pre_ticks()
-
-        index = 0
-        round_index = 0
-        while index < len(iterations):
-            main = iterations[index]
-            if index + 1 < len(iterations):
-                spec = iterations[index + 1]
-                post_reg, post_mem = _post_fork_writes(main)
-                reexec_ticks, reexec_ops = _replay_speculative(
-                    spec, post_reg, post_mem
-                )
-                t_pre = main.pre_ticks()
-                t_post = main.post_ticks()
-                t_spec = spec.total_ticks
-                round_ticks = (
-                    t_pre
-                    + FORK_TICKS
-                    + max(t_post, t_spec)
-                    + COMMIT_TICKS
-                    + reexec_ticks
-                )
-                stats.spt_ticks += round_ticks
-                stats.spec_ops += len(spec.ops)
-                stats.spec_ticks += t_spec
-                stats.reexec_ops += reexec_ops
-                stats.reexec_ticks += reexec_ticks
-                if observed:
-                    telemetry.count("spt.rounds")
-                    telemetry.count("spt.forks")
-                    telemetry.count("spt.commits")
-                    telemetry.count("spt.reexec_ops", reexec_ops)
-                    if reexec_ops:
-                        telemetry.count("spt.misspeculation_events")
-                    telemetry.event(
-                        "spt.round",
-                        loop=loop_key,
-                        invocation=invocation,
-                        round=round_index,
-                        committed=True,
-                        spec_ops=len(spec.ops),
-                        reexec_ops=reexec_ops,
-                        reexec_cycles=round(reexec_ticks / TICKS_PER_CYCLE, 3),
-                        round_cycles=round(round_ticks / TICKS_PER_CYCLE, 3),
-                    )
-                index += 2
-            else:
-                # Unpaired trailing iteration: main runs it alone; the
-                # fork it issued spawns a doomed thread (killed at exit).
-                stats.spt_ticks += main.total_ticks + FORK_TICKS
-                if observed:
-                    telemetry.count("spt.forks")
-                    telemetry.count("spt.wasted_forks")
-                    telemetry.event(
-                        "spt.round",
-                        loop=loop_key,
-                        invocation=invocation,
-                        round=round_index,
-                        committed=False,
-                        spec_ops=0,
-                        reexec_ops=0,
-                    )
-                index += 1
-            round_index += 1
-    if observed:
+    collector._flush()
+    if telemetry is not None and telemetry.enabled:
+        telemetry.merge_counters(collector.counts)
         telemetry.count("spt.loops_simulated")
-    return stats
+    return collector.stats

@@ -16,7 +16,7 @@ Internally every latency is an integer number of *ticks*
 so accumulating a block's or trace's cost as one precomputed sum is
 bitwise-identical to charging each op individually -- the property the
 vectorized timing engine (:mod:`repro.machine.vector_timing`) relies
-on.  All public interfaces still speak float cycles; every tick constant
+on.  Results are still reported in float cycles; every tick constant
 is an exact multiple of ``1 / TICKS_PER_CYCLE`` cycles, so the
 float conversions are exact.
 
@@ -134,17 +134,9 @@ class TimingModel:
             return 0
         return ALU_TICKS
 
-    def base_latency(self, instr: Instr) -> float:
-        """Latency in cycles excluding cache and branch effects."""
-        return self.base_ticks(instr) / TICKS_PER_CYCLE
-
     def load_ticks(self, addr: int) -> int:
         """Extra ticks for a memory read of ``addr``."""
         return self.hierarchy.access_ticks(addr)
-
-    def load_latency(self, addr: int) -> float:
-        """Extra cycles for a memory read of ``addr``."""
-        return self.hierarchy.access_ticks(addr) / TICKS_PER_CYCLE
 
     def store_fill(self, addr: int) -> None:
         """Write-allocate a stored line (no cycles charged: the store
@@ -156,10 +148,6 @@ class TimingModel:
         if self.predictor.predict_and_update(branch_key, taken):
             return MISPREDICT_TICKS
         return 0
-
-    def branch_latency(self, branch_key: int, taken: bool) -> float:
-        """Extra cycles for an executed conditional branch."""
-        return self.branch_ticks(branch_key, taken) / TICKS_PER_CYCLE
 
     @staticmethod
     def counts_as_instruction(instr: Instr) -> bool:

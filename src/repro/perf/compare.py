@@ -185,8 +185,10 @@ def check_regression(
     """The noise-aware regression verdict between two record sets.
 
     Each current record is matched to the latest baseline record with
-    the same :func:`match_key`.  Deterministic metrics (cycles, the
-    :data:`DETERMINISTIC_COUNTER_PREFIXES` counters) fail on any drift.
+    the same :func:`match_key`; an unmatched record is a warning, but a
+    check in which no record matched fails.  Deterministic metrics
+    (cycles, the :data:`DETERMINISTIC_COUNTER_PREFIXES` counters) fail
+    on any drift.
     Wall-clock metrics fail when they grew by more than
     ``wall_threshold`` relative *and* ``floor_ms`` absolute -- and are
     only gated when the two records share a host token (override with
@@ -265,4 +267,9 @@ def check_regression(
                     f"{old_ms:.1f}ms -> {new_ms:.1f}ms "
                     f"({rel}, threshold +{wall_threshold:.0%})"
                 )
+    if not report.compared:
+        report.fail(
+            f"no current record matched a baseline record "
+            f"({len(cur_by_key)} unmatched): nothing was checked"
+        )
     return report

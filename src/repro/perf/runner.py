@@ -93,10 +93,14 @@ def build_simulation(
     fuel: int = 50_000_000,
     fast: bool = True,
     telemetry=None,
+    collector_type=spt_sim.SptTraceCollector,
 ):
     """Assemble the ``(machine, cycle accounting, SPT collectors)``
     triple one simulation runs on; ``loops`` are ``(function, header,
-    loop id)`` sites in the (already transformed) ``module``.
+    loop id)`` sites in the (already transformed) ``module``.  The
+    collectors emit their ``spt.round`` events into ``telemetry`` as
+    the run folds them; ``collector_type`` lets a checker substitute a
+    :class:`~repro.machine.spt_sim.SptTraceCollector` subclass.
 
     Deterministic: the same module and sites always build the same
     collector sequence, which is what lets a checkpoint restored in a
@@ -107,8 +111,9 @@ def build_simulation(
         nest = LoopNest.build(module.function(func_name))
         loop = next((l for l in nest.loops if l.header == header), None)
         if loop is not None:
-            collectors.append(spt_sim.SptTraceCollector(
-                func_name, header, loop.body, loop_id, TimingModel()
+            collectors.append(collector_type(
+                func_name, header, loop.body, loop_id, TimingModel(),
+                telemetry=telemetry,
             ))
 
     machine, accounting = timed_machine(
@@ -124,8 +129,8 @@ def run_machine(machine, entry: str, args: Sequence[int]):
 
     The caller owns the machine, so once the run returns its compiled
     code is dropped: the compiled blocks and trace namespaces point back
-    at the machine, and would otherwise keep it, its tracers and every
-    collected trace alive until the cyclic garbage collector runs."""
+    at the machine, and would otherwise keep it and its tracers alive
+    until the cyclic garbage collector runs."""
     try:
         return machine.run(entry, list(args))
     finally:
@@ -136,7 +141,7 @@ def run_machine(machine, entry: str, args: Sequence[int]):
 def finalize_simulation(
     result_value, accounting, collectors, telemetry=None
 ) -> SimOutcome:
-    """Recombine the collected traces into the program-level outcome:
+    """Finish every collector's loop into the program-level outcome:
     each SPT loop's simulated two-core time replaces its sequential
     time."""
     # Called through the module: perfbench/tracing.py wraps the attribute.

@@ -137,6 +137,13 @@ class TracerEventCounter(Tracer):
         self._bump("on_call")
 
 
+def _shift_count(b) -> int:
+    count = int(b)
+    if count < 0:
+        raise InterpError(f"negative shift count {count}")
+    return count
+
+
 _BINOPS: Dict[str, Callable] = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -144,8 +151,8 @@ _BINOPS: Dict[str, Callable] = {
     "and": lambda a, b: int(a) & int(b),
     "or": lambda a, b: int(a) | int(b),
     "xor": lambda a, b: int(a) ^ int(b),
-    "shl": lambda a, b: int(a) << int(b),
-    "shr": lambda a, b: int(a) >> int(b),
+    "shl": lambda a, b: int(a) << _shift_count(b),
+    "shr": lambda a, b: int(a) >> _shift_count(b),
     "min": min,
     "max": max,
     "lt": lambda a, b: a < b,

@@ -74,7 +74,13 @@ from repro.ir.instr import (
 from repro.ir.values import Const, Value, Var
 from repro.profiling.compiled import _RETURN
 from repro.profiling.edge_profile import EdgeProfile
-from repro.profiling.interp import FuelExhausted, InterpError, _div, _mod
+from repro.profiling.interp import (
+    FuelExhausted,
+    InterpError,
+    _div,
+    _mod,
+    _shift_count,
+)
 
 #: Sentinel for "this local has no binding in the environment".
 _MISS = object()
@@ -119,6 +125,13 @@ _BINOP_TEMPLATES = {
     "ge": "({} >= {})",
     "eq": "({} == {})",
     "ne": "({} != {})",
+}
+
+#: Shifts by anything but a non-negative constant check their count the
+#: way ``interp._BINOPS`` does (a negative count is an ``InterpError``).
+_CHECKED_SHIFT_TEMPLATES = {
+    "shl": "(int({}) << _shift_count({}))",
+    "shr": "(int({}) >> _shift_count({}))",
 }
 
 _UNOP_TEMPLATES = {
@@ -486,6 +499,10 @@ class _TraceCompiler:
                 template = _BINOP_TEMPLATES.get(instr.op)
                 if template is None:
                     raise _Reject(f"unknown binop {instr.op!r}")
+                if instr.op in _CHECKED_SHIFT_TEMPLATES and not (
+                    isinstance(instr.rhs, Const) and int(instr.rhs.value) >= 0
+                ):
+                    template = _CHECKED_SHIFT_TEMPLATES[instr.op]
                 expr = template.format(self._use(instr.lhs), self._use(instr.rhs))
             emit(f"{self._assign(instr.dest)} = {expr}")
         elif isinstance(instr, UnOp):
@@ -733,6 +750,7 @@ class _TraceCompiler:
             FuelExhausted=FuelExhausted,
             _div=_div,
             _mod=_mod,
+            _shift_count=_shift_count,
         )
         func_name = self.func.name
         ns["_undef"] = lambda name: _undefined(name, func_name)

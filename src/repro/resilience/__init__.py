@@ -11,7 +11,7 @@ a compilation.  This package makes that operational:
   per-loop transform of pass 2;
 * :mod:`~repro.resilience.ladder` -- the graceful-degradation retry
   ladder (full → no_incremental → small_budget → skip);
-* :mod:`~repro.resilience.watchdog` -- wall-clock / recursion guards
+* :mod:`~repro.resilience.watchdog` -- wall-clock guards
   shared by the interpreters, the partition search, and the firewalls;
 * :mod:`~repro.resilience.faults` -- the ``$REPRO_FAULT`` chaos hook
   (phase → raise / hang / slow) behind the chaos test suite and CI.
@@ -48,7 +48,6 @@ from repro.resilience.ladder import (
     ladder_rungs,
 )
 from repro.resilience.watchdog import (
-    DepthExceeded,
     ProgramTimeout,
     Watchdog,
     WatchdogTimeout,
@@ -57,7 +56,6 @@ from repro.resilience.watchdog import (
 __all__ = [
     "ALL_KINDS",
     "DegradationRecord",
-    "DepthExceeded",
     "FAULT_ENV_VAR",
     "FaultInjected",
     "HANG_ENV_VAR",

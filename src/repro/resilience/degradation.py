@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.resilience.watchdog import DepthExceeded, WatchdogTimeout
+from repro.resilience.watchdog import WatchdogTimeout
 
 __all__ = [
     "ALL_KINDS",
@@ -41,7 +41,7 @@ KIND_PROFILE_BUDGET = "profile_budget"
 KIND_TRANSFORM_ERROR = "transform_error"
 #: A wall-clock watchdog expired inside the phase.
 KIND_WATCHDOG_TIMEOUT = "watchdog_timeout"
-#: A process-resource guard tripped (recursion depth, memory).
+#: A process resource ran out (Python's recursion limit, memory).
 KIND_RESOURCE_GUARD = "resource_guard"
 
 ALL_KINDS = (
@@ -67,7 +67,7 @@ def classify_exception(exc: BaseException) -> str:
         return KIND_PROFILE_BUDGET
     if isinstance(exc, TransformError):
         return KIND_TRANSFORM_ERROR
-    if isinstance(exc, (DepthExceeded, RecursionError, MemoryError)):
+    if isinstance(exc, (RecursionError, MemoryError)):
         return KIND_RESOURCE_GUARD
     return KIND_ANALYSIS_ERROR
 

@@ -1,8 +1,8 @@
-"""Wall-clock and recursion watchdogs for long-running phases.
+"""Wall-clock watchdogs for long-running phases.
 
 A :class:`Watchdog` bounds one unit of work (a partition search, a
-profiling run, a contained pipeline phase) by wall-clock deadline and,
-optionally, by recursion depth.  Two usage styles:
+profiling run, a contained pipeline phase) by wall-clock deadline.  Two
+usage styles:
 
 * polling -- the search calls :meth:`Watchdog.expired` once per node
   and returns its best-so-far answer when the deadline passes (the
@@ -31,7 +31,6 @@ from typing import List, Optional
 
 __all__ = [
     "POLL_STRIDE",
-    "DepthExceeded",
     "ProgramTimeout",
     "Watchdog",
     "WatchdogTimeout",
@@ -43,10 +42,6 @@ POLL_STRIDE = 256
 
 class WatchdogTimeout(RuntimeError):
     """A watchdog's wall-clock deadline passed (degrades a phase)."""
-
-
-class DepthExceeded(RuntimeError):
-    """A watchdog's recursion-depth bound was exceeded (resource guard)."""
 
 
 class ProgramTimeout(RuntimeError):
@@ -66,16 +61,11 @@ _ACTIVE: List["Watchdog"] = []
 
 
 class Watchdog:
-    """One wall-clock (and optional recursion-depth) guard."""
+    """One wall-clock guard."""
 
-    __slots__ = ("deadline", "max_depth", "depth", "_clock", "_ticks")
+    __slots__ = ("deadline", "_clock", "_ticks")
 
-    def __init__(
-        self,
-        deadline_ms: Optional[float] = None,
-        max_depth: Optional[int] = None,
-        clock=None,
-    ):
+    def __init__(self, deadline_ms: Optional[float] = None, clock=None):
         self._clock = clock or time.monotonic
         #: Absolute clock value after which the watchdog is expired
         #: (None = never expires by time).
@@ -84,8 +74,6 @@ class Watchdog:
             if deadline_ms is not None
             else None
         )
-        self.max_depth = max_depth
-        self.depth = 0
         self._ticks = 0
 
     # -- polling protocol (anytime consumers) ----------------------------
@@ -99,11 +87,7 @@ class Watchdog:
     def check(self) -> None:
         """Raise :class:`WatchdogTimeout` if the deadline has passed."""
         if self.expired():
-            raise WatchdogTimeout(
-                f"watchdog deadline exceeded after {self.depth} frames"
-                if self.depth
-                else "watchdog deadline exceeded"
-            )
+            raise WatchdogTimeout("watchdog deadline exceeded")
 
     def poll(self) -> None:
         """Amortized :meth:`check`: consults the clock every
@@ -111,20 +95,6 @@ class Watchdog:
         self._ticks += 1
         if self._ticks % POLL_STRIDE == 0:
             self.check()
-
-    # -- recursion guard ---------------------------------------------------
-
-    def descend(self) -> None:
-        """Enter one recursion level; raises :class:`DepthExceeded`
-        beyond ``max_depth``."""
-        self.depth += 1
-        if self.max_depth is not None and self.depth > self.max_depth:
-            raise DepthExceeded(
-                f"recursion depth {self.depth} exceeds bound {self.max_depth}"
-            )
-
-    def ascend(self) -> None:
-        self.depth -= 1
 
     # -- ambient stack -----------------------------------------------------
 
@@ -154,4 +124,4 @@ class Watchdog:
             if self.deadline is not None
             else "no deadline"
         )
-        return f"Watchdog({remaining}, depth={self.depth})"
+        return f"Watchdog({remaining})"

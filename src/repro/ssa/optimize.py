@@ -14,43 +14,25 @@ from typing import Dict, Optional
 from repro.ir.function import Function
 from repro.ir.instr import BinOp, Branch, Copy, Jump, Phi, UnOp
 from repro.ir.values import Const, Value, Var
+from repro.profiling.interp import _BINOPS, InterpError, _div, _mod
 
-_FOLDABLE = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "and": lambda a, b: int(a) & int(b),
-    "or": lambda a, b: int(a) | int(b),
-    "xor": lambda a, b: int(a) ^ int(b),
-    "shl": lambda a, b: int(a) << int(b),
-    "shr": lambda a, b: int(a) >> int(b),
-    "min": min,
-    "max": max,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+#: The interpreter's own operators: a fold computes what a run would.
+_OPERATORS = dict(_BINOPS, div=_div, mod=_mod)
 
 
 def _fold_binop(instr: BinOp) -> Optional[Const]:
+    """The constant ``instr`` computes; None (left to run time) when an
+    operand is not constant or the operation faults at run time, e.g. a
+    division by zero or a negative shift count."""
     if not (isinstance(instr.lhs, Const) and isinstance(instr.rhs, Const)):
         return None
-    a, b = instr.lhs.value, instr.rhs.value
-    if instr.op in ("div", "mod"):
-        if b == 0:
-            return None
-        if instr.op == "div":
-            result = a / b if isinstance(a, float) or isinstance(b, float) else int(a / b)
-        else:
-            result = a - b * int(a / b)
-        return Const(result)
-    fold = _FOLDABLE.get(instr.op)
+    fold = _OPERATORS.get(instr.op)
     if fold is None:
         return None
-    return Const(fold(a, b))
+    try:
+        return Const(fold(instr.lhs.value, instr.rhs.value))
+    except InterpError:
+        return None
 
 
 def copy_propagate(func: Function) -> int:

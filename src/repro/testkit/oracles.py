@@ -25,7 +25,9 @@ implementations the framework keeps:
     Sequential vs SPT-transformed execution (the transformed module must
     be semantically identical under the reference interpreter), plus the
     misspeculation replay of :mod:`repro.machine.spt_sim` against an
-    independent reimplementation of the rollback rule, and the
+    independent reimplementation of the rollback rule on every round
+    (iterations retained by :class:`RetainingCollector`), the streamed
+    per-loop totals against the sum over those rounds, and the
     simulation driver's fast tier against its reference tier: **bitwise**
     equal outcomes.
 ``checkpoint``
@@ -73,7 +75,15 @@ from repro.core.transform import (
 from repro.core.vcdep import VCDepGraph
 from repro.core.violation import find_violation_candidates
 from repro.frontend import compile_minic
-from repro.machine.spt_sim import _post_fork_writes, _replay_speculative
+from repro.machine.spt_sim import (
+    COMMIT_TICKS,
+    FORK_TICKS,
+    IterationTrace,
+    SptLoopStats,
+    SptTraceCollector,
+    _post_fork_writes,
+    _replay_speculative,
+)
 from repro.perf.runner import (
     build_simulation,
     finalize_simulation,
@@ -88,7 +98,7 @@ from repro.ssa.optimize import optimize
 
 from .generator import ProgramSpec
 
-__all__ = ["ORACLE_NAMES", "ORACLES", "run_oracle"]
+__all__ = ["ORACLE_NAMES", "ORACLES", "RetainingCollector", "run_oracle"]
 
 
 def _source_of(spec) -> str:
@@ -458,11 +468,87 @@ def oracle_spt(spec, rng: random.Random) -> Optional[str]:
     )
 
 
+class RetainingCollector(SptTraceCollector):
+    """An SPT collector that also keeps every iteration it folds, one
+    list per loop invocation, in the grouping the rounds pair them in.
+
+    The library folds each round as it completes and drops its
+    iterations; checkers that replay rounds clean-room keep them here.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.invocations: List[List[IterationTrace]] = []
+
+    def _start_invocation(self) -> None:
+        super()._start_invocation()
+        self.invocations.append([])
+
+    def _finish_invocation(self) -> None:
+        super()._finish_invocation()
+        if self.invocations and not self.invocations[-1]:
+            self.invocations.pop()
+
+    def _complete(self, trace: IterationTrace) -> None:
+        super()._complete(trace)
+        if not self.invocations:
+            self.invocations.append([])
+        self.invocations[-1].append(trace)
+
+
+def _check_rounds(
+    collector: RetainingCollector, stats: SptLoopStats, where: str
+) -> Optional[str]:
+    """Replay every round of ``collector``'s retained iterations: the
+    library's misspeculation replay must match the independent one, and
+    the streamed ``stats`` must equal the sum over the rounds."""
+    expected = SptLoopStats(collector.func_name, collector.header)
+    for iterations in collector.invocations:
+        expected.invocations += 1
+        for trace in iterations:
+            expected.iterations += 1
+            expected.seq_ticks += trace.total_ticks
+            expected.total_ops += len(trace.ops)
+            expected.prefork_ticks += trace.pre_ticks()
+        for index in range(0, len(iterations), 2):
+            main_trace = iterations[index]
+            if index + 1 == len(iterations):
+                expected.spt_ticks += main_trace.total_ticks + FORK_TICKS
+                continue
+            spec_trace = iterations[index + 1]
+            post_reg, post_mem = _post_fork_writes(main_trace)
+            lib = _replay_speculative(spec_trace.ops, post_reg, post_mem)
+            ours = _independent_replay(main_trace, spec_trace)
+            if lib != ours:
+                return (
+                    f"{where}: misspeculation replay disagrees at "
+                    f"round {index // 2}: library {lib!r} vs "
+                    f"independent {ours!r}"
+                )
+            reexec_ticks, reexec_ops = ours
+            expected.spt_ticks += (
+                main_trace.pre_ticks() + FORK_TICKS
+                + max(main_trace.post_ticks(), spec_trace.total_ticks)
+                + COMMIT_TICKS + reexec_ticks
+            )
+            expected.spec_ops += len(spec_trace.ops)
+            expected.spec_ticks += spec_trace.total_ticks
+            expected.reexec_ops += reexec_ops
+            expected.reexec_ticks += reexec_ticks
+    if stats != expected:
+        return (
+            f"{where}: streamed totals {vars(stats)} != sum over "
+            f"rounds {vars(expected)}"
+        )
+    return None
+
+
 def _check_spt_equivalence(
     seq_machine, seq_result, spt_module, loops, n: int, arm: str
 ) -> Optional[str]:
     spt_machine, accounting, collectors = build_simulation(
-        spt_module, loops, fuel=FUEL, fast=False
+        spt_module, loops, fuel=FUEL, fast=False,
+        collector_type=RetainingCollector,
     )
     spt_result = spt_machine.run("main", [n])
 
@@ -480,21 +566,9 @@ def _check_spt_equivalence(
     reference = finalize_simulation(spt_result, accounting, collectors)
     for collector, stats in zip(collectors, reference.loops):
         where = f"[{arm}] {collector.func_name}:{collector.header}"
-        # Differential: library replay vs independent reimplementation,
-        # pairwise over the exact iteration pairing simulate_spt_loop uses.
-        for iterations in collector.invocations:
-            for index in range(0, len(iterations) - 1, 2):
-                main_trace = iterations[index]
-                spec_trace = iterations[index + 1]
-                post_reg, post_mem = _post_fork_writes(main_trace)
-                lib = _replay_speculative(spec_trace, post_reg, post_mem)
-                ours = _independent_replay(main_trace, spec_trace)
-                if lib != ours:
-                    return (
-                        f"{where}: misspeculation replay disagrees at "
-                        f"round {index // 2}: library {lib!r} vs "
-                        f"independent {ours!r}"
-                    )
+        detail = _check_rounds(collector, stats, where)
+        if detail is not None:
+            return detail
         if stats.reexec_ops > stats.spec_ops:
             return (
                 f"{where}: re-executed more ops ({stats.reexec_ops}) than "

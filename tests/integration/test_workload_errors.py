@@ -159,3 +159,40 @@ def test_batch_entry_with_wrong_arity_is_an_error(program):
     assert entry["status"] == "error"
     assert entry["error"]["type"] == "WorkloadError"
     assert result.stats["degradations"] == 0
+
+
+#: The count goes negative at i = k + 1: at once for k = -1, and for
+#: k = 40 after the loop has run hot (on a trace in the fast tier).
+VARIABLE_SHIFT = """
+int main(int k) {
+    int s = 0;
+    for (int i = 0; i < 64; i++) {
+        s = (s + (1 << (k - i))) & 65535;
+    }
+    return s;
+}
+"""
+
+
+@pytest.mark.parametrize("k", ["-1", "40"])
+def test_negative_shift_count_is_a_one_line_workload_error(tmp_path, capsys, k):
+    path = tmp_path / "shift.c"
+    path.write_text(VARIABLE_SHIFT)
+    assert main(["run", str(path), f"--args={k}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "repro run: the run failed: InterpError: negative shift count -1"
+    ]
+
+
+def test_constant_negative_shift_compiles(tmp_path, capsys):
+    """Constant folding leaves ``1 << -1`` to run time instead of
+    crashing the compiler; the path holding it never runs."""
+    path = tmp_path / "shift.c"
+    path.write_text(PROGRAM.replace(
+        "int s = 0;", "int s = 0;\n    if (n < 0) { return 1 << -1; }"
+    ))
+    assert main(["compile", str(path), "--args", "64"]) == 0
+    assert "selected SPT loops" in capsys.readouterr().out
+    assert main(["run", str(path), "--args", "64"]) == 0

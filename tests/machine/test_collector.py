@@ -1,11 +1,14 @@
 """SPT trace collector behaviour: region split, call aggregation,
-invocation boundaries."""
+invocation boundaries.  Iterations are observed through the testkit's
+:class:`RetainingCollector`; the library collector folds and drops
+them as rounds complete."""
 
 from repro.analysis.loops import LoopNest
 from repro.ir import parse_module
 from repro.machine.spt_sim import SptTraceCollector, simulate_spt_loop
 from repro.machine.timing import TimingModel
 from repro.profiling import run_module
+from repro.testkit.oracles import RetainingCollector
 
 WITH_CALL = """\
 module t
@@ -45,7 +48,7 @@ def _collect(source, args, func_name="main", header="head"):
     func = module.function(func_name)
     nest = LoopNest.build(func)
     loop = next(l for l in nest.loops if l.header == header)
-    collector = SptTraceCollector(
+    collector = RetainingCollector(
         func_name, loop.header, loop.body, 0, TimingModel()
     )
     run_module(module, func_name=func_name, args=args, tracers=[collector])
@@ -125,7 +128,9 @@ def test_multiple_invocations_tracked_separately():
     func = module.function("work")
     nest = LoopNest.build(func)
     loop = nest.loops[0]
-    collector = SptTraceCollector("work", loop.header, loop.body, 0, TimingModel())
+    collector = RetainingCollector(
+        "work", loop.header, loop.body, 0, TimingModel()
+    )
     run_module(module, func_name="main", args=[5], tracers=[collector])
     assert len(collector.invocations) == 2
     assert len(collector.invocations[0]) == 3
@@ -142,3 +147,62 @@ def test_stats_accumulate_across_invocations():
     stats = simulate_spt_loop(collector)
     assert stats.invocations == 2
     assert stats.iterations == 9
+
+
+RECURSIVE = """\
+module t
+func work(n, d) {
+entry:
+  i = copy 0
+  s = copy 0
+  jump head
+head:
+  c = lt i, n
+  br c, body, exit
+body:
+  i = add i, 1
+  spt_fork 0
+  s = add s, i
+  r = gt d, 0
+  e = le i, 2
+  t = and r, e
+  br t, rec, latch
+rec:
+  m = sub i, 1
+  k = mul m, 3
+  d1 = sub d, 1
+  x = call work(k, d1)
+  s = add s, x
+  jump latch
+latch:
+  jump head
+exit:
+  spt_kill 0
+  ret s
+}
+func main(n) {
+entry:
+  a = call work(n, 1)
+  ret a
+}
+"""
+
+
+def test_pairing_restarts_only_where_an_invocation_gets_iterations():
+    """work(6, 1) recurses from its first two iterations.  The
+    zero-trip call work(0, 0) starts an invocation that never gets an
+    iteration, so iteration 2 still pairs with iteration 1; the call
+    work(3, 0) starts one that the caller's remaining iterations then
+    continue (the caller re-enters its loop from the body, not through
+    the preheader)."""
+    module = parse_module(RECURSIVE)
+    loop = LoopNest.build(module.function("work")).loops[0]
+    collector = RetainingCollector(
+        "work", loop.header, loop.body, 0, TimingModel()
+    )
+    run_module(module, args=[6], tracers=[collector])
+    stats = simulate_spt_loop(collector)
+    assert [len(traces) for traces in collector.invocations] == [2, 7]
+    assert (stats.invocations, stats.iterations) == (2, 9)
+    # Rounds (1,2), (j1,j2), (j3,3), (4,5) and the unpaired 6.
+    assert (stats.spec_ops, stats.spt_ticks) == (39, 7750)

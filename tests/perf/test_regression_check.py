@@ -119,10 +119,22 @@ def test_unmatched_current_record_is_a_warning_not_a_failure():
     base = _record()
     stranger = copy.deepcopy(base)
     stranger["fingerprint"] = "some-other-config"
-    report = check_regression([base], [stranger])
+    report = check_regression([base], [copy.deepcopy(base), stranger])
     assert report.ok
-    assert report.compared == 0
+    assert report.compared == 1
     assert any("no baseline record" in w for w in report.warnings)
+
+
+def test_nothing_matched_fails():
+    """A drifted fingerprint must not turn the gate into a vacuous pass."""
+    base = _record()
+    stranger = copy.deepcopy(base)
+    stranger["fingerprint"] = "some-other-config"
+    report = check_regression([base], [stranger])
+    assert not report.ok
+    assert report.compared == 0
+    assert any("no current record matched" in f for f in report.failures)
+    assert report.lines()[-1].startswith("perf check: FAIL")
 
 
 def test_empty_current_set_fails():

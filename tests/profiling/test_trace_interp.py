@@ -16,6 +16,7 @@ from repro.profiling import (
     CompiledMachine,
     EdgeProfile,
     FuelExhausted,
+    InterpError,
     Machine,
 )
 from repro.profiling.compiled import _BLACKLISTED
@@ -225,3 +226,46 @@ def test_trace_source_is_inspectable():
     ]
     assert sources
     assert all("def _trace(env, prev):" in src for src in sources)
+
+
+_SHIFTS = """
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        s = (s + (1 << (40 - i)) + (s >> 3) + (i << 2)) & 1048575;
+    }
+    return s;
+}
+"""
+
+
+@pytest.mark.parametrize("n", [40, 60], ids=["in-range", "negative"])
+def test_shift_counts_agree_on_every_tier(n):
+    """``1 << (40 - i)`` goes negative at i = 41, deep inside a hot
+    trace: the reference interpreter, the block path and the trace all
+    raise the same InterpError, and agree exactly while in range."""
+    module = _prepare(_SHIFTS)
+    machines = {
+        "reference": Machine(module),
+        "block": CompiledMachine(module, trace_hot_threshold=1 << 62),
+        "trace": _trace_machine(module),
+    }
+    outcomes = {}
+    for tier, machine in machines.items():
+        try:
+            result = machine.run("main", [n])
+            outcomes[tier] = (result, machine.executed)
+        except InterpError as exc:
+            outcomes[tier] = str(exc)
+    expected = "negative shift count -1" if n == 60 else outcomes["reference"]
+    assert outcomes == dict.fromkeys(machines, expected)
+    # The constant-count shifts stay inline; only the variable count
+    # goes through the check.
+    (source,) = [
+        trace.source
+        for code in machines["trace"]._code.values()
+        for trace in code.traces.values()
+        if trace is not _BLACKLISTED
+    ]
+    assert source.count("_shift_count(") == 1
+    assert ">> int(3))" in source and "<< int(2))" in source

@@ -18,7 +18,7 @@ from repro.resilience.degradation import (
     classify_exception,
 )
 from repro.resilience.faults import FaultInjected
-from repro.resilience.watchdog import DepthExceeded, WatchdogTimeout
+from repro.resilience.watchdog import WatchdogTimeout
 
 
 def test_taxonomy_is_closed_and_stable():
@@ -38,7 +38,6 @@ def test_taxonomy_is_closed_and_stable():
         (WatchdogTimeout("deadline"), KIND_WATCHDOG_TIMEOUT),
         (FuelExhausted("out of fuel"), KIND_PROFILE_BUDGET),
         (TransformError("loop refused"), KIND_TRANSFORM_ERROR),
-        (DepthExceeded("too deep"), KIND_RESOURCE_GUARD),
         (RecursionError("max depth"), KIND_RESOURCE_GUARD),
         (MemoryError(), KIND_RESOURCE_GUARD),
         (ValueError("whatever"), KIND_ANALYSIS_ERROR),

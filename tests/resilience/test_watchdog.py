@@ -1,10 +1,9 @@
-"""Unit tests for the wall-clock / recursion watchdog."""
+"""Unit tests for the wall-clock watchdog."""
 
 import pytest
 
 from repro.resilience.watchdog import (
     POLL_STRIDE,
-    DepthExceeded,
     ProgramTimeout,
     Watchdog,
     WatchdogTimeout,
@@ -54,17 +53,6 @@ def test_poll_amortizes_clock_reads():
         dog.poll()
     with pytest.raises(WatchdogTimeout):
         dog.poll()  # the POLL_STRIDE-th call consults the clock
-
-
-def test_depth_guard():
-    dog = Watchdog(max_depth=3)
-    dog.descend()
-    dog.descend()
-    dog.descend()
-    with pytest.raises(DepthExceeded):
-        dog.descend()
-    dog.ascend()
-    assert dog.depth == 3
 
 
 def test_ambient_stack_and_poll_current():

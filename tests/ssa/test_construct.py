@@ -134,6 +134,28 @@ entry:
     )
 
 
+def test_constant_folding_leaves_faulting_ops_to_run_time():
+    """Folding evaluates through the interpreter's operators: an op the
+    interpreter would fault on stays in the code and faults only if it
+    runs."""
+    func = parse_function(
+        """\
+func f() {
+entry:
+  a = shl 1, 3
+  b = shl 1, -1
+  c = shr 8, -2
+  d = div 7, 0
+  e = mod 7, 0
+  ret a
+}
+"""
+    )
+    assert fold_constants(func) == 1
+    kept = [i.op for i in func.instructions() if i.opcode == "binop"]
+    assert kept == ["shl", "shr", "div", "mod"]
+
+
 def test_dead_code_elimination_keeps_side_effects():
     func = parse_function(
         """\
