@@ -16,7 +16,7 @@ from repro.core.regions import choose_region_split
 from repro.core.selection import CATEGORY_BODY_TOO_LARGE
 from repro.ir import parse_module
 from repro.machine.region_sim import RegionTraceCollector, simulate_region_loop
-from repro.machine.timing import TimingModel
+from repro.machine.timing import TimingModel, TimingTracer
 from repro.profiling import run_module
 from repro.report.tables import format_table
 
@@ -82,10 +82,14 @@ def test_region_speculation_recovers_large_loop(benchmark):
         func = module.function("main")
         nest = LoopNest.build(func)
         loop = next(l for l in nest.loops if l.header == split.loop.header)
+        # The collector reads load latencies from the run's accounting.
+        model = TimingModel()
         collector = RegionTraceCollector(
-            "main", loop.header, loop.body, split.b_labels, TimingModel()
+            "main", loop.header, loop.body, split.b_labels, model
         )
-        run_module(module, args=[120], tracers=[collector])
+        run_module(
+            module, args=[120], tracers=[TimingTracer(model), collector]
+        )
         stats = simulate_region_loop(collector, split.split_label)
         return split, stats
 

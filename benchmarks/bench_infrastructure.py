@@ -432,3 +432,71 @@ def test_trace_interp_speedup():
     emit_json("BENCH_interp", payload)
     print(f"\ntrace-interp trajectory: {payload}")
     assert aggregate >= 5.0
+
+
+def _suite_eval_excluded():
+    """The suite programs perfbench's suite-eval workload leaves out
+    (``perfbench/workloads.py``'s ``SUITE_EXCLUDED``)."""
+    import importlib.util
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "workloads.py"
+    )
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.SUITE_EXCLUDED
+
+
+def test_spt_run_trajectory():
+    """The SPT-run trajectory: the evaluation run (``simulate_program``)
+    of the eight suite-eval programs under best, on the fast tier and on
+    the reference tier.  The fast tier's ``SimOutcome`` must equal the
+    reference tier's bit for bit.  Emits BENCH_sptsim.json with
+    per-program seconds (best of three fast runs, one reference run);
+    no speed floor is asserted."""
+    from repro.core.pipeline import Workload, compile_spt
+    from repro.perf.runner import simulate_program
+
+    excluded = _suite_eval_excluded()
+    per_bench = {}
+    for bench in SUITE:
+        if bench.name in excluded:
+            continue
+        module = compile_minic(bench.source, name=bench.name)
+        compilation = compile_spt(
+            module, best_config(), Workload(args=(bench.train_n,))
+        )
+
+        def run(fast):
+            start = time.perf_counter()
+            outcome = simulate_program(
+                module, compilation, args=[bench.eval_n], fast=fast
+            )
+            return outcome, time.perf_counter() - start
+
+        reference, reference_s = run(fast=False)
+        fast_s = float("inf")
+        for _ in range(3):
+            fast, seconds = run(fast=True)
+            fast_s = min(fast_s, seconds)
+            assert fast == reference, bench.name
+        per_bench[bench.name] = {
+            "spt_loops": len(reference.loops),
+            "fast_seconds": round(fast_s, 4),
+            "reference_seconds": round(reference_s, 4),
+        }
+
+    payload = {
+        "config": "best",
+        "cpu_count": os.cpu_count() or 1,
+        "benchmarks": per_bench,
+        "fast_seconds_total": round(
+            sum(b["fast_seconds"] for b in per_bench.values()), 4
+        ),
+        "reference_seconds_total": round(
+            sum(b["reference_seconds"] for b in per_bench.values()), 4
+        ),
+    }
+    emit_json("BENCH_sptsim", payload)
+    print(f"\nspt-run trajectory: {payload}")

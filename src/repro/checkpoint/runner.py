@@ -16,7 +16,9 @@ tier's bit for bit.
 Anything that goes wrong around checkpointing (unloadable snapshot,
 failed save, module mismatch) degrades to the uncheckpointed behavior:
 a cold start and/or a skipped save, counted on the store's stats, never
-an error surfaced to the simulation.
+an error surfaced to the simulation.  A snapshot that loads but does
+not apply is a corrupt entry like an unreadable one: removed, and the
+next older snapshot is tried.
 """
 
 from __future__ import annotations
@@ -112,34 +114,37 @@ def run_checkpointed_simulation(
     index = InstrIndex(module)
     loops = spt_loop_sites(compile_result)
 
-    machine, tracer, collectors = build_simulation(
-        module, loops, fuel=fuel, fast=False, telemetry=telemetry
-    )
+    def build():
+        return build_simulation(
+            module, loops, fuel=fuel, fast=False, telemetry=telemetry
+        )
+
+    def resume(state):
+        # Fresh components for every snapshot tried: one that fails to
+        # apply half-way may have mutated them.
+        machine, tracer, collectors = build()
+        try:
+            frame = restore_simulation(
+                machine, state, tracer, collectors, index
+            )
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # noqa: BLE001 - unusable => corrupt entry
+            raise ValueError(f"snapshot does not apply: {exc}") from None
+        return machine, tracer, collectors, frame
 
     frame = None
     resumed_from = None
+    found = None
     if resume_from is not None:
         at_or_before = None if resume_from == "latest" else int(resume_from)
-        found = store.load_latest(key, at_or_before=at_or_before)
-        if found is not None:
-            executed, state = found
-            try:
-                frame = restore_simulation(
-                    machine, state, tracer, collectors, index
-                )
-                resumed_from = executed
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:  # noqa: BLE001 - unusable snapshot => cold start
-                # A snapshot that passed the store's schema checks but
-                # does not apply (stale format internals, collector
-                # mismatch) may have half-mutated the components; throw
-                # them away and start cold on a fresh build.
-                store.stats.corrupt += 1
-                machine, tracer, collectors = build_simulation(
-                    module, loops, fuel=fuel, fast=False, telemetry=telemetry
-                )
-                frame = None
+        found = store.load_latest(
+            key, at_or_before=at_or_before, apply=resume
+        )
+    if found is not None:
+        resumed_from, (machine, tracer, collectors, frame) = found
+    else:
+        machine, tracer, collectors = build()
 
     report = CheckpointReport(
         key=key,

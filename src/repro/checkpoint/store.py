@@ -1,9 +1,9 @@
-"""The on-disk snapshot store (schema ``repro-checkpoint/1``).
+"""The on-disk snapshot store (schema ``repro-checkpoint/2``).
 
 A :class:`~repro.util.store.ContentStore` with one named entry per
 snapshot::
 
-    <dir>/v1/<k[:2]>/<k>/<executed:020>.json
+    <dir>/v2/<k[:2]>/<k>/<executed:020>.json
 
 where ``k`` is a SHA-256 digest over the checkpoint schema, the
 :meth:`~repro.core.config.SptConfig.fingerprint`, the workload token,
@@ -15,9 +15,10 @@ odometer (``executed``), which names the entry.
 
 Writes ``fsync`` (a checkpoint that does not survive the crash it
 exists for is worthless).  A torn, truncated, version-mismatched or
-otherwise unreadable snapshot is a counted corrupt miss, removed
-best-effort and skipped -- the caller falls back to the next older
-snapshot or a cold start, never crashes.  Both IO paths are chaos
+otherwise unreadable snapshot -- or one that reads but does not apply
+to the simulation -- is a counted corrupt miss, removed best-effort and
+skipped: the caller falls back to the next older snapshot or a cold
+start, never crashes.  Both IO paths are chaos
 injection sites (``checkpoint.save`` / ``checkpoint.restore`` in the
 ``REPRO_FAULT`` grammar).
 """
@@ -25,7 +26,7 @@ injection sites (``checkpoint.save`` / ``checkpoint.restore`` in the
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.batch.cache import default_cache_dir
 from repro.util.store import ContentStore, content_key
@@ -37,7 +38,9 @@ __all__ = [
     "default_checkpoint_dir",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+#: 2: an SPT collector's snapshot holds its private branch predictor and
+#: no cache (collectors read the run's own cache).
+CHECKPOINT_FORMAT_VERSION = 2
 CHECKPOINT_SCHEMA = f"repro-checkpoint/{CHECKPOINT_FORMAT_VERSION}"
 
 #: Environment override for the snapshot root.
@@ -87,20 +90,31 @@ class CheckpointStore(ContentStore):
         """Executed-indices of stored snapshots for ``key``, ascending."""
         return sorted(int(name) for name in self.names(key) if name.isdigit())
 
-    def load(self, key: str, executed: int) -> Optional[Dict]:
-        """The state snapshotted at ``executed``, or None."""
+    def load(self, key: str, executed: int,
+             apply: Optional[Callable] = None):
+        """The state snapshotted at ``executed``, or None.  With
+        ``apply``, the value ``apply(state)`` returns instead; a
+        ``ValueError`` from it makes the snapshot a corrupt miss, which
+        is removed like an unreadable one."""
+
+        def decode(payload):
+            state = _snapshot_state(payload)
+            return state if apply is None else apply(state)
+
         return self.get(key, "snapshot", name=f"{int(executed):020d}",
-                        decode=_snapshot_state)
+                        decode=decode)
 
     def load_latest(
-        self, key: str, at_or_before: Optional[int] = None
-    ) -> Optional[Tuple[int, Dict]]:
-        """The newest loadable snapshot (optionally at or before an
-        executed index); walks backwards past corrupt entries."""
+        self, key: str, at_or_before: Optional[int] = None,
+        apply: Optional[Callable] = None,
+    ) -> Optional[Tuple[int, object]]:
+        """The newest usable snapshot (optionally at or before an
+        executed index) as ``(executed, state)``, or ``(executed,
+        apply(state))``; walks backwards past corrupt entries."""
         for executed in reversed(self.available(key)):
             if at_or_before is not None and executed > at_or_before:
                 continue
-            state = self.load(key, executed)
-            if state is not None:
-                return executed, state
+            value = self.load(key, executed, apply=apply)
+            if value is not None:
+                return executed, value
         return None

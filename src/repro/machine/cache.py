@@ -27,6 +27,7 @@ conversion is exact for any latency that is a multiple of 0.01 cycles.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional
 
 #: Duplicated from repro.machine.timing to avoid an import cycle
 #: (timing imports this module).
@@ -99,6 +100,12 @@ class MemoryHierarchy:
         self.memory_latency = memory_latency
         self.memory_ticks = _to_ticks(memory_latency)
         self.accesses = 0
+        #: The address and ticks of the most recent :meth:`access_ticks`.
+        #: An SPT collector reads a load's latency here after the run's
+        #: timing accounting has charged it, instead of simulating a
+        #: cache of its own; the address lets it check that it did.
+        self.last_addr: Optional[int] = None
+        self.last_ticks = 0
 
     def access(self, addr: int) -> float:
         """Cycles to satisfy a load of ``addr``; updates all levels."""
@@ -114,13 +121,15 @@ class MemoryHierarchy:
     def access_ticks(self, addr: int) -> int:
         """Ticks to satisfy a load of ``addr``; updates all levels."""
         self.accesses += 1
+        self.last_addr = addr
         l1 = self._l1
         d1 = l1._lines
         line1 = addr // l1.line_words
         if line1 in d1:
             d1.move_to_end(line1)
             l1.hits += 1
-            return l1.latency_ticks
+            self.last_ticks = ticks = l1.latency_ticks
+            return ticks
         l1.misses += 1
         l2 = self._l2
         d2 = l2._lines
@@ -150,6 +159,7 @@ class MemoryHierarchy:
         d1[line1] = True
         while len(d1) > l1.capacity_lines:
             d1.popitem(last=False)
+        self.last_ticks = ticks
         return ticks
 
     def fill_for_write(self, addr: int) -> None:

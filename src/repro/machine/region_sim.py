@@ -9,7 +9,9 @@ runs region B from the iteration-start context:
 Violation detection and re-execution propagation reuse the SPT loop
 machinery (:func:`repro.machine.spt_sim._replay_speculative`), with
 "post-fork writes" replaced by region A's writes of the same iteration.
-Each iteration folds into the totals as soon as it completes.
+Each iteration folds into the totals as soon as it completes.  Like the
+SPT collector, the region collector reads load latencies from the run's
+own timing model, so it must be attached after the run's accounting.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.machine.spt_sim import (
     IterationTrace,
     SptTraceCollector,
     _replay_speculative,
-    _writes,
+    _stale,
 )
 from repro.machine.timing import TICKS_PER_CYCLE, TimingModel
 
@@ -56,34 +58,25 @@ class RegionTraceCollector(SptTraceCollector):
         # Region assignment follows the block, not a fork marker.
         self._in_pre_fork = block.label not in self.b_labels
 
-    def on_instr(self, func: Function, block: Block, instr) -> None:
-        super().on_instr(func, block, instr)
-        if (
-            self._pending_op is not None
-            and self._pending_op.instr is instr
-            and func.name == self.func_name
-            and block.label == self.header
-        ):
-            # Header ops run before the fork: their defs are part of the
-            # context region B starts from, never stale.
-            self._pending_op.header_op = True
-
     def _complete(self, trace: IterationTrace) -> None:
         """Fold one finished iteration as its own A ∥ B round."""
         stats = self.region_stats
-        t_a = trace.pre_ticks()
-        t_b = trace.post_ticks()
+        t_a = trace.pre_ticks
+        t_b = trace.post_ticks
         stats.iterations += 1
         stats.seq_ticks += t_a + t_b
         stats.a_ticks += t_a
         stats.b_ticks += t_b
 
-        # Header ops resolve before the fork: never stale for region B.
-        reg, mem = _writes(
+        # Header ops run before the fork: their defs are part of the
+        # context region B starts from, never stale.
+        stale_regs, stale_addrs = _stale(
             op for op in trace.ops if op.pre_fork and not op.header_op
         )
         b_ops = [op for op in trace.ops if not op.pre_fork]
-        reexec_ticks, reexec_ops = _replay_speculative(b_ops, reg, mem)
+        reexec_ticks, reexec_ops = _replay_speculative(
+            b_ops, stale_regs, stale_addrs
+        )
 
         stats.region_ticks += (
             FORK_TICKS + max(t_a, t_b) + COMMIT_TICKS + reexec_ticks

@@ -41,10 +41,11 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import Block
-from repro.ir.function import Function
+from repro.ir.function import Function, Module
 from repro.ir.instr import Branch, Call, Instr, Phi, SptFork
 from repro.ir.values import Var
-from repro.machine.timing import TICKS_PER_CYCLE, TimingModel
+from repro.machine.branchpred import BranchPredictor
+from repro.machine.timing import MISPREDICT_TICKS, TICKS_PER_CYCLE, TimingModel
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.profiling.interp import Tracer
 
@@ -78,11 +79,19 @@ class OpRecord:
         "header_op",
     )
 
-    def __init__(self, instr: Instr):
+    def __init__(
+        self,
+        instr: Instr,
+        ticks: int = 0,
+        uses: Tuple[str, ...] = (),
+        pre_fork: bool = False,
+        header_op: bool = False,
+    ):
         self.instr = instr
-        self.ticks = 0
-        #: Register names read (with phis resolved to the taken incoming).
-        self.uses: List[str] = []
+        self.ticks = ticks
+        #: Register names read (with phis resolved to the taken
+        #: incoming); shared with the instruction's template.
+        self.uses = uses
         self.def_name: Optional[str] = None
         self.def_old = None
         self.def_new = None
@@ -94,10 +103,10 @@ class OpRecord:
         #: For aggregated calls: addresses read / written inside.
         self.mem_reads: Optional[Set[int]] = None
         self.mem_writes: Optional[Dict[int, Tuple]] = None
-        self.pre_fork = False
+        self.pre_fork = pre_fork
         #: Set for loop-header ops (used by the region simulator: header
         #: values resolve before the fork).
-        self.header_op = False
+        self.header_op = header_op
 
     @property
     def latency(self) -> float:
@@ -107,20 +116,50 @@ class OpRecord:
 class IterationTrace:
     """All operations of one loop iteration, in execution order."""
 
-    __slots__ = ("ops",)
+    __slots__ = ("ops", "pre_ticks", "post_ticks")
 
     def __init__(self):
         self.ops: List[OpRecord] = []
+        #: Ticks of the ops before / after the fork, summed by
+        #: :meth:`seal` once the iteration is complete.
+        self.pre_ticks = 0
+        self.post_ticks = 0
+
+    def seal(self) -> None:
+        """Sum the finished iteration's pre- and post-fork ticks once."""
+        pre = post = 0
+        for op in self.ops:
+            if op.pre_fork:
+                pre += op.ticks
+            else:
+                post += op.ticks
+        self.pre_ticks = pre
+        self.post_ticks = post
 
     @property
     def total_ticks(self) -> int:
-        return sum(op.ticks for op in self.ops)
+        return self.pre_ticks + self.post_ticks
 
-    def pre_ticks(self) -> int:
-        return sum(op.ticks for op in self.ops if op.pre_fork)
 
-    def post_ticks(self) -> int:
-        return sum(op.ticks for op in self.ops if not op.pre_fork)
+class _OpTemplate:
+    """What one loop-body instruction contributes to every record of it:
+    base ticks, the registers it reads (None for a phi, whose use
+    depends on the edge taken), the register it defines, whether it is
+    a call or this loop's fork, and whether it sits in the header."""
+
+    __slots__ = ("ticks", "uses", "dest", "call", "fork", "header_op")
+
+    def __init__(self, collector: "SptTraceCollector", block: Block, instr: Instr):
+        self.ticks = collector.model.base_ticks(instr)
+        self.uses = None if isinstance(instr, Phi) else tuple(
+            value.name for value in instr.uses() if isinstance(value, Var)
+        )
+        self.dest = instr.dest.name if instr.dest is not None else None
+        self.call = isinstance(instr, Call)
+        self.fork = (
+            isinstance(instr, SptFork) and instr.loop_id == collector.loop_id
+        )
+        self.header_op = block.label == collector.header
 
 
 class SptTraceCollector(Tracer):
@@ -130,6 +169,15 @@ class SptTraceCollector(Tracer):
     callees are aggregated into the call-site's record (the call becomes
     one atomic op with a read/write address set), matching how the cost
     model treats calls.
+
+    ``model`` is the run's own timing model: a load's latency is the
+    one the run's accounting has just charged on the shared
+    :class:`~repro.machine.cache.MemoryHierarchy`, so the collector
+    must be attached after that accounting (a recorded load the
+    hierarchy has not just charged raises) and simulates no cache of
+    its own.  It keeps a private :class:`BranchPredictor`, because its
+    branch history differs from the run's (callee branches and
+    recursive frames).
 
     Each finished iteration either waits as the unpaired main-thread
     iteration or completes a round with the one waiting; a folded round
@@ -152,6 +200,7 @@ class SptTraceCollector(Tracer):
         self.body_labels = set(body_labels)
         self.loop_id = loop_id
         self.model = model
+        self.predictor = BranchPredictor()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Running totals of every folded round.
         self.stats = SptLoopStats(func_name, header)
@@ -173,6 +222,7 @@ class SptTraceCollector(Tracer):
         self._pending_op: Optional[OpRecord] = None
         self._entered_body = False
         self._frame_is_target: List[bool] = []
+        self._templates: Dict[Instr, _OpTemplate] = {}
 
     # -- tracer hooks ----------------------------------------------------
 
@@ -236,6 +286,7 @@ class SptTraceCollector(Tracer):
             and self._current.ops
             and self._entered_body
         ):
+            self._current.seal()
             self._complete(self._current)
         self._current = None
         self._pending_op = None
@@ -245,7 +296,7 @@ class SptTraceCollector(Tracer):
     # -- folding -----------------------------------------------------
 
     def _complete(self, trace: IterationTrace) -> None:
-        """Fold one finished iteration into the running totals."""
+        """Fold one finished (sealed) iteration into the running totals."""
         if self._opened:
             self._flush()
             self._opened = False
@@ -253,24 +304,23 @@ class SptTraceCollector(Tracer):
         stats = self.stats
         if self._unpaired is None and self._round == 0:
             stats.invocations += 1
+        t_spec = trace.total_ticks
         stats.iterations += 1
-        stats.seq_ticks += trace.total_ticks
+        stats.seq_ticks += t_spec
         stats.total_ops += len(trace.ops)
-        stats.prefork_ticks += trace.pre_ticks()
+        stats.prefork_ticks += trace.pre_ticks
         main = self._unpaired
         if main is None:
             self._unpaired = trace
             return
         self._unpaired = None
-        post_reg, post_mem = _post_fork_writes(main)
         reexec_ticks, reexec_ops = _replay_speculative(
-            trace.ops, post_reg, post_mem
+            trace.ops, *_post_fork_stale(main)
         )
-        t_spec = trace.total_ticks
         round_ticks = (
-            main.pre_ticks()
+            main.pre_ticks
             + FORK_TICKS
-            + max(main.post_ticks(), t_spec)
+            + max(main.post_ticks, t_spec)
             + COMMIT_TICKS
             + reexec_ticks
         )
@@ -330,6 +380,16 @@ class SptTraceCollector(Tracer):
             return self._call_stack[-1]
         return self._pending_op
 
+    def _template(self, block: Block, instr: Instr) -> _OpTemplate:
+        template = self._templates.get(instr)
+        if template is None:
+            template = self._templates[instr] = _OpTemplate(self, block, instr)
+        return template
+
+    def _phi_uses(self, phi: Phi) -> Tuple[str, ...]:
+        incoming = phi.incomings.get(self._prev_label)
+        return (incoming.name,) if isinstance(incoming, Var) else ()
+
     def on_instr(self, func: Function, block: Block, instr: Instr) -> None:
         if self._current is None:
             return
@@ -338,23 +398,21 @@ class SptTraceCollector(Tracer):
             return
 
         if in_target:
-            if isinstance(instr, SptFork) and instr.loop_id == self.loop_id:
+            template = self._template(block, instr)
+            if template.fork:
                 self._in_pre_fork = False
                 return
-            op = OpRecord(instr)
-            op.ticks = self.model.base_ticks(instr)
-            op.pre_fork = self._in_pre_fork
-            if isinstance(instr, Phi):
-                incoming = instr.incomings.get(self._prev_label)
-                if isinstance(incoming, Var):
-                    op.uses.append(incoming.name)
-            else:
-                for value in instr.uses():
-                    if isinstance(value, Var):
-                        op.uses.append(value.name)
+            uses = template.uses
+            op = OpRecord(
+                instr,
+                template.ticks,
+                self._phi_uses(instr) if uses is None else uses,
+                self._in_pre_fork,
+                template.header_op,
+            )
             self._current.ops.append(op)
             self._pending_op = op
-            if isinstance(instr, Call):
+            if template.call:
                 op.mem_reads = set()
                 op.mem_writes = {}
                 self._call_stack.append(op)
@@ -375,15 +433,18 @@ class SptTraceCollector(Tracer):
             and func.name == self.func_name
         ):
             taken = dst_label == record.instr.iftrue
-            record.ticks += self.model.branch_ticks(id(record.instr), taken)
+            record.ticks += self._branch_ticks(record.instr, taken)
         elif self._call_stack and isinstance(
             func.block(src_label).terminator, Branch
         ):
             branch = func.block(src_label).terminator
             taken = dst_label == branch.iftrue
-            self._call_stack[-1].ticks += self.model.branch_ticks(
-                id(branch), taken
-            )
+            self._call_stack[-1].ticks += self._branch_ticks(branch, taken)
+
+    def _branch_ticks(self, branch: Branch, taken: bool) -> int:
+        if self.predictor.predict_and_update(id(branch), taken):
+            return MISPREDICT_TICKS
+        return 0
 
     def on_def(self, instr: Instr, value) -> None:
         if self._current is None:
@@ -407,12 +468,18 @@ class SptTraceCollector(Tracer):
             self._reg_values[name] = value
 
     def on_load(self, instr: Instr, addr: int, value) -> None:
-        # The cache observes every load in the program (cache state must
-        # match the run's real access stream), but latency is only
-        # attached to ops recorded inside the SPT loop.
-        ticks = self.model.load_ticks(addr)
         if self._current is None:
             return
+        # The run's accounting has just charged this load on the shared
+        # hierarchy; its latency is the one the op pays.
+        hierarchy = self.model.hierarchy
+        if hierarchy.last_addr != addr:
+            raise RuntimeError(
+                f"{type(self).__name__}: load of {addr} was not charged on "
+                "the collector's hierarchy; attach the collector after a "
+                "timing accounting that shares its model"
+            )
+        ticks = hierarchy.last_ticks
         if self._call_stack:
             record = self._call_stack[-1]
             record.ticks += ticks
@@ -426,7 +493,6 @@ class SptTraceCollector(Tracer):
         record.load_value = value
 
     def on_store(self, instr: Instr, addr: int, value, old_value) -> None:
-        self.model.store_fill(addr)
         if self._current is None:
             return
         if self._call_stack:
@@ -440,6 +506,87 @@ class SptTraceCollector(Tracer):
         record.store_addr = addr
         record.store_old = old_value
         record.store_new = value
+
+    # -- the fast tier's view ------------------------------------------
+
+    def op_scope(self, module: Module) -> Dict[str, Set[str]]:
+        """The loop body, every block of each function the body can
+        reach through calls, and so all of the target function when the
+        body can call back into it: outside these blocks no op runs
+        while an iteration is open, so the per-op hooks see nothing."""
+        target = module.functions[self.func_name]
+        scope = {self.func_name: set(self.body_labels)}
+        pending = _callees(
+            block for block in target.blocks if block.label in self.body_labels
+        )
+        reached: Set[str] = set()
+        while pending:
+            name = pending.pop()
+            func = module.functions.get(name)
+            if func is None or name in reached:
+                continue
+            reached.add(name)
+            scope[name] = {block.label for block in func.blocks}
+            pending.extend(_callees(func.blocks))
+        return scope
+
+    def op_recorder(self, func: Function, block: Block, instr: Instr, run):
+        """One closure that runs ``run(env)`` and records ``instr`` as
+        ``on_instr`` before and ``on_def`` after it would, for a body op
+        of the target function that is neither a call nor the fork.
+
+        Outside an iteration it only runs the op (both hooks would
+        return at once); in a callee frame or beside an open call
+        aggregate it calls the hooks themselves.  A subclass overriding
+        either hook gets no recorder, so it sees every event."""
+        cls = type(self)
+        if (
+            cls.on_instr is not SptTraceCollector.on_instr
+            or cls.on_def is not SptTraceCollector.on_def
+            or func.name != self.func_name
+            or block.label not in self.body_labels
+        ):
+            return None
+        template = self._template(block, instr)
+        if template.call or template.fork:
+            return None
+        ticks = template.ticks
+        uses = template.uses
+        dest = template.dest
+        header_op = template.header_op
+        on_instr = self.on_instr
+        on_def = self.on_def
+        collector = self
+
+        def op(env):
+            current = collector._current
+            if current is None:
+                return run(env)
+            if collector._depth_in_target or collector._call_stack:
+                on_instr(func, block, instr)
+                value = run(env)
+                if dest is not None:
+                    on_def(instr, value)
+                return value
+            record = OpRecord(
+                instr,
+                ticks,
+                collector._phi_uses(instr) if uses is None else uses,
+                collector._in_pre_fork,
+                header_op,
+            )
+            current.ops.append(record)
+            collector._pending_op = record
+            value = run(env)
+            if dest is not None:
+                regs = collector._reg_values
+                record.def_name = dest
+                record.def_old = regs.get(dest)
+                record.def_new = value
+                regs[dest] = value
+            return value
+
+        return op
 
     # -- checkpointing ------------------------------------------------
 
@@ -489,7 +636,7 @@ class SptTraceCollector(Tracer):
             op.pre_fork,
             op.header_op,
         ) = fields[1:]
-        op.uses = list(uses)
+        op.uses = tuple(uses)
         op.mem_reads = set(mem_reads) if mem_reads is not None else None
         op.mem_writes = (
             {addr: (old, new) for addr, old, new in mem_writes}
@@ -504,9 +651,10 @@ class SptTraceCollector(Tracer):
         At such a boundary no call is in flight (calls complete within
         their block), so the call-aggregation stack must be empty.  The
         folded totals, the unpaired iteration, the in-progress iteration
-        (``_current``) and the collector's private timing model are
-        captured; finished rounds are already folded away, so the
-        snapshot does not grow with the run.  ``_pending_op`` is
+        (``_current``) and the collector's private branch predictor are
+        captured; finished rounds are already folded away, and the cache
+        is the run's own (snapshotted with the timing accounting), so
+        the snapshot does not grow with the run.  ``_pending_op`` is
         transient (only consulted while its instruction's events are
         still being delivered) and restores as None."""
         if self._call_stack or self._depth_in_target:
@@ -532,7 +680,7 @@ class SptTraceCollector(Tracer):
             "prev_label": self._prev_label,
             "entered_body": self._entered_body,
             "frame_is_target": list(self._frame_is_target),
-            "model": self.model.snapshot_state(key_of),
+            "predictor": self.predictor.snapshot_state(key_of),
         }
 
     def restore_state(self, state: Dict, instr_of, id_of) -> None:
@@ -549,6 +697,8 @@ class SptTraceCollector(Tracer):
         self.stats = SptLoopStats(**state["stats"])
         self.counts = dict(state["counts"])
         self._unpaired = decode(state["unpaired"])
+        if self._unpaired is not None:
+            self._unpaired.seal()
         self._round = int(state["round"])
         self._opened = bool(state["opened"])
         self._current = decode(state["current"])
@@ -560,7 +710,16 @@ class SptTraceCollector(Tracer):
         self._depth_in_target = 0
         self._call_stack = []
         self._pending_op = None
-        self.model.restore_state(state["model"], id_of)
+        self.predictor.restore_state(state["predictor"], id_of)
+
+
+def _callees(blocks: Iterable[Block]) -> List[str]:
+    return [
+        instr.callee
+        for block in blocks
+        for instr in block.instrs
+        if isinstance(instr, Call)
+    ]
 
 
 @dataclass(repr=False)
@@ -638,10 +797,11 @@ class SptLoopStats:
         )
 
 
-def _writes(ops: Iterable[OpRecord]):
-    """Register and memory locations ``ops`` redefine, each with (value
-    before the first write, value after the last)."""
-    reg: Dict[str, Tuple] = {}
+def _stale(ops: Iterable[OpRecord]) -> Tuple[Set[str], Set[int]]:
+    """Register names and memory addresses ``ops`` redefine and leave
+    holding a different value than before the first of them wrote it
+    (silent re-stores are not stale)."""
+    reg: Dict[str, Tuple] = {}  # location -> (value before, value after)
     mem: Dict[int, Tuple] = {}
     for op in ops:
         if op.def_name is not None:
@@ -658,84 +818,58 @@ def _writes(ops: Iterable[OpRecord]):
             for addr, (old, new) in op.mem_writes.items():
                 first = mem.get(addr)
                 mem[addr] = (old if first is None else first[0], new)
-    return reg, mem
+    return (
+        {name for name, (old, new) in reg.items() if old != new},
+        {addr for addr, (old, new) in mem.items() if old != new},
+    )
 
 
-def _post_fork_writes(trace: IterationTrace):
-    """Register and memory locations the main thread redefines after the
-    fork, with (value-at-fork, final-value)."""
-    return _writes(op for op in trace.ops if not op.pre_fork)
+def _post_fork_stale(trace: IterationTrace) -> Tuple[Set[str], Set[int]]:
+    """The locations the main thread changes after the fork: what a
+    speculative iteration started at the fork reads stale."""
+    return _stale(op for op in trace.ops if not op.pre_fork)
 
 
 def _replay_speculative(
     spec_ops: Iterable[OpRecord],
-    post_reg: Dict[str, Tuple],
-    post_mem: Dict[int, Tuple],
+    stale_regs: Set[str],
+    stale_addrs: Set[int],
 ) -> Tuple[int, int]:
-    """Walk the speculative iteration's ops, propagating misspeculation.
+    """Walk the speculative iteration's ops, propagating misspeculation
+    from the stale locations.
 
     Returns (re-executed ticks, re-executed op count)."""
-    tainted_regs: Set[str] = set()
-    clean_regs: Set[str] = set()
-    tainted_addrs: Set[int] = set()
-    clean_addrs: Set[int] = set()
+    if not stale_regs and not stale_addrs:
+        return 0, 0  # nothing is stale, so nothing can taint
+    # A location reads wrong while stale and not yet redefined this
+    # iteration, or after a tainted op redefined it; a clean
+    # redefinition heals it (later readers observe a correct value).
+    bad_regs = set(stale_regs)
+    bad_addrs = set(stale_addrs)
     reexec_ticks = 0
     reexec_ops = 0
-
-    def stale_reg(name: str) -> bool:
-        if name in clean_regs or name in tainted_regs:
-            return False  # redefined this iteration
-        entry = post_reg.get(name)
-        return entry is not None and entry[0] != entry[1]
-
-    def stale_addr(addr: int) -> bool:
-        if addr in clean_addrs or addr in tainted_addrs:
-            return False
-        entry = post_mem.get(addr)
-        return entry is not None and entry[0] != entry[1]
-
     for op in spec_ops:
-        tainted = False
-        for name in op.uses:
-            if name in tainted_regs or stale_reg(name):
-                tainted = True
-                break
-        if not tainted and op.load_addr is not None:
-            if op.load_addr in tainted_addrs or stale_addr(op.load_addr):
-                tainted = True
-        if not tainted and op.mem_reads:
-            for addr in op.mem_reads:
-                if addr in tainted_addrs or stale_addr(addr):
-                    tainted = True
-                    break
-
+        tainted = (
+            not bad_regs.isdisjoint(op.uses)
+            or (op.load_addr is not None and op.load_addr in bad_addrs)
+            or (op.mem_reads and not bad_addrs.isdisjoint(op.mem_reads))
+        )
         if tainted:
             reexec_ticks += op.ticks
             reexec_ops += 1
             if op.def_name is not None:
-                tainted_regs.add(op.def_name)
-                clean_regs.discard(op.def_name)
+                bad_regs.add(op.def_name)
             if op.store_addr is not None:
-                tainted_addrs.add(op.store_addr)
-                clean_addrs.discard(op.store_addr)
+                bad_addrs.add(op.store_addr)
             if op.mem_writes:
-                for addr in op.mem_writes:
-                    tainted_addrs.add(addr)
-                    clean_addrs.discard(addr)
+                bad_addrs.update(op.mem_writes)
         else:
-            # A clean redefinition heals the location: later readers
-            # observe a correct value even if an earlier op this
-            # iteration tainted it.
             if op.def_name is not None:
-                clean_regs.add(op.def_name)
-                tainted_regs.discard(op.def_name)
+                bad_regs.discard(op.def_name)
             if op.store_addr is not None:
-                clean_addrs.add(op.store_addr)
-                tainted_addrs.discard(op.store_addr)
+                bad_addrs.discard(op.store_addr)
             if op.mem_writes:
-                for addr in op.mem_writes:
-                    clean_addrs.add(addr)
-                    tainted_addrs.discard(addr)
+                bad_addrs.difference_update(op.mem_writes)
     return reexec_ticks, reexec_ops
 
 

@@ -188,7 +188,9 @@ def check_regression(
     the same :func:`match_key`; an unmatched record is a warning, but a
     check in which no record matched fails.  Deterministic metrics
     (cycles, the :data:`DETERMINISTIC_COUNTER_PREFIXES` counters) fail
-    on any drift.
+    on any drift, and a deterministic counter of the baseline that the
+    current record no longer reports fails too (one only the current
+    record reports is a warning).
     Wall-clock metrics fail when they grew by more than
     ``wall_threshold`` relative *and* ``floor_ms`` absolute -- and are
     only gated when the two records share a host token (override with
@@ -220,12 +222,22 @@ def check_regression(
                 )
         base_counters = _deterministic_counters(base)
         cur_counters = _deterministic_counters(cur)
-        for counter in sorted(set(base_counters) & set(cur_counters)):
-            if base_counters[counter] != cur_counters[counter]:
+        for counter in sorted(base_counters):
+            if counter not in cur_counters:
+                report.fail(
+                    f"{name}: counter {counter} vanished "
+                    f"(baseline {base_counters[counter]:g})"
+                )
+            elif base_counters[counter] != cur_counters[counter]:
                 report.fail(
                     f"{name}: counter {counter} drifted "
                     f"{base_counters[counter]:g} -> {cur_counters[counter]:g}"
                 )
+        for counter in sorted(set(cur_counters) - set(base_counters)):
+            report.warnings.append(
+                f"{name}: counter {counter} is new "
+                f"({cur_counters[counter]:g}; not in the baseline)"
+            )
         if base.get("degradations") != cur.get("degradations"):
             report.fail(
                 f"{name}: degradation records changed "

@@ -98,27 +98,29 @@ def build_simulation(
     """Assemble the ``(machine, cycle accounting, SPT collectors)``
     triple one simulation runs on; ``loops`` are ``(function, header,
     loop id)`` sites in the (already transformed) ``module``.  The
-    collectors emit their ``spt.round`` events into ``telemetry`` as
-    the run folds them; ``collector_type`` lets a checker substitute a
+    collectors share the accounting's timing model -- they read each
+    load's latency from the cache it has just charged -- and are
+    attached after it.  They emit their ``spt.round`` events into
+    ``telemetry`` as the run folds them; ``collector_type`` lets a
+    checker substitute a
     :class:`~repro.machine.spt_sim.SptTraceCollector` subclass.
 
     Deterministic: the same module and sites always build the same
     collector sequence, which is what lets a checkpoint restored in a
     fresh process (:mod:`repro.checkpoint`) line up its per-collector
     state positionally."""
+    machine, accounting = timed_machine(
+        module, fuel=fuel, fast=fast, telemetry=telemetry
+    )
     collectors = []
     for func_name, header, loop_id in loops:
         nest = LoopNest.build(module.function(func_name))
         loop = next((l for l in nest.loops if l.header == header), None)
         if loop is not None:
             collectors.append(collector_type(
-                func_name, header, loop.body, loop_id, TimingModel(),
+                func_name, header, loop.body, loop_id, accounting.model,
                 telemetry=telemetry,
             ))
-
-    machine, accounting = timed_machine(
-        module, fuel=fuel, fast=fast, telemetry=telemetry
-    )
     for collector in collectors:
         machine.add_tracer(collector)
     return machine, accounting, collectors

@@ -19,7 +19,10 @@ execution, into a flat list of specialized closures:
   inspects which :class:`Tracer` hooks each attached tracer actually
   overrides and emits hook calls only for those, so the common
   zero-tracer (and edge-profile-only) case pays nothing for the
-  observer interface;
+  observer interface; per-instruction hooks are compiled only into the
+  blocks a tracer's ``op_scope`` names, and where one tracer alone
+  observes an op, its ``op_recorder`` closure replaces the
+  ``on_instr``/``on_def`` dispatch around it;
 * **batched fuel accounting** -- fuel is charged once per block with a
   single comparison instead of once per instruction.
 
@@ -95,18 +98,21 @@ _TRACE_MAX_BLOCKS = 32
 #: Trace-count cap per function (memory bound).
 _TRACE_MAX_PER_FUNC = 64
 
+#: Tracer hooks fired once per executed instruction; a tracer's
+#: ``op_scope`` bounds the blocks they are compiled into.
+_PER_OP_HOOKS = ("on_instr", "on_def", "on_load", "on_store", "on_call")
+
 #: Tracer hook names that affect compiled code generation.
 _HOOK_NAMES = (
     "on_enter_function",
     "on_exit_function",
     "on_block",
     "on_edge",
-    "on_instr",
-    "on_def",
-    "on_load",
-    "on_store",
-    "on_call",
-)
+) + _PER_OP_HOOKS
+
+
+def _no_op(env) -> None:
+    return None
 
 
 class _Hooks:
@@ -114,32 +120,56 @@ class _Hooks:
 
     A tracer subscribes to a hook iff its class overrides the base
     :class:`Tracer` method; un-overridden no-op hooks are elided from
-    the compiled code entirely.
+    the compiled code entirely.  :meth:`in_block` narrows the
+    per-instruction buckets to the tracers whose ``op_scope`` holds a
+    block.
     """
 
-    __slots__ = _HOOK_NAMES + ("signature",)
+    __slots__ = _HOOK_NAMES + ("scopes",)
 
-    def __init__(self, tracers):
-        signature = []
+    def __init__(self, tracers, module: Module):
         for name in _HOOK_NAMES:
             base = getattr(Tracer, name)
-            subscribed = tuple(
+            setattr(self, name, tuple(
                 t for t in tracers if getattr(type(t), name, base) is not base
-            )
-            setattr(self, name, subscribed)
-            signature.append(tuple(id(t) for t in subscribed))
-        self.signature = tuple(signature)
+            ))
+        #: id(tracer) -> function name -> labels, for every per-op
+        #: tracer that declares a scope.
+        self.scopes: Dict[int, Dict[str, set]] = {}
+        for tracer in tracers:
+            if any(tracer in getattr(self, n) for n in _PER_OP_HOOKS):
+                scope = tracer.op_scope(module)
+                if scope is not None:
+                    self.scopes[id(tracer)] = scope
 
     @property
-    def per_instr(self) -> bool:
-        """Whether any per-instruction hook is live."""
-        return bool(self.on_instr or self.on_def)
+    def per_op(self) -> bool:
+        """Whether any per-instruction hook is attached anywhere (hot
+        traces stay off while one is)."""
+        return any(getattr(self, name) for name in _PER_OP_HOOKS)
+
+    def in_block(self, func_name: str, label: str) -> "_Hooks":
+        """These hooks, with each per-instruction bucket narrowed to the
+        tracers whose scope holds block ``label`` of ``func_name``."""
+        if not self.scopes:
+            return self
+        narrowed = object.__new__(_Hooks)
+        for name in _HOOK_NAMES:
+            setattr(narrowed, name, getattr(self, name))
+        narrowed.scopes = self.scopes
+        for name in _PER_OP_HOOKS:
+            setattr(narrowed, name, tuple(
+                t for t in getattr(self, name)
+                if id(t) not in self.scopes
+                or label in self.scopes[id(t)].get(func_name, ())
+            ))
+        return narrowed
 
 
 class _CompiledBlock:
     """One basic block lowered to closures."""
 
-    __slots__ = ("block", "fuel", "ops", "term", "phis", "phi_batches", "hooked_phis")
+    __slots__ = ("block", "fuel", "ops", "term", "phis", "phi_batches")
 
     def __init__(self, block: Block):
         self.block = block
@@ -152,12 +182,10 @@ class _CompiledBlock:
         self.term: Callable = None
         #: The phi prefix (for diagnostics), or ().
         self.phis: Tuple[Phi, ...] = ()
-        #: prev label -> precomputed batch, or None when the block has
-        #: no phis.  Batch entries are (dest_name, accessor) pairs, or
-        #: (phi, dest_name, accessor) triples when per-instruction
-        #: hooks are live.
+        #: prev label -> precomputed batch of (dest_name, accessor)
+        #: pairs (the accessor runs the phi's hooks too), or None when
+        #: the block has no phis.
         self.phi_batches: Optional[Dict[str, tuple]] = None
-        self.hooked_phis = False
 
 
 class _CompiledFunction:
@@ -177,9 +205,7 @@ class _CompiledFunction:
         self.reject_counts: Dict[str, int] = {}
         #: Hot-trace splicing engages only when no per-op observer needs
         #: the individual instruction stream.
-        self.tracing = not (
-            hooks.per_instr or hooks.on_load or hooks.on_store or hooks.on_call
-        )
+        self.tracing = not hooks.per_op
 
     # -- operand accessors -------------------------------------------
 
@@ -205,10 +231,11 @@ class _CompiledFunction:
     # -- per-instruction cores ---------------------------------------
     #
     # A core executes one instruction against an environment and
-    # returns the defined value (or None for pure effects); hook
-    # wrapping happens in :meth:`_wrap`.
+    # returns the defined value (or None for pure effects); ``hooks``
+    # are the block's, and the on_instr/on_def wrapping happens in
+    # :meth:`_observed`.
 
-    def _binop_core(self, instr: BinOp) -> Callable:
+    def _binop_core(self, instr: BinOp, hooks: _Hooks) -> Callable:
         dest = instr.dest.name
         if instr.op == "div":
             fn = _div
@@ -258,7 +285,7 @@ class _CompiledFunction:
 
         return core
 
-    def _unop_core(self, instr: UnOp) -> Callable:
+    def _unop_core(self, instr: UnOp, hooks: _Hooks) -> Callable:
         dest = instr.dest.name
         fn = _UNOPS[instr.op]
         get_src = self._accessor(instr.src)
@@ -270,7 +297,7 @@ class _CompiledFunction:
 
         return core
 
-    def _copy_core(self, instr: Copy) -> Callable:
+    def _copy_core(self, instr: Copy, hooks: _Hooks) -> Callable:
         dest = instr.dest.name
         get_src = self._accessor(instr.src)
 
@@ -281,7 +308,7 @@ class _CompiledFunction:
 
         return core
 
-    def _loadaddr_core(self, instr: LoadAddr) -> Callable:
+    def _loadaddr_core(self, instr: LoadAddr, hooks: _Hooks) -> Callable:
         # The symbol table is fixed at machine construction; fold the
         # lookup into a constant.
         base = self.machine.symbol_base(self.func, instr.sym)
@@ -293,12 +320,12 @@ class _CompiledFunction:
 
         return core
 
-    def _load_core(self, instr: Load) -> Callable:
+    def _load_core(self, instr: Load, hooks: _Hooks) -> Callable:
         dest = instr.dest.name
         get_base = self._accessor(instr.base)
         get_off = self._accessor(instr.offset)
         machine = self.machine
-        on_load = self.hooks.on_load
+        on_load = hooks.on_load
         engine = machine.timing_engine
         if on_load:
             e_load = engine.load if engine is not None else None
@@ -343,7 +370,7 @@ class _CompiledFunction:
 
         return core
 
-    def _store_core(self, instr: Store) -> Callable:
+    def _store_core(self, instr: Store, hooks: _Hooks) -> Callable:
         # An out-of-range store fails as in the reference interpreter,
         # whose store reads the old value first: "load from invalid
         # address".
@@ -351,7 +378,7 @@ class _CompiledFunction:
         get_off = self._accessor(instr.offset)
         get_value = self._accessor(instr.value)
         machine = self.machine
-        on_store = self.hooks.on_store
+        on_store = hooks.on_store
         engine = machine.timing_engine
         if on_store:
             e_store = (
@@ -402,10 +429,10 @@ class _CompiledFunction:
 
         return core
 
-    def _call_core(self, instr: Call) -> Callable:
+    def _call_core(self, instr: Call, hooks: _Hooks) -> Callable:
         machine = self.machine
         arg_accessors = tuple(self._accessor(a) for a in instr.args)
-        on_call = self.hooks.on_call
+        on_call = hooks.on_call
         callee = instr.callee
         dest = instr.dest.name if instr.dest is not None else None
 
@@ -439,11 +466,17 @@ class _CompiledFunction:
 
         return core
 
-    def _raise_core(self, instr: Instr) -> Callable:
+    def _raise_core(self, instr: Instr, hooks: _Hooks) -> Callable:
         def core(env):
             raise InterpError(f"cannot execute {instr!r}")
 
         return core
+
+    @staticmethod
+    def _marker_core(instr: Instr, hooks: _Hooks) -> Optional[Callable]:
+        # SPT markers are sequential no-ops: they exist only for
+        # on_instr hooks, and are dropped where none observes them.
+        return _no_op if hooks.on_instr else None
 
     # -- terminators ---------------------------------------------------
 
@@ -499,28 +532,27 @@ class _CompiledFunction:
 
         else:
             raise InterpError(f"cannot execute {instr!r}")
-
-        on_instr = self.hooks.on_instr
-        if on_instr and instr is not None:
-            func = self.func
-            inner = term
-
-            def term(env):
-                for t in on_instr:
-                    t.on_instr(func, block, instr)
-                return inner(env)
-
         return term
 
     # -- hook wrapping -------------------------------------------------
 
-    def _wrap(self, core: Callable, block: Block, instr: Instr) -> Callable:
-        """Apply the ``on_instr``/``on_def`` hooks around ``core``."""
-        on_instr = self.hooks.on_instr
-        on_def = self.hooks.on_def if instr.dest is not None else ()
+    def _observed(
+        self, core: Callable, block: Block, instr: Instr, hooks: _Hooks
+    ) -> Callable:
+        """Apply the block's ``on_instr``/``on_def`` hooks around
+        ``core``: through the observing tracer's ``op_recorder`` when it
+        is the only one and offers one, else hook by hook."""
+        on_instr = hooks.on_instr
+        on_def = hooks.on_def if instr.dest is not None else ()
         if not on_instr and not on_def:
             return core
         func = self.func
+        observers = {id(t): t for t in on_instr + on_def}
+        if len(observers) == 1:
+            (tracer,) = observers.values()
+            op = tracer.op_recorder(func, block, instr, core)
+            if op is not None:
+                return op
         if on_instr and on_def:
 
             def op(env):
@@ -558,10 +590,13 @@ class _CompiledFunction:
         Load: "_load_core",
         Store: "_store_core",
         Call: "_call_core",
+        SptFork: "_marker_core",
+        SptKill: "_marker_core",
     }
 
     def compile_block(self, label: str) -> _CompiledBlock:
         block = self.block_map[label]
+        hooks = self.hooks.in_block(self.func.name, label)
         cb = _CompiledBlock(block)
 
         # Split the phi prefix from the straight-line body; stop at the
@@ -587,7 +622,6 @@ class _CompiledFunction:
         cb.phis = tuple(phis)
 
         if phis:
-            cb.hooked_phis = self.hooks.per_instr
             batches: Dict[str, tuple] = {}
             labels = set()
             for phi in phis:
@@ -595,46 +629,25 @@ class _CompiledFunction:
             for prev in labels:
                 if not all(prev in phi.incomings for phi in phis):
                     continue  # executor raises the per-phi error lazily
-                if cb.hooked_phis:
-                    batches[prev] = tuple(
-                        (phi, phi.dest.name, self._accessor(phi.incomings[prev]))
-                        for phi in phis
-                    )
-                else:
-                    batches[prev] = tuple(
-                        (phi.dest.name, self._accessor(phi.incomings[prev]))
-                        for phi in phis
-                    )
+                batches[prev] = tuple(
+                    (phi.dest.name, self._observed(
+                        self._accessor(phi.incomings[prev]), block, phi, hooks
+                    ))
+                    for phi in phis
+                )
             cb.phi_batches = batches
 
         ops: List[Callable] = []
         for instr in body:
-            maker = self._CORES.get(type(instr))
-            if maker is not None:
-                core = getattr(self, maker)(instr)
-            elif isinstance(instr, (SptFork, SptKill)):
-                # Sequential no-ops: they only exist for on_instr hooks.
-                if not self.hooks.on_instr:
-                    continue
-                core = None
-            elif isinstance(instr, Phi):
-                core = self._raise_core(instr)  # phi after the prefix
-            else:
-                core = self._raise_core(instr)
-            if core is None:
-                on_instr = self.hooks.on_instr
-                func = self.func
-                bound = instr
-
-                def core(env, _f=func, _b=block, _i=bound, _h=on_instr):
-                    for t in _h:
-                        t.on_instr(_f, _b, _i)
-
-                ops.append(core)
-                continue
-            ops.append(self._wrap(core, block, instr))
+            # A phi after the prefix (or any unknown op) raises.
+            maker = self._CORES.get(type(instr), "_raise_core")
+            core = getattr(self, maker)(instr, hooks)
+            if core is not None:
+                ops.append(self._observed(core, block, instr, hooks))
         cb.ops = tuple(ops)
         cb.term = self._compile_term(block, terminator)
+        if terminator is not None:
+            cb.term = self._observed(cb.term, block, terminator, hooks)
         return cb
 
     # -- phi execution helpers ------------------------------------------
@@ -648,20 +661,6 @@ class _CompiledFunction:
         raise InterpError(
             f"no phi batch for predecessor {prev_label} in {cb.block.label}"
         )
-
-    def _run_hooked_phis(self, batch, env, func, block) -> None:
-        on_instr = self.hooks.on_instr
-        on_def = self.hooks.on_def
-        updates = []
-        for phi, dest, get in batch:
-            for t in on_instr:
-                t.on_instr(func, block, phi)
-            value = get(env)
-            updates.append((dest, value))
-            for t in on_def:
-                t.on_def(phi, value)
-        for dest, value in updates:
-            env[dest] = value
 
     # -- the interpreter loop -------------------------------------------
 
@@ -764,9 +763,7 @@ class _CompiledFunction:
                 batch = batches.get(prev_label)
                 if batch is None:
                     self._phi_error(cb, prev_label)
-                if cb.hooked_phis:
-                    self._run_hooked_phis(batch, env, func, cb.block)
-                elif len(batch) == 1:
+                if len(batch) == 1:
                     dest, get = batch[0]
                     env[dest] = get(env)
                 else:
@@ -974,7 +971,7 @@ class CompiledMachine(Machine):
         # code compiled for a previous run (or a mutated module).
         # Traces live on the per-run code objects, so they are
         # invalidated here too.
-        self._hooks = _Hooks(self.tracers)
+        self._hooks = _Hooks(self.tracers, self.module)
         self._code = {}
         if not self.telemetry.enabled:
             return super()._execute(func_name, args)
@@ -1008,7 +1005,7 @@ class CompiledMachine(Machine):
 
     def _call_function(self, func: Function, args: List):
         if self._hooks is None:
-            self._hooks = _Hooks(self.tracers)
+            self._hooks = _Hooks(self.tracers, self.module)
         code = self._code.get(func.name)
         if code is None:
             code = _CompiledFunction(self, func, self._hooks)

@@ -23,7 +23,7 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
@@ -89,6 +89,29 @@ class Tracer:
 
     def on_call(self, instr: Call, args: List) -> None:
         """A call instruction is invoking its callee."""
+
+    # -- for the fast tier (repro.profiling.compiled) --------------------
+
+    def op_scope(self, module: Module) -> Optional[Dict[str, Set[str]]]:
+        """The blocks, as function name -> block labels, outside which
+        this tracer's per-instruction hooks (``on_instr``, ``on_def``,
+        ``on_load``, ``on_store``, ``on_call``) observe nothing; None
+        (the default) means everywhere.  The fast tier compiles those
+        hooks into these blocks only; this interpreter calls them
+        everywhere, so a scope that is too narrow shows up as a tier
+        disagreement."""
+        return None
+
+    def op_recorder(
+        self, func: Function, block: Block, instr: Instr, run: Callable
+    ) -> Optional[Callable]:
+        """Optionally, one closure ``op(env)`` that runs ``run(env)``
+        (which executes ``instr`` and returns its value) with exactly
+        the effect of this tracer's ``on_instr`` before and ``on_def``
+        after it.  The fast tier uses it in place of those two hooks
+        wherever this tracer alone observes ``instr``; None (the
+        default) keeps the hooks."""
+        return None
 
 
 class TracerEventCounter(Tracer):

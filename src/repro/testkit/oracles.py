@@ -81,7 +81,7 @@ from repro.machine.spt_sim import (
     IterationTrace,
     SptLoopStats,
     SptTraceCollector,
-    _post_fork_writes,
+    _post_fork_stale,
     _replay_speculative,
 )
 from repro.perf.runner import (
@@ -502,22 +502,29 @@ def _check_rounds(
     """Replay every round of ``collector``'s retained iterations: the
     library's misspeculation replay must match the independent one, and
     the streamed ``stats`` must equal the sum over the rounds."""
+    def ticks(trace, pre_fork=None) -> int:
+        return sum(
+            op.ticks for op in trace.ops
+            if pre_fork is None or op.pre_fork == pre_fork
+        )
+
     expected = SptLoopStats(collector.func_name, collector.header)
     for iterations in collector.invocations:
         expected.invocations += 1
         for trace in iterations:
             expected.iterations += 1
-            expected.seq_ticks += trace.total_ticks
+            expected.seq_ticks += ticks(trace)
             expected.total_ops += len(trace.ops)
-            expected.prefork_ticks += trace.pre_ticks()
+            expected.prefork_ticks += ticks(trace, pre_fork=True)
         for index in range(0, len(iterations), 2):
             main_trace = iterations[index]
             if index + 1 == len(iterations):
-                expected.spt_ticks += main_trace.total_ticks + FORK_TICKS
+                expected.spt_ticks += ticks(main_trace) + FORK_TICKS
                 continue
             spec_trace = iterations[index + 1]
-            post_reg, post_mem = _post_fork_writes(main_trace)
-            lib = _replay_speculative(spec_trace.ops, post_reg, post_mem)
+            lib = _replay_speculative(
+                spec_trace.ops, *_post_fork_stale(main_trace)
+            )
             ours = _independent_replay(main_trace, spec_trace)
             if lib != ours:
                 return (
@@ -527,12 +534,12 @@ def _check_rounds(
                 )
             reexec_ticks, reexec_ops = ours
             expected.spt_ticks += (
-                main_trace.pre_ticks() + FORK_TICKS
-                + max(main_trace.post_ticks(), spec_trace.total_ticks)
+                ticks(main_trace, pre_fork=True) + FORK_TICKS
+                + max(ticks(main_trace, pre_fork=False), ticks(spec_trace))
                 + COMMIT_TICKS + reexec_ticks
             )
             expected.spec_ops += len(spec_trace.ops)
-            expected.spec_ticks += spec_trace.total_ticks
+            expected.spec_ticks += ticks(spec_trace)
             expected.reexec_ops += reexec_ops
             expected.reexec_ticks += reexec_ticks
     if stats != expected:

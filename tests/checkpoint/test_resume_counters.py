@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.checkpoint import CheckpointStore
 from repro.cli import main
 
 NESTED = os.path.join(
@@ -48,7 +49,9 @@ def test_resumed_simulate_reports_the_uninterrupted_counters(
     _simulate(capsys, tmp_path / "saving.jsonl", *checkpointed)
     saved = sorted(
         int(os.path.basename(path)[:-len(".json")])
-        for path in glob.glob(os.path.join(ckpt, "v1", "*", "*", "*.json"))
+        for path in glob.glob(os.path.join(
+            CheckpointStore(ckpt).version_dir, "*", "*", "*.json"
+        ))
     )
     assert len(saved) > 2
     point = "latest" if resume_point == "latest" else str(saved[len(saved) // 2])

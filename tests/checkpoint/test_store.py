@@ -139,6 +139,40 @@ def test_checkpointed_simulation_resumes_bitwise_identically(
     assert _outcome_tuple(latest) == _outcome_tuple(cold)
 
 
+def test_unusable_snapshot_is_counted_once_removed_and_skipped(
+    tmp_path, compiled
+):
+    """A snapshot that reads but does not apply (here: a collector state
+    without its branch predictor) is one corrupt miss, not also a hit;
+    it is removed, the resume falls back to the next older snapshot, and
+    the next resume does not meet it again."""
+    module, result = compiled
+    cold, report = run_checkpointed_simulation(
+        module, result, best_config(), args=(96,),
+        checkpoint_every=500, checkpoint_dir=str(tmp_path),
+    )
+    assert len(report.saved_at) >= 2
+    newest, older = report.saved_at[-1], report.saved_at[-2]
+    store = CheckpointStore(str(tmp_path))
+    state = store.load(report.key, newest)
+    assert state["collectors"], "fixture must simulate an SPT loop"
+    del state["collectors"][0]["predictor"]
+    path = store.save(report.key, newest, state)
+
+    counts = []
+    for _ in range(2):
+        resumed, resumed_report = run_checkpointed_simulation(
+            module, result, best_config(), args=(96,),
+            resume_from="latest", checkpoint_dir=str(tmp_path),
+        )
+        assert resumed_report.resumed_from == older
+        assert _outcome_tuple(resumed) == _outcome_tuple(cold)
+        stats = resumed_report.stats
+        counts.append((stats["hits"], stats["misses"], stats["corrupt"]))
+    assert not os.path.exists(path)
+    assert counts == [(1, 1, 1), (1, 0, 0)]
+
+
 def test_resume_with_no_snapshot_cold_starts(tmp_path, compiled):
     module, result = compiled
     outcome, report = run_checkpointed_simulation(

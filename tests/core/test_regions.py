@@ -12,7 +12,8 @@ from repro.core.regions import (
 )
 from repro.ir import parse_module
 from repro.machine.region_sim import RegionTraceCollector, simulate_region_loop
-from repro.machine.timing import TimingModel
+from repro.machine.timing import TimingModel, TimingTracer
+from repro.perf.runner import run_machine, timed_machine
 from repro.profiling import run_module
 from repro.ssa import build_ssa
 
@@ -129,7 +130,9 @@ def test_region_simulation_speeds_up_independent_phases():
     collector = RegionTraceCollector(
         "main", loop.header, loop.body, split.b_labels, TimingModel()
     )
-    run_module(module, args=[300], tracers=[collector])
+    run_module(
+        module, args=[300], tracers=[TimingTracer(collector.model), collector]
+    )
     stats = simulate_region_loop(collector, split.split_label)
     assert stats.iterations == 300
     assert stats.balance > 0.7
@@ -145,11 +148,32 @@ def test_region_simulation_penalizes_dependent_phases():
     collector = RegionTraceCollector(
         "main", loop.header, loop.body, split.b_labels, TimingModel()
     )
-    run_module(module, args=[300], tracers=[collector])
+    run_module(
+        module, args=[300], tracers=[TimingTracer(collector.model), collector]
+    )
     stats = simulate_region_loop(collector, split.split_label)
     # Everything B does is stale: heavy re-execution, no speedup.
     assert stats.misspeculation_ratio > 0.5
     assert stats.loop_speedup < 1.05
+
+
+@pytest.mark.parametrize("source", [INDEPENDENT, DEPENDENT])
+def test_region_simulation_is_the_same_on_both_tiers(source):
+    """The fast tier records a region collector's ops through its
+    compiled recorder; the totals must be the reference tier's."""
+    module, func, loop, graph = _prepared(source)
+    split = find_region_splits(func, loop, graph, SptConfig())[0]
+    totals = []
+    for fast in (False, True):
+        machine, accounting = timed_machine(module, fast=fast)
+        collector = RegionTraceCollector(
+            "main", loop.header, loop.body, split.b_labels, accounting.model
+        )
+        machine.add_tracer(collector)
+        run_machine(machine, "main", [300])
+        totals.append(vars(simulate_region_loop(collector, split.split_label)))
+    assert totals[0] == totals[1]
+    assert totals[0]["iterations"] == 300
 
 
 def test_estimates_track_simulation():
@@ -164,7 +188,9 @@ def test_estimates_track_simulation():
         collector = RegionTraceCollector(
             "main", loop.header, loop.body, best.b_labels, TimingModel()
         )
-        run_module(module, args=[200], tracers=[collector])
+        run_module(
+            module, args=[200], tracers=[TimingTracer(collector.model), collector]
+        )
         stats = simulate_region_loop(collector, best.split_label)
         results[name] = (best.cost / max(best.size_b, 1), stats.reexec_cycles
                          / max(stats.b_cycles, 1))

@@ -64,9 +64,9 @@ def test_snapshot_payload_does_not_grow_with_the_run():
     machine.run("main", [1500])
     assert len(sizes) >= 40
     tenth = len(sizes) // 10
-    # Skip the first snapshots: the collector's cache model is still
-    # warming up there.  Each window's maximum holds one unpaired
-    # iteration plus the one in flight.
+    # Skip the first snapshots: the collector's branch predictor is
+    # still meeting new branches there.  Each window's maximum holds
+    # one unpaired iteration plus the one in flight.
     early = max(sizes[tenth:2 * tenth])
     late = max(sizes[-tenth:])
     assert late <= early * 1.1, (early, late)

@@ -3,10 +3,12 @@ invocation boundaries.  Iterations are observed through the testkit's
 :class:`RetainingCollector`; the library collector folds and drops
 them as rounds complete."""
 
+import pytest
+
 from repro.analysis.loops import LoopNest
 from repro.ir import parse_module
 from repro.machine.spt_sim import SptTraceCollector, simulate_spt_loop
-from repro.machine.timing import TimingModel
+from repro.machine.timing import TimingModel, TimingTracer
 from repro.profiling import run_module
 from repro.testkit.oracles import RetainingCollector
 
@@ -43,6 +45,39 @@ exit:
 """
 
 
+LOADS = """\
+module t
+global a[16]
+func main(n) {
+entry:
+  p = addr a
+  z = load p, 15 !a
+  i = copy 0
+  s = copy z
+  jump head
+head:
+  c = lt i, n
+  br c, body, exit
+body:
+  i = add i, 1
+  spt_fork 0
+  x = load p, i !a
+  s = add s, x
+  jump head
+exit:
+  spt_kill 0
+  ret s
+}
+"""
+
+
+def _run(module, collector, **kwargs):
+    """Run ``collector`` after the timing accounting whose cache it
+    reads load latencies from."""
+    tracers = [TimingTracer(collector.model), collector]
+    run_module(module, tracers=tracers, **kwargs)
+
+
 def _collect(source, args, func_name="main", header="head"):
     module = parse_module(source)
     func = module.function(func_name)
@@ -51,7 +86,7 @@ def _collect(source, args, func_name="main", header="head"):
     collector = RetainingCollector(
         func_name, loop.header, loop.body, 0, TimingModel()
     )
-    run_module(module, func_name=func_name, args=args, tracers=[collector])
+    _run(module, collector, func_name=func_name, args=args)
     return collector
 
 
@@ -131,7 +166,7 @@ def test_multiple_invocations_tracked_separately():
     collector = RetainingCollector(
         "work", loop.header, loop.body, 0, TimingModel()
     )
-    run_module(module, func_name="main", args=[5], tracers=[collector])
+    _run(module, collector, func_name="main", args=[5])
     assert len(collector.invocations) == 2
     assert len(collector.invocations[0]) == 3
     assert len(collector.invocations[1]) == 5
@@ -143,7 +178,7 @@ def test_stats_accumulate_across_invocations():
     nest = LoopNest.build(func)
     loop = nest.loops[0]
     collector = SptTraceCollector("work", loop.header, loop.body, 0, TimingModel())
-    run_module(module, func_name="main", args=[6], tracers=[collector])
+    _run(module, collector, func_name="main", args=[6])
     stats = simulate_spt_loop(collector)
     assert stats.invocations == 2
     assert stats.iterations == 9
@@ -200,9 +235,33 @@ def test_pairing_restarts_only_where_an_invocation_gets_iterations():
     collector = RetainingCollector(
         "work", loop.header, loop.body, 0, TimingModel()
     )
-    run_module(module, args=[6], tracers=[collector])
+    _run(module, collector, args=[6])
     stats = simulate_spt_loop(collector)
     assert [len(traces) for traces in collector.invocations] == [2, 7]
     assert (stats.invocations, stats.iterations) == (2, 9)
     # Rounds (1,2), (j1,j2), (j3,3), (4,5) and the unpaired 6.
     assert (stats.spec_ops, stats.spt_ticks) == (39, 7750)
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("accounting", ["none", "ahead"])
+def test_a_load_the_accounting_did_not_charge_raises(fast, accounting):
+    """Without a timing accounting on its model, or attached ahead of
+    it, a collector would read 0 or the previous load's ticks; it
+    raises at the first load it records instead."""
+    module = parse_module(LOADS)
+    loop = LoopNest.build(module.function("main")).loops[0]
+    collector = SptTraceCollector(
+        "main", loop.header, loop.body, 0, TimingModel()
+    )
+    tracers = [collector]
+    if accounting == "ahead":
+        tracers.append(TimingTracer(collector.model))
+    with pytest.raises(RuntimeError, match="was not charged"):
+        run_module(module, tracers=tracers, args=[4], fast=fast)
+    # Attached after the accounting, the same run records every load.
+    collector = SptTraceCollector(
+        "main", loop.header, loop.body, 0, TimingModel()
+    )
+    _run(module, collector, args=[4], fast=fast)
+    assert collector.stats.iterations == 4

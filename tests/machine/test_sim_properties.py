@@ -22,7 +22,7 @@ from repro.machine.spt_sim import (
     SptTraceCollector,
     simulate_spt_loop,
 )
-from repro.machine.timing import TimingModel
+from repro.machine.timing import TimingModel, TimingTracer
 from repro.profiling import run_module
 
 _STMTS = [
@@ -83,7 +83,9 @@ def _simulate(source, n, prefork_fraction):
     collector = SptTraceCollector(
         "main", loop2.header, loop2.body, info.loop_id, TimingModel()
     )
-    run_module(module, args=[n], tracers=[collector])
+    run_module(
+        module, args=[n], tracers=[TimingTracer(collector.model), collector]
+    )
     return simulate_spt_loop(collector)
 
 

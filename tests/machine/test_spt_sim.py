@@ -17,7 +17,7 @@ from repro.machine.spt_sim import (
     SptTraceCollector,
     simulate_spt_loop,
 )
-from repro.machine.timing import TimingModel
+from repro.machine.timing import TimingModel, TimingTracer
 from repro.profiling import run_module
 from repro.ssa import build_ssa
 
@@ -38,7 +38,10 @@ def _transform_and_trace(source, args, config=None, func_name="main"):
     collector = SptTraceCollector(
         func_name, loop2.header, loop2.body, info.loop_id, TimingModel()
     )
-    result, _ = run_module(module, func_name=func_name, args=args, tracers=[collector])
+    result, _ = run_module(
+        module, func_name=func_name, args=args,
+        tracers=[TimingTracer(collector.model), collector],
+    )
     return collector, partition, result
 
 

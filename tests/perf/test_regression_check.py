@@ -78,6 +78,29 @@ def test_deterministic_counter_drift_fails_but_noisy_counter_does_not():
     assert any("selection.selected" in f for f in report.failures)
 
 
+def test_vanished_deterministic_counter_fails_and_new_one_warns():
+    """A record that stops reporting a gated counter family must not pass
+    on its cycles alone; a counter only the current record has is news,
+    not a regression."""
+    base = _record(counters={
+        "selection.selected": 2, "spt.rounds": 40, "spt.forks": 41,
+        "trace.events": 99,
+    })
+    gone = copy.deepcopy(base)
+    for name in ("spt.rounds", "spt.forks", "trace.events"):
+        del gone["counters"][name]
+    report = check_regression([base], [gone])
+    assert not report.ok
+    vanished = [f for f in report.failures if "vanished" in f]
+    assert len(vanished) == 2  # trace.* is not gated
+    assert any("spt.rounds" in f for f in vanished)
+    grown = copy.deepcopy(base)
+    grown["counters"]["spt.wasted_forks"] = 1
+    report = check_regression([base], [grown])
+    assert report.ok
+    assert any("spt.wasted_forks" in w and "new" in w for w in report.warnings)
+
+
 def test_degradation_change_fails():
     base = _record()
     cur = copy.deepcopy(base)
