@@ -6,7 +6,7 @@ Layers (bottom up):
   instruction identity and the snapshot/restore orchestration over one
   simulation's interpreter + timing + SPT-collector state;
 * :mod:`repro.checkpoint.store` -- the on-disk snapshot store
-  (``repro-checkpoint/1``), a :class:`repro.util.ContentStore` written
+  (``repro-checkpoint/3``), a :class:`repro.util.ContentStore` written
   with atomic rename + fsync, corruption-tolerant on load;
 * :mod:`repro.checkpoint.runner` -- the checkpointing simulation
   driver behind ``repro simulate --checkpoint-every/--resume-from``;

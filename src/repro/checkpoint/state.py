@@ -9,8 +9,8 @@ flight).  :attr:`repro.profiling.interp.Machine.checkpoint_hook` fires
 exactly there.
 
 Cross-process identity of instructions is the one non-trivial problem:
-the branch predictor, the timing memoization and every
-:class:`~repro.machine.spt_sim.OpRecord` key state by ``id(instr)``,
+the branch predictor, the timing memoization and every row an SPT
+collector records (:mod:`repro.machine.spt_sim`) key state by ``id(instr)``,
 which is meaningless outside the producing process.  :class:`InstrIndex`
 gives every instruction the stable coordinate ``(function, block
 label, position in block)``, derived deterministically from the module

@@ -1,9 +1,9 @@
-"""The on-disk snapshot store (schema ``repro-checkpoint/2``).
+"""The on-disk snapshot store (schema ``repro-checkpoint/3``).
 
 A :class:`~repro.util.store.ContentStore` with one named entry per
 snapshot::
 
-    <dir>/v2/<k[:2]>/<k>/<executed:020>.json
+    <dir>/v3/<k[:2]>/<k>/<executed:020>.json
 
 where ``k`` is a SHA-256 digest over the checkpoint schema, the
 :meth:`~repro.core.config.SptConfig.fingerprint`, the workload token,
@@ -40,7 +40,10 @@ __all__ = [
 
 #: 2: an SPT collector's snapshot holds its private branch predictor and
 #: no cache (collectors read the run's own cache).
-CHECKPOINT_FORMAT_VERSION = 2
+#: 3: a collector's iterations are ``pre``/``post`` lists of rows (a
+#: template key, header flag and phi predecessor, then the row's
+#: dynamic values) instead of one 15-field record per op.
+CHECKPOINT_FORMAT_VERSION = 3
 CHECKPOINT_SCHEMA = f"repro-checkpoint/{CHECKPOINT_FORMAT_VERSION}"
 
 #: Environment override for the snapshot root.

@@ -32,9 +32,10 @@ from repro.machine.timing import TICKS_PER_CYCLE, TimingModel
 
 
 class RegionTraceCollector(SptTraceCollector):
-    """Tags each dynamic op with its region: ``pre_fork`` means region A
-    (run by the main core), cleared for region-B blocks.  Every finished
-    iteration folds into :attr:`region_stats` as one A ∥ B round."""
+    """Records each dynamic op by its region: an iteration's ``pre``
+    rows are region A's (run by the main core), its ``post`` rows region
+    B's.  Every finished iteration folds into :attr:`region_stats` as
+    one A ∥ B round."""
 
     def __init__(
         self,
@@ -56,7 +57,10 @@ class RegionTraceCollector(SptTraceCollector):
         if func.name != self.func_name or self._current is None:
             return
         # Region assignment follows the block, not a fork marker.
-        self._in_pre_fork = block.label not in self.b_labels
+        current = self._current
+        self._rows = (
+            current.post if block.label in self.b_labels else current.pre
+        )
 
     def _complete(self, trace: IterationTrace) -> None:
         """Fold one finished iteration as its own A ∥ B round."""
@@ -71,11 +75,11 @@ class RegionTraceCollector(SptTraceCollector):
         # Header ops run before the fork: their defs are part of the
         # context region B starts from, never stale.
         stale_regs, stale_addrs = _stale(
-            op for op in trace.ops if op.pre_fork and not op.header_op
+            row for row in trace.pre if not row[0].header_op
         )
-        b_ops = [op for op in trace.ops if not op.pre_fork]
+        b_rows = trace.post
         reexec_ticks, reexec_ops = _replay_speculative(
-            b_ops, stale_regs, stale_addrs
+            b_rows, stale_regs, stale_addrs
         )
 
         stats.region_ticks += (
@@ -83,7 +87,7 @@ class RegionTraceCollector(SptTraceCollector):
         )
         stats.reexec_ticks += reexec_ticks
         stats.reexec_ops += reexec_ops
-        stats.b_ops += len(b_ops)
+        stats.b_ops += len(b_rows)
 
 
 class RegionLoopStats:

@@ -38,128 +38,212 @@ plots against the compiler's misspeculation cost estimates.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
-from repro.ir.instr import Branch, Call, Instr, Phi, SptFork
+from repro.ir.instr import Branch, Call, Instr, Load, Phi, SptFork, Store
 from repro.ir.values import Var
 from repro.machine.branchpred import BranchPredictor
 from repro.machine.timing import MISPREDICT_TICKS, TICKS_PER_CYCLE, TimingModel
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.profiling.interp import Tracer
+from repro.profiling.interp import TraceRecorder, Tracer
 
 FORK_TICKS = 600
 COMMIT_TICKS = 500
 FORK_CYCLES = FORK_TICKS / TICKS_PER_CYCLE
 COMMIT_CYCLES = COMMIT_TICKS / TICKS_PER_CYCLE
 
+#: The hooks whose work trace code does itself in a recorded block.
+_TRACE_REPLACED_HOOKS = (
+    "on_instr", "on_def", "on_load", "on_store", "on_edge",
+)
+
+
+#: Row kinds (``_OpTemplate.kind``).  Every recorded op is one row, a
+#: tuple or (while hooks still fill it in) a list: ``row[0]`` is the
+#: op's template, ``row[1]`` its ticks -- the base ticks plus a load's
+#: cache ticks, a branch's misprediction ticks or a call's callee work
+#: -- and the rest are the op's dynamic values:
+#:
+#: * ``OP``, ``BRANCH``: nothing more;
+#: * ``DEF`` (a register def other than a load or a call): old, new;
+#: * ``LOAD``: old, new, address;
+#: * ``STORE``: address, old, new;
+#: * ``CALL``: old, new (of its result, if any), the set of addresses
+#:   read inside the call, and address -> (old, new) of those written.
+#:
+#: The register a def writes, the registers an op reads, the base ticks
+#: and the header flag are static and stay in the template.
+OP, DEF, LOAD, STORE, BRANCH, CALL = range(6)
+#: The template kind of this loop's own fork marker, which records no
+#: row: it moves the iteration's recording from ``pre`` to ``post``.
+FORK = 6
+
+_ticks_of = itemgetter(1)
+
 
 class OpRecord:
-    """One dynamic operation inside an SPT loop iteration.
+    """A read-only view of one recorded row (tests and checkers read
+    records through :attr:`IterationTrace.ops`; the fold reads rows).
 
     Latency is held as integer ticks (``ticks``); the ``latency``
-    property converts to float cycles for external readers."""
+    property converts to float cycles."""
 
-    __slots__ = (
-        "instr",
-        "ticks",
-        "uses",
-        "def_name",
-        "def_old",
-        "def_new",
-        "load_addr",
-        "load_value",
-        "store_addr",
-        "store_old",
-        "store_new",
-        "mem_reads",
-        "mem_writes",
-        "pre_fork",
-        "header_op",
-    )
+    __slots__ = ("row", "pre_fork")
 
-    def __init__(
-        self,
-        instr: Instr,
-        ticks: int = 0,
-        uses: Tuple[str, ...] = (),
-        pre_fork: bool = False,
-        header_op: bool = False,
-    ):
-        self.instr = instr
-        self.ticks = ticks
-        #: Register names read (with phis resolved to the taken
-        #: incoming); shared with the instruction's template.
-        self.uses = uses
-        self.def_name: Optional[str] = None
-        self.def_old = None
-        self.def_new = None
-        self.load_addr: Optional[int] = None
-        self.load_value = None
-        self.store_addr: Optional[int] = None
-        self.store_old = None
-        self.store_new = None
-        #: For aggregated calls: addresses read / written inside.
-        self.mem_reads: Optional[Set[int]] = None
-        self.mem_writes: Optional[Dict[int, Tuple]] = None
+    def __init__(self, row, pre_fork: bool):
+        self.row = row
         self.pre_fork = pre_fork
-        #: Set for loop-header ops (used by the region simulator: header
-        #: values resolve before the fork).
-        self.header_op = header_op
+
+    def _field(self, kinds, index):
+        return self.row[index] if self.row[0].kind in kinds else None
+
+    @property
+    def instr(self) -> Instr:
+        return self.row[0].instr
+
+    @property
+    def ticks(self) -> int:
+        return self.row[1]
 
     @property
     def latency(self) -> float:
-        return self.ticks / TICKS_PER_CYCLE
+        return self.row[1] / TICKS_PER_CYCLE
+
+    @property
+    def uses(self) -> Tuple[str, ...]:
+        return self.row[0].uses
+
+    @property
+    def def_name(self) -> Optional[str]:
+        template = self.row[0]
+        return template.dest if template.kind in (DEF, LOAD, CALL) else None
+
+    @property
+    def def_old(self):
+        return self._field((DEF, LOAD, CALL), 2)
+
+    @property
+    def def_new(self):
+        return self._field((DEF, LOAD, CALL), 3)
+
+    @property
+    def load_addr(self) -> Optional[int]:
+        return self._field((LOAD,), 4)
+
+    @property
+    def store_addr(self) -> Optional[int]:
+        return self._field((STORE,), 2)
+
+    @property
+    def store_old(self):
+        return self._field((STORE,), 3)
+
+    @property
+    def store_new(self):
+        return self._field((STORE,), 4)
+
+    @property
+    def mem_reads(self) -> Optional[Set[int]]:
+        return self._field((CALL,), 4)
+
+    @property
+    def mem_writes(self) -> Optional[Dict[int, Tuple]]:
+        return self._field((CALL,), 5)
 
 
 class IterationTrace:
-    """All operations of one loop iteration, in execution order."""
+    """All rows of one loop iteration, in execution order: ``pre`` holds
+    those recorded before the fork (region A for a region collector),
+    ``post`` the rest."""
 
-    __slots__ = ("ops", "pre_ticks", "post_ticks")
+    __slots__ = ("pre", "post", "pre_ticks", "post_ticks")
 
     def __init__(self):
-        self.ops: List[OpRecord] = []
-        #: Ticks of the ops before / after the fork, summed by
+        self.pre: List = []
+        self.post: List = []
+        #: Ticks of the rows before / after the fork, summed by
         #: :meth:`seal` once the iteration is complete.
         self.pre_ticks = 0
         self.post_ticks = 0
 
     def seal(self) -> None:
         """Sum the finished iteration's pre- and post-fork ticks once."""
-        pre = post = 0
-        for op in self.ops:
-            if op.pre_fork:
-                pre += op.ticks
-            else:
-                post += op.ticks
-        self.pre_ticks = pre
-        self.post_ticks = post
+        self.pre_ticks = sum(map(_ticks_of, self.pre))
+        self.post_ticks = sum(map(_ticks_of, self.post))
 
     @property
     def total_ticks(self) -> int:
         return self.pre_ticks + self.post_ticks
 
+    @property
+    def n_ops(self) -> int:
+        return len(self.pre) + len(self.post)
+
+    @property
+    def rows(self) -> List:
+        return self.pre + self.post
+
+    @property
+    def ops(self) -> List[OpRecord]:
+        """Every row as an :class:`OpRecord` view, in execution order."""
+        return [OpRecord(row, True) for row in self.pre] + [
+            OpRecord(row, False) for row in self.post
+        ]
+
 
 class _OpTemplate:
-    """What one loop-body instruction contributes to every record of it:
-    base ticks, the registers it reads (None for a phi, whose use
-    depends on the edge taken), the register it defines, whether it is
-    a call or this loop's fork, and whether it sits in the header."""
+    """What one loop-body instruction contributes to every row of it:
+    its kind, base ticks, the registers it reads (a phi has one template
+    per incoming edge, ``pred``), the register it defines, and whether
+    it sits in the header."""
 
-    __slots__ = ("ticks", "uses", "dest", "call", "fork", "header_op")
+    __slots__ = ("instr", "kind", "ticks", "uses", "dest", "header_op", "pred")
 
-    def __init__(self, collector: "SptTraceCollector", block: Block, instr: Instr):
+    def __init__(
+        self, collector: "SptTraceCollector", instr: Instr, header_op: bool,
+        pred: Optional[str] = None,
+    ):
+        self.instr = instr
         self.ticks = collector.model.base_ticks(instr)
-        self.uses = None if isinstance(instr, Phi) else tuple(
-            value.name for value in instr.uses() if isinstance(value, Var)
-        )
+        self.pred = pred
+        if isinstance(instr, Phi):
+            incoming = instr.incomings.get(pred)
+            self.uses = (incoming.name,) if isinstance(incoming, Var) else ()
+        else:
+            self.uses = tuple(
+                value.name for value in instr.uses() if isinstance(value, Var)
+            )
         self.dest = instr.dest.name if instr.dest is not None else None
-        self.call = isinstance(instr, Call)
-        self.fork = (
-            isinstance(instr, SptFork) and instr.loop_id == collector.loop_id
-        )
-        self.header_op = block.label == collector.header
+        self.header_op = header_op
+        if isinstance(instr, Call):
+            self.kind = CALL
+        elif isinstance(instr, SptFork) and instr.loop_id == collector.loop_id:
+            self.kind = FORK
+        elif isinstance(instr, Load):
+            self.kind = LOAD
+        elif isinstance(instr, Store):
+            self.kind = STORE
+        elif isinstance(instr, Branch):
+            self.kind = BRANCH
+        elif self.dest is not None:
+            self.kind = DEF
+        else:
+            self.kind = OP
+
+    def hook_row(self) -> List:
+        """A row for the hooks to fill in as the op's events arrive."""
+        kind = self.kind
+        if kind == DEF:
+            return [self, self.ticks, None, None]
+        if kind in (LOAD, STORE):
+            return [self, self.ticks, None, None, None]
+        if kind == CALL:
+            return [self, self.ticks, None, None, set(), {}]
+        return [self, self.ticks]
 
 
 class SptTraceCollector(Tracer):
@@ -214,15 +298,22 @@ class SptTraceCollector(Tracer):
         #: A new invocation started but has completed no iteration yet.
         self._opened = False
         self._current: Optional[IterationTrace] = None
-        self._in_pre_fork = False
+        #: The list the target's next row goes to: ``_current.pre``
+        #: before the fork, ``_current.post`` after it, None while no
+        #: iteration is open.
+        self._rows: Optional[List] = None
         self._depth_in_target = 0  # frames below the target function
-        self._call_stack: List[OpRecord] = []
+        self._call_stack: List[List] = []
         self._reg_values: Dict[str, object] = {}
         self._prev_label: Optional[str] = None
-        self._pending_op: Optional[OpRecord] = None
+        #: The row whose instruction's events are still arriving.
+        self._pending_op: Optional[List] = None
         self._entered_body = False
         self._frame_is_target: List[bool] = []
         self._templates: Dict[Instr, _OpTemplate] = {}
+        self._phi_templates: Dict[Instr, Dict[str, _OpTemplate]] = {}
+        #: (module, :meth:`_reach` of it): a run asks for every block.
+        self._reach_memo = None
 
     # -- tracer hooks ----------------------------------------------------
 
@@ -275,20 +366,27 @@ class SptTraceCollector(Tracer):
 
     def _start_iteration(self) -> None:
         self._current = IterationTrace()
-        self._in_pre_fork = True
+        self._rows = self._current.pre
         self._entered_body = False
+
+    def _fork(self) -> List:
+        """This loop's fork executed: later rows are post-fork."""
+        rows = self._rows = self._current.post
+        return rows
 
     def _finish_iteration(self) -> None:
         # The final header pass that fails the loop test is not an
         # iteration -- it never reaches the body.
+        current = self._current
         if (
-            self._current is not None
-            and self._current.ops
+            current is not None
+            and (current.pre or current.post)
             and self._entered_body
         ):
-            self._current.seal()
-            self._complete(self._current)
+            current.seal()
+            self._complete(current)
         self._current = None
+        self._rows = None
         self._pending_op = None
         self._call_stack = []
         self._depth_in_target = 0
@@ -305,9 +403,10 @@ class SptTraceCollector(Tracer):
         if self._unpaired is None and self._round == 0:
             stats.invocations += 1
         t_spec = trace.total_ticks
+        n_ops = trace.n_ops
         stats.iterations += 1
         stats.seq_ticks += t_spec
-        stats.total_ops += len(trace.ops)
+        stats.total_ops += n_ops
         stats.prefork_ticks += trace.pre_ticks
         main = self._unpaired
         if main is None:
@@ -315,7 +414,7 @@ class SptTraceCollector(Tracer):
             return
         self._unpaired = None
         reexec_ticks, reexec_ops = _replay_speculative(
-            trace.ops, *_post_fork_stale(main)
+            chain(trace.pre, trace.post), *_stale(main.post)
         )
         round_ticks = (
             main.pre_ticks
@@ -325,7 +424,7 @@ class SptTraceCollector(Tracer):
             + reexec_ticks
         )
         stats.spt_ticks += round_ticks
-        stats.spec_ops += len(trace.ops)
+        stats.spec_ops += n_ops
         stats.spec_ticks += t_spec
         stats.reexec_ops += reexec_ops
         stats.reexec_ticks += reexec_ticks
@@ -337,7 +436,7 @@ class SptTraceCollector(Tracer):
             self._count("spt.misspeculation_events")
         self._emit_round(
             committed=True,
-            spec_ops=len(trace.ops),
+            spec_ops=n_ops,
             reexec_ops=reexec_ops,
             reexec_cycles=round(reexec_ticks / TICKS_PER_CYCLE, 3),
             round_cycles=round(round_ticks / TICKS_PER_CYCLE, 3),
@@ -371,8 +470,8 @@ class SptTraceCollector(Tracer):
 
     # -- op recording ------------------------------------------------
 
-    def _record(self) -> Optional[OpRecord]:
-        """The record receiving the current event (call aggregate when
+    def _record(self) -> Optional[List]:
+        """The row receiving the current event (call aggregate when
         inside a callee)."""
         if self._current is None:
             return None
@@ -381,14 +480,37 @@ class SptTraceCollector(Tracer):
         return self._pending_op
 
     def _template(self, block: Block, instr: Instr) -> _OpTemplate:
+        """The template of a non-phi instruction of the loop body."""
         template = self._templates.get(instr)
         if template is None:
-            template = self._templates[instr] = _OpTemplate(self, block, instr)
+            template = self._templates[instr] = _OpTemplate(
+                self, instr, block.label == self.header
+            )
         return template
 
-    def _phi_uses(self, phi: Phi) -> Tuple[str, ...]:
-        incoming = phi.incomings.get(self._prev_label)
-        return (incoming.name,) if isinstance(incoming, Var) else ()
+    def _phi_templates_of(
+        self, phi: Phi, header_op: bool
+    ) -> Dict[str, _OpTemplate]:
+        """Incoming label -> the template of ``phi`` entered from it."""
+        templates = self._phi_templates.get(phi)
+        if templates is None:
+            templates = self._phi_templates[phi] = {
+                pred: _OpTemplate(self, phi, header_op, pred)
+                for pred in phi.incomings
+            }
+        return templates
+
+    def _template_at(self, block: Block, instr: Instr) -> _OpTemplate:
+        """The template of ``instr`` as it executes now (a phi's depends
+        on the edge just taken)."""
+        if not isinstance(instr, Phi):
+            return self._template(block, instr)
+        header_op = block.label == self.header
+        template = self._phi_templates_of(instr, header_op).get(self._prev_label)
+        if template is None:
+            # No incoming for this edge: the op raises right after.
+            template = _OpTemplate(self, instr, header_op, self._prev_label)
+        return template
 
     def on_instr(self, func: Function, block: Block, instr: Instr) -> None:
         if self._current is None:
@@ -398,29 +520,20 @@ class SptTraceCollector(Tracer):
             return
 
         if in_target:
-            template = self._template(block, instr)
-            if template.fork:
-                self._in_pre_fork = False
+            template = self._template_at(block, instr)
+            if template.kind == FORK:
+                self._rows = self._current.post
                 return
-            uses = template.uses
-            op = OpRecord(
-                instr,
-                template.ticks,
-                self._phi_uses(instr) if uses is None else uses,
-                self._in_pre_fork,
-                template.header_op,
-            )
-            self._current.ops.append(op)
-            self._pending_op = op
-            if template.call:
-                op.mem_reads = set()
-                op.mem_writes = {}
-                self._call_stack.append(op)
+            row = template.hook_row()
+            self._rows.append(row)
+            self._pending_op = row
+            if template.kind == CALL:
+                self._call_stack.append(row)
         else:
             # Inside a callee: charge latency onto the call aggregate.
             record = self._record()
             if record is not None:
-                record.ticks += self.model.base_ticks(instr)
+                record[1] += self.model.base_ticks(instr)
 
     def on_edge(self, func: Function, src_label: str, dst_label: str) -> None:
         if self._current is None:
@@ -428,18 +541,18 @@ class SptTraceCollector(Tracer):
         record = self._pending_op
         if (
             record is not None
-            and isinstance(record.instr, Branch)
+            and record[0].kind == BRANCH
             and self._depth_in_target == 0
             and func.name == self.func_name
         ):
-            taken = dst_label == record.instr.iftrue
-            record.ticks += self._branch_ticks(record.instr, taken)
+            branch = record[0].instr
+            record[1] += self._branch_ticks(branch, dst_label == branch.iftrue)
         elif self._call_stack and isinstance(
             func.block(src_label).terminator, Branch
         ):
             branch = func.block(src_label).terminator
             taken = dst_label == branch.iftrue
-            self._call_stack[-1].ticks += self._branch_ticks(branch, taken)
+            self._call_stack[-1][1] += self._branch_ticks(branch, taken)
 
     def _branch_ticks(self, branch: Branch, taken: bool) -> int:
         if self.predictor.predict_and_update(id(branch), taken):
@@ -449,23 +562,24 @@ class SptTraceCollector(Tracer):
     def on_def(self, instr: Instr, value) -> None:
         if self._current is None:
             return
-        if self._call_stack and (
-            self._depth_in_target > 0 or instr is not self._call_stack[-1].instr
+        call_stack = self._call_stack
+        if call_stack and (
+            self._depth_in_target > 0 or instr is not call_stack[-1][0].instr
         ):
             return  # callee-internal registers are invisible outside
         record = self._pending_op
-        if record is None or record.instr is not instr:
+        if record is None or record[0].instr is not instr:
             # A call's return value lands on the call record itself.
-            if self._call_stack and self._call_stack[-1].instr is instr:
-                record = self._call_stack[-1]
+            if call_stack and call_stack[-1][0].instr is instr:
+                record = call_stack[-1]
             else:
                 return
         if instr.dest is not None:
             name = instr.dest.name
-            record.def_name = name
-            record.def_old = self._reg_values.get(name)
-            record.def_new = value
-            self._reg_values[name] = value
+            regs = self._reg_values
+            record[2] = regs.get(name)
+            record[3] = value
+            regs[name] = value
 
     def on_load(self, instr: Instr, addr: int, value) -> None:
         if self._current is None:
@@ -482,30 +596,29 @@ class SptTraceCollector(Tracer):
         ticks = hierarchy.last_ticks
         if self._call_stack:
             record = self._call_stack[-1]
-            record.ticks += ticks
-            record.mem_reads.add(addr)
+            record[1] += ticks
+            record[4].add(addr)
             return
         record = self._pending_op
-        if record is None or record.instr is not instr:
+        if record is None or record[0].instr is not instr:
             return
-        record.ticks += ticks
-        record.load_addr = addr
-        record.load_value = value
+        record[1] += ticks
+        record[4] = addr
 
     def on_store(self, instr: Instr, addr: int, value, old_value) -> None:
         if self._current is None:
             return
         if self._call_stack:
-            record = self._call_stack[-1]
-            old = record.mem_writes.get(addr, (old_value, None))[0]
-            record.mem_writes[addr] = (old, value)
+            writes = self._call_stack[-1][5]
+            old = writes.get(addr, (old_value, None))[0]
+            writes[addr] = (old, value)
             return
         record = self._pending_op
-        if record is None or record.instr is not instr:
+        if record is None or record[0].instr is not instr:
             return
-        record.store_addr = addr
-        record.store_old = old_value
-        record.store_new = value
+        record[2] = addr
+        record[3] = old_value
+        record[4] = value
 
     # -- the fast tier's view ------------------------------------------
 
@@ -514,8 +627,20 @@ class SptTraceCollector(Tracer):
         reach through calls, and so all of the target function when the
         body can call back into it: outside these blocks no op runs
         while an iteration is open, so the per-op hooks see nothing."""
+        return {
+            name: set(self.body_labels) if labels is None else labels
+            for name, labels in self._reach(module).items()
+        }
+
+    def _reach(self, module: Module) -> Dict[str, Optional[Set[str]]]:
+        """Function -> every block label, for each function the body
+        reaches through calls; the target maps to None unless the body
+        can call back into it."""
+        memo = self._reach_memo
+        if memo is not None and memo[0] is module:
+            return memo[1]
         target = module.functions[self.func_name]
-        scope = {self.func_name: set(self.body_labels)}
+        reach: Dict[str, Optional[Set[str]]] = {self.func_name: None}
         pending = _callees(
             block for block in target.blocks if block.label in self.body_labels
         )
@@ -526,9 +651,17 @@ class SptTraceCollector(Tracer):
             if func is None or name in reached:
                 continue
             reached.add(name)
-            scope[name] = {block.label for block in func.blocks}
+            reach[name] = {block.label for block in func.blocks}
             pending.extend(_callees(func.blocks))
-        return scope
+        self._reach_memo = (module, reach)
+        return reach
+
+    def _hooks_overridden(self, names) -> bool:
+        cls = type(self)
+        return any(
+            getattr(cls, name) is not getattr(SptTraceCollector, name)
+            for name in names
+        )
 
     def op_recorder(self, func: Function, block: Block, instr: Instr, run):
         """One closure that runs ``run(env)`` and records ``instr`` as
@@ -539,28 +672,67 @@ class SptTraceCollector(Tracer):
         return at once); in a callee frame or beside an open call
         aggregate it calls the hooks themselves.  A subclass overriding
         either hook gets no recorder, so it sees every event."""
-        cls = type(self)
         if (
-            cls.on_instr is not SptTraceCollector.on_instr
-            or cls.on_def is not SptTraceCollector.on_def
+            self._hooks_overridden(("on_instr", "on_def"))
             or func.name != self.func_name
             or block.label not in self.body_labels
         ):
             return None
-        template = self._template(block, instr)
-        if template.call or template.fork:
-            return None
-        ticks = template.ticks
-        uses = template.uses
-        dest = template.dest
-        header_op = template.header_op
+        collector = self
         on_instr = self.on_instr
         on_def = self.on_def
-        collector = self
+        if isinstance(instr, Phi):
+            templates = self._phi_templates_of(
+                instr, block.label == self.header
+            )
+            dest = instr.dest.name
+
+            def op(env):
+                rows = collector._rows
+                if rows is None:
+                    return run(env)
+                if collector._depth_in_target or collector._call_stack:
+                    on_instr(func, block, instr)
+                    value = run(env)
+                    on_def(instr, value)
+                    return value
+                template = templates[collector._prev_label]
+                value = run(env)
+                regs = collector._reg_values
+                rows.append((template, template.ticks, regs.get(dest), value))
+                regs[dest] = value
+                return value
+
+            return op
+        template = self._template(block, instr)
+        kind = template.kind
+        if kind == CALL or kind == FORK:
+            return None
+        ticks = template.ticks
+        dest = template.dest
+
+        if kind == DEF:
+
+            def op(env):
+                rows = collector._rows
+                if rows is None:
+                    return run(env)
+                if collector._depth_in_target or collector._call_stack:
+                    on_instr(func, block, instr)
+                    value = run(env)
+                    on_def(instr, value)
+                    return value
+                value = run(env)
+                regs = collector._reg_values
+                rows.append((template, ticks, regs.get(dest), value))
+                regs[dest] = value
+                return value
+
+            return op
 
         def op(env):
-            current = collector._current
-            if current is None:
+            rows = collector._rows
+            if rows is None:
                 return run(env)
             if collector._depth_in_target or collector._call_stack:
                 on_instr(func, block, instr)
@@ -568,82 +740,89 @@ class SptTraceCollector(Tracer):
                 if dest is not None:
                     on_def(instr, value)
                 return value
-            record = OpRecord(
-                instr,
-                ticks,
-                collector._phi_uses(instr) if uses is None else uses,
-                collector._in_pre_fork,
-                header_op,
-            )
-            current.ops.append(record)
-            collector._pending_op = record
+            # The op's own load, store or edge event fills the row in.
+            row = template.hook_row()
+            rows.append(row)
+            collector._pending_op = row
             value = run(env)
             if dest is not None:
                 regs = collector._reg_values
-                record.def_name = dest
-                record.def_old = regs.get(dest)
-                record.def_new = value
+                row[2] = regs.get(dest)
+                row[3] = value
                 regs[dest] = value
             return value
 
         return op
 
+    def trace_recorder(
+        self, module: Module, func: Function, block: Block, engine
+    ) -> Optional[TraceRecorder]:
+        """Record ``block`` from trace code: offered for a call-free body
+        block of the target function when no per-op hook or ``on_edge``
+        is overridden, the run's ``engine`` charges loads on this
+        collector's hierarchy, and the body cannot call back into the
+        target (so no call aggregate is ever open at a block boundary
+        of a recorded block)."""
+        if (
+            func.name != self.func_name
+            or block.label not in self.body_labels
+            or self._hooks_overridden(_TRACE_REPLACED_HOOKS)
+            or engine is None
+            or engine.model.hierarchy is not self.model.hierarchy
+            or any(isinstance(instr, Call) for instr in block.instrs)
+            or self._reach(module)[self.func_name] is not None
+        ):
+            return None
+        fork = None
+        templates: Dict[Tuple[Instr, Optional[str]], _OpTemplate] = {}
+        for instr in block.instrs:
+            if isinstance(instr, Phi):
+                header_op = block.label == self.header
+                for pred, template in self._phi_templates_of(
+                    instr, header_op
+                ).items():
+                    templates[(instr, pred)] = template
+                continue
+            template = self._template(block, instr)
+            templates[(instr, None)] = template
+            if template.kind == FORK:
+                fork = instr
+        return TraceRecorder(
+            self, templates, fork, self.predictor.predict_and_update,
+            MISPREDICT_TICKS,
+        )
+
     # -- checkpointing ------------------------------------------------
 
     @staticmethod
-    def _encode_op(op: OpRecord, key_of) -> List:
-        return [
-            key_of(id(op.instr)),
-            op.ticks,
-            list(op.uses),
-            op.def_name,
-            op.def_old,
-            op.def_new,
-            op.load_addr,
-            op.load_value,
-            op.store_addr,
-            op.store_old,
-            op.store_new,
-            sorted(op.mem_reads) if op.mem_reads is not None else None,
-            (
-                sorted(
-                    [addr, old, new]
-                    for addr, (old, new) in op.mem_writes.items()
-                )
-                if op.mem_writes is not None
-                else None
-            ),
-            op.pre_fork,
-            op.header_op,
-        ]
+    def _encode_row(row, key_of) -> List:
+        template = row[0]
+        fields = [key_of(id(template.instr)), template.header_op, template.pred]
+        if template.kind == CALL:
+            fields += [
+                row[1], row[2], row[3], sorted(row[4]),
+                sorted([addr, old, new] for addr, (old, new) in row[5].items()),
+            ]
+        else:
+            fields += row[1:]
+        return fields
 
-    @staticmethod
-    def _decode_op(fields: List, instr_of) -> OpRecord:
-        op = OpRecord(instr_of(fields[0]))
-        (
-            op.ticks,
-            uses,
-            op.def_name,
-            op.def_old,
-            op.def_new,
-            op.load_addr,
-            op.load_value,
-            op.store_addr,
-            op.store_old,
-            op.store_new,
-            mem_reads,
-            mem_writes,
-            op.pre_fork,
-            op.header_op,
-        ) = fields[1:]
-        op.uses = tuple(uses)
-        op.mem_reads = set(mem_reads) if mem_reads is not None else None
-        op.mem_writes = (
-            {addr: (old, new) for addr, old, new in mem_writes}
-            if mem_writes is not None
-            else None
-        )
-        return op
+    def _decode_row(self, fields: List, instr_of) -> List:
+        instr = instr_of(fields[0])
+        header_op, pred = bool(fields[1]), fields[2]
+        if isinstance(instr, Phi):
+            template = self._phi_templates_of(instr, header_op)[pred]
+        else:
+            template = self._templates.get(instr)
+            if template is None:
+                template = self._templates[instr] = _OpTemplate(
+                    self, instr, header_op
+                )
+        row = [template] + list(fields[3:])
+        if template.kind == CALL:
+            row[4] = set(row[4])
+            row[5] = {addr: (old, new) for addr, old, new in row[5]}
+        return row
 
     def snapshot_state(self, key_of) -> Dict:
         """Plain-data snapshot at an entry-frame block boundary.
@@ -663,19 +842,23 @@ class SptTraceCollector(Tracer):
                 "(call in flight)"
             )
 
-        def encode(trace: Optional[IterationTrace]) -> Optional[List]:
+        def encode(trace: Optional[IterationTrace]) -> Optional[Dict]:
             if trace is None:
                 return None
-            return [self._encode_op(op, key_of) for op in trace.ops]
+            return {
+                "pre": [self._encode_row(row, key_of) for row in trace.pre],
+                "post": [self._encode_row(row, key_of) for row in trace.post],
+            }
 
+        current = self._current
         return {
             "stats": asdict(self.stats),
             "counts": dict(self.counts),
             "unpaired": encode(self._unpaired),
             "round": self._round,
             "opened": self._opened,
-            "current": encode(self._current),
-            "in_pre_fork": self._in_pre_fork,
+            "current": encode(current),
+            "in_pre_fork": current is not None and self._rows is current.pre,
             "reg_values": dict(self._reg_values),
             "prev_label": self._prev_label,
             "entered_body": self._entered_body,
@@ -687,11 +870,12 @@ class SptTraceCollector(Tracer):
         """Inverse of :meth:`snapshot_state`.  ``instr_of`` maps an
         instruction key to the live instruction; ``id_of`` to its id."""
 
-        def decode(ops: Optional[List]) -> Optional[IterationTrace]:
-            if ops is None:
+        def decode(rows: Optional[Dict]) -> Optional[IterationTrace]:
+            if rows is None:
                 return None
             trace = IterationTrace()
-            trace.ops = [self._decode_op(fields, instr_of) for fields in ops]
+            trace.pre = [self._decode_row(f, instr_of) for f in rows["pre"]]
+            trace.post = [self._decode_row(f, instr_of) for f in rows["post"]]
             return trace
 
         self.stats = SptLoopStats(**state["stats"])
@@ -701,8 +885,11 @@ class SptTraceCollector(Tracer):
             self._unpaired.seal()
         self._round = int(state["round"])
         self._opened = bool(state["opened"])
-        self._current = decode(state["current"])
-        self._in_pre_fork = bool(state["in_pre_fork"])
+        current = self._current = decode(state["current"])
+        if current is None:
+            self._rows = None
+        else:
+            self._rows = current.pre if state["in_pre_fork"] else current.post
         self._reg_values = dict(state["reg_values"])
         self._prev_label = state["prev_label"]
         self._entered_body = bool(state["entered_body"])
@@ -797,45 +984,55 @@ class SptLoopStats:
         )
 
 
-def _stale(ops: Iterable[OpRecord]) -> Tuple[Set[str], Set[int]]:
-    """Register names and memory addresses ``ops`` redefine and leave
+def _stale(rows: Iterable) -> Tuple[Set[str], Set[int]]:
+    """Register names and memory addresses ``rows`` redefine and leave
     holding a different value than before the first of them wrote it
     (silent re-stores are not stale)."""
-    reg: Dict[str, Tuple] = {}  # location -> (value before, value after)
-    mem: Dict[int, Tuple] = {}
-    for op in ops:
-        if op.def_name is not None:
-            first = reg.get(op.def_name)
-            reg[op.def_name] = (
-                op.def_old if first is None else first[0], op.def_new
-            )
-        if op.store_addr is not None:
-            first = mem.get(op.store_addr)
-            mem[op.store_addr] = (
-                op.store_old if first is None else first[0], op.store_new
-            )
-        if op.mem_writes:
-            for addr, (old, new) in op.mem_writes.items():
-                first = mem.get(addr)
-                mem[addr] = (old if first is None else first[0], new)
+    reg_before: Dict[str, object] = {}
+    reg_after: Dict[str, object] = {}
+    mem_before: Dict[int, object] = {}
+    mem_after: Dict[int, object] = {}
+    for row in rows:
+        template = row[0]
+        kind = template.kind
+        if kind == DEF or kind == LOAD:
+            name = template.dest
+            if name not in reg_before:
+                reg_before[name] = row[2]
+            reg_after[name] = row[3]
+        elif kind == STORE:
+            addr = row[2]
+            if addr not in mem_before:
+                mem_before[addr] = row[3]
+            mem_after[addr] = row[4]
+        elif kind == CALL:
+            name = template.dest
+            if name is not None:
+                if name not in reg_before:
+                    reg_before[name] = row[2]
+                reg_after[name] = row[3]
+            for addr, (old, new) in row[5].items():
+                if addr not in mem_before:
+                    mem_before[addr] = old
+                mem_after[addr] = new
     return (
-        {name for name, (old, new) in reg.items() if old != new},
-        {addr for addr, (old, new) in mem.items() if old != new},
+        {name for name, new in reg_after.items() if reg_before[name] != new},
+        {addr for addr, new in mem_after.items() if mem_before[addr] != new},
     )
 
 
 def _post_fork_stale(trace: IterationTrace) -> Tuple[Set[str], Set[int]]:
     """The locations the main thread changes after the fork: what a
     speculative iteration started at the fork reads stale."""
-    return _stale(op for op in trace.ops if not op.pre_fork)
+    return _stale(trace.post)
 
 
 def _replay_speculative(
-    spec_ops: Iterable[OpRecord],
+    spec_rows: Iterable,
     stale_regs: Set[str],
     stale_addrs: Set[int],
 ) -> Tuple[int, int]:
-    """Walk the speculative iteration's ops, propagating misspeculation
+    """Walk the speculative iteration's rows, propagating misspeculation
     from the stale locations.
 
     Returns (re-executed ticks, re-executed op count)."""
@@ -848,28 +1045,47 @@ def _replay_speculative(
     bad_addrs = set(stale_addrs)
     reexec_ticks = 0
     reexec_ops = 0
-    for op in spec_ops:
-        tainted = (
-            not bad_regs.isdisjoint(op.uses)
-            or (op.load_addr is not None and op.load_addr in bad_addrs)
-            or (op.mem_reads and not bad_addrs.isdisjoint(op.mem_reads))
-        )
-        if tainted:
-            reexec_ticks += op.ticks
+    for row in spec_rows:
+        template = row[0]
+        kind = template.kind
+        if kind == DEF:
+            if bad_regs.isdisjoint(template.uses):
+                bad_regs.discard(template.dest)
+            else:
+                reexec_ticks += row[1]
+                reexec_ops += 1
+                bad_regs.add(template.dest)
+        elif kind == LOAD:
+            if row[4] in bad_addrs or not bad_regs.isdisjoint(template.uses):
+                reexec_ticks += row[1]
+                reexec_ops += 1
+                bad_regs.add(template.dest)
+            else:
+                bad_regs.discard(template.dest)
+        elif kind == STORE:
+            if bad_regs.isdisjoint(template.uses):
+                bad_addrs.discard(row[2])
+            else:
+                reexec_ticks += row[1]
+                reexec_ops += 1
+                bad_addrs.add(row[2])
+        elif kind == CALL:
+            name = template.dest
+            if not bad_regs.isdisjoint(template.uses) or (
+                row[4] and not bad_addrs.isdisjoint(row[4])
+            ):
+                reexec_ticks += row[1]
+                reexec_ops += 1
+                if name is not None:
+                    bad_regs.add(name)
+                bad_addrs.update(row[5])
+            else:
+                if name is not None:
+                    bad_regs.discard(name)
+                bad_addrs.difference_update(row[5])
+        elif not bad_regs.isdisjoint(template.uses):
+            reexec_ticks += row[1]
             reexec_ops += 1
-            if op.def_name is not None:
-                bad_regs.add(op.def_name)
-            if op.store_addr is not None:
-                bad_addrs.add(op.store_addr)
-            if op.mem_writes:
-                bad_addrs.update(op.mem_writes)
-        else:
-            if op.def_name is not None:
-                bad_regs.discard(op.def_name)
-            if op.store_addr is not None:
-                bad_addrs.discard(op.store_addr)
-            if op.mem_writes:
-                bad_addrs.difference_update(op.mem_writes)
     return reexec_ticks, reexec_ops
 
 

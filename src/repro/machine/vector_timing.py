@@ -208,10 +208,6 @@ class VectorTimingEngine(TimingTracer):
         the cache hierarchy is stateful)."""
         self._pending += self.model.hierarchy.access_ticks(addr)
 
-    def store(self, addr: int) -> None:
-        """Write-allocate fill for one store (no ticks charged)."""
-        self.model.hierarchy.fill_for_write(addr)
-
     def branch(self, key: int, taken: bool) -> None:
         """Dynamic residual of one executed conditional branch."""
         self._pending += self.model.branch_ticks(key, taken)

@@ -28,10 +28,12 @@ execution, into a flat list of specialized closures:
 
 Two further layers stack on top of the block-compiled path:
 
-* **hot-trace splicing**: wherever no per-op observer (``on_instr``,
-  ``on_def``, ``on_load``, ``on_store``, ``on_call``) is attached, block
-  paths that stay hot are recorded and compiled into single superblock
-  functions with guarded side exits (:mod:`repro.profiling.traces`);
+* **hot-trace splicing**: block paths that stay hot are recorded and
+  compiled into single superblock functions with guarded side exits
+  (:mod:`repro.profiling.traces`) -- everywhere when no per-op observer
+  (``on_instr``, ``on_def``, ``on_load``, ``on_store``, ``on_call``) is
+  attached, and otherwise on the blocks whose observers all record
+  them from trace code (:meth:`_CompiledFunction._eligibility`);
 * a **vectorized timing engine** (``timing_engine=...``): block-batched
   cycle accounting that replaces a per-op
   :class:`~repro.machine.timing.TimingTracer`
@@ -98,6 +100,9 @@ _TRACE_MAX_BLOCKS = 32
 #: Trace-count cap per function (memory bound).
 _TRACE_MAX_PER_FUNC = 64
 
+#: Hot threshold multiplier for blocks recorded from trace code.
+_RECORDED_HOT_FACTOR = 4
+
 #: Tracer hooks fired once per executed instruction; a tracer's
 #: ``op_scope`` bounds the blocks they are compiled into.
 _PER_OP_HOOKS = ("on_instr", "on_def", "on_load", "on_store", "on_call")
@@ -125,7 +130,7 @@ class _Hooks:
     block.
     """
 
-    __slots__ = _HOOK_NAMES + ("scopes",)
+    __slots__ = _HOOK_NAMES + ("scopes", "per_op_tracers", "recording")
 
     def __init__(self, tracers, module: Module):
         for name in _HOOK_NAMES:
@@ -133,19 +138,28 @@ class _Hooks:
             setattr(self, name, tuple(
                 t for t in tracers if getattr(type(t), name, base) is not base
             ))
+        #: Every tracer with a per-instruction hook.
+        self.per_op_tracers = tuple(
+            t for t in tracers
+            if any(t in getattr(self, n) for n in _PER_OP_HOOKS)
+        )
+        #: Whether one of them can record blocks from trace code.
+        self.recording = any(
+            type(t).trace_recorder is not Tracer.trace_recorder
+            for t in self.per_op_tracers
+        )
         #: id(tracer) -> function name -> labels, for every per-op
         #: tracer that declares a scope.
         self.scopes: Dict[int, Dict[str, set]] = {}
-        for tracer in tracers:
-            if any(tracer in getattr(self, n) for n in _PER_OP_HOOKS):
-                scope = tracer.op_scope(module)
-                if scope is not None:
-                    self.scopes[id(tracer)] = scope
+        for tracer in self.per_op_tracers:
+            scope = tracer.op_scope(module)
+            if scope is not None:
+                self.scopes[id(tracer)] = scope
 
     @property
     def per_op(self) -> bool:
         """Whether any per-instruction hook is attached anywhere (hot
-        traces stay off while one is)."""
+        traces then run only where its tracers record them)."""
         return any(getattr(self, name) for name in _PER_OP_HOOKS)
 
     def in_block(self, func_name: str, label: str) -> "_Hooks":
@@ -154,9 +168,8 @@ class _Hooks:
         if not self.scopes:
             return self
         narrowed = object.__new__(_Hooks)
-        for name in _HOOK_NAMES:
+        for name in _HOOK_NAMES + ("scopes", "per_op_tracers", "recording"):
             setattr(narrowed, name, getattr(self, name))
-        narrowed.scopes = self.scopes
         for name in _PER_OP_HOOKS:
             setattr(narrowed, name, tuple(
                 t for t in getattr(self, name)
@@ -203,9 +216,50 @@ class _CompiledFunction:
         self.hot_counts: Dict[str, int] = {}
         #: entry label -> unusable-recording count (blacklist after 3).
         self.reject_counts: Dict[str, int] = {}
-        #: Hot-trace splicing engages only when no per-op observer needs
-        #: the individual instruction stream.
-        self.tracing = not hooks.per_op
+        #: label -> the TraceRecorders of a block that traces although
+        #: per-op tracers observe it (see :meth:`_eligibility`).
+        self.recorders: Dict[str, tuple] = {}
+        #: entry label -> (path, cyclic) of its last recording while
+        #: that recording waits for a second, agreeing one.
+        self.unconfirmed: Dict[str, tuple] = {}
+        #: Labels that never join a trace.
+        self.untraceable = frozenset()
+        if hooks.recording:
+            self._eligibility()
+        #: Whether any block of this function may trace.
+        self.tracing = not hooks.per_op or bool(self.recorders)
+        #: Installed-trace budget; untraceable labels sit in ``traces``
+        #: as blacklisted entries on top of it.
+        self.trace_budget = _TRACE_MAX_PER_FUNC + len(self.untraceable)
+        if self.tracing:
+            for label in self.untraceable:
+                self.traces[label] = _BLACKLISTED
+
+    def _eligibility(self) -> None:
+        """With per-op tracers attached, a block may trace only where
+        some tracer's per-op hooks reach it and every such tracer offers
+        a :class:`~repro.profiling.interp.TraceRecorder` for it.  Blocks
+        outside every scope keep the block path: tracing them was
+        measured to gain nothing in observed runs."""
+        func = self.func
+        module = self.machine.module
+        engine = self.machine.timing_engine
+        scopes = self.hooks.scopes
+        per_op = self.hooks.per_op_tracers
+        untraceable = set()
+        for block in func.blocks:
+            label = block.label
+            offers = tuple(
+                t.trace_recorder(module, func, block, engine)
+                for t in per_op
+                if id(t) not in scopes
+                or label in scopes[id(t)].get(func.name, ())
+            )
+            if offers and all(offer is not None for offer in offers):
+                self.recorders[label] = offers
+            else:
+                untraceable.add(label)
+        self.untraceable = frozenset(untraceable)
 
     # -- operand accessors -------------------------------------------
 
@@ -652,14 +706,15 @@ class _CompiledFunction:
 
     # -- phi execution helpers ------------------------------------------
 
-    def _phi_error(self, cb: _CompiledBlock, prev_label: str):
-        for phi in cb.phis:
+    @staticmethod
+    def _phi_error(phis, label: str, prev_label: str):
+        for phi in phis:
             if prev_label not in phi.incomings:
                 raise InterpError(
                     f"phi {phi.dest} has no incoming for {prev_label}"
                 )
         raise InterpError(
-            f"no phi batch for predecessor {prev_label} in {cb.block.label}"
+            f"no phi batch for predecessor {prev_label} in {label}"
         )
 
     # -- the interpreter loop -------------------------------------------
@@ -690,6 +745,12 @@ class _CompiledFunction:
         traces = self.traces if self.tracing else None
         hot_counts = self.hot_counts
         hot_threshold = machine.trace_hot_threshold
+        if self.recorders:
+            # A recorded trace costs several times a plain one to
+            # compile: admit only blocks that stay hot for longer.
+            hot_threshold *= _RECORDED_HOT_FACTOR
+        trace_budget = self.trace_budget
+        untraceable = self.untraceable
         recording: Optional[List[str]] = None
         rec_seen = None
 
@@ -708,7 +769,7 @@ class _CompiledFunction:
                     if (
                         count >= hot_threshold
                         and recording is None
-                        and len(traces) < _TRACE_MAX_PER_FUNC
+                        and len(traces) < trace_budget
                     ):
                         hot_counts[label] = 0
                         recording = [label]
@@ -762,7 +823,7 @@ class _CompiledFunction:
                     raise InterpError(f"phi in entry block {label}")
                 batch = batches.get(prev_label)
                 if batch is None:
-                    self._phi_error(cb, prev_label)
+                    self._phi_error(cb.phis, label, prev_label)
                 if len(batch) == 1:
                     dest, get = batch[0]
                     env[dest] = get(env)
@@ -784,6 +845,7 @@ class _CompiledFunction:
                 elif (
                     len(recording) >= _TRACE_MAX_BLOCKS
                     or nxt in rec_seen
+                    or nxt in untraceable
                 ):
                     # Recording runs *through* blocks that already
                     # anchor other traces: aborting there would chop
@@ -825,8 +887,8 @@ class _CompiledFunction:
 
         machine = self.machine
         entry = path[0]
-        stats = machine._trace_stats_for(self.func.name, entry)
-        if stats.exit_counts:
+        stats = machine._trace_stats.get((self.func.name, entry))
+        if stats is not None and stats.exit_counts:
             # Guard-failure feedback from the invalidated previous
             # generation: cut the new path where the *cumulative*
             # failure rate of the guards kept so far crosses a third
@@ -845,6 +907,25 @@ class _CompiledFunction:
                     del path[index + 1:]
                     cyclic = False
                     break
+        if self.recorders:
+            # A recorded trace costs several plain ones to compile, and
+            # a path through data-dependent branches is rarely taken
+            # twice: record the entry twice and compile what the two
+            # recordings share (cut, like a guard-failure cut, at the
+            # block whose branch they disagree on).
+            seen = self.unconfirmed.pop(entry, None)
+            if seen is None:
+                self.unconfirmed[entry] = (list(path), cyclic)
+                self.hot_counts[entry] = 0
+                return
+            if seen != (path, cyclic):
+                keep = 0
+                for a, b in zip(seen[0], path):
+                    if a != b:
+                        break
+                    keep += 1
+                del path[keep:]
+                cyclic = False
         if (
             not cyclic
             and len(path) < 2
@@ -865,6 +946,8 @@ class _CompiledFunction:
             else:
                 self.hot_counts[entry] = 0
             return
+        if stats is None:
+            stats = machine._trace_stats_for(self.func.name, entry)
         trace = compile_trace(self, path, cyclic, stats)
         if trace is None:
             # Structurally untraceable (unsupported op, malformed phi,
@@ -898,7 +981,7 @@ class CompiledMachine(Machine):
     discarded whenever ``run`` is invoked, so modules mutated between
     runs are always re-lowered.  Hot block paths are spliced into
     superblock traces (:mod:`repro.profiling.traces`) wherever no
-    per-op observer is attached; a
+    per-op observer is attached or the observers record them; a
     :class:`~repro.machine.vector_timing.VectorTimingEngine` passed as
     ``timing_engine`` receives block-batched timing events from both
     the block driver and compiled traces.  Build it through

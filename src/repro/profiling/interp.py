@@ -113,6 +113,44 @@ class Tracer:
         default) keeps the hooks."""
         return None
 
+    def trace_recorder(
+        self, module: Module, func: Function, block: Block, engine
+    ) -> Optional["TraceRecorder"]:
+        """Optionally, a :class:`TraceRecorder` that lets hot-trace code
+        run ``block`` in place of this tracer's per-op hooks and its
+        ``on_edge`` there; ``engine`` is the run's vectorized timing
+        engine (or None).  A block traces in a run with per-op tracers
+        only where every tracer whose hooks reach it offers one; None
+        (the default) keeps the block on the block path."""
+        return None
+
+
+class TraceRecorder:
+    """What trace code records for one block on a tracer's behalf.
+
+    After the block's ``on_block`` event, trace code reads the tracer's
+    ``_rows``: the list it appends the block's rows to, or None to
+    record nothing.  Each executed op appends one tuple row: first the
+    op's template, ``templates[(instr, pred)]`` (``pred`` is the
+    incoming label for a phi and None otherwise), then its ticks, the
+    template's ``ticks`` plus a load's cache ticks or, for a branch,
+    ``mispredict_ticks`` when ``predict(id(branch), taken)`` says so.
+    A def of a register other than by a load then carries the old value
+    (``_reg_values.get(dest)``) and the new one, which it stores into
+    ``_reg_values``; a load carries old, new and its address; a store
+    its address, the memory's old value and the new one.  ``fork``, if
+    not None, records no row: from it on rows go to the list the
+    tracer's ``_fork()`` returns."""
+
+    __slots__ = ("tracer", "templates", "fork", "predict", "mispredict_ticks")
+
+    def __init__(self, tracer, templates, fork, predict, mispredict_ticks):
+        self.tracer = tracer
+        self.templates = templates
+        self.fork = fork
+        self.predict = predict
+        self.mispredict_ticks = mispredict_ticks
+
 
 class TracerEventCounter(Tracer):
     """Counts every delivered tracer hook call, bucketed by hook name.

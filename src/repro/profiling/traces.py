@@ -12,15 +12,19 @@ specialized Python function compiled with :func:`compile`/``exec``:
   with exactly the reference interpreter's coercions);
 * at every conditional branch whose recorded direction stays on the
   trace, a **guard** keeps execution on the fast path; the off-trace arm
-  spills the locals back to the environment and returns control to the
-  block-level driver (guard failure is a fall-back, never an error);
+  leaves for the trace's one exit epilogue, which spills the locals
+  back to the environment and returns control to the block-level
+  driver (guard failure is a fall-back, never an error);
 * a trace whose recorded path loops back to its entry block compiles to
   a native ``while`` loop, so a whole hot-loop iteration executes
   without touching the driver;
 * the vectorized timing engine
   (:class:`repro.machine.vector_timing.VectorTimingEngine`) and the
   edge-profile counters are invoked inline with statically-known
-  blocks/labels, preserving the exact event order of block execution.
+  blocks/labels, preserving the exact event order of block execution;
+* in a block whose per-op tracers offer a
+  :class:`~repro.profiling.interp.TraceRecorder`, the trace appends
+  their rows itself instead of calling their per-op hooks.
 
 Correctness contract: a trace is only installed when it is bitwise
 equivalent to block-by-block execution -- same results, same memory,
@@ -52,6 +56,7 @@ fall-back and write-back machinery for differential testing.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.block import Block
@@ -85,18 +90,19 @@ from repro.profiling.interp import (
 #: Sentinel for "this local has no binding in the environment".
 _MISS = object()
 
-#: (source, filename) -> code object.  Generated trace source is a pure
-#: function of the module IR and the machine configuration (everything
-#: machine-specific is bound through the exec namespace, never inlined
-#: into the text), so re-recording the same hot path -- across runs,
-#: machines, or benchmark rounds -- can skip ``builtins.compile``, by
-#: far the most expensive step of trace installation.
-_CODE_CACHE: Dict[Tuple[str, str], object] = {}
+#: (digest of the source, filename) -> code object.  Generated trace
+#: source is a pure function of the module IR and the machine
+#: configuration (everything machine-specific is bound through the exec
+#: namespace, never inlined into the text), so re-recording the same
+#: hot path -- across runs, machines, or benchmark rounds -- can skip
+#: ``builtins.compile``, by far the most expensive step of trace
+#: installation.  Keying by digest keeps no source text alive.
+_CODE_CACHE: Dict[Tuple[bytes, str], object] = {}
 _CODE_CACHE_LIMIT = 512
 
 
 def _compile_cached(source: str, filename: str):
-    key = (source, filename)
+    key = (hashlib.blake2b(source.encode(), digest_size=20).digest(), filename)
     code = _CODE_CACHE.get(key)
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
@@ -286,6 +292,21 @@ class _TraceCompiler:
             else None
         )
         self.bailout = getattr(cf.machine, "_trace_bailout", 0)
+        #: label -> the TraceRecorders of a block whose per-op tracers
+        #: record it from trace code (empty in a run without any).
+        self.recorders: Dict[str, tuple] = cf.recorders
+        #: Recorders of the block being emitted, and per recorder index
+        #: the row sources (row, defined name, new-value local) its
+        #: pending batch will append.
+        self.block_recs: tuple = ()
+        self._batch: Dict[int, List[tuple]] = {}
+        #: id(tracer) -> recorder index; ``_C<i>`` is that tracer.
+        self._rec_index: Dict[int, int] = {}
+        #: id(row template) -> its namespace name.
+        self._template_names: Dict[int, str] = {}
+        #: on_edge tracers left to call on edges out of a recorded block,
+        #: by the tuple's identity.
+        self._edge_sets: Dict[tuple, str] = {}
         #: Deferred engine block events (index, block, prev_label) for
         #: blocks whose predecessor is a compile-time constant.  Runs
         #: separated only by unguarded edges are emitted as a single
@@ -426,8 +447,21 @@ class _TraceCompiler:
             for tracer in self.on_edge:
                 counts = self._bind_tracer_dict(tracer, "edge")
                 emit(f"{counts}[{key}] = {counts}.get({key}, 0) + 1")
-        else:
+            return
+        recs = self.recorders.get(src)
+        if not recs:
             emit(f"for _t in _TE: _t.on_edge(F, {src!r}, {dst!r})")
+            return
+        # A recorder's branch row stands in for its on_edge.
+        skip = {id(rec.tracer) for rec in recs}
+        rest = tuple(t for t in self.on_edge if id(t) not in skip)
+        if not rest:
+            return
+        name = self._edge_sets.get(rest)
+        if name is None:
+            name = self._edge_sets[rest] = f"_TE{len(self._edge_sets)}"
+            self.ns[name] = rest
+        emit(f"for _t in {name}: _t.on_edge(F, {src!r}, {dst!r})")
 
     def _bind_block(self, index: int, block: Block) -> str:
         name = f"B{index}"
@@ -445,35 +479,44 @@ class _TraceCompiler:
             )
         return name
 
-    # -- write-back and exits ------------------------------------------
+    # -- exits -----------------------------------------------------------
 
-    def _emit_writebacks(self) -> None:
-        """Spill trace locals back to the environment at a side exit.
-
-        Names assigned before this point in pass-1 order spill
-        unconditionally; names only assigned later on the trace (reached
-        on a previous pass of a cyclic trace) spill iff bound.
-        """
+    def _emit_exit(self, dst_label: str, src_label: str, side_exit: bool) -> None:
+        """Leave the pass loop for the shared epilogue (:meth:`_emit_epilogue`)
+        with this exit's destination, source, fuel and side-exit flag."""
         emit = self.out.emit
+        emit(
+            f"_e = ({dst_label!r}, {src_label!r}, {self.fuel_so_far}, "
+            f"{int(side_exit)})"
+        )
+        emit("break")
+
+    def _emit_epilogue(self) -> None:
+        """The one exit sequence of the trace: settle ticks and fuel,
+        count a side exit, spill every assigned local that is bound.
+
+        Names bound on entry (parameters, entry-phi results) spill
+        unconditionally; the others only if some pass assigned them."""
+        emit = self.out.emit
+        emit("_d, _s, _f, _x = _e")
+        self._emit_tick_settle()
+        emit("M.executed += _f")
+        emit("T.ops_on_trace += _f")
+        emit("if _x:")
+        self.out.level += 1
+        emit("T.side_exits += 1")
+        emit("_xc = T.exit_counts")
+        emit("_xc[_s] = _xc.get(_s, 0) + 1")
+        self.out.level -= 1
+        bound = self.params | {phi.dest.name for phi in self.entry_phis}
         for name, local in self.locals.items():
             if name not in self.all_assigned:
                 continue  # read-only: env already agrees
-            if name in self.params or name in self.assigned:
+            if name in bound:
                 emit(f"env[{name!r}] = {local}")
             else:
                 emit(f"if {local} is not _MISS: env[{name!r}] = {local}")
-
-    def _emit_exit(self, dst_label: str, src_label: str, side_exit: bool) -> None:
-        emit = self.out.emit
-        self._emit_tick_settle()
-        emit(f"M.executed += {self.fuel_so_far}")
-        emit(f"T.ops_on_trace += {self.fuel_so_far}")
-        if side_exit:
-            emit("T.side_exits += 1")
-            emit("_xc = T.exit_counts")
-            emit(f"_xc[{src_label!r}] = _xc.get({src_label!r}, 0) + 1")
-        self._emit_writebacks()
-        emit(f"return ({dst_label!r}, {src_label!r})")
+        emit("return (_d, _s)")
 
     def _emit_bail(self, dst_label: str, src_label: str) -> None:
         """Forced guard-failure hook: exit at the on-trace label."""
@@ -486,10 +529,144 @@ class _TraceCompiler:
         self._emit_exit(dst_label, src_label, side_exit=True)
         self.out.level -= 1
 
+    # -- recording ---------------------------------------------------------
+    #
+    # In a block whose per-op tracers record it from trace code (see
+    # repro.profiling.interp.TraceRecorder), each recorder ``i`` has
+    # ``_r<i>``, the list its rows go to (read after the block event),
+    # and a batch of row sources appended in one statement at the
+    # block's end or at its fork; the branch row is appended in each
+    # arm of the terminator, where the direction is known.
+
+    def _rec_id(self, rec) -> int:
+        index = self._rec_index.get(id(rec.tracer))
+        if index is None:
+            index = self._rec_index[id(rec.tracer)] = len(self._rec_index)
+            self.ns[f"_C{index}"] = rec.tracer
+            self.ns[f"_P{index}"] = rec.predict
+        return index
+
+    def _template_name(self, template) -> str:
+        name = self._template_names.get(id(template))
+        if name is None:
+            name = self._template_names[id(template)] = self._const(template)
+        return name
+
+    def _temp(self, prefix: str) -> str:
+        name = f"{prefix}{self.temp_counter}"
+        self.temp_counter += 1
+        return name
+
+    def _emit_gates(self, label: str) -> None:
+        """After block ``label``'s event: where each recorder's rows go."""
+        self.block_recs = self.recorders.get(label, ())
+        for rec in self.block_recs:
+            index = self._rec_id(rec)
+            self.out.emit(f"_r{index} = _C{index}._rows")
+            self._batch[index] = []
+
+    def _queue_row(self, index: int, row: str, dest: Optional[str] = None,
+                   local: Optional[str] = None) -> None:
+        batch = self._batch[index]
+        if dest is not None and any(name == dest for _, name, _ in batch):
+            self._flush_rows(index)  # one def per name per batch
+        batch.append((row, dest, local))
+
+    def _record(self, instr: Instr, pred: Optional[str] = None,
+                extra: Optional[str] = None, tail: str = "") -> None:
+        """Queue ``instr``'s row for every recorder of the block: its
+        template, ticks (plus ``extra``), def old/new, then ``tail``."""
+        dest = getattr(instr, "dest", None)
+        dest = dest.name if dest is not None else None
+        for rec in self.block_recs:
+            index = self._rec_id(rec)
+            if instr is rec.fork:
+                self._flush_rows(index)
+                self.out.emit(
+                    f"if _r{index} is not None: _r{index} = _C{index}._fork()"
+                )
+                continue
+            template = rec.templates[(instr, pred)]
+            ticks = repr(template.ticks)
+            if extra is not None:
+                ticks = f"{ticks} + {extra}"
+            if dest is None:
+                row = f"({self._template_name(template)}, {ticks}{tail})"
+                self._queue_row(index, row)
+                continue
+            local = self.locals[dest]
+            row = (
+                f"({self._template_name(template)}, {ticks}, "
+                f"_g{index}.get({dest!r}), {local}{tail})"
+            )
+            self._queue_row(index, row, dest, local)
+
+    def _record_entry_phis(self, phis: List[Phi], prev_expr: str) -> None:
+        """Queue the entry block's phi rows, whose templates depend on
+        the runtime predecessor: ``_EP<i>[pred][k]`` is the template of
+        phi ``k`` entered from ``pred``."""
+        for rec in self.block_recs:
+            index = self._rec_id(rec)
+            preds = set.intersection(*(set(phi.incomings) for phi in phis))
+            self.ns[f"_EP{index}"] = {
+                pred: tuple(rec.templates[(phi, pred)] for phi in phis)
+                for pred in preds
+            }
+            for k, phi in enumerate(phis):
+                dest = phi.dest.name
+                ticks = rec.templates[(phi, next(iter(phi.incomings)))].ticks
+                local = self.locals[dest]
+                self._queue_row(
+                    index,
+                    f"(_EP{index}[{prev_expr}][{k}], {ticks}, "
+                    f"_g{index}.get({dest!r}), {local})",
+                    dest, local,
+                )
+
+    def _flush_rows(self, only: Optional[int] = None) -> None:
+        """Append each recorder's queued rows in one statement, then
+        store the defs' new values."""
+        emit = self.out.emit
+        for rec in self.block_recs:
+            index = self._rec_id(rec)
+            batch = self._batch[index]
+            if not batch or (only is not None and index != only):
+                continue
+            emit(f"if _r{index} is not None:")
+            self.out.level += 1
+            updates = [
+                f"_g{index}[{dest!r}] = {local}"
+                for _, dest, local in batch
+                if dest is not None
+            ]
+            if updates:
+                emit(f"_g{index} = _C{index}._reg_values")
+            if len(batch) == 1:
+                emit(f"_r{index}.append({batch[0][0]})")
+            else:
+                emit(f"_r{index} += ({', '.join(row for row, _, _ in batch)})")
+            for line in updates:
+                emit(line)
+            self.out.level -= 1
+            del batch[:]
+
+    def _emit_branch_rows(self, branch: Branch, key: str, taken: bool) -> None:
+        for rec in self.block_recs:
+            index = self._rec_id(rec)
+            template = rec.templates[(branch, None)]
+            base = template.ticks
+            emit = self.out.emit
+            emit(
+                f"if _r{index} is not None: _r{index}.append(("
+                f"{self._template_name(template)}, {base + rec.mispredict_ticks} "
+                f"if _P{index}({key}, {taken}) else {base}))"
+            )
+
     # -- instruction emission -------------------------------------------
 
     def _emit_instr(self, instr: Instr) -> None:
         emit = self.out.emit
+        recorded = bool(self.block_recs)
         if isinstance(instr, BinOp):
             if instr.op == "div":
                 expr = f"_div({self._use(instr.lhs)}, {self._use(instr.rhs)})"
@@ -518,29 +695,47 @@ class _TraceCompiler:
             emit(f"{self._assign(instr.dest)} = {base!r}")
         elif isinstance(instr, Load):
             self._flush_block_events()
-            emit(f"_a = {self._use_int(instr.base)} + {self._use_int(instr.offset)}")
+            # A recorded load keeps its address and ticks for its row.
+            addr = self._temp("_a") if recorded else "_a"
+            emit(f"{addr} = {self._use_int(instr.base)} + {self._use_int(instr.offset)}")
             emit("_m = M.memory")
-            emit("if not (0 <= _a < len(_m)):")
+            emit(f"if not (0 <= {addr} < len(_m)):")
             self.out.level += 1
-            emit('raise InterpError(f"load from invalid address {_a}")')
+            emit(f'raise InterpError(f"load from invalid address {{{addr}}}")')
             self.out.level -= 1
-            emit(f"{self._assign(instr.dest)} = _m[_a]")
+            emit(f"{self._assign(instr.dest)} = _m[{addr}]")
+            if recorded:
+                ticks = self._temp("_l")
+                emit(f"{ticks} = E_load({addr})")
+                emit(f"_tk += {ticks}")
+                self._record(instr, extra=ticks, tail=f", {addr}")
+                return
             if self.engine is not None:
-                emit("_tk += E_load(_a)")
+                emit(f"_tk += E_load({addr})")
+            return
         elif isinstance(instr, Store):
             self._flush_block_events()
-            emit(f"_a = {self._use_int(instr.base)} + {self._use_int(instr.offset)}")
-            emit(f"_val = {self._use(instr.value)}")
+            addr = self._temp("_a") if recorded else "_a"
+            value = self._temp("_s") if recorded else "_val"
+            emit(f"{addr} = {self._use_int(instr.base)} + {self._use_int(instr.offset)}")
+            emit(f"{value} = {self._use(instr.value)}")
             emit("_m = M.memory")
-            emit("if not (0 <= _a < len(_m)):")
+            emit(f"if not (0 <= {addr} < len(_m)):")
             self.out.level += 1
             # The reference's store reads the old value first.
-            emit('raise InterpError(f"load from invalid address {_a}")')
+            emit(f'raise InterpError(f"load from invalid address {{{addr}}}")')
             self.out.level -= 1
-            emit("_m[_a] = _val")
+            if recorded:
+                old = self._temp("_o")
+                emit(f"{old} = _m[{addr}]")
+                self._record(instr, tail=f", {addr}, {old}, {value}")
+            emit(f"_m[{addr}] = {value}")
             if self.engine is not None:
-                emit("E_store(_a)")
+                emit(f"E_store({addr})")
+            return
         elif isinstance(instr, Call):
+            if recorded:
+                raise _Reject("a call's row is built by the hooks")
             self._flush_block_events()
             self._emit_tick_settle()
             invoke = self._const(self._make_invoker(instr))
@@ -550,10 +745,13 @@ class _TraceCompiler:
                 emit(f"{self._assign(instr.dest)} = {call}")
             else:
                 emit(call)
+            return
         elif isinstance(instr, (SptFork, SptKill)):
-            pass  # sequential no-ops (traces never run under on_instr)
+            pass  # sequential no-ops; recorded as rows where observed
         else:
             raise _Reject(f"cannot compile {instr!r}")
+        if recorded:
+            self._record(instr)
 
     def _make_invoker(self, instr: Call) -> Callable:
         machine = self.machine
@@ -611,6 +809,10 @@ class _TraceCompiler:
         elif self.cyclic:
             on_target = self.path[0]
 
+        if not isinstance(terminator, Branch) and self.block_recs:
+            self._record(terminator)
+        self._flush_rows()
+
         if isinstance(instr := terminator, Return):
             if not last:
                 raise _Reject("return mid-trace")
@@ -654,6 +856,7 @@ class _TraceCompiler:
                 emit(f"_cnd = {cond}")
                 if self.engine is not None:
                     self._emit_branch_event(key, "True")
+                self._emit_branch_rows(terminator, key, True)
                 self._emit_edge_event(label, iftrue)
                 if on_target is None:
                     self._emit_exit(iftrue, label, side_exit=False)
@@ -668,6 +871,7 @@ class _TraceCompiler:
                 self.out.level += 1
                 if self.engine is not None:
                     self._emit_branch_event(key, "True")
+                self._emit_branch_rows(terminator, key, True)
                 self._emit_edge_event(label, iftrue)
                 self._emit_exit(iftrue, label, side_exit=False)
                 self.out.level -= 1
@@ -675,6 +879,7 @@ class _TraceCompiler:
                 self.out.level += 1
                 if self.engine is not None:
                     self._emit_branch_event(key, "False")
+                self._emit_branch_rows(terminator, key, False)
                 self._emit_edge_event(label, iffalse)
                 self._emit_exit(iffalse, label, side_exit=False)
                 self.out.level -= 1
@@ -690,11 +895,13 @@ class _TraceCompiler:
             self.out.level += 1
             if self.engine is not None:
                 self._emit_branch_event(key, repr(not stay_on_true))
+            self._emit_branch_rows(terminator, key, not stay_on_true)
             self._emit_edge_event(label, off_target)
             self._emit_exit(off_target, label, side_exit=True)
             self.out.level -= 1
             if self.engine is not None:
                 self._emit_branch_event(key, repr(stay_on_true))
+            self._emit_branch_rows(terminator, key, stay_on_true)
             self._emit_edge_event(label, on_target)
             if last:
                 self._emit_back_edge(label)
@@ -737,6 +944,7 @@ class _TraceCompiler:
         self.entry_phis = entry_phi_list
         self.uses_prev_var = self.cyclic and (
             self.engine is not None or bool(self.on_block)
+            or bool(self.recorders)
         )
 
         ns = self.ns
@@ -819,9 +1027,10 @@ class _TraceCompiler:
             emit("_tk = 0")
         if self.uses_prev_var:
             emit("_p = prev")
-        if self.cyclic:
-            emit("while True:")
-            self.out.level += 1
+        # Every exit leaves this loop for the shared epilogue; a linear
+        # trace runs its body once.
+        emit("while True:")
+        self.out.level += 1
         emit("T.passes += 1")
         emit("if M.executed > _FUEL:")
         self.out.level += 1
@@ -845,16 +1054,24 @@ class _TraceCompiler:
             if index == 0:
                 prev_expr = "_p" if self.uses_prev_var else "prev"
                 self._emit_block_event(index, block, prev_expr)
+                self._emit_gates(label)
                 # Entry phis were applied to env before the preamble
                 # (first pass) or by the back-edge section (later
-                # passes); mark their dests as bound.
+                # passes); mark their dests as bound.  Their rows
+                # follow the block event that opens the iteration.
                 for phi in phis:
                     self.assigned.add(phi.dest.name)
                     self._local(phi.dest.name)
+                if phis and self.block_recs:
+                    self._record_entry_phis(phis, prev_expr)
             else:
                 self._emit_block_event(index, block, repr(self.path[index - 1]))
+                self._emit_gates(label)
                 if phis:
                     self._emit_phi_assign(phis, self.path[index - 1])
+                    if self.block_recs:
+                        for phi in phis:
+                            self._record(phi, pred=self.path[index - 1])
             for instr in body:
                 self._emit_instr(instr)
             self._emit_terminator(index, label, terminator)
@@ -862,6 +1079,8 @@ class _TraceCompiler:
         # Every terminator path ends in an exit/back-edge, all of which
         # flush; a leftover here would mean silently dropped events.
         assert not self._blk_events
+        self.out.level -= 1
+        self._emit_epilogue()
         lines = self.out.lines
         self.out = outer
         return lines
@@ -884,19 +1103,28 @@ class _Reject(Exception):
 
 def _make_entry_applier(cf, entry_label: str):
     """Apply the entry block's phi batch for a runtime predecessor,
-    with exactly the driver-loop semantics."""
-    cb = cf.blocks.get(entry_label)
-    if cb is None:
-        cb = cf.compile_block(entry_label)
-        cf.blocks[entry_label] = cb
-    batches = cb.phi_batches
+    with exactly the driver-loop semantics but unobserved: a recorded
+    entry block records its phis after its block event."""
+    block = cf.block_map[entry_label]
+    phis = []
+    for instr in block.instrs:
+        if not isinstance(instr, Phi):
+            break
+        phis.append(instr)
+    batches = {
+        prev: tuple(
+            (phi.dest.name, cf._accessor(phi.incomings[prev])) for phi in phis
+        )
+        for prev in phis[0].incomings
+        if all(prev in phi.incomings for phi in phis)
+    }
 
     def apply_entry(env, prev):
         if prev is None:
             raise InterpError(f"phi in entry block {entry_label}")
         batch = batches.get(prev)
         if batch is None:
-            cf._phi_error(cb, prev)
+            cf._phi_error(phis, entry_label, prev)
         if len(batch) == 1:
             dest, get = batch[0]
             env[dest] = get(env)

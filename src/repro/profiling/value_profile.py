@@ -16,8 +16,10 @@ clears ``SptConfig.svp_min_hit_rate``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
+from repro.ir.block import Block
+from repro.ir.function import Function, Module
 from repro.ir.instr import Instr
 from repro.profiling.interp import Tracer
 
@@ -69,6 +71,43 @@ class ValueProfile(Tracer):
         bucket = self.samples[key]
         if len(bucket) < MAX_SAMPLES:
             bucket.append(value)
+
+    # -- the fast tier's view ------------------------------------------
+
+    def op_scope(self, module: Module) -> Dict[str, Set[str]]:
+        """The blocks that hold a watched def: ``on_def`` ignores every
+        other op."""
+        scope: Dict[str, Set[str]] = {}
+        for func in module.functions.values():
+            for block in func.blocks:
+                if any(id(i) in self._watched_ids for i in block.instrs):
+                    scope.setdefault(func.name, set()).add(block.label)
+        return scope
+
+    def op_recorder(
+        self, func: Function, block: Block, instr: Instr, run: Callable
+    ) -> Optional[Callable]:
+        """``run`` itself for an unwatched def, a sampling closure for a
+        watched one; a subclass overriding ``on_instr`` or ``on_def``
+        gets none."""
+        cls = type(self)
+        if (
+            cls.on_def is not ValueProfile.on_def
+            or cls.on_instr is not Tracer.on_instr
+        ):
+            return None
+        key = id(instr)
+        if key not in self._watched_ids:
+            return run
+        bucket = self.samples[key]
+
+        def op(env):
+            value = run(env)
+            if len(bucket) < MAX_SAMPLES:
+                bucket.append(value)
+            return value
+
+        return op
 
     # -- analysis ----------------------------------------------------------
 

@@ -523,7 +523,7 @@ def _check_rounds(
                 continue
             spec_trace = iterations[index + 1]
             lib = _replay_speculative(
-                spec_trace.ops, *_post_fork_stale(main_trace)
+                spec_trace.rows, *_post_fork_stale(main_trace)
             )
             ours = _independent_replay(main_trace, spec_trace)
             if lib != ours:

@@ -72,22 +72,33 @@ def test_snapshot_payload_does_not_grow_with_the_run():
     assert late <= early * 1.1, (early, late)
 
 
-def test_folded_rounds_free_their_op_records(monkeypatch):
-    """Without the cyclic collector, a finished iteration's OpRecords
-    are freed as soon as its round folds: once an iteration completes,
-    every earlier one is gone (the new one is either the unpaired
-    iteration or folded with it)."""
+def test_folded_rounds_free_their_rows(monkeypatch):
+    """Without the cyclic collector, a finished iteration and its row
+    lists are freed as soon as its round folds: once an iteration
+    completes, every earlier one is gone (the new one is either the
+    unpaired iteration or folded with it)."""
 
-    class WeakOp(spt_sim.OpRecord):
+    class Rows(list):
+        """A row list that a weak reference can watch."""
+
+    class WeakTrace(spt_sim.IterationTrace):
         __slots__ = ("__weakref__",)
 
-    monkeypatch.setattr(spt_sim, "OpRecord", WeakOp)
-    finished = []  # weak references to each finished iteration's ops
+        def __init__(self):
+            super().__init__()
+            self.pre = Rows()
+            self.post = Rows()
+
+    monkeypatch.setattr(spt_sim, "IterationTrace", WeakTrace)
+    finished = []  # weak references to each finished iteration's state
     earlier_alive = []
 
     class Watching(spt_sim.SptTraceCollector):
         def _complete(self, trace):
-            finished.append([weakref.ref(op) for op in trace.ops])
+            finished.append([
+                weakref.ref(trace), weakref.ref(trace.pre),
+                weakref.ref(trace.post),
+            ])
             super()._complete(trace)
             earlier_alive.append(sum(
                 any(ref() is not None for ref in refs)

@@ -196,6 +196,34 @@ def test_value_profile_detects_stride():
     assert update in profile.predictable_instrs(0.9)
 
 
+def test_value_profile_is_scoped_to_its_watched_defs(monkeypatch):
+    """The fast tier samples a watched def through the profile's
+    ``op_recorder`` and dispatches no ``on_def`` at all; the reference
+    interpreter calls ``on_def`` for every def.  Both sample the same
+    values."""
+    calls = []
+    on_def = ValueProfile.on_def
+
+    def counting(self, instr, value):
+        calls.append(instr)
+        on_def(self, instr, value)
+
+    monkeypatch.setattr(ValueProfile, "on_def", counting)
+    samples = []
+    for fast in (False, True):
+        module = parse_module(STRIDED)
+        update = _find_instr(module, "main", "binop", "body")
+        profile = ValueProfile([update])
+        del calls[:]
+        run_module(module, args=[50], tracers=[profile], fast=fast)
+        samples.append(profile.samples[id(update)])
+        if fast:
+            assert calls == []
+        else:
+            assert len(calls) > len(samples[0])
+    assert samples[0] == samples[1] == list(range(2, 101, 2))
+
+
 def test_value_profile_unpredictable_on_few_samples():
     module = parse_module(STRIDED)
     update = _find_instr(module, "main", "binop", "body")

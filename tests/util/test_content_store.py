@@ -172,7 +172,7 @@ def test_keys_are_unit_separated_sha256():
         f"{program}\x1fmain\x1fh"
     )
     assert CheckpointStore.run_key("module m", "fp", "wl") == sha(
-        "repro-checkpoint/2\x1ffp\x1fwl\x1fmodule m"
+        "repro-checkpoint/3\x1ffp\x1fwl\x1fmodule m"
     )
     # The journal key was an incremental hasher over the same parts.
     tasks = [{"path": "a.c", "source": "x"}, {"path": "b.c", "source": "y"}]
