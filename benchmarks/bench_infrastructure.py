@@ -500,3 +500,70 @@ def test_spt_run_trajectory():
     }
     emit_json("BENCH_sptsim", payload)
     print(f"\nspt-run trajectory: {payload}")
+
+
+#: The compile phases ``compile_spt`` opens spans for, as
+#: BENCH_compile.json reports their self seconds.
+COMPILE_PHASES = (
+    "unroll", "ssa", "profile", "depgraph", "search", "svp", "transform",
+)
+
+
+def _generated_compile_golden():
+    import importlib.util
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "tests", "golden",
+        "test_generated_compile.py",
+    )
+    spec = importlib.util.spec_from_file_location("generated_compile", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compile_trajectory():
+    """The compile trajectory: the generated-compile golden's programs
+    compiled under best in one process.  Emits BENCH_compile.json with
+    the total seconds, per-phase self seconds aggregated from the
+    compilation spans as ``repro perf record`` aggregates them, and the
+    time ``repro.cli`` takes to parse one ``simulate`` command line
+    (best of 20); no speed floor is asserted."""
+    from repro.cli import parse_args
+    from repro.core.pipeline import Workload, compile_spt
+    from repro.obs.telemetry import Telemetry, self_durations
+
+    golden = _generated_compile_golden()
+    phase_s = dict.fromkeys(COMPILE_PHASES, 0.0)
+    total_s = 0.0
+    for index in range(golden.PROGRAM_COUNT):
+        tag, source, train = golden.program(index)
+        telemetry = Telemetry()
+        start = time.perf_counter()
+        module = compile_minic(source, name=tag)
+        compile_spt(module, best_config(), Workload(args=(train,)),
+                    telemetry=telemetry)
+        total_s += time.perf_counter() - start
+        for name, seconds in self_durations(telemetry.spans).items():
+            if name in phase_s:
+                phase_s[name] += seconds
+
+    argv = ["simulate", "prog.c", "--args", "200", "--train-args", "20"]
+    parse_s = float("inf")
+    for _ in range(20):
+        start = time.perf_counter()
+        assert parse_args(argv).command == "simulate"
+        parse_s = min(parse_s, time.perf_counter() - start)
+
+    payload = {
+        "config": "best",
+        "programs": golden.PROGRAM_COUNT,
+        "cpu_count": os.cpu_count() or 1,
+        "total_seconds": round(total_s, 4),
+        "phase_self_seconds": {
+            name: round(seconds, 4) for name, seconds in phase_s.items()
+        },
+        "parse_simulate_ms": round(parse_s * 1e3, 3),
+    }
+    emit_json("BENCH_compile", payload)
+    print(f"\ncompile trajectory: {payload}")

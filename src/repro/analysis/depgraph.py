@@ -342,11 +342,13 @@ def build_dep_graph(
     else:
         raw_prob = _static_edge_prob(func, loop)
 
+    blocks = func.block_map()
+
     def base_prob(src, dst):
         # Pass-inserted branch hints (e.g. SVP's misprediction rate)
         # override both static estimates and stale profiles.
-        if func.has_block(src):
-            hint = func.block(src).annotations.get("branch_hint")
+        if src in blocks:
+            hint = blocks[src].annotations.get("branch_hint")
             if hint is not None and dst in hint:
                 return hint[dst]
         return raw_prob(src, dst)

@@ -22,6 +22,7 @@ class DominatorTree:
         #: Immediate dominator per label (entry maps to None).
         self.idom = idom
         self._depth: Dict[str, int] = {}
+        self._children: Dict[str, List[str]] = {label: [] for label in idom}
         self._compute_depths()
 
     @classmethod
@@ -62,31 +63,41 @@ class DominatorTree:
         return cls(func, cfg, idom)
 
     def _compute_depths(self) -> None:
-        for label in self.idom:
-            depth = 0
-            cursor = label
-            while self.idom.get(cursor) is not None:
-                cursor = self.idom[cursor]
-                depth += 1
-            self._depth[label] = depth
+        # ``build`` fills ``idom`` in reverse postorder, where a
+        # dominator always precedes the blocks it dominates: one pass
+        # derives every depth from the parent's.
+        depth = self._depth
+        for label, parent in self.idom.items():
+            if parent is None:
+                depth[label] = 0
+            else:
+                depth[label] = depth[parent] + 1
+                self._children[parent].append(label)
 
     # -- queries ---------------------------------------------------------
 
     def dominates(self, a: str, b: str) -> bool:
-        """Whether block ``a`` dominates block ``b`` (reflexive)."""
-        cursor: Optional[str] = b
-        while cursor is not None:
-            if cursor == a:
-                return True
-            cursor = self.idom.get(cursor)
-        return False
+        """Whether block ``a`` dominates block ``b`` (reflexive).
+
+        Only ``a`` itself dominates a label outside the tree, and such
+        a label dominates only itself."""
+        if a == b:
+            return True
+        depth_a = self._depth.get(a)
+        depth_b = self._depth.get(b)
+        if depth_a is None or depth_b is None or depth_a >= depth_b:
+            return False
+        idom = self.idom
+        for _ in range(depth_b - depth_a):
+            b = idom[b]
+        return a == b
 
     def strictly_dominates(self, a: str, b: str) -> bool:
         return a != b and self.dominates(a, b)
 
     def children(self, label: str) -> List[str]:
         """Dominator-tree children of ``label``."""
-        return [c for c, parent in self.idom.items() if parent == label]
+        return list(self._children.get(label, ()))
 
     def depth(self, label: str) -> int:
         return self._depth[label]

@@ -741,305 +741,298 @@ def cmd_perf_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Cost-driven speculative parallelization (PLDI 2004 reproduction)",
+# -- argument parsing ------------------------------------------------------
+
+def _add_source(p):
+    p.add_argument("source", help="MiniC or textual-IR file ('-' for stdin)")
+    p.add_argument("--entry", default="main", help="entry function")
+    p.add_argument("--args", default="", help="comma-separated int args")
+    p.add_argument("--fuel", type=int, default=50_000_000)
+
+
+def _add_config_options(p):
+    p.add_argument("--config", choices=sorted(CONFIG_FACTORIES), default="best")
+    p.add_argument(
+        "--no-fast-interp", action="store_true",
+        help="profile and simulate on the reference interpreter with "
+             "per-op timing instead of the fast tier (block-compiled "
+             "with hot traces and vectorized timing)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument(
+        "--no-incremental-cost", action="store_true",
+        help="use full-recompute cost evaluation in the partition search",
+    )
+    p.add_argument(
+        "--search-deadline-ms", type=float, default=None, metavar="MS",
+        help="anytime partition-search deadline: on expiry keep the "
+             "best-so-far legal partition (flagged optimal=false)",
+    )
+    p.add_argument(
+        "--phase-deadline-ms", type=float, default=None, metavar="MS",
+        help="wall-clock watchdog per firewalled pipeline phase; an "
+             "overrunning phase degrades its loop instead of wedging",
+    )
+    p.add_argument(
+        "--no-ladder", action="store_true",
+        help="disable the graceful-degradation retry ladder (a "
+             "contained fault skips the loop immediately)",
+    )
 
-    def add_source(p):
-        p.add_argument("source", help="MiniC or textual-IR file ('-' for stdin)")
-        p.add_argument("--entry", default="main", help="entry function")
-        p.add_argument("--args", default="", help="comma-separated int args")
-        p.add_argument("--fuel", type=int, default=50_000_000)
 
-    run_p = sub.add_parser("run", help="interpret a program")
-    add_source(run_p)
-    run_p.add_argument("--timing", action="store_true", help="report cycles/IPC")
-    run_p.set_defaults(fn=cmd_run)
+def _add_obs_options(p):
+    p.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="write a Chrome trace-event timeline of the compilation "
+             "(open in chrome://tracing or Perfetto)",
+    )
+    p.add_argument(
+        "--log-out", default=None, metavar="PATH",
+        help="write a JSONL structured log of spans, events and counters",
+    )
+    p.add_argument(
+        "--obs-summary", action="store_true",
+        help="print the end-of-run telemetry summary table",
+    )
+    p.add_argument(
+        "--metrics-out", default=None, metavar="PATH",
+        help="write the metrics snapshot (counters, gauges, span "
+             "histograms): Prometheus text, or canonical JSON when "
+             "PATH ends in .json",
+    )
+    p.add_argument(
+        "--obs-detail", action="store_true",
+        help="also collect expensive per-event accounting "
+             "(per-hook tracer event counts)",
+    )
 
-    dump_p = sub.add_parser("dump-ir", help="lower and print the IR")
-    add_source(dump_p)
-    dump_p.add_argument("--ssa", action="store_true", help="convert to SSA")
-    dump_p.add_argument("--optimize", action="store_true", help="run cleanup passes")
-    dump_p.set_defaults(fn=cmd_dump_ir)
 
-    def add_config_options(p):
-        p.add_argument("--config", choices=sorted(CONFIG_FACTORIES), default="best")
-        p.add_argument(
-            "--no-fast-interp", action="store_true",
-            help="profile and simulate on the reference interpreter with "
-                 "per-op timing instead of the fast tier (block-compiled "
-                 "with hot traces and vectorized timing)",
-        )
-        p.add_argument(
-            "--no-incremental-cost", action="store_true",
-            help="use full-recompute cost evaluation in the partition search",
-        )
-        p.add_argument(
-            "--search-deadline-ms", type=float, default=None, metavar="MS",
-            help="anytime partition-search deadline: on expiry keep the "
-                 "best-so-far legal partition (flagged optimal=false)",
-        )
-        p.add_argument(
-            "--phase-deadline-ms", type=float, default=None, metavar="MS",
-            help="wall-clock watchdog per firewalled pipeline phase; an "
-                 "overrunning phase degrades its loop instead of wedging",
-        )
-        p.add_argument(
-            "--no-ladder", action="store_true",
-            help="disable the graceful-degradation retry ladder (a "
-                 "contained fault skips the loop immediately)",
-        )
+def _add_checkpoint_options(p):
+    p.add_argument(
+        "--checkpoint-dir", default=None, metavar="DIR",
+        help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
+             "else <cache-dir>/checkpoints)",
+    )
+    p.add_argument(
+        "--checkpoint-phases", action="store_true",
+        help="durably checkpoint completed compile phases (the "
+             "partition search per loop) so a crashed or killed "
+             "compile resumes past them on re-run",
+    )
 
-    def add_obs_options(p):
-        p.add_argument(
-            "--trace-out", default=None, metavar="PATH",
-            help="write a Chrome trace-event timeline of the compilation "
-                 "(open in chrome://tracing or Perfetto)",
-        )
-        p.add_argument(
-            "--log-out", default=None, metavar="PATH",
-            help="write a JSONL structured log of spans, events and counters",
-        )
-        p.add_argument(
-            "--obs-summary", action="store_true",
-            help="print the end-of-run telemetry summary table",
-        )
-        p.add_argument(
-            "--metrics-out", default=None, metavar="PATH",
-            help="write the metrics snapshot (counters, gauges, span "
-                 "histograms): Prometheus text, or canonical JSON when "
-                 "PATH ends in .json",
-        )
-        p.add_argument(
-            "--obs-detail", action="store_true",
-            help="also collect expensive per-event accounting "
-                 "(per-hook tracer event counts)",
-        )
 
-    def add_checkpoint_options(p):
-        p.add_argument(
-            "--checkpoint-dir", default=None, metavar="DIR",
-            help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
-                 "else <cache-dir>/checkpoints)",
-        )
-        p.add_argument(
-            "--checkpoint-phases", action="store_true",
-            help="durably checkpoint completed compile phases (the "
-                 "partition search per loop) so a crashed or killed "
-                 "compile resumes past them on re-run",
-        )
+def _add_ledger_dir(p):
+    p.add_argument(
+        "--ledger-dir", default=None, metavar="DIR",
+        help="ledger location (default: $REPRO_LEDGER_DIR or "
+             ".repro/ledger); a .jsonl file is used directly",
+    )
 
-    compile_p = sub.add_parser("compile", help="two-pass SPT compilation")
-    add_source(compile_p)
-    add_config_options(compile_p)
-    add_obs_options(compile_p)
-    add_checkpoint_options(compile_p)
-    compile_p.add_argument(
+
+def _run_arguments(p):
+    _add_source(p)
+    p.add_argument("--timing", action="store_true", help="report cycles/IPC")
+    p.set_defaults(fn=cmd_run)
+
+
+def _dump_ir_arguments(p):
+    _add_source(p)
+    p.add_argument("--ssa", action="store_true", help="convert to SSA")
+    p.add_argument("--optimize", action="store_true", help="run cleanup passes")
+    p.set_defaults(fn=cmd_dump_ir)
+
+
+def _compile_arguments(p):
+    _add_source(p)
+    _add_config_options(p)
+    _add_obs_options(p)
+    _add_checkpoint_options(p)
+    p.add_argument(
         "--emit-ir", action="store_true", help="print the transformed IR"
     )
-    compile_p.set_defaults(fn=cmd_compile)
+    p.set_defaults(fn=cmd_compile)
 
-    sim_p = sub.add_parser("simulate", help="compile and run the SPT machine model")
-    add_source(sim_p)
-    add_config_options(sim_p)
-    add_obs_options(sim_p)
-    add_checkpoint_options(sim_p)
-    sim_p.add_argument("--train-args", default=None,
-                       help="profiling args (defaults to --args)")
-    sim_p.add_argument(
+
+def _simulate_arguments(p):
+    _add_source(p)
+    _add_config_options(p)
+    _add_obs_options(p)
+    _add_checkpoint_options(p)
+    p.add_argument("--train-args", default=None,
+                   help="profiling args (defaults to --args)")
+    p.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
         help="durably snapshot the whole simulation every N executed "
              "instructions (at the next block boundary); 0 disables",
     )
-    sim_p.add_argument(
+    p.add_argument(
         "--resume-from", default=None, metavar="WHEN",
         help="resume the simulation from a stored snapshot: 'latest' "
              "or an executed-instruction index upper bound",
     )
-    sim_p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate)
 
-    explain_p = sub.add_parser(
-        "explain",
-        help="compile and explain why each loop was (not) selected",
-    )
-    add_source(explain_p)
-    add_config_options(explain_p)
-    add_obs_options(explain_p)
-    explain_p.add_argument(
+
+def _explain_arguments(p):
+    _add_source(p)
+    _add_config_options(p)
+    _add_obs_options(p)
+    p.add_argument(
         "--loop", default=None, metavar="FUNC:HEADER",
         help="restrict the report to one loop (e.g. main:for_head)",
     )
-    explain_p.add_argument(
+    p.add_argument(
         "--brief", action="store_true",
         help="omit the pre-fork region statement listing",
     )
-    explain_p.add_argument(
+    p.add_argument(
         "--cache-dir", nargs="?", const="", default=None, metavar="DIR",
         help="also report whether this result is warm in the batch "
              "result cache (default dir when no DIR is given)",
     )
-    explain_p.add_argument(
+    p.add_argument(
         "--profile", action="store_true",
         help="append the per-phase self-time profile and flamegraph "
              "folded stacks aggregated from the compilation span tree",
     )
-    explain_p.set_defaults(fn=cmd_explain)
+    p.set_defaults(fn=cmd_explain)
 
-    batch_p = sub.add_parser(
-        "batch",
-        help="compile many programs in parallel with a persistent "
-             "result cache",
-    )
-    batch_p.add_argument(
+
+def _batch_arguments(p):
+    p.add_argument(
         "inputs", nargs="+",
         help="program files, directories, or glob patterns",
     )
-    batch_p.add_argument("--entry", default="main", help="entry function")
-    batch_p.add_argument("--args", default="", help="comma-separated int args")
-    batch_p.add_argument("--fuel", type=int, default=50_000_000)
-    add_config_options(batch_p)
-    add_obs_options(batch_p)
-    batch_p.add_argument(
+    p.add_argument("--entry", default="main", help="entry function")
+    p.add_argument("--args", default="", help="comma-separated int args")
+    p.add_argument("--fuel", type=int, default=50_000_000)
+    _add_config_options(p)
+    _add_obs_options(p)
+    p.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (default: os.cpu_count())",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent result cache location "
              "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--no-cache", action="store_true",
         help="compile everything cold; do not read or write the cache",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--cache-max-entries", type=int, default=None, metavar="N",
         help="evict oldest cache entries beyond N after the batch",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--manifest", default=None, metavar="PATH",
         help="write the machine-readable batch manifest (JSON)",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--stats-out", default=None, metavar="PATH",
         help="write run statistics (wall time, jobs, cache hit rate)",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--quiet", action="store_true",
         help="suppress the per-program progress lines",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--stall-timeout", type=float, default=None, metavar="S",
         help="seconds of total pool silence before remaining tasks are "
              "declared lost (default: config batch_stall_timeout_s, 60)",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--program-timeout", type=float, default=None, metavar="S",
         help="per-program wall-clock budget in each worker; an "
              "overrunning program is retried once on the degraded "
              "ladder configuration, then reported as status=timeout",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--progress-json", default=None, metavar="PATH",
         help="continuously (re)write a machine-readable progress "
              "document (schema repro-batch-progress/1) for external "
              "watchers",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--resume", action="store_true",
         help="journal every finished program durably and replay a "
              "previous (crashed or killed) run of this exact batch, "
              "re-queueing only unfinished programs",
     )
-    batch_p.add_argument(
+    p.add_argument(
         "--journal-dir", default=None, metavar="DIR",
         help="where --resume journals live (default: "
              "<checkpoint-dir>/batches)",
     )
-    batch_p.set_defaults(fn=cmd_batch)
+    p.set_defaults(fn=cmd_batch)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the warm-worker compilation daemon "
-             "(JSON-over-HTTP on localhost, or JSON-RPC on stdio)",
-    )
-    serve_p.add_argument(
+
+def _serve_arguments(p):
+    p.add_argument(
         "--workers", type=int, default=4,
         help="pre-forked warm worker processes (default 4)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--host", default="127.0.0.1",
         help="HTTP bind address (default 127.0.0.1; keep it local)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--port", type=int, default=8750,
         help="HTTP port; 0 picks a free one (read it back from "
              "--ready-file)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--stdio", action="store_true",
         help="speak JSON-RPC over stdin/stdout instead of HTTP",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--queue-limit", type=int, default=64,
         help="max in-flight requests before 429 + Retry-After "
              "(default 64)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--request-timeout", type=float, default=60.0,
         help="per-request deadline in seconds; a miss answers 504 "
              "(default 60)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--program-timeout", type=float, default=None,
         help="per-compilation watchdog seconds inside the worker "
              "(SIGALRM + one degraded-ladder retry, like repro batch)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--mem-cache-entries", type=int, default=256,
         help="in-memory LRU capacity in results; 0 disables the "
              "memory tier (default 256)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--cache-dir", default=None,
         help="content-addressed disk cache directory shared with "
              "repro batch (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--no-cache", action="store_true",
         help="disable the disk cache tier (memory tier still applies)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--ready-file", default=None,
         help="write a JSON readiness document (pid, transport, actual "
              "port) here once requests are accepted",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--request-log", default=None,
         help="append one JSONL record per served request to this file",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--max-body-bytes", type=int, default=4 * 1024 * 1024,
         help="reject request bodies larger than this with 413 "
              "(default 4 MiB)",
     )
-    serve_p.set_defaults(fn=cmd_serve)
+    p.set_defaults(fn=cmd_serve)
 
-    perf_p = sub.add_parser(
-        "perf",
-        help="record runs into the performance ledger and compare them",
-    )
-    perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
 
-    def add_ledger_dir(p):
-        p.add_argument(
-            "--ledger-dir", default=None, metavar="DIR",
-            help="ledger location (default: $REPRO_LEDGER_DIR or "
-                 ".repro/ledger); a .jsonl file is used directly",
-        )
+def _perf_arguments(p):
+    perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
     perf_record_p = perf_sub.add_parser(
         "record",
@@ -1059,8 +1052,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_record_p.add_argument("--args", default="",
                                help="comma-separated int args")
     perf_record_p.add_argument("--fuel", type=int, default=50_000_000)
-    add_config_options(perf_record_p)
-    add_ledger_dir(perf_record_p)
+    _add_config_options(perf_record_p)
+    _add_ledger_dir(perf_record_p)
     perf_record_p.set_defaults(fn=cmd_perf_record)
 
     perf_list_p = perf_sub.add_parser("list", help="list ledger records")
@@ -1068,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="filter by record kind")
     perf_list_p.add_argument("--workload", default=None,
                              help="filter by workload name")
-    add_ledger_dir(perf_list_p)
+    _add_ledger_dir(perf_list_p)
     perf_list_p.set_defaults(fn=cmd_perf_list)
 
     perf_diff_p = perf_sub.add_parser(
@@ -1081,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_diff_p.add_argument(
         "run_b", help="candidate run: a run-id prefix or @-N position"
     )
-    add_ledger_dir(perf_diff_p)
+    _add_ledger_dir(perf_diff_p)
     perf_diff_p.set_defaults(fn=cmd_perf_diff)
 
     perf_check_p = perf_sub.add_parser(
@@ -1108,75 +1101,132 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-time gating: auto = only for same-host record pairs "
              "(deterministic metrics always gate)",
     )
-    add_ledger_dir(perf_check_p)
+    _add_ledger_dir(perf_check_p)
     perf_check_p.set_defaults(fn=cmd_perf_check)
 
-    report_p = sub.add_parser("report", help="regenerate paper tables/figures")
-    report_p.add_argument("targets", nargs="*", help="table1 fig14 ... (default: all)")
-    report_p.set_defaults(fn=cmd_report)
 
-    dot_p = sub.add_parser("dot", help="emit Graphviz dumps of compiler graphs")
-    dot_p.add_argument("source")
-    dot_p.add_argument(
+def _report_arguments(p):
+    p.add_argument("targets", nargs="*", help="table1 fig14 ... (default: all)")
+    p.set_defaults(fn=cmd_report)
+
+
+def _dot_arguments(p):
+    p.add_argument("source")
+    p.add_argument(
         "what", choices=["cfg", "depgraph", "costgraph", "vcdep"]
     )
-    dot_p.add_argument("--function", default="main")
-    dot_p.add_argument("--loop", default=None, help="loop header label")
-    dot_p.add_argument("--ssa", action="store_true",
-                       help="convert to SSA before dumping the CFG")
-    dot_p.set_defaults(fn=cmd_dot)
+    p.add_argument("--function", default="main")
+    p.add_argument("--loop", default=None, help="loop header label")
+    p.add_argument("--ssa", action="store_true",
+                   help="convert to SSA before dumping the CFG")
+    p.set_defaults(fn=cmd_dot)
 
-    summary_p = sub.add_parser(
-        "summary", help="compile and print a JSON compilation summary"
-    )
-    add_source(summary_p)
-    add_config_options(summary_p)
-    add_obs_options(summary_p)
-    summary_p.set_defaults(fn=cmd_summary)
 
-    fuzz_p = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing: generated programs vs the oracle battery",
-    )
-    fuzz_p.add_argument(
+def _summary_arguments(p):
+    _add_source(p)
+    _add_config_options(p)
+    _add_obs_options(p)
+    p.set_defaults(fn=cmd_summary)
+
+
+def _fuzz_arguments(p):
+    p.add_argument(
         "--seed", type=int, default=None,
         help="campaign base seed (default: $REPRO_TEST_SEED or 0)",
     )
-    fuzz_p.add_argument(
+    p.add_argument(
         "--iterations", type=int, default=100,
         help="number of generated programs (default 100)",
     )
-    fuzz_p.add_argument(
+    p.add_argument(
         "--oracle", action="append", default=None, metavar="NAME",
         help="restrict to one oracle (repeatable): "
              "checkpoint, cost, interp, partition, spt",
     )
-    fuzz_p.add_argument(
+    p.add_argument(
         "--corpus-dir", default=None, metavar="DIR",
         help="replay this regression corpus first, and write minimized "
              "reproducers for new failures into it",
     )
-    fuzz_p.add_argument(
+    p.add_argument(
         "--skip-corpus-replay", action="store_true",
         help="with --corpus-dir, only write new reproducers",
     )
-    fuzz_p.add_argument(
+    p.add_argument(
         "--no-shrink", action="store_true",
         help="report failures without delta-debugging them first",
     )
-    fuzz_p.add_argument(
+    p.add_argument(
         "--max-failures", type=int, default=1,
         help="stop after this many failures (0 = run the full campaign)",
     )
-    add_obs_options(fuzz_p)
-    fuzz_p.set_defaults(fn=cmd_fuzz)
+    _add_obs_options(p)
+    p.set_defaults(fn=cmd_fuzz)
 
+
+#: Every subcommand in ``repro --help`` order: its name, its help line
+#: and the function adding its arguments.
+_SUBCOMMANDS = (
+    ("run", "interpret a program", _run_arguments),
+    ("dump-ir", "lower and print the IR", _dump_ir_arguments),
+    ("compile", "two-pass SPT compilation", _compile_arguments),
+    ("simulate", "compile and run the SPT machine model", _simulate_arguments),
+    ("explain", "compile and explain why each loop was (not) selected",
+     _explain_arguments),
+    ("batch", "compile many programs in parallel with a persistent "
+              "result cache", _batch_arguments),
+    ("serve", "run the warm-worker compilation daemon "
+              "(JSON-over-HTTP on localhost, or JSON-RPC on stdio)",
+     _serve_arguments),
+    ("perf", "record runs into the performance ledger and compare them",
+     _perf_arguments),
+    ("report", "regenerate paper tables/figures", _report_arguments),
+    ("dot", "emit Graphviz dumps of compiler graphs", _dot_arguments),
+    ("summary", "compile and print a JSON compilation summary",
+     _summary_arguments),
+    ("fuzz", "differential fuzzing: generated programs vs the oracle "
+             "battery", _fuzz_arguments),
+)
+
+
+def _top_level_parser(metavar: Optional[str] = None):
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Cost-driven speculative parallelization (PLDI 2004 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    return parser, sub
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: every subcommand with its arguments."""
+    parser, sub = _top_level_parser()
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def parse_args(argv: List[str] = None) -> argparse.Namespace:
+    """Parse a ``repro`` command line.
+
+    Only ``repro``, ``repro --help`` and an unknown command print
+    something that needs the whole tree.  Any other command line starts
+    with its subcommand's name, so the parser holds that subcommand's
+    arguments alone; its usage still names every subcommand, as the
+    top-level errors print it (``unrecognized arguments``)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = [name for name, _, _ in _SUBCOMMANDS]
+    if not argv or argv[0] not in names:
+        return build_parser().parse_args(argv)
+    parser, sub = _top_level_parser(metavar="{%s}" % ",".join(names))
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        if name == argv[0]:
+            add_arguments(sub.add_parser(name, help=help_line))
+    return parser.parse_args(argv)
+
+
 def main(argv: List[str] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except WorkloadError as exc:

@@ -229,14 +229,13 @@ def transform_loop(
     # extended body (otherwise the header -> pre-region edge would be
     # mistaken for an exit and a kill would land on the hot path).
     cfg = CFG.build(func)
+    present = {blk.label for blk in func.blocks}
     extended_body = set(loop.body) | {fork_label}
-    extended_body.update(
-        blk.label for blk in pre_blocks if func.has_block(blk.label)
-    )
+    extended_body.update(blk.label for blk in pre_blocks if blk.label in present)
     exit_edges = [
         (src, dst)
         for src in sorted(extended_body)
-        if func.has_block(src)
+        if src in present
         for dst in cfg.succs.get(src, ())
         if dst not in extended_body
     ]

@@ -59,7 +59,10 @@ class Function:
         return {blk.label: blk for blk in self.blocks}
 
     def has_block(self, label: str) -> bool:
-        return any(blk.label == label for blk in self.blocks)
+        for blk in self.blocks:
+            if blk.label == label:
+                return True
+        return False
 
     def instructions(self) -> Iterator[Instr]:
         """All instructions in block order."""

@@ -95,8 +95,13 @@ class Instr:
         return False
 
     def clone(self) -> "Instr":
-        """A deep copy, safe to insert elsewhere."""
-        return _copy.deepcopy(self)
+        """A structural copy, safe to insert elsewhere.
+
+        Operand values are shared: nothing mutates a ``Var`` or
+        ``Const`` in place (operands change through :meth:`replace_use`
+        and the ``dest`` setters).  Subclasses holding a mutable
+        container give the copy its own."""
+        return _copy.copy(self)
 
     def __repr__(self) -> str:
         from repro.ir.printer import format_instr
@@ -329,6 +334,11 @@ class Call(Instr):
     def dest(self, var: Optional[Var]) -> None:
         self._dest = var
 
+    def clone(self) -> "Call":
+        new = _copy.copy(self)
+        new.args = list(self.args)
+        return new
+
     def uses(self) -> List[Value]:
         return list(self.args)
 
@@ -370,6 +380,11 @@ class Phi(Instr):
     @dest.setter
     def dest(self, var: Var) -> None:
         self._dest = var
+
+    def clone(self) -> "Phi":
+        new = _copy.copy(self)
+        new.incomings = dict(self.incomings)
+        return new
 
     def uses(self) -> List[Value]:
         return list(self.incomings.values())

@@ -78,17 +78,17 @@ def _ssa_errors(func: Function) -> List[str]:
     from repro.analysis.dominators import DominatorTree
 
     errors: List[str] = []
-    defs = {}
+    defs = {}  # register name -> (block, index); Var equality is by name
     for param in func.params:
-        defs[param] = ("<param>", -1)
+        defs[param.name] = ("<param>", -1)
     for blk in func.blocks:
         for index, instr in enumerate(blk.instrs):
             dest = instr.dest
             if dest is None:
                 continue
-            if dest in defs:
+            if dest.name in defs:
                 errors.append(f"{blk.label}: {dest} redefined (SSA violation)")
-            defs[dest] = (blk.label, index)
+            defs[dest.name] = (blk.label, index)
 
     if errors:
         return errors
@@ -110,12 +110,12 @@ def _ssa_errors(func: Function) -> List[str]:
                 for pred_label, value in instr.incomings.items():
                     if not isinstance(value, Var):
                         continue
-                    if value not in defs:
+                    if value.name not in defs:
                         errors.append(f"{blk.label}: phi uses undefined {value}")
                         continue
                     pred = block_map.get(pred_label)
                     end = len(pred.instrs) if pred else 0
-                    if not dominates_use(defs[value], pred_label, end):
+                    if not dominates_use(defs[value.name], pred_label, end):
                         errors.append(
                             f"{blk.label}: phi incoming {value} from "
                             f"{pred_label} not dominated by its definition"
@@ -124,12 +124,12 @@ def _ssa_errors(func: Function) -> List[str]:
                 for value in instr.uses():
                     if not isinstance(value, Var):
                         continue
-                    if value not in defs:
+                    if value.name not in defs:
                         errors.append(
                             f"{blk.label}: use of undefined {value} in "
                             f"{instr!r}"
                         )
-                    elif not dominates_use(defs[value], blk.label, index):
+                    elif not dominates_use(defs[value.name], blk.label, index):
                         errors.append(
                             f"{blk.label}: use of {value} not dominated "
                             f"by its definition"

@@ -16,10 +16,10 @@ own timing model, so it must be attached after the run's accounting.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Optional, Set
 
 from repro.ir.block import Block
-from repro.ir.function import Function
+from repro.ir.function import Function, Module
 from repro.machine.spt_sim import (
     COMMIT_TICKS,
     FORK_TICKS,
@@ -61,6 +61,11 @@ class RegionTraceCollector(SptTraceCollector):
         self._rows = (
             current.post if block.label in self.b_labels else current.pre
         )
+
+    def block_scope(self, module: Module) -> Optional[Dict[str, Set[str]]]:
+        # This override acts only on body blocks with an iteration open,
+        # inside the scope of the one it extends.
+        return self._event_blocks(module)
 
     def _complete(self, trace: IterationTrace) -> None:
         """Fold one finished iteration as its own A ∥ B round."""

@@ -632,6 +632,37 @@ class SptTraceCollector(Tracer):
             for name, labels in self._reach(module).items()
         }
 
+    def block_scope(self, module: Module) -> Optional[Dict[str, Set[str]]]:
+        """The header, the body and the blocks the loop exits to, or all
+        of the target function when the body can call back into it (a
+        nested frame's block event ends the open iteration).  Elsewhere
+        ``on_block`` only notes the edge for phis: an iteration is open
+        only inside the loop, and control leaves it through an exit
+        block, whose event closes the iteration.  A subclass overriding
+        ``on_block`` gets no scope unless it declares its own."""
+        if self._hooks_overridden(("on_block",)):
+            return None
+        return self._event_blocks(module)
+
+    def _event_blocks(self, module: Module) -> Dict[str, Set[str]]:
+        labels = self._reach(module)[self.func_name]
+        if labels is None:
+            loop = self.body_labels | {self.header}
+            labels = set(loop)
+            for block in module.functions[self.func_name].blocks:
+                if block.label in loop:
+                    labels.update(block.successors())
+        return {self.func_name: set(labels)}
+
+    def edge_scope(self, module: Module) -> Optional[Dict[str, Set[str]]]:
+        """``on_edge`` acts only with an iteration open, on a branch of
+        the body or inside a call aggregate: on edges out of
+        :meth:`op_scope`.  A subclass overriding ``on_edge`` gets no
+        scope."""
+        if self._hooks_overridden(("on_edge",)):
+            return None
+        return self.op_scope(module)
+
     def _reach(self, module: Module) -> Dict[str, Optional[Set[str]]]:
         """Function -> every block label, for each function the body
         reaches through calls; the target maps to None unless the body

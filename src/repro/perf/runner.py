@@ -21,6 +21,7 @@ span tree, the deterministic counters, degradations and cycles.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import time
@@ -231,6 +232,10 @@ def record_program(
         source = handle.read()
 
     telemetry = Telemetry()
+    # Collect what earlier work in this process left behind first: a
+    # full collection of that garbage (tens of ms in a large heap) would
+    # otherwise be charged to whichever phase of this run it lands in.
+    gc.collect()
     start = time.perf_counter()
     module = load_module(source_path)
     workload = Workload(entry=entry, args=tuple(args))

@@ -20,9 +20,10 @@ execution, into a flat list of specialized closures:
   overrides and emits hook calls only for those, so the common
   zero-tracer (and edge-profile-only) case pays nothing for the
   observer interface; per-instruction hooks are compiled only into the
-  blocks a tracer's ``op_scope`` names, and where one tracer alone
-  observes an op, its ``op_recorder`` closure replaces the
-  ``on_instr``/``on_def`` dispatch around it;
+  blocks a tracer's ``op_scope`` names (``on_block`` and ``on_edge``
+  likewise into those of its ``block_scope`` and ``edge_scope``), and
+  where one tracer alone observes an op, its ``op_recorder`` closure
+  replaces the ``on_instr``/``on_def`` dispatch around it;
 * **batched fuel accounting** -- fuel is charged once per block with a
   single comparison instead of once per instruction.
 
@@ -127,10 +128,14 @@ class _Hooks:
     :class:`Tracer` method; un-overridden no-op hooks are elided from
     the compiled code entirely.  :meth:`in_block` narrows the
     per-instruction buckets to the tracers whose ``op_scope`` holds a
-    block.
+    block, and ``on_block`` / ``on_edge`` to those whose
+    ``block_scope`` / ``edge_scope`` does.
     """
 
-    __slots__ = _HOOK_NAMES + ("scopes", "per_op_tracers", "recording")
+    __slots__ = _HOOK_NAMES + (
+        "scopes", "block_scopes", "edge_scopes", "per_op_tracers",
+        "recording",
+    )
 
     def __init__(self, tracers, module: Module):
         for name in _HOOK_NAMES:
@@ -150,11 +155,10 @@ class _Hooks:
         )
         #: id(tracer) -> function name -> labels, for every per-op
         #: tracer that declares a scope.
-        self.scopes: Dict[int, Dict[str, set]] = {}
-        for tracer in self.per_op_tracers:
-            scope = tracer.op_scope(module)
-            if scope is not None:
-                self.scopes[id(tracer)] = scope
+        self.scopes = _declared(self.per_op_tracers, "op_scope", module)
+        #: The same for ``on_block`` and ``on_edge`` (source blocks).
+        self.block_scopes = _declared(self.on_block, "block_scope", module)
+        self.edge_scopes = _declared(self.on_edge, "edge_scope", module)
 
     @property
     def per_op(self) -> bool:
@@ -163,26 +167,54 @@ class _Hooks:
         return any(getattr(self, name) for name in _PER_OP_HOOKS)
 
     def in_block(self, func_name: str, label: str) -> "_Hooks":
-        """These hooks, with each per-instruction bucket narrowed to the
+        """These hooks, with each per-instruction bucket, ``on_block``
+        and ``on_edge`` (for edges out of the block) narrowed to the
         tracers whose scope holds block ``label`` of ``func_name``."""
-        if not self.scopes:
+        if not (self.scopes or self.block_scopes or self.edge_scopes):
             return self
         narrowed = object.__new__(_Hooks)
-        for name in _HOOK_NAMES + ("scopes", "per_op_tracers", "recording"):
+        for name in self.__slots__:
             setattr(narrowed, name, getattr(self, name))
         for name in _PER_OP_HOOKS:
-            setattr(narrowed, name, tuple(
-                t for t in getattr(self, name)
-                if id(t) not in self.scopes
-                or label in self.scopes[id(t)].get(func_name, ())
+            setattr(narrowed, name, _within(
+                getattr(self, name), self.scopes, func_name, label
             ))
+        narrowed.on_block = _within(
+            self.on_block, self.block_scopes, func_name, label
+        )
+        narrowed.on_edge = _within(
+            self.on_edge, self.edge_scopes, func_name, label
+        )
         return narrowed
+
+
+def _declared(tracers, method: str, module: Module) -> Dict[int, Dict[str, set]]:
+    """id(tracer) -> function name -> labels, for each of ``tracers``
+    whose scope ``method`` declares a scope."""
+    scopes = {}
+    for tracer in tracers:
+        scope = getattr(tracer, method)(module)
+        if scope is not None:
+            scopes[id(tracer)] = scope
+    return scopes
+
+
+def _within(tracers, scopes, func_name: str, label: str) -> tuple:
+    """The tracers that declare no scope or whose scope holds ``label``
+    of ``func_name``."""
+    return tuple(
+        t for t in tracers
+        if id(t) not in scopes or label in scopes[id(t)].get(func_name, ())
+    )
 
 
 class _CompiledBlock:
     """One basic block lowered to closures."""
 
-    __slots__ = ("block", "fuel", "ops", "term", "phis", "phi_batches")
+    __slots__ = (
+        "block", "fuel", "ops", "term", "phis", "phi_batches", "on_block",
+        "on_edge",
+    )
 
     def __init__(self, block: Block):
         self.block = block
@@ -199,6 +231,10 @@ class _CompiledBlock:
         #: pairs (the accessor runs the phi's hooks too), or None when
         #: the block has no phis.
         self.phi_batches: Optional[Dict[str, tuple]] = None
+        #: The tracers whose ``on_block`` this block's entry calls, and
+        #: whose ``on_edge`` the edges out of it call.
+        self.on_block: tuple = ()
+        self.on_edge: tuple = ()
 
 
 class _CompiledFunction:
@@ -652,6 +688,8 @@ class _CompiledFunction:
         block = self.block_map[label]
         hooks = self.hooks.in_block(self.func.name, label)
         cb = _CompiledBlock(block)
+        cb.on_block = hooks.on_block
+        cb.on_edge = hooks.on_edge
 
         # Split the phi prefix from the straight-line body; stop at the
         # first terminator (the reference interpreter never executes
@@ -737,8 +775,6 @@ class _CompiledFunction:
             engine.enter(func, args)
 
         blocks = self.blocks
-        on_block = hooks.on_block
-        on_edge = hooks.on_edge
         fuel = machine.fuel
         label = func.entry.label
         prev_label: Optional[str] = None
@@ -813,8 +849,8 @@ class _CompiledFunction:
 
             if engine is not None:
                 engine.block(func, cb.block, prev_label)
-            if on_block:
-                for t in on_block:
+            if cb.on_block:
+                for t in cb.on_block:
                     t.on_block(func, cb.block, prev_label)
 
             batches = cb.phi_batches
@@ -867,8 +903,8 @@ class _CompiledFunction:
                 break
             if nxt not in self.block_map:
                 raise KeyError(f"no block {nxt!r} in function {func.name}")
-            if on_edge:
-                for t in on_edge:
+            if cb.on_edge:
+                for t in cb.on_edge:
                     t.on_edge(func, label, nxt)
             prev_label = label
             label = nxt

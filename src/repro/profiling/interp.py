@@ -61,6 +61,14 @@ class Tracer:
     All hooks default to no-ops; profilers override the ones they need.
     Hook order for one instruction: ``on_instr`` fires first, then any
     ``on_load``/``on_store``, then ``on_def``.
+
+    A tracer may declare where its hooks act: the per-op hooks inside
+    :meth:`op_scope`, ``on_block`` on the blocks of :meth:`block_scope`
+    and ``on_edge`` on edges out of the blocks of :meth:`edge_scope`.
+    The fast tier (:mod:`repro.profiling.compiled` and its traces)
+    calls each hook only there; this interpreter calls every hook
+    everywhere, so a scope that is too narrow shows up as a tier
+    disagreement.
     """
 
     def on_enter_function(self, func: Function, args: List) -> None:
@@ -100,6 +108,20 @@ class Tracer:
         hooks into these blocks only; this interpreter calls them
         everywhere, so a scope that is too narrow shows up as a tier
         disagreement."""
+        return None
+
+    def block_scope(self, module: Module) -> Optional[Dict[str, Set[str]]]:
+        """The blocks, as function name -> block labels, outside which
+        this tracer's ``on_block`` acts on nothing; None (the default)
+        means everywhere.  Like :meth:`op_scope`, it narrows only the
+        fast tier's calls."""
+        return None
+
+    def edge_scope(self, module: Module) -> Optional[Dict[str, Set[str]]]:
+        """The source blocks, as function name -> block labels, outside
+        which this tracer's ``on_edge`` acts on nothing; None (the
+        default) means everywhere.  It narrows only the fast tier's
+        calls."""
         return None
 
     def op_recorder(

@@ -304,9 +304,8 @@ class _TraceCompiler:
         self._rec_index: Dict[int, int] = {}
         #: id(row template) -> its namespace name.
         self._template_names: Dict[int, str] = {}
-        #: on_edge tracers left to call on edges out of a recorded block,
-        #: by the tuple's identity.
-        self._edge_sets: Dict[tuple, str] = {}
+        #: Tuple of tracers an event calls -> its namespace name.
+        self._tracer_sets: Dict[tuple, str] = {}
         #: Deferred engine block events (index, block, prev_label) for
         #: blocks whose predecessor is a compile-time constant.  Runs
         #: separated only by unguarded edges are emitted as a single
@@ -401,16 +400,18 @@ class _TraceCompiler:
                 emit(f"E_block(F, {name}, {prev_expr})")
             else:
                 self._blk_events.append((index, block, self.path[index - 1]))
-        if not self.on_block:
+        tracers = self.cf.hooks.in_block(self.func.name, block.label).on_block
+        if not tracers:
             return
         if self.edge_profiles is not None:
             key = self._const((self.func.name, block.label))
-            for tracer in self.on_block:
+            for tracer in tracers:
                 counts = self._bind_tracer_dict(tracer, "block")
                 emit(f"{counts}[{key}] = {counts}.get({key}, 0) + 1")
         else:
             name = self._bind_block(index, block)
-            emit(f"for _t in _TB: _t.on_block(F, {name}, {prev_expr})")
+            group = self._tracer_set(tracers)
+            emit(f"for _t in {group}: _t.on_block(F, {name}, {prev_expr})")
 
     def _emit_tick_settle(self) -> None:
         """Fold locally accumulated dynamic ticks into the engine.
@@ -439,29 +440,30 @@ class _TraceCompiler:
         del buf[:]
 
     def _emit_edge_event(self, src: str, dst: str) -> None:
-        if not self.on_edge:
+        tracers = self.cf.hooks.in_block(self.func.name, src).on_edge
+        if not tracers:
             return
         emit = self.out.emit
         if self.edge_profiles is not None:
             key = self._const((self.func.name, src, dst))
-            for tracer in self.on_edge:
+            for tracer in tracers:
                 counts = self._bind_tracer_dict(tracer, "edge")
                 emit(f"{counts}[{key}] = {counts}.get({key}, 0) + 1")
             return
-        recs = self.recorders.get(src)
-        if not recs:
-            emit(f"for _t in _TE: _t.on_edge(F, {src!r}, {dst!r})")
-            return
         # A recorder's branch row stands in for its on_edge.
-        skip = {id(rec.tracer) for rec in recs}
-        rest = tuple(t for t in self.on_edge if id(t) not in skip)
-        if not rest:
-            return
-        name = self._edge_sets.get(rest)
+        skip = {id(rec.tracer) for rec in self.recorders.get(src, ())}
+        tracers = tuple(t for t in tracers if id(t) not in skip)
+        if tracers:
+            group = self._tracer_set(tracers)
+            emit(f"for _t in {group}: _t.on_edge(F, {src!r}, {dst!r})")
+
+    def _tracer_set(self, tracers: tuple) -> str:
+        """The namespace name bound to the tracers one event calls."""
+        name = self._tracer_sets.get(tracers)
         if name is None:
-            name = self._edge_sets[rest] = f"_TE{len(self._edge_sets)}"
-            self.ns[name] = rest
-        emit(f"for _t in {name}: _t.on_edge(F, {src!r}, {dst!r})")
+            name = self._tracer_sets[tracers] = f"_T{len(self._tracer_sets)}"
+            self.ns[name] = tracers
+        return name
 
     def _bind_block(self, index: int, block: Block) -> str:
         name = f"B{index}"
@@ -972,10 +974,6 @@ class _TraceCompiler:
             ns["E_load"] = self.engine.model.hierarchy.access_ticks
             ns["E_branch"] = self.engine.model.branch_ticks
             ns["E_blocks"] = self.engine.blocks
-        if self.on_block and self.edge_profiles is None:
-            ns["_TB"] = self.on_block
-        if self.on_edge and self.edge_profiles is None:
-            ns["_TE"] = self.on_edge
         if self.bailout:
             ns["_BAIL"] = machine._trace_bail
         ns["_FUEL"] = machine.fuel

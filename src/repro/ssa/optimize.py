@@ -41,32 +41,34 @@ def copy_propagate(func: Function) -> int:
     Returns the number of rewrites performed.  Safe in SSA form because
     each source value is immutable once defined.
     """
-    replacements: Dict[Var, Value] = {}
+    # Keyed by register name: ``Var`` equality is by name, and a str key
+    # hashes without a Python-level ``__hash__`` call.
+    replacements: Dict[str, Value] = {}
     for blk in func.blocks:
         for instr in blk.instrs:
             if isinstance(instr, Copy):
-                replacements[instr.dest] = instr.src
+                replacements[instr.dest.name] = instr.src
             elif isinstance(instr, Phi):
                 sources = {str(v): v for v in instr.incomings.values()}
                 sources.pop(str(instr.dest), None)  # self-reference
                 if len(sources) == 1:
-                    replacements[instr.dest] = next(iter(sources.values()))
+                    replacements[instr.dest.name] = next(iter(sources.values()))
 
     # Resolve chains (a -> b -> c).
-    def resolve(value: Value) -> Value:
+    def resolve(value: Var) -> Value:
         seen = set()
-        while isinstance(value, Var) and value in replacements:
-            if value in seen:
+        while isinstance(value, Var) and value.name in replacements:
+            if value.name in seen:
                 break
-            seen.add(value)
-            value = replacements[value]
+            seen.add(value.name)
+            value = replacements[value.name]
         return value
 
     count = 0
     for blk in func.blocks:
         for instr in blk.instrs:
-            for used in list(instr.uses()):
-                if isinstance(used, Var):
+            for used in instr.uses():
+                if isinstance(used, Var) and used.name in replacements:
                     resolved = resolve(used)
                     if resolved != used:
                         instr.replace_use(used, resolved)
@@ -104,19 +106,20 @@ def eliminate_dead_code(func: Function) -> int:
     """Remove side-effect-free instructions with unused destinations."""
     removed_total = 0
     while True:
-        used = set()
+        used = set()  # register names, as in copy_propagate
         for blk in func.blocks:
             for instr in blk.instrs:
                 for value in instr.uses():
                     if isinstance(value, Var):
-                        used.add(value)
+                        used.add(value.name)
         removed = 0
         for blk in func.blocks:
             kept = []
             for instr in blk.instrs:
+                dest = instr.dest
                 dead = (
-                    instr.dest is not None
-                    and instr.dest not in used
+                    dest is not None
+                    and dest.name not in used
                     and not instr.has_side_effects
                     and not instr.is_terminator
                 )

@@ -35,16 +35,17 @@ def broken_variables(func: Function) -> List[Var]:
     cfg = CFG.build(func)
     reachable = cfg.reachable()
     domtree = DominatorTree.build(func, cfg=cfg)
-    defs: Dict[Var, tuple] = {}
+    # Keyed by register name (``Var`` equality is by name).
+    defs: Dict[str, tuple] = {}
     for param in func.params:
-        defs[param] = (func.entry.label, -1)
+        defs[param.name] = (func.entry.label, -1)
     for blk in func.blocks:
         for index, instr in enumerate(blk.instrs):
             if instr.dest is not None:
-                defs[instr.dest] = (blk.label, index)
+                defs[instr.dest.name] = (blk.label, index)
 
     broken: List[Var] = []
-    seen: Set[Var] = set()
+    seen: Set[str] = set()
     for blk in func.blocks:
         if blk.label not in reachable:
             continue
@@ -53,30 +54,30 @@ def broken_variables(func: Function) -> List[Var]:
                 for pred_label, value in instr.incomings.items():
                     if not isinstance(value, Var):
                         continue
-                    if value in seen or value not in defs:
+                    if value.name in seen or value.name not in defs:
                         continue
                     if pred_label not in reachable:
                         continue  # dead incoming path
-                    def_block, def_index = defs[value]
+                    def_block, def_index = defs[value.name]
                     ok = def_block == pred_label or domtree.dominates(
                         def_block, pred_label
                     )
                     if not ok:
-                        seen.add(value)
+                        seen.add(value.name)
                         broken.append(value)
             else:
                 for value in instr.uses():
-                    if not isinstance(value, Var) or value in seen:
+                    if not isinstance(value, Var) or value.name in seen:
                         continue
-                    if value not in defs:
+                    if value.name not in defs:
                         continue
-                    def_block, def_index = defs[value]
+                    def_block, def_index = defs[value.name]
                     if def_block == blk.label:
                         ok = def_index < index
                     else:
                         ok = domtree.dominates(def_block, blk.label)
                     if not ok:
-                        seen.add(value)
+                        seen.add(value.name)
                         broken.append(value)
     return broken
 

@@ -5,7 +5,11 @@ re-enters a loop's function, so these hand-written programs are what
 exercises the fast tier's scoped per-op hooks where a collector's scope
 reaches past its loop body: into a callee that is also called outside
 the loop, into the whole target function when the body recurses into
-it, and into a helper both loops of one function share.  Each program
+it, and into a helper both loops of one function share.  A loop left
+from mid-body before a call to its body's callee also exercises the
+collector's block-event scope: the exit block's event must close the
+iteration on the fast tier too, and so must the entry block's event of
+a recursive frame whose prologue calls the body's callee.  Each program
 must simulate to the same outcome on the fast and the reference tier,
 and to the per-loop statistics pinned below.
 """
@@ -169,7 +173,96 @@ x2:
 }
 """
 
+# A loop left from mid-body, then a call to the helper its body calls.
+BREAK_THEN_CALL = """\
+module t
+global table[16]
+func bump(v) {
+entry:
+  p = addr table
+  m = and v, 15
+  x = load p, m !table
+  y = add x, v
+  store p, m, y !table
+  ret y
+}
+func main(n) {
+entry:
+  i = copy 0
+  s = copy 0
+  jump head
+head:
+  c = lt i, n
+  br c, body, exit
+body:
+  i = add i, 1
+  spt_fork 0
+  r = call bump(i)
+  s = add s, r
+  q = gt s, 400
+  br q, out, head
+out:
+  t = call bump(s)
+  u = add s, t
+  ret u
+exit:
+  ret s
+}
+"""
+
+# The body recurses into its function, whose prologue calls the helper
+# the body calls.
+RECURSIVE_PROLOGUE = """\
+module t
+global cells[16]
+func note(v) {
+entry:
+  p = addr cells
+  m = and v, 15
+  o = load p, m !cells
+  o2 = add o, v
+  store p, m, o2 !cells
+  ret o2
+}
+func work(n, d) {
+entry:
+  w = call note(d)
+  i = copy 0
+  s = copy w
+  jump head
+head:
+  c = lt i, n
+  br c, body, exit
+body:
+  i = add i, 1
+  spt_fork 0
+  z = call note(i)
+  s = add s, z
+  r = gt d, 0
+  e = eq i, 2
+  t = and r, e
+  br t, rec, latch
+rec:
+  d1 = sub d, 1
+  x = call work(4, d1)
+  s = add s, x
+  jump latch
+latch:
+  jump head
+exit:
+  spt_kill 0
+  ret s
+}
+func main(n) {
+entry:
+  a = call work(n, 2)
+  ret a
+}
+"""
+
 PROGRAMS = {
+    "break_then_call": (BREAK_THEN_CALL, [("main", "head", 0)], 60),
+    "recursive_prologue": (RECURSIVE_PROLOGUE, [("work", "head", 0)], 8),
     "helper_loop": (HELPER_LOOP, [("main", "head", 0)], 24),
     "recursive": (RECURSIVE, [("work", "head", 0)], 6),
     "two_loops": (TWO_LOOPS, [("main", "h1", 0), ("main", "h2", 1)], 40),
@@ -179,11 +272,23 @@ PROGRAMS = {
 #: simulator that compiled every hook into every op on both tiers and
 #: gave each collector a private cache.
 PINNED = {
+    "break_then_call": [
+        dict(func_name='main', header='head', invocations=1, iterations=26,
+             seq_ticks=34900, spt_ticks=44525, spec_ops=91, reexec_ops=39,
+             reexec_ticks=1865, spec_ticks=8700, total_ops=182,
+             prefork_ticks=2730),
+    ],
     "helper_loop": [
         dict(func_name='main', header='head', invocations=1, iterations=24,
              seq_ticks=118860, spt_ticks=100835, spec_ops=84, reexec_ops=6,
              reexec_ticks=210, spec_ticks=50280, total_ops=168,
              prefork_ticks=2520),
+    ],
+    "recursive_prologue": [
+        dict(func_name='work', header='head', invocations=3, iterations=16,
+             seq_ticks=13890, spt_ticks=17345, spec_ops=82, reexec_ops=8,
+             reexec_ticks=280, spec_ticks=7030, total_ops=162,
+             prefork_ticks=1680),
     ],
     "recursive": [
         dict(func_name='work', header='head', invocations=3, iterations=16,
