@@ -3,8 +3,7 @@ result cache.  See ``docs/batching.md``.
 
 * :func:`run_batch` / :class:`BatchResult` -- the multi-process driver
   behind ``repro batch``;
-* :class:`WorkerPool` -- the compile-worker pool ``repro batch`` and
-  ``repro serve`` share;
+* :class:`WorkerPool` -- the compile-worker pool ``run_batch`` drives;
 * :class:`ResultCache` -- the SHA-256-keyed persistent cache
   (``~/.cache/repro`` by default), a :class:`repro.util.ContentStore`;
 * :mod:`repro.batch.manifest` -- the canonical machine-readable

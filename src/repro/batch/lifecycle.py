@@ -1,14 +1,14 @@
-"""The one compile-worker pool behind ``repro batch`` and ``repro serve``.
+"""The compile-worker pool behind ``repro batch``.
 
-Both front ends run the paper's two-pass compilation (§3.2) once per
+``run_batch`` runs the paper's two-pass compilation (§3.2) once per
 program in forked worker processes, and :class:`WorkerPool` is the only
 code that forks those workers and watches them:
 
-* every worker runs :func:`worker_main`: a ``ready`` message at start-up,
-  then per work item a ``start`` message, heartbeats from a daemon thread
-  while the item is in flight, and a ``done`` message carrying the
-  manifest entry -- plus the worker-side telemetry totals when the pool
-  was built with ``observe=True``;
+* every worker runs :func:`worker_main`: per work item a ``start``
+  message, heartbeats from a daemon thread while the item is in flight,
+  and a ``done`` message carrying the manifest entry -- plus the
+  worker-side telemetry totals when the pool was built with
+  ``observe=True``;
 * each worker stores the id of the item it claimed in a shared-memory
   claim slot.  Queue messages travel through a pipe a dying process may
   never finish writing to; a shared-memory store is visible at once, so
@@ -16,19 +16,12 @@ code that forks those workers and watches them:
   item;
 * when a worker dies, :meth:`WorkerPool.poll` first drains the result
   queue (the claimed item may in fact have finished), then respawns the
-  worker and retries the claimed item until it has had ``max_attempts``
-  attempts; only then does the item resolve as a structured
+  worker and resolves the claimed item as a structured
   ``status: "crashed"`` entry.
-
-``run_batch`` drives the pool from its main loop (one attempt per
-program); :class:`repro.serve.service.CompileService` drives it from a
-dispatcher thread (two attempts per request).
 
 Fault injection: ``$REPRO_BATCH_CRASH_ON=<substr>`` makes a worker
 hard-exit with code 13 right after claiming any item whose path contains
-``substr``.  ``<substr>@<dir>:<N>`` bounds the crashes: each one first
-claims a token file under ``dir`` (``O_CREAT|O_EXCL``), and once ``N``
-tokens are taken the fault stops firing, so a retried item succeeds.
+``substr``.
 """
 
 from __future__ import annotations
@@ -73,23 +66,8 @@ def crashed_entry(task: Dict, exitcode: Optional[int], message: str) -> Dict:
 
 def _should_crash(path: str) -> bool:
     """Whether ``$REPRO_BATCH_CRASH_ON`` fires for the item at ``path``."""
-    spec = os.environ.get(CRASH_ENV_VAR)
-    if not spec:
-        return False
-    substring, _, tokens = spec.partition("@")
-    if substring not in path:
-        return False
-    if not tokens:
-        return True
-    directory, _, limit = tokens.rpartition(":")
-    for index in range(int(limit)):
-        token = os.path.join(directory, f"crash-token-{index}")
-        try:
-            os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            return True
-        except FileExistsError:
-            continue
-    return False
+    substring = os.environ.get(CRASH_ENV_VAR)
+    return bool(substring) and substring in path
 
 
 def _start_heartbeat_thread(
@@ -132,7 +110,7 @@ def worker_main(
     worker_id: int,
     cache_dir: Optional[str],
     claim,
-    heartbeat_s: Optional[float] = None,
+    heartbeat_s: float,
     observe: bool = False,
 ) -> None:
     """Body of one worker process: compile ``(id, task)`` items until
@@ -142,18 +120,15 @@ def worker_main(
 
     Each item runs under a fresh :class:`~repro.core.config.SptConfig`
     rebuilt from the task, so no configuration state leaks between the
-    items a process compiles.  ``heartbeat_s`` arms the liveness
+    items a process compiles.  ``heartbeat_s`` paces the liveness
     thread; ``observe=True`` runs each compilation under a fresh
     observing telemetry and ships its counter/gauge totals back in the
     ``done`` message."""
     parent = os.getppid()
     cache = ResultCache(cache_dir) if cache_dir else None
-    stop_heartbeat = None
-    if heartbeat_s:
-        stop_heartbeat = _start_heartbeat_thread(
-            result_queue, worker_id, claim, heartbeat_s
-        )
-    result_queue.put({"kind": "ready", "worker": worker_id})
+    stop_heartbeat = _start_heartbeat_thread(
+        result_queue, worker_id, claim, heartbeat_s
+    )
     try:
         while os.getppid() == parent:
             try:
@@ -190,8 +165,7 @@ def worker_main(
             result_queue.put(message)
             claim.value = NO_CLAIM
     finally:
-        if stop_heartbeat is not None:
-            stop_heartbeat.set()
+        stop_heartbeat.set()
 
 
 class WorkerPool:
@@ -199,22 +173,16 @@ class WorkerPool:
     queue.
 
     :meth:`submit` queues a task under a caller-chosen integer id;
-    :meth:`poll` reports what happened since the last call.  ``unit``
-    names an item in crash messages ("program", "request").
+    :meth:`poll` reports what happened since the last call.
     """
 
     def __init__(
         self,
         size: int,
-        cache_dir: Optional[str] = None,
-        heartbeat_s: Optional[float] = None,
+        cache_dir: Optional[str],
+        heartbeat_s: float,
         observe: bool = False,
-        max_attempts: int = 1,
-        unit: str = "program",
     ):
-        self.size = size
-        self.max_attempts = max_attempts
-        self.unit = unit
         self._worker_args = (heartbeat_s, observe)
         self._cache_dir = cache_dir
         self._ctx = multiprocessing.get_context()
@@ -226,21 +194,15 @@ class WorkerPool:
         self._results = self._ctx.SimpleQueue()
         #: worker id -> (process, claim slot)
         self._workers: Dict[int, tuple] = {}
-        #: item id -> [task, attempts so far]
-        self._inflight: Dict[int, list] = {}
+        #: item id -> task, until its ``done`` arrives
+        self._inflight: Dict[int, Dict] = {}
         self._next_worker = 0
-        self._closing = False
-        self.ready = 0
-        self.crashes = 0
-        self.respawns = 0
-        self.retries = 0
         for _ in range(size):
             self._spawn()
 
     def _spawn(self) -> None:
         worker_id = self._next_worker
         self._next_worker += 1
-        # 'l' (signed long): serve request ids are unbounded counters.
         claim = self._ctx.Value("l", NO_CLAIM, lock=False)
         process = self._ctx.Process(
             target=worker_main,
@@ -253,17 +215,15 @@ class WorkerPool:
         self._workers[worker_id] = (process, claim)
 
     def submit(self, item_id: int, task: Dict) -> None:
-        if self._closing:
-            raise RuntimeError("pool is shutting down")
-        self._inflight[item_id] = [task, 1]
+        self._inflight[item_id] = task
         self._tasks.put((item_id, task))
 
     def poll(self, timeout: float = 0.05) -> List[Dict]:
         """Block until a message arrives or a worker dies (at most
         ``timeout`` seconds), then return the events in order: worker
         messages, an ``exit`` event per dead worker, and a ``crashed``
-        event (with its manifest ``entry``) per item that ran out of
-        attempts.  ``done`` and ``crashed`` events carry ``attempts``."""
+        event (with its manifest ``entry``) per item a dead worker
+        had claimed."""
         # Imported here: a fresh `import repro.batch` stays free of the
         # subprocess machinery this pulls in, and the pool's queues have
         # already loaded it by the time anything polls.
@@ -289,12 +249,8 @@ class WorkerPool:
         events = []
         while not self._results.empty():
             message = self._results.get()
-            if message["kind"] == "ready":
-                self.ready += 1
-            elif message["kind"] == "done":
-                item = self._inflight.pop(message["id"], None)
-                if item is not None:
-                    message["attempts"] = item[1]
+            if message["kind"] == "done":
+                self._inflight.pop(message["id"], None)
             events.append(message)
         return events
 
@@ -304,47 +260,21 @@ class WorkerPool:
         events = [{"kind": "exit", "worker": worker_id, "exitcode": exitcode}]
         if exitcode == 0:
             return events  # returned after its sentinel
-        self.crashes += 1
         self._spawn()
-        self.respawns += 1
-        item = self._inflight.get(claimed)
-        if item is None:
+        task = self._inflight.pop(claimed, None)
+        if task is None:
             return events
-        task, attempts = item
-        if attempts < self.max_attempts:
-            item[1] += 1
-            self.retries += 1
-            self._tasks.put((claimed, task))
-            return events
-        del self._inflight[claimed]
         message = (f"worker process died (exit code {exitcode}) while "
-                   f"compiling this {self.unit}")
-        if self.max_attempts > 1:
-            message += f" ({attempts} attempt(s))"
+                   f"compiling this program")
         events.append({
             "kind": "crashed", "worker": worker_id, "id": claimed,
-            "attempts": attempts,
             "entry": crashed_entry(task, exitcode, message),
         })
         return events
 
-    def stats(self) -> Dict:
-        # Iterates a copy: serve's dispatcher thread may respawn a worker
-        # while a handler thread reads the stats.
-        return {
-            "size": self.size,
-            "alive": sum(1 for process, _ in list(self._workers.values())
-                         if process.is_alive()),
-            "ready": self.ready,
-            "crashes": self.crashes,
-            "respawns": self.respawns,
-            "retries": self.retries,
-        }
-
     def close(self, grace_s: float = 2.0) -> None:
         """Send every worker its sentinel and join it, terminating a
         straggler after ``grace_s``; then release the queues."""
-        self._closing = True
         for _ in self._workers:
             self._tasks.put(None)
         for process, _claim in self._workers.values():

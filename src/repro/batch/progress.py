@@ -7,8 +7,7 @@ messages over the result queue while a program is in flight (the
 feeds every pool event into one :class:`ProgressTracker`, renders
 :meth:`ProgressTracker.status_line` for humans, and serializes
 :meth:`ProgressTracker.snapshot` -- schema ``repro-batch-progress/1``
--- for external watchers (CI tails, dashboards, the future ``repro
-serve`` admission controller).
+-- for external watchers (CI tails, dashboards).
 
 The tracker is also the liveness authority: the driver's stall
 backstop asks :meth:`ProgressTracker.seconds_since_heartbeat` instead

@@ -9,8 +9,7 @@ and never lets a per-program exception escape -- failures become
 on the degraded ladder before it becomes ``status: "timeout"``.
 
 The worker processes themselves -- their main loop, heartbeats, crash
-attribution and respawn -- are :mod:`repro.batch.lifecycle`'s, shared
-by ``repro batch`` and ``repro serve``.
+attribution and respawn -- are :mod:`repro.batch.lifecycle`'s.
 """
 
 from __future__ import annotations
@@ -181,9 +180,8 @@ def compile_program_task(
 
 def program_key(task: Dict, config: SptConfig, workload: Workload) -> str:
     """The cache key of a task's program: canonical module IR x config
-    fingerprint x workload token.  The one derivation every cache tier
-    (batch, serve's memory and disk tiers, ``explain --cache-dir``)
-    uses."""
+    fingerprint x workload token.  The one derivation both readers of
+    the cache (batch workers and ``explain --cache-dir``) use."""
     return ResultCache.program_key(
         canonical_module_text(task["source"]),
         config.fingerprint(),

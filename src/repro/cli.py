@@ -151,6 +151,16 @@ def _workload_run():
         ) from exc
 
 
+def _print_degradations(result) -> None:
+    """The compilation's contained faults, one line each as ``repro
+    explain`` lists them: a fault that changed a verdict shows."""
+    if result.degradations:
+        print(f"resilience: {len(result.degradations)} contained "
+              f"degradation(s)")
+        for record in result.degradations:
+            print(f"  {record}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
@@ -236,6 +246,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     print(f"selected SPT loops: {[i.header for i in result.spt_loops]}")
     if result.svp_infos:
         print(f"value predictions: {result.svp_infos}")
+    _print_degradations(result)
     if phase_checkpoints is not None:
         stats = phase_checkpoints.stats
         print(
@@ -263,6 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result, _ = _compile_checkpointed(args, module, config, workload, telemetry)
     if not result.spt_loops:
         print("no SPT loops selected; nothing to simulate")
+        _print_degradations(result)
         _finish_telemetry(telemetry, args)
         return 1
 
@@ -303,6 +315,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if outcome.spt_cycles > 0:
         print(f"program SPT cycles: {outcome.spt_cycles:.0f} "
               f"(speedup {outcome.program_speedup:.3f}x)")
+    _print_degradations(result)
     _finish_telemetry(telemetry, args)
     return 0
 
@@ -505,26 +518,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"live progress document written to {args.progress_json}")
     _finish_telemetry(telemetry, args)
     return 0 if result.ok else 1
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import run_daemon
-
-    return run_daemon(
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        stdio=args.stdio,
-        queue_limit=args.queue_limit,
-        request_timeout_s=args.request_timeout,
-        program_timeout_s=args.program_timeout,
-        mem_cache_entries=args.mem_cache_entries,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        ready_file=args.ready_file,
-        request_log_path=args.request_log,
-        max_body_bytes=args.max_body_bytes,
-    )
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -967,70 +960,6 @@ def _batch_arguments(p):
     p.set_defaults(fn=cmd_batch)
 
 
-def _serve_arguments(p):
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="pre-forked warm worker processes (default 4)",
-    )
-    p.add_argument(
-        "--host", default="127.0.0.1",
-        help="HTTP bind address (default 127.0.0.1; keep it local)",
-    )
-    p.add_argument(
-        "--port", type=int, default=8750,
-        help="HTTP port; 0 picks a free one (read it back from "
-             "--ready-file)",
-    )
-    p.add_argument(
-        "--stdio", action="store_true",
-        help="speak JSON-RPC over stdin/stdout instead of HTTP",
-    )
-    p.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="max in-flight requests before 429 + Retry-After "
-             "(default 64)",
-    )
-    p.add_argument(
-        "--request-timeout", type=float, default=60.0,
-        help="per-request deadline in seconds; a miss answers 504 "
-             "(default 60)",
-    )
-    p.add_argument(
-        "--program-timeout", type=float, default=None,
-        help="per-compilation watchdog seconds inside the worker "
-             "(SIGALRM + one degraded-ladder retry, like repro batch)",
-    )
-    p.add_argument(
-        "--mem-cache-entries", type=int, default=256,
-        help="in-memory LRU capacity in results; 0 disables the "
-             "memory tier (default 256)",
-    )
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed disk cache directory shared with "
-             "repro batch (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the disk cache tier (memory tier still applies)",
-    )
-    p.add_argument(
-        "--ready-file", default=None,
-        help="write a JSON readiness document (pid, transport, actual "
-             "port) here once requests are accepted",
-    )
-    p.add_argument(
-        "--request-log", default=None,
-        help="append one JSONL record per served request to this file",
-    )
-    p.add_argument(
-        "--max-body-bytes", type=int, default=4 * 1024 * 1024,
-        help="reject request bodies larger than this with 413 "
-             "(default 4 MiB)",
-    )
-    p.set_defaults(fn=cmd_serve)
-
-
 def _perf_arguments(p):
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
@@ -1175,9 +1104,6 @@ _SUBCOMMANDS = (
      _explain_arguments),
     ("batch", "compile many programs in parallel with a persistent "
               "result cache", _batch_arguments),
-    ("serve", "run the warm-worker compilation daemon "
-              "(JSON-over-HTTP on localhost, or JSON-RPC on stdio)",
-     _serve_arguments),
     ("perf", "record runs into the performance ledger and compare them",
      _perf_arguments),
     ("report", "regenerate paper tables/figures", _report_arguments),

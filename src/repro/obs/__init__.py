@@ -9,6 +9,7 @@ from repro.obs.sinks import (
     Sink,
     SummarySink,
     metrics_json,
+    metrics_snapshot,
     profile_text,
     prometheus_text,
     summary_text,
@@ -17,11 +18,9 @@ from repro.obs.telemetry import (
     NULL_TELEMETRY,
     Event,
     Histogram,
-    MetricsRegistry,
     NullTelemetry,
     Span,
     Telemetry,
-    Timer,
     folded_stacks,
     self_durations,
 )
@@ -33,18 +32,17 @@ __all__ = [
     "JsonlSink",
     "LEDGER_SCHEMA",
     "Ledger",
-    "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "Sink",
     "Span",
     "SummarySink",
     "Telemetry",
-    "Timer",
     "folded_stacks",
     "host_token",
     "make_record",
     "metrics_json",
+    "metrics_snapshot",
     "profile_text",
     "prometheus_text",
     "self_durations",

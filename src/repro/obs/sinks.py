@@ -14,13 +14,13 @@ the summary's totals) buffer until ``on_close``.
 * :class:`SummarySink` -- renders a human-readable end-of-run table of
   phase durations and counter totals to a stream.
 
-Two stateless exporters serialize a :class:`~repro.obs.telemetry.
-MetricsRegistry` snapshot for machine consumers (both accept a
-registry, a telemetry object, or an already-built snapshot dict):
+Two stateless exporters serialize one run's :func:`metrics_snapshot`
+(counters, gauges, histograms and per-phase span self-times) for
+machine consumers; ``--metrics-out`` writes one of them:
 
 * :func:`prometheus_text` -- the Prometheus text exposition format
   (``# TYPE`` headers, cumulative ``_bucket{le=...}`` series per
-  histogram), ready to serve from a ``/metrics`` endpoint;
+  histogram);
 * :func:`metrics_json` -- the canonical JSON document (sorted keys,
   trailing newline; byte-identical for identical metric states).
 """
@@ -30,11 +30,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Dict, List, Optional
 
 from repro.obs.telemetry import (
     Event,
-    MetricsRegistry,
     Span,
     Telemetry,
     folded_stacks,
@@ -47,6 +46,7 @@ __all__ = [
     "Sink",
     "SummarySink",
     "metrics_json",
+    "metrics_snapshot",
     "profile_text",
     "prometheus_text",
     "summary_text",
@@ -297,28 +297,36 @@ def profile_text(telemetry: Telemetry) -> str:
 
 # --- metric exporters -------------------------------------------------
 
+METRICS_SCHEMA = "repro-metrics/1"
+
+
+def metrics_snapshot(telemetry: Telemetry) -> Dict:
+    """The canonical, JSON-serializable metric set of one run: its
+    counters, its gauges plus one ``span.self_ms.<name>`` gauge per span
+    name (total self time, :func:`self_durations`), and its
+    histograms."""
+    gauges = dict(telemetry.gauges)
+    for name, seconds in self_durations(telemetry.spans).items():
+        gauges[f"span.self_ms.{name}"] = seconds * 1e3
+    counters = telemetry.counters
+    histograms = telemetry.histograms
+    return {
+        "schema": METRICS_SCHEMA,
+        "counters": {name: counters[name] for name in sorted(counters)},
+        "gauges": {name: gauges[name] for name in sorted(gauges)},
+        "histograms": {
+            name: histograms[name].snapshot() for name in sorted(histograms)
+        },
+    }
+
+
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _prom_name(name: str, prefix: str) -> str:
-    """A legal Prometheus metric name: prefixed, separators folded to
-    underscores."""
-    sanitized = _PROM_NAME_RE.sub("_", name)
-    if prefix:
-        sanitized = f"{prefix}_{sanitized}"
-    if sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _resolve_snapshot(metrics: Union[MetricsRegistry, Telemetry, Dict]) -> Dict:
-    if isinstance(metrics, dict):
-        return metrics
-    if isinstance(metrics, MetricsRegistry):
-        return metrics.snapshot()
-    registry = MetricsRegistry()
-    registry.merge_telemetry(metrics)
-    return registry.snapshot()
+def _prom_name(name: str) -> str:
+    """A legal Prometheus metric name: ``repro_``-prefixed, separators
+    folded to underscores."""
+    return "repro_" + _PROM_NAME_RE.sub("_", name)
 
 
 def _prom_value(value: float) -> str:
@@ -329,43 +337,37 @@ def _prom_value(value: float) -> str:
     return f"{value:g}"
 
 
-def prometheus_text(
-    metrics: Union[MetricsRegistry, Telemetry, Dict], prefix: str = "repro"
-) -> str:
-    """Render a metrics snapshot in the Prometheus text exposition
-    format (version 0.0.4): ``# TYPE`` headers, one sample per line,
+def prometheus_text(telemetry: Telemetry) -> str:
+    """Render a run's metrics in the Prometheus text exposition format
+    (version 0.0.4): ``# TYPE`` headers, one sample per line,
     histograms expanded into cumulative ``_bucket{le=...}`` series plus
     ``_sum`` and ``_count``."""
-    snapshot = _resolve_snapshot(metrics)
+    snapshot = metrics_snapshot(telemetry)
     lines: List[str] = []
-    for name, value in snapshot.get("counters", {}).items():
-        metric = _prom_name(name, prefix) + "_total"
+    for name, value in snapshot["counters"].items():
+        metric = _prom_name(name) + "_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_prom_value(value)}")
-    for name, value in snapshot.get("gauges", {}).items():
-        metric = _prom_name(name, prefix)
+    for name, value in snapshot["gauges"].items():
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_prom_value(value)}")
-    for name, hist in snapshot.get("histograms", {}).items():
-        metric = _prom_name(name, prefix)
+    for name, hist in snapshot["histograms"].items():
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in hist.get("buckets", []):
-            cumulative = count
+        for bound, count in hist["buckets"]:
             le = "+Inf" if bound is None else _prom_value(bound)
             lines.append(f'{metric}_bucket{{le="{le}"}} {count}')
-        if not hist.get("buckets") or hist["buckets"][-1][0] is not None:
+        if hist["buckets"][-1][0] is not None:
             # Prometheus requires a closing +Inf bucket equal to count.
-            lines.append(
-                f'{metric}_bucket{{le="+Inf"}} {hist.get("count", cumulative)}'
-            )
-        lines.append(f"{metric}_sum {_prom_value(hist.get('sum', 0.0))}")
-        lines.append(f"{metric}_count {hist.get('count', 0)}")
+            lines.append(f'{metric}_bucket{{le="+Inf"}} {hist["count"]}')
+        lines.append(f"{metric}_sum {_prom_value(hist['sum'])}")
+        lines.append(f"{metric}_count {hist['count']}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def metrics_json(metrics: Union[MetricsRegistry, Telemetry, Dict]) -> str:
+def metrics_json(telemetry: Telemetry) -> str:
     """The canonical JSON export: sorted keys, newline-terminated;
     byte-identical for identical metric states."""
-    snapshot = _resolve_snapshot(metrics)
-    return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+    return json.dumps(metrics_snapshot(telemetry), sort_keys=True,
+                      indent=2) + "\n"

@@ -9,20 +9,17 @@ through.  Four primitives:
 * **counters / gauges** -- monotonically accumulated totals (search
   nodes, cost evaluations, interpreter instructions retired) and
   last-value measurements;
-* **histograms / timers** -- log-bucketed distributions
-  (:class:`Histogram`) with count/sum/min/max and estimated
-  p50/p90/p99, fed directly via :meth:`Telemetry.observe` or through a
-  :class:`Timer` scope; every closed span also auto-observes its
+* **histograms** -- log-bucketed distributions (:class:`Histogram`)
+  with count/sum/min/max and estimated p50/p90/p99, fed via
+  :meth:`Telemetry.observe`; every closed span also auto-observes its
   duration into the ``span.<name>.ms`` histogram, so phase-latency
   distributions come for free;
 * **events** -- timestamped structured records (a transform failure, an
   SPT round's fork/commit/re-execution outcome).
 
-:class:`MetricsRegistry` aggregates counters/gauges/histograms from any
-number of telemetry objects into one named metric set whose
-``snapshot()`` is what the exporters in :mod:`repro.obs.sinks`
-(Prometheus text, canonical JSON) and the run ledger
-(:mod:`repro.obs.ledger`) serialize.
+The metric exporters in :mod:`repro.obs.sinks` (Prometheus text,
+canonical JSON) serialize one run's counters, gauges, histograms and
+per-phase span self-times.
 
 Everything is routed to pluggable :mod:`repro.obs.sinks` and kept
 in-memory for end-of-run reporting (``repro explain``, the summary
@@ -54,12 +51,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "Event",
     "Histogram",
-    "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "Span",
     "Telemetry",
-    "Timer",
     "folded_stacks",
     "self_durations",
 ]
@@ -139,11 +134,10 @@ class Histogram:
 
     Buckets are shared by every histogram: powers of two from ``2**-30``
     (~1 ns when measuring milliseconds) to ``2**40``, plus an overflow
-    bucket.  The fixed geometry makes histograms mergeable without
-    rebinning (worker processes, the registry) and keeps quantile
-    estimates within one bucket -- a factor of two -- of the exact
-    value; estimates are additionally clamped to the observed
-    ``[min, max]``, so single-valued histograms report exactly.
+    bucket.  The fixed geometry keeps quantile estimates within one
+    bucket -- a factor of two -- of the exact value; estimates are
+    additionally clamped to the observed ``[min, max]``, so
+    single-valued histograms report exactly.
 
     Zero and negative samples land in the lowest bucket (they occur
     when timers measure below clock resolution); ``sum``/``min``/
@@ -173,15 +167,6 @@ class Histogram:
             self.max = value
         index = bisect_left(self.BOUNDS, value)
         self._counts[index] = self._counts.get(index, 0) + 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s samples into this histogram (same buckets)."""
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for index, n in other._counts.items():
-            self._counts[index] = self._counts.get(index, 0) + n
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0 < q <= 1); NaN when empty.
@@ -247,33 +232,6 @@ class Histogram:
         )
 
 
-class Timer:
-    """Context manager observing its elapsed milliseconds into a
-    :class:`Histogram`::
-
-        with Timer(registry.histogram("request_ms")):
-            handle(request)
-
-    ``Telemetry.time(name)`` builds one bound to the telemetry's own
-    clock and histogram set.
-    """
-
-    __slots__ = ("histogram", "_clock", "_start")
-
-    def __init__(self, histogram: Histogram, clock=None):
-        self.histogram = histogram
-        self._clock = clock or time.perf_counter
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.histogram.observe((self._clock() - self._start) * 1e3)
-        return False
-
-
 def self_durations(spans: Iterable["Span"]) -> Dict[str, float]:
     """Total *self* seconds per span name: each span's duration minus
     its direct children's durations.  Unlike
@@ -324,83 +282,6 @@ def folded_stacks(spans: Iterable["Span"]) -> Dict[str, float]:
         self_time = span.duration - child_total.get(span.span_id, 0.0)
         stacks[path] = stacks.get(path, 0.0) + max(self_time, 0.0)
     return stacks
-
-
-class MetricsRegistry:
-    """A named set of counters, gauges, and histograms with one
-    canonical ``snapshot()``.
-
-    The registry is the aggregation point *above* individual telemetry
-    runs: a long-lived process (the ``repro serve`` daemon) keeps one
-    registry and folds each request's telemetry into it;
-    one-shot CLI commands build a throwaway registry just to export.
-    The exporters in :mod:`repro.obs.sinks` (:func:`~repro.obs.sinks.
-    prometheus_text`, :func:`~repro.obs.sinks.metrics_json`) consume
-    the snapshot, never the registry, so they also accept snapshots
-    that crossed a process or wire boundary.
-    """
-
-    SCHEMA = "repro-metrics/1"
-
-    def __init__(self):
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    def count(self, name: str, n: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def histogram(self, name: str) -> Histogram:
-        """Get-or-create the histogram called ``name``."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        return histogram
-
-    def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
-
-    def timer(self, name: str) -> Timer:
-        return Timer(self.histogram(name))
-
-    def merge_telemetry(self, telemetry: "Telemetry") -> None:
-        """Fold one finished run's counters, gauges, histograms, and
-        per-phase span self-times (as ``span.self_ms.<name>`` gauges)
-        into the registry."""
-        for name, n in telemetry.counters.items():
-            self.count(name, n)
-        for name, value in telemetry.gauges.items():
-            self.gauge(name, value)
-        for name, histogram in telemetry.histograms.items():
-            self.histogram(name).merge(histogram)
-        for name, seconds in self_durations(telemetry.spans).items():
-            self.gauge(f"span.self_ms.{name}", seconds * 1e3)
-
-    def snapshot(self) -> Dict:
-        """The canonical, JSON-serializable state of every metric."""
-        return {
-            "schema": self.SCHEMA,
-            "counters": {
-                name: self.counters[name] for name in sorted(self.counters)
-            },
-            "gauges": {
-                name: self.gauges[name] for name in sorted(self.gauges)
-            },
-            "histograms": {
-                name: self.histograms[name].snapshot()
-                for name in sorted(self.histograms)
-            },
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry({len(self.counters)} counters, "
-            f"{len(self.gauges)} gauges, "
-            f"{len(self.histograms)} histograms)"
-        )
 
 
 class _SpanScope:
@@ -519,7 +400,7 @@ class Telemetry:
         for name, n in counters.items():
             self.count(name, n)
 
-    # -- histograms / timers ---------------------------------------------
+    # -- histograms -------------------------------------------------------
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into the histogram called ``name``."""
@@ -527,17 +408,6 @@ class Telemetry:
         if histogram is None:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
-
-    def time(self, name: str) -> Timer:
-        """A scope observing its elapsed milliseconds into ``name``::
-
-            with telemetry.time("cache.lookup_ms"):
-                record = cache.get(key)
-        """
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        return Timer(histogram, clock=self._clock)
 
     # -- events ----------------------------------------------------------
 
@@ -627,9 +497,6 @@ class NullTelemetry:
 
     def observe(self, name: str, value: float) -> None:
         pass
-
-    def time(self, name: str) -> _NullScope:
-        return _NULL_SCOPE
 
     def merge_counters(self, counters: Dict[str, float]) -> None:
         pass

@@ -9,9 +9,7 @@ individual firewalled phases.  The spec grammar is::
     mode        = "raise" | "hang" | "slow" | "torn"
 
 ``phase`` names a containment scope ("profile", "depgraph", "search",
-"svp", "transform", "region_splits"), a request boundary outside
-the pipeline firewall ("serve.request", fired by the ``repro serve``
-daemon per admitted request), or a checkpoint IO site
+"svp", "transform", "region_splits") or a checkpoint IO site
 ("checkpoint.save" / "checkpoint.restore", fired by the snapshot
 store around each write/read).  Modes:
 

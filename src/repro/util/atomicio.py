@@ -2,10 +2,9 @@
 appends.
 
 :mod:`repro.util.store` builds every content-addressed store and JSONL
-log on these two idioms, and the batch ``progress.json`` writer and the
-serve daemon's ready file use the write helper directly, so a SIGKILL
-at any instant can leave behind **either** the old file or the new
-file, never a torn hybrid:
+log on these two idioms, and the batch ``progress.json`` writer uses
+the write helper directly, so a SIGKILL at any instant can leave behind
+**either** the old file or the new file, never a torn hybrid:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` -- write to a
   temp file in the destination directory, ``fsync`` it, then

@@ -53,7 +53,9 @@ def test_worker_crash_is_isolated(corpus, tmp_path, monkeypatch, jobs):
     crashed = by_path["poison.c"]
     assert crashed["status"] == "crashed"
     assert crashed["error"]["exitcode"] == CRASH_EXIT_CODE
-    assert "worker process died" in crashed["error"]["message"]
+    assert crashed["error"]["message"] == (
+        "worker process died (exit code 13) while compiling this program"
+    )
 
     for index in range(5):
         assert by_path[f"prog{index}.c"]["status"] == "ok"

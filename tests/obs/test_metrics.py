@@ -1,4 +1,5 @@
-"""Metrics primitives: histogram math, the registry, and the exporters.
+"""Metrics primitives: histogram math, the metric snapshot, and the
+exporters.
 
 The histogram's quantile estimates are gated by a hypothesis property:
 for any sample set, every estimate lies within one log2 bucket (a
@@ -9,17 +10,18 @@ line-by-line against the text exposition format grammar.
 
 import json
 import math
+import os
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.obs import (
     Histogram,
-    MetricsRegistry,
-    Timer,
     metrics_json,
+    metrics_snapshot,
     prometheus_text,
 )
 from tests.obs.test_telemetry import make_telemetry
@@ -69,18 +71,6 @@ def test_cumulative_buckets_are_monotonic_and_le_style():
         assert cumulative >= exact
 
 
-def test_histogram_merge_equals_combined_observation():
-    left, right, both = Histogram(), Histogram(), Histogram()
-    for value in [1.0, 2.0, 64.0]:
-        left.observe(value)
-        both.observe(value)
-    for value in [0.125, 9.0]:
-        right.observe(value)
-        both.observe(value)
-    left.merge(right)
-    assert left.snapshot() == both.snapshot()
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -107,28 +97,10 @@ def test_quantile_estimate_within_bucket_resolution(samples, q):
     assert estimate >= exact / 2.0 * (1 - 1e-9)
 
 
-def test_timer_observes_elapsed_milliseconds():
-    telemetry, clock = make_telemetry()
-    with telemetry.time("step"):
-        clock.advance(0.032)
-    hist = telemetry.histograms["step"]
-    assert hist.count == 1
-    assert hist.sum == pytest.approx(32.0)
+# -- the metric snapshot -----------------------------------------------------
 
 
-def test_standalone_timer_context_manager():
-    hist = Histogram()
-    ticks = iter([1.0, 1.5])
-    with Timer(hist, clock=lambda: next(ticks)):
-        pass
-    assert hist.count == 1
-    assert hist.sum == pytest.approx(500.0)
-
-
-# -- registry ----------------------------------------------------------------
-
-
-def test_registry_snapshot_shape_and_merge():
+def test_metrics_snapshot_shape():
     telemetry, clock = make_telemetry()
     with telemetry.span("outer"):
         clock.advance(0.2)
@@ -137,10 +109,8 @@ def test_registry_snapshot_shape_and_merge():
     telemetry.count("requests", 3)
     telemetry.gauge("fuel", 17.0)
 
-    registry = MetricsRegistry()
-    registry.merge_telemetry(telemetry)
-    snap = registry.snapshot()
-    assert snap["schema"] == MetricsRegistry.SCHEMA
+    snap = metrics_snapshot(telemetry)
+    assert snap["schema"] == "repro-metrics/1"
     assert snap["counters"]["requests"] == 3
     assert snap["gauges"]["fuel"] == 17.0
     # Span self-times arrive as gauges; span latencies as histograms.
@@ -149,17 +119,16 @@ def test_registry_snapshot_shape_and_merge():
     assert snap["histograms"]["span.inner.ms"]["count"] == 1
 
 
-def test_registry_folds_multiple_runs():
-    registry = MetricsRegistry()
-    for _ in range(2):
-        telemetry, clock = make_telemetry()
-        with telemetry.span("phase"):
-            clock.advance(0.05)
-        telemetry.count("runs")
-        registry.merge_telemetry(telemetry)
-    snap = registry.snapshot()
-    assert snap["counters"]["runs"] == 2
-    assert snap["histograms"]["span.phase.ms"]["count"] == 2
+def test_metrics_snapshot_of_an_empty_run():
+    telemetry, _ = make_telemetry()
+    assert metrics_snapshot(telemetry) == {
+        "schema": "repro-metrics/1",
+        "counters": {},
+        "gauges": {},
+        "histograms": {},
+    }
+    assert prometheus_text(telemetry) == ""
+    assert json.loads(metrics_json(telemetry))["schema"] == "repro-metrics/1"
 
 
 # -- exporters ---------------------------------------------------------------
@@ -173,31 +142,34 @@ _PROM_SAMPLE = re.compile(
 )
 
 
-def _build_registry():
-    registry = MetricsRegistry()
-    registry.count("search.nodes", 25)
-    registry.gauge("fuel-left", 12.5)
+def _build_telemetry():
+    telemetry, _ = make_telemetry()
+    telemetry.count("search.nodes", 25)
+    telemetry.gauge("fuel-left", 12.5)
     for value in [0.4, 1.9, 3.0, 250.0]:
-        registry.observe("phase ms", value)
-    return registry
+        telemetry.observe("phase ms", value)
+    return telemetry
 
 
-def test_prometheus_text_matches_exposition_grammar():
-    text = prometheus_text(_build_registry())
+def _assert_exposition_grammar(text):
     assert text.endswith("\n")
     for line in text.strip().splitlines():
         assert _PROM_HELP_OR_TYPE.match(line) or _PROM_SAMPLE.match(line), line
 
 
+def test_prometheus_text_matches_exposition_grammar():
+    _assert_exposition_grammar(prometheus_text(_build_telemetry()))
+
+
 def test_prometheus_text_sanitizes_names_and_prefixes():
-    text = prometheus_text(_build_registry(), prefix="spt")
-    assert "spt_search_nodes_total 25" in text
-    assert "spt_fuel_left 12.5" in text
-    assert "spt_phase_ms_sum" in text
+    text = prometheus_text(_build_telemetry())
+    assert "repro_search_nodes_total 25" in text
+    assert "repro_fuel_left 12.5" in text
+    assert "repro_phase_ms_sum" in text
 
 
 def test_prometheus_histogram_buckets_are_cumulative_and_closed():
-    text = prometheus_text(_build_registry())
+    text = prometheus_text(_build_telemetry())
     buckets = re.findall(
         r'repro_phase_ms_bucket\{le="([^"]+)"\} (\d+)', text
     )
@@ -208,33 +180,221 @@ def test_prometheus_histogram_buckets_are_cumulative_and_closed():
     assert "repro_phase_ms_count 4" in text
 
 
-def test_prometheus_accepts_telemetry_and_snapshot_inputs():
-    telemetry, clock = make_telemetry()
-    with telemetry.span("phase"):
-        clock.advance(0.01)
-    from_telemetry = prometheus_text(telemetry)
-    registry = MetricsRegistry()
-    registry.merge_telemetry(telemetry)
-    assert from_telemetry == prometheus_text(registry.snapshot())
-
-
 def test_metrics_json_is_canonical_and_round_trips():
-    registry = _build_registry()
-    first = metrics_json(registry)
-    second = metrics_json(registry)
+    telemetry = _build_telemetry()
+    first = metrics_json(telemetry)
+    second = metrics_json(telemetry)
     assert first == second
     assert first.endswith("\n")
     document = json.loads(first)
-    assert document["schema"] == MetricsRegistry.SCHEMA
+    assert document["schema"] == "repro-metrics/1"
     assert document["histograms"]["phase ms"]["count"] == 4
-    # A snapshot that crossed a wire boundary exports identically.
-    assert metrics_json(document) == first
+    # Re-serializing the parsed document canonically gives the same bytes.
+    assert json.dumps(document, sort_keys=True, indent=2) + "\n" == first
+
+
+# -- the exported bytes, pinned ---------------------------------------------
+
+
+def _pinned_telemetry():
+    """Spans (nested, one name twice), a counter bumped twice, a gauge
+    and four observations, on the fake clock."""
+    telemetry, clock = make_telemetry()
+    with telemetry.span("compile"):
+        clock.advance(0.125)
+        with telemetry.span("search"):
+            clock.advance(0.25)
+        with telemetry.span("search"):
+            clock.advance(0.5)
+    telemetry.count("search.nodes", 25)
+    telemetry.count("search.nodes", 3)
+    telemetry.gauge("fuel-left", 12.5)
+    for value in [0.75, 1.5, 3.0, 3.0]:
+        telemetry.observe("phase ms", value)
+    telemetry.close()
+    return telemetry
+
+
+PINNED_METRICS_JSON = """\
+{
+  "counters": {
+    "search.nodes": 28
+  },
+  "gauges": {
+    "fuel-left": 12.5,
+    "span.self_ms.compile": 125.0,
+    "span.self_ms.search": 750.0
+  },
+  "histograms": {
+    "phase ms": {
+      "buckets": [
+        [
+          1.0,
+          1
+        ],
+        [
+          2.0,
+          2
+        ],
+        [
+          4.0,
+          4
+        ]
+      ],
+      "count": 4,
+      "max": 3.0,
+      "min": 0.75,
+      "p50": 1.4142135623730951,
+      "p90": 2.8284271247461903,
+      "p99": 2.8284271247461903,
+      "sum": 8.25
+    },
+    "span.compile.ms": {
+      "buckets": [
+        [
+          1024.0,
+          1
+        ]
+      ],
+      "count": 1,
+      "max": 875.0,
+      "min": 875.0,
+      "p50": 875.0,
+      "p90": 875.0,
+      "p99": 875.0,
+      "sum": 875.0
+    },
+    "span.search.ms": {
+      "buckets": [
+        [
+          256.0,
+          1
+        ],
+        [
+          512.0,
+          2
+        ]
+      ],
+      "count": 2,
+      "max": 500.0,
+      "min": 250.0,
+      "p50": 250.0,
+      "p90": 362.03867196751236,
+      "p99": 362.03867196751236,
+      "sum": 750.0
+    }
+  },
+  "schema": "repro-metrics/1"
+}
+"""
+
+PINNED_PROMETHEUS_TEXT = """\
+# TYPE repro_search_nodes_total counter
+repro_search_nodes_total 28
+# TYPE repro_fuel_left gauge
+repro_fuel_left 12.5
+# TYPE repro_span_self_ms_compile gauge
+repro_span_self_ms_compile 125
+# TYPE repro_span_self_ms_search gauge
+repro_span_self_ms_search 750
+# TYPE repro_phase_ms histogram
+repro_phase_ms_bucket{le="1"} 1
+repro_phase_ms_bucket{le="2"} 2
+repro_phase_ms_bucket{le="4"} 4
+repro_phase_ms_bucket{le="+Inf"} 4
+repro_phase_ms_sum 8.25
+repro_phase_ms_count 4
+# TYPE repro_span_compile_ms histogram
+repro_span_compile_ms_bucket{le="1024"} 1
+repro_span_compile_ms_bucket{le="+Inf"} 1
+repro_span_compile_ms_sum 875
+repro_span_compile_ms_count 1
+# TYPE repro_span_search_ms histogram
+repro_span_search_ms_bucket{le="256"} 1
+repro_span_search_ms_bucket{le="512"} 2
+repro_span_search_ms_bucket{le="+Inf"} 2
+repro_span_search_ms_sum 750
+repro_span_search_ms_count 2
+"""
+
+
+def test_metrics_json_bytes_are_pinned():
+    assert metrics_json(_pinned_telemetry()) == PINNED_METRICS_JSON
+
+
+def test_prometheus_text_bytes_are_pinned():
+    assert prometheus_text(_pinned_telemetry()) == PINNED_PROMETHEUS_TEXT
+
+
+# -- --metrics-out, end to end ----------------------------------------------
+
+NESTED_C = os.path.join(
+    os.path.dirname(__file__), os.pardir, "golden", "corpus", "nested.c"
+)
+
+
+def test_compile_metrics_out_writes_json_and_prometheus(tmp_path, capsys):
+    json_path = tmp_path / "m.json"
+    prom_path = tmp_path / "m.prom"
+    for path in (json_path, prom_path):
+        assert main(
+            ["compile", NESTED_C, "--args", "96", "--metrics-out", str(path)]
+        ) == 0
+    capsys.readouterr()
+
+    document = json.loads(json_path.read_text())
+    assert document["schema"] == "repro-metrics/1"
+    assert any(name.startswith("span.self_ms.") for name in document["gauges"])
+    assert any(
+        name.startswith("span.") and name.endswith(".ms")
+        for name in document["histograms"]
+    )
+    assert document["counters"]
+
+    text = prom_path.read_text()
+    _assert_exposition_grammar(text)
+    assert "# TYPE repro_span_self_ms_pass1 gauge" in text
+    assert 'repro_span_pass1_ms_bucket{le="+Inf"}' in text
+
+
+def test_batch_metrics_out_sums_each_programs_compile_counters(
+    tmp_path, capsys
+):
+    """Batch workers ship their counters to the driver, which adds
+    them up: the batch export holds, per counter, the sum of what each
+    program's own ``repro compile --metrics-out`` reports."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("nested.c", "tiny_body.c"):
+        source = os.path.join(os.path.dirname(NESTED_C), name)
+        with open(source) as handle:
+            (corpus / name).write_text(handle.read())
+
+    expected = {}
+    for program in sorted(corpus.iterdir()):
+        out = tmp_path / f"{program.stem}.json"
+        assert main(["compile", str(program), "--args", "32",
+                     "--metrics-out", str(out)]) == 0
+        for name, value in json.loads(out.read_text())["counters"].items():
+            expected[name] = expected.get(name, 0) + value
+    batch_out = tmp_path / "batch.json"
+    assert main(["batch", str(corpus), "--args", "32", "--jobs", "1",
+                 "--no-cache", "--quiet",
+                 "--metrics-out", str(batch_out)]) == 0
+    capsys.readouterr()
+
+    document = json.loads(batch_out.read_text())
+    assert document["schema"] == "repro-metrics/1"
+    assert expected["interp.runs"] == 2
+    for name, value in expected.items():
+        assert document["counters"][name] == value, name
+    assert document["counters"]["batch.programs"] == 2
+    assert "span.self_ms.batch" in document["gauges"]
+    assert document["histograms"]["span.batch.ms"]["count"] == 1
 
 
 def test_null_telemetry_metric_paths_are_inert():
     from repro.obs import NULL_TELEMETRY
 
     NULL_TELEMETRY.observe("anything", 1.0)
-    with NULL_TELEMETRY.time("anything"):
-        pass
     assert NULL_TELEMETRY.histograms == {}
