@@ -128,8 +128,7 @@ def test_noop_telemetry_overhead():
     """Observability acceptance: with no sink attached the telemetry
     layer must add less than 5% to compile_spt. The default path runs
     the NULL_TELEMETRY no-op singleton; an enabled-but-sinkless
-    Telemetry must also stay within budget (the expensive per-event
-    accounting hides behind ``detail=True``)."""
+    Telemetry must also stay within budget."""
     from repro.core import Workload, compile_spt
     from repro.obs import Telemetry
 
@@ -526,7 +525,7 @@ def test_compile_trajectory():
     """The compile trajectory: the generated-compile golden's programs
     compiled under best in one process.  Emits BENCH_compile.json with
     the total seconds, per-phase self seconds aggregated from the
-    compilation spans as ``repro perf record`` aggregates them, and the
+    compilation spans as ``--metrics-out`` aggregates them, and the
     time ``repro.cli`` takes to parse one ``simulate`` command line
     (best of 20); no speed floor is asserted."""
     from repro.cli import parse_args

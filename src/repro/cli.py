@@ -7,8 +7,6 @@ Usage (also available as ``python -m repro``):
     repro dump-ir prog.c [--ssa]              # lower (and SSA-convert)
     repro simulate prog.c --args 500          # compile + SPT machine model
     repro explain prog.c [--loop f:header]    # why was each loop (not) selected
-    repro perf record prog.c                  # measure + append to the ledger
-    repro perf check --baseline ledger.jsonl  # CI regression verdict
     repro report table1 fig14 ...             # regenerate paper results
 
 Compile-like commands accept observability flags: ``--trace-out t.json``
@@ -113,7 +111,7 @@ def _telemetry_from_args(args: argparse.Namespace):
         and not getattr(args, "metrics_out", None)
     ):
         return None
-    return Telemetry(sinks=sinks, detail=getattr(args, "obs_detail", False))
+    return Telemetry(sinks=sinks)
 
 
 def _finish_telemetry(telemetry, args: argparse.Namespace) -> None:
@@ -624,116 +622,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if (failed or report.failures) else 0
 
 
-def _expand_perf_sources(sources: List[str]) -> List[str]:
-    from repro.batch.driver import expand_inputs
-
-    return expand_inputs(sources)
-
-
-def cmd_perf_record(args: argparse.Namespace) -> int:
-    from repro.obs import Ledger
-    from repro.perf import record_program
-
-    config = _config_from_args(args)
-    workload_args = _parse_args_list(args.args)
-    ledger = Ledger(args.ledger_dir)
-    try:
-        paths = _expand_perf_sources(args.sources)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    for path in paths:
-        record, _ = record_program(
-            path,
-            kind=args.kind,
-            config=config,
-            entry=args.entry,
-            args=workload_args,
-            fuel=args.fuel,
-        )
-        run_id = ledger.append(record)
-        cycles = record.get("cycles")
-        line = (
-            f"recorded {run_id}  {args.kind:8s} {record['workload']['name']:24s}"
-            f" wall {record['wall_s']:.3f}s"
-        )
-        if cycles is not None:
-            line += f"  cycles {cycles:.0f}"
-        print(line)
-    print(f"ledger: {ledger.path} ({len(ledger)} records)")
-    return 0
-
-
-def cmd_perf_list(args: argparse.Namespace) -> int:
-    from repro.obs import Ledger
-    from repro.report.tables import format_table
-
-    ledger = Ledger(args.ledger_dir)
-    records = ledger.runs(kind=args.kind, workload=args.workload)
-    if not records:
-        print(f"no matching records in {ledger.path}")
-        return 0
-    rows = []
-    for record in records:
-        cycles = record.get("cycles")
-        rows.append(
-            (
-                record.get("run_id", "?"),
-                record.get("kind", "?"),
-                record.get("workload", {}).get("name", "?"),
-                str(record.get("fingerprint", ""))[:10],
-                f"{record.get('wall_s') or 0:.3f}",
-                "-" if cycles is None else f"{cycles:.0f}",
-                record.get("host", "?"),
-            )
-        )
-    print(
-        format_table(
-            ["run", "kind", "workload", "config", "wall s", "cycles", "host"],
-            rows,
-            title=f"ledger: {ledger.path}",
-        )
-    )
-    return 0
-
-
-def cmd_perf_diff(args: argparse.Namespace) -> int:
-    from repro.obs import Ledger
-    from repro.perf import diff_text
-
-    ledger = Ledger(args.ledger_dir)
-    try:
-        old = ledger.resolve(args.run_a)
-        new = ledger.resolve(args.run_b)
-    except LookupError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(diff_text(old, new))
-    return 0
-
-
-def cmd_perf_check(args: argparse.Namespace) -> int:
-    from repro.obs import Ledger
-    from repro.perf import check_regression
-
-    baseline = Ledger(args.baseline).load()
-    current = Ledger(args.ledger_dir).load()
-    if not baseline:
-        print(f"no baseline records under {args.baseline}", file=sys.stderr)
-        return 2
-    gate_wall = {"auto": None, "on": True, "off": False}[args.gate_wall]
-    report = check_regression(
-        baseline,
-        current,
-        wall_threshold=args.wall_threshold,
-        floor_ms=args.floor_ms,
-        gate_wall=gate_wall,
-    )
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
-
-
 # -- argument parsing ------------------------------------------------------
 
 def _add_source(p):
@@ -792,11 +680,6 @@ def _add_obs_options(p):
              "histograms): Prometheus text, or canonical JSON when "
              "PATH ends in .json",
     )
-    p.add_argument(
-        "--obs-detail", action="store_true",
-        help="also collect expensive per-event accounting "
-             "(per-hook tracer event counts)",
-    )
 
 
 def _add_checkpoint_options(p):
@@ -810,14 +693,6 @@ def _add_checkpoint_options(p):
         help="durably checkpoint completed compile phases (the "
              "partition search per loop) so a crashed or killed "
              "compile resumes past them on re-run",
-    )
-
-
-def _add_ledger_dir(p):
-    p.add_argument(
-        "--ledger-dir", default=None, metavar="DIR",
-        help="ledger location (default: $REPRO_LEDGER_DIR or "
-             ".repro/ledger); a .jsonl file is used directly",
     )
 
 
@@ -960,80 +835,6 @@ def _batch_arguments(p):
     p.set_defaults(fn=cmd_batch)
 
 
-def _perf_arguments(p):
-    perf_sub = p.add_subparsers(dest="perf_command", required=True)
-
-    perf_record_p = perf_sub.add_parser(
-        "record",
-        help="compile (or simulate) programs and append one ledger "
-             "record per program",
-    )
-    perf_record_p.add_argument(
-        "sources", nargs="+",
-        help="program files, directories, or glob patterns",
-    )
-    perf_record_p.add_argument(
-        "--kind", choices=["compile", "simulate"], default="compile",
-        help="what to measure: compilation only, or compilation plus "
-             "the SPT machine model (records simulated cycles)",
-    )
-    perf_record_p.add_argument("--entry", default="main")
-    perf_record_p.add_argument("--args", default="",
-                               help="comma-separated int args")
-    perf_record_p.add_argument("--fuel", type=int, default=50_000_000)
-    _add_config_options(perf_record_p)
-    _add_ledger_dir(perf_record_p)
-    perf_record_p.set_defaults(fn=cmd_perf_record)
-
-    perf_list_p = perf_sub.add_parser("list", help="list ledger records")
-    perf_list_p.add_argument("--kind", default=None,
-                             help="filter by record kind")
-    perf_list_p.add_argument("--workload", default=None,
-                             help="filter by workload name")
-    _add_ledger_dir(perf_list_p)
-    perf_list_p.set_defaults(fn=cmd_perf_list)
-
-    perf_diff_p = perf_sub.add_parser(
-        "diff",
-        help="aligned metric table between two ledger records",
-    )
-    perf_diff_p.add_argument(
-        "run_a", help="baseline run: a run-id prefix or @-N position"
-    )
-    perf_diff_p.add_argument(
-        "run_b", help="candidate run: a run-id prefix or @-N position"
-    )
-    _add_ledger_dir(perf_diff_p)
-    perf_diff_p.set_defaults(fn=cmd_perf_diff)
-
-    perf_check_p = perf_sub.add_parser(
-        "check",
-        help="noise-aware regression verdict of the current ledger "
-             "against a baseline (CI exit code)",
-    )
-    perf_check_p.add_argument(
-        "--baseline", required=True, metavar="PATH",
-        help="baseline ledger directory or .jsonl file",
-    )
-    perf_check_p.add_argument(
-        "--wall-threshold", type=float, default=0.5, metavar="FRAC",
-        help="relative wall/self-time growth beyond which a matched "
-             "record fails (default 0.5 = +50%%)",
-    )
-    perf_check_p.add_argument(
-        "--floor-ms", type=float, default=25.0, metavar="MS",
-        help="absolute growth floor below which wall-time noise never "
-             "fails (default 25 ms)",
-    )
-    perf_check_p.add_argument(
-        "--gate-wall", choices=["auto", "on", "off"], default="auto",
-        help="wall-time gating: auto = only for same-host record pairs "
-             "(deterministic metrics always gate)",
-    )
-    _add_ledger_dir(perf_check_p)
-    perf_check_p.set_defaults(fn=cmd_perf_check)
-
-
 def _report_arguments(p):
     p.add_argument("targets", nargs="*", help="table1 fig14 ... (default: all)")
     p.set_defaults(fn=cmd_report)
@@ -1104,8 +905,6 @@ _SUBCOMMANDS = (
      _explain_arguments),
     ("batch", "compile many programs in parallel with a persistent "
               "result cache", _batch_arguments),
-    ("perf", "record runs into the performance ledger and compare them",
-     _perf_arguments),
     ("report", "regenerate paper tables/figures", _report_arguments),
     ("dot", "emit Graphviz dumps of compiler graphs", _dot_arguments),
     ("summary", "compile and print a JSON compilation summary",
@@ -1160,8 +959,8 @@ def main(argv: List[str] = None) -> int:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # Downstream pager/head closed early (`repro perf diff | head`);
-        # detach stdout so the interpreter's shutdown flush stays quiet.
+        # A downstream pager or head closed early; detach stdout so the
+        # interpreter's shutdown flush stays quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0

@@ -1,8 +1,7 @@
 """Observability: compilation telemetry (spans, counters, events,
-histograms), pluggable sinks, metric exporters, and the persistent run
-ledger.  See ``docs/observability.md``."""
+histograms), pluggable sinks and metric exporters.  See
+``docs/observability.md``."""
 
-from repro.obs.ledger import LEDGER_SCHEMA, Ledger, host_token, make_record
 from repro.obs.sinks import (
     ChromeTraceSink,
     JsonlSink,
@@ -30,8 +29,6 @@ __all__ = [
     "Event",
     "Histogram",
     "JsonlSink",
-    "LEDGER_SCHEMA",
-    "Ledger",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "Sink",
@@ -39,8 +36,6 @@ __all__ = [
     "SummarySink",
     "Telemetry",
     "folded_stacks",
-    "host_token",
-    "make_record",
     "metrics_json",
     "metrics_snapshot",
     "profile_text",

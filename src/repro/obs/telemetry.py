@@ -237,8 +237,8 @@ def self_durations(spans: Iterable["Span"]) -> Dict[str, float]:
     its direct children's durations.  Unlike
     :meth:`Telemetry.phase_durations` (inclusive totals, where nested
     phases double-count), self times sum to the root's duration, which
-    makes them the right unit for cross-run comparison (the ledger and
-    ``repro perf``)."""
+    makes them the unit of the metrics snapshot's ``span.self_ms.*``
+    gauges and of ``repro explain --profile``."""
     spans = list(spans)
     child_total: Dict[int, float] = {}
     for span in spans:
@@ -317,19 +317,12 @@ _NULL_SCOPE = _NullScope()
 
 
 class Telemetry:
-    """A live telemetry collector.
-
-    ``detail=True`` additionally opts instrumented components into
-    per-event accounting that is too hot for the default path (the
-    interpreters attach a tracer that counts every delivered hook
-    call); leave it off unless the run exists to be inspected.
-    """
+    """A live telemetry collector."""
 
     enabled = True
 
-    def __init__(self, sinks: Iterable = (), detail: bool = False, clock=None):
+    def __init__(self, sinks: Iterable = (), clock=None):
         self.sinks = list(sinks)
-        self.detail = detail
         self._clock = clock or time.perf_counter
         self._epoch = self._clock()
         self._stack: List[Span] = []
@@ -478,7 +471,6 @@ class NullTelemetry:
     """The no-op telemetry every un-observed compilation runs with."""
 
     enabled = False
-    detail = False
     sinks: tuple = ()
     spans: tuple = ()
     events: tuple = ()

@@ -1,4 +1,4 @@
-"""The one simulation driver, and run recording for the ledger.
+"""The one simulation driver.
 
 Every timed run on the machine model is built here, on one of two
 tiers with bitwise-identical outcomes: the fast tier (a
@@ -6,37 +6,25 @@ tiers with bitwise-identical outcomes: the fast tier (a
 :class:`~repro.machine.vector_timing.VectorTimingEngine`), or the
 reference tier (:class:`~repro.profiling.interp.Machine` with a per-op
 :class:`~repro.machine.timing.TimingTracer`), which is the oracle and
-the only tier that checkpoints.  ``repro simulate``, ``perf record``,
-the suite evaluation, the checkpoint runner and the fuzz oracles all
-simulate through :func:`build_simulation` / :func:`simulate_program`;
+the only tier that checkpoints.  ``repro simulate``, the suite
+evaluation, the checkpoint runner and the fuzz oracles all simulate
+through :func:`build_simulation` / :func:`simulate_program`;
 ``repro run --timing`` and the suite's base run take a bare
 :func:`timed_machine`.
-
-``record_program`` is the engine behind ``repro perf record``: it
-compiles (and for ``kind="simulate"`` also simulates) one source file
-under a throwaway observing telemetry, then distills the run into one
-:func:`repro.obs.ledger.make_record` record -- phase self-times from the
-span tree, the deterministic counters, degradations and cycles.
 """
 
 from __future__ import annotations
 
-import gc
-import hashlib
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.loops import LoopNest
 from repro.machine import spt_sim
 from repro.machine.timing import TimingModel, TimingTracer
 from repro.machine.vector_timing import VectorTimingEngine
-from repro.obs.ledger import make_record
-from repro.obs.telemetry import Telemetry
 from repro.profiling.compiled import CompiledMachine, make_machine
 
-__all__ = ["SimOutcome", "build_simulation", "record_program", "simulate_program"]
+__all__ = ["SimOutcome", "build_simulation", "simulate_program"]
 
 
 @dataclass
@@ -191,78 +179,3 @@ def simulate_program(
         result_value, accounting, collectors, telemetry=telemetry
     )
 
-
-def _workload_dict(
-    source_path: str, source: str, entry: str, args: Sequence[int]
-) -> Dict:
-    return {
-        "name": os.path.basename(source_path),
-        "sha256": hashlib.sha256(source.encode()).hexdigest(),
-        "entry": entry,
-        "args": list(args),
-    }
-
-
-def record_program(
-    source_path: str,
-    *,
-    kind: str = "compile",
-    config=None,
-    entry: str = "main",
-    args: Sequence[int] = (),
-    fuel: int = 50_000_000,
-    extra: Optional[Dict] = None,
-) -> Tuple[Dict, object]:
-    """Compile (``kind="compile"``) or compile+simulate
-    (``kind="simulate"``) ``source_path`` under an observing telemetry
-    and return ``(ledger_record, compile_result)``.
-
-    The record is *not* appended anywhere; the caller owns the
-    :class:`~repro.obs.ledger.Ledger`.
-    """
-    from repro.cli import load_module
-    from repro.core.config import best_config
-    from repro.core.pipeline import Workload, compile_spt
-
-    if kind not in ("compile", "simulate"):
-        raise ValueError(f"unknown perf record kind {kind!r}")
-    if config is None:
-        config = best_config()
-    with open(source_path) as handle:
-        source = handle.read()
-
-    telemetry = Telemetry()
-    # Collect what earlier work in this process left behind first: a
-    # full collection of that garbage (tens of ms in a large heap) would
-    # otherwise be charged to whichever phase of this run it lands in.
-    gc.collect()
-    start = time.perf_counter()
-    module = load_module(source_path)
-    workload = Workload(entry=entry, args=tuple(args))
-    result = compile_spt(module, config, workload, telemetry=telemetry)
-
-    cycles = None
-    extra_out: Dict = dict(extra or {})
-    extra_out["selected_loops"] = [info.header for info in result.spt_loops]
-    if kind == "simulate" and result.spt_loops:
-        outcome = simulate_program(
-            module, result, entry=entry, args=args, fuel=fuel,
-            fast=config.fast_interp, telemetry=telemetry,
-        )
-        cycles = outcome.spt_cycles
-        extra_out["seq_cycles"] = outcome.seq_cycles
-        extra_out["program_speedup"] = outcome.program_speedup
-    wall_s = time.perf_counter() - start
-    telemetry.close()
-
-    record = make_record(
-        kind,
-        _workload_dict(source_path, source, entry, args),
-        config.fingerprint(),
-        wall_s=wall_s,
-        telemetry=telemetry,
-        cycles=cycles,
-        degradations=[r.to_dict() for r in result.degradations],
-        extra=extra_out,
-    )
-    return record, result

@@ -8,7 +8,6 @@ from repro.profiling.interp import (
     InterpError,
     Machine,
     Tracer,
-    TracerEventCounter,
     run_module,
 )
 from repro.profiling.traces import CompiledTrace, TraceStats
@@ -25,7 +24,6 @@ __all__ = [
     "Machine",
     "TraceStats",
     "Tracer",
-    "TracerEventCounter",
     "ValuePattern",
     "ValueProfile",
     "make_machine",

@@ -1085,11 +1085,10 @@ class CompiledMachine(Machine):
         }
 
     def _execute(self, func_name: str, args: List) -> object:
-        # Specialize for the tracers attached *now* (including any
-        # telemetry detail tracer Machine.run just added); invalidate
-        # code compiled for a previous run (or a mutated module).
-        # Traces live on the per-run code objects, so they are
-        # invalidated here too.
+        # Specialize for the tracers attached *now*; invalidate code
+        # compiled for a previous run (or a mutated module).  Traces
+        # live on the per-run code objects, so they are invalidated
+        # here too.
         self._hooks = _Hooks(self.tracers, self.module)
         self._code = {}
         if not self.telemetry.enabled:

@@ -174,52 +174,6 @@ class TraceRecorder:
         self.mispredict_ticks = mispredict_ticks
 
 
-class TracerEventCounter(Tracer):
-    """Counts every delivered tracer hook call, bucketed by hook name.
-
-    Attached by the machine itself when its telemetry runs in detail
-    mode; never attached on the default path, so un-observed runs pay
-    nothing for it.
-    """
-
-    def __init__(self):
-        self.by_hook: Dict[str, int] = {}
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_hook.values())
-
-    def _bump(self, name: str) -> None:
-        self.by_hook[name] = self.by_hook.get(name, 0) + 1
-
-    def on_enter_function(self, func, args) -> None:
-        self._bump("on_enter_function")
-
-    def on_exit_function(self, func, result) -> None:
-        self._bump("on_exit_function")
-
-    def on_block(self, func, block, prev_label) -> None:
-        self._bump("on_block")
-
-    def on_edge(self, func, src_label, dst_label) -> None:
-        self._bump("on_edge")
-
-    def on_instr(self, func, block, instr) -> None:
-        self._bump("on_instr")
-
-    def on_def(self, instr, value) -> None:
-        self._bump("on_def")
-
-    def on_load(self, instr, addr, value) -> None:
-        self._bump("on_load")
-
-    def on_store(self, instr, addr, value, old_value) -> None:
-        self._bump("on_store")
-
-    def on_call(self, instr, args) -> None:
-        self._bump("on_call")
-
-
 def _shift_count(b) -> int:
     count = int(b)
     if count < 0:
@@ -376,19 +330,10 @@ class Machine:
         if not telemetry.enabled:
             return self._execute(func_name, args)
 
-        counter = None
-        if telemetry.detail:
-            counter = TracerEventCounter()
-            self.add_tracer(counter)
         start_executed = self.executed
         try:
             return self._execute(func_name, args)
         finally:
-            if counter is not None:
-                self.tracers.remove(counter)
-                telemetry.count("interp.tracer_events", counter.total)
-                for hook, n in sorted(counter.by_hook.items()):
-                    telemetry.count(f"interp.tracer_events.{hook}", n)
             telemetry.count("interp.runs")
             telemetry.count(
                 "interp.instructions", self.executed - start_executed

@@ -122,7 +122,7 @@ def append_line(path: str, line: str) -> None:
     """Append one whole line (newline added) under an exclusive flock.
 
     The single ``write`` on an ``O_APPEND`` descriptor means concurrent
-    appenders -- batch workers, CI shards -- interleave whole lines and
+    appenders -- threads or processes -- interleave whole lines and
     never corrupt each other, even without the lock; the flock protects
     platforms where large appends may be split.
     """

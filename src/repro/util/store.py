@@ -4,8 +4,8 @@ append-only JSONL log.
 Every on-disk store in the system is a :class:`ContentStore` -- the
 batch result cache (program entries, and the partition-search entries
 ``--checkpoint-phases`` keeps) and the simulation snapshot store -- and
-every log is a :class:`JsonlLog` -- the batch resume journal and the
-obs run ledger.  Each owns its idiom once:
+the one log, the batch resume journal, is a :class:`JsonlLog`.  Each
+owns its idiom once:
 
 * :func:`content_key` -- SHA-256 over ``\\x1f``-joined string parts;
   every key in the system (program, loop, search, snapshot run, batch

@@ -276,3 +276,27 @@ def test_explain_reports_rejection_criteria(minic_file, capsys):
 def test_explain_loop_filter_and_unknown_loop(minic_file, capsys):
     assert main(["explain", minic_file, "--args", "200", "--loop", "zz:nope"]) == 0
     assert "no loop candidate" in capsys.readouterr().out
+
+
+def test_explain_profile_leaves_the_explanation_unchanged(minic_file, capsys):
+    assert main(["explain", minic_file, "--args", "200"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["explain", minic_file, "--args", "200", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(plain)
+    assert out[len(plain):].startswith("\nprofile: per-phase self time\n")
+
+
+def test_explain_profile_covers_every_compile_phase(minic_file, capsys):
+    assert main(["explain", minic_file, "--args", "200", "--profile"]) == 0
+    out = capsys.readouterr().out
+    profile = out[out.index("profile: per-phase self time"):]
+    table, folded = profile.split("\n\nfolded stacks (ms):\n")
+    phases = {line.split()[0] for line in table.splitlines()[3:]}
+    assert {
+        "unroll", "ssa", "profile", "pass1", "selection", "transform"
+    } <= phases
+    stacks = [line.rsplit(" ", 1) for line in folded.strip().splitlines()]
+    # Every stack is a path of the table's phases, with a self time.
+    assert {name for path, _ in stacks for name in path.split(";")} == phases
+    assert all(float(ms) >= 0.0 for _, ms in stacks)

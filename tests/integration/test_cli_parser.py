@@ -10,7 +10,6 @@ import pytest
 from repro.cli import _SUBCOMMANDS, build_parser, parse_args
 
 COMMANDS = [name for name, _, _ in _SUBCOMMANDS]
-PERF_COMMANDS = ["record", "list", "diff", "check"]
 
 
 def rendered(parse, argv):
@@ -29,17 +28,23 @@ ARGVS = (
     + [[name, "--help"] for name in COMMANDS]
     + [[name] for name in COMMANDS]
     + [[name, "prog.c", "--no-such-flag"] for name in COMMANDS]
-    + [["perf", name, "--help"] for name in PERF_COMMANDS]
     + [
-        ["perf", "bogus"],
         ["simulate", "prog.c", "--config", "nope"],
         ["fuzz", "--iterations", "many"],
         ["dot", "prog.c", "nope"],
         # Parses cleanly: the namespaces must agree.
         ["simulate", "prog.c", "--args", "40", "--train-args", "8"],
         ["compile", "prog.c", "--config", "basic", "--emit-ir"],
-        ["perf", "check", "--baseline", "b.jsonl"],
         ["batch", "a.c", "b.c", "--jobs", "2"],
+        ["run", "prog.c", "--args", "5", "--timing"],
+        ["dump-ir", "prog.c", "--ssa", "--optimize"],
+        ["explain", "prog.c", "--loop", "main:for_head", "--profile",
+         "--cache-dir"],
+        ["report", "table1", "fig14"],
+        ["dot", "prog.c", "cfg", "--function", "main", "--ssa"],
+        ["summary", "prog.c", "--metrics-out", "m.json", "--obs-summary"],
+        ["fuzz", "--seed", "0", "--iterations", "5", "--oracle", "interp",
+         "--oracle", "spt"],
     ]
 )
 

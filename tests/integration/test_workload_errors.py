@@ -63,7 +63,6 @@ def _not_integers(raw):
         _case(
             ["simulate", "{p}", "--args", "64", "--train-args", "1,2"], ARITY
         ),
-        _case(["perf", "record", "{p}", "--ledger-dir", "{d}"], ARITY),
         _case(["run", "{p}", "--args", "x"], _not_integers("x")),
         _case(["simulate", "{p}", "--args", "x"], _not_integers("x")),
         _case(
@@ -71,19 +70,17 @@ def _not_integers(raw):
             _not_integers("1.5"),
         ),
         _case(["compile", "{p}", "--args", "1.5"], _not_integers("1.5")),
+        _case(["summary", "{p}", "--args", "x"], _not_integers("x")),
+        _case(["explain", "{p}", "--args", "2.5"], _not_integers("2.5")),
         _case(
             ["batch", "{p}", "--args", "x", "--no-cache"], _not_integers("x")
-        ),
-        _case(
-            ["perf", "record", "{p}", "--ledger-dir", "{d}", "--args", "x"],
-            _not_integers("x"),
         ),
     ],
 )
 def test_wrong_workload_is_a_one_line_usage_error(
-    program, tmp_path, capsys, argv, reason
+    program, capsys, argv, reason
 ):
-    argv = [a.format(p=program, d=str(tmp_path / "ledger")) for a in argv]
+    argv = [a.format(p=program) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

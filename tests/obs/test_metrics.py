@@ -24,6 +24,7 @@ from repro.obs import (
     metrics_snapshot,
     prometheus_text,
 )
+from repro.resilience.faults import FAULT_ENV_VAR
 from tests.obs.test_telemetry import make_telemetry
 
 # -- histogram bucket / quantile math ---------------------------------------
@@ -355,6 +356,23 @@ def test_compile_metrics_out_writes_json_and_prometheus(tmp_path, capsys):
     _assert_exposition_grammar(text)
     assert "# TYPE repro_span_self_ms_pass1 gauge" in text
     assert 'repro_span_pass1_ms_bucket{le="+Inf"}' in text
+
+
+def test_injected_phase_slowdown_lands_in_that_phase_self_time(
+    tmp_path, capsys, monkeypatch
+):
+    """Faults fire inside their phase's span, so a ``REPRO_FAULT``
+    slowdown of ``search`` is charged to search's own self time."""
+    monkeypatch.setenv(FAULT_ENV_VAR, "search:slow:0.1")
+    path = tmp_path / "m.json"
+    assert main(
+        ["compile", NESTED_C, "--args", "96", "--metrics-out", str(path)]
+    ) == 0
+    capsys.readouterr()
+    document = json.loads(path.read_text())
+    searches = document["histograms"]["span.search.ms"]["count"]
+    assert searches >= 1
+    assert document["gauges"]["span.self_ms.search"] >= 100.0 * searches
 
 
 def test_batch_metrics_out_sums_each_programs_compile_counters(

@@ -32,10 +32,10 @@ int main(int n) {
 PHASES = {"unroll", "ssa", "profile", "pass1", "selection", "transform"}
 
 
-def compile_with_telemetry(sinks=(), detail=False):
+def compile_with_telemetry(sinks=()):
     module = compile_minic(PROGRAM, name="prog")
     config = best_config()
-    telemetry = Telemetry(sinks=sinks, detail=detail)
+    telemetry = Telemetry(sinks=sinks)
     result = compile_spt(
         module, config, Workload(entry="main", args=(200,)), telemetry=telemetry
     )
@@ -54,19 +54,6 @@ def test_pipeline_emits_phase_spans_and_counters():
     assert telemetry.counters["interp.instructions"] > 0
     assert telemetry.counters["selection.candidates"] == len(result.candidates)
     assert telemetry.counters["selection.selected"] == len(result.selected)
-
-
-def test_pipeline_detail_mode_counts_tracer_events():
-    _, _, telemetry = compile_with_telemetry(detail=True)
-    assert telemetry.counters["interp.tracer_events"] > 0
-    hooks = [
-        name for name in telemetry.counters
-        if name.startswith("interp.tracer_events.")
-    ]
-    assert hooks
-    assert sum(telemetry.counters[h] for h in hooks) == (
-        telemetry.counters["interp.tracer_events"]
-    )
 
 
 def test_pipeline_trace_covers_every_phase(tmp_path):

@@ -1,5 +1,5 @@
 """Sink round-trips: JSONL and Chrome traces must parse as JSON and
-preserve span nesting."""
+preserve span nesting; the summary and self-time profile renderings."""
 
 import io
 import json
@@ -9,6 +9,7 @@ from repro.obs import (
     JsonlSink,
     SummarySink,
     Telemetry,
+    profile_text,
     summary_text,
 )
 
@@ -128,6 +129,46 @@ def test_summary_text_empty():
     telemetry.close()
     assert summary_text(telemetry) == "telemetry: nothing recorded"
 
+
+
+PROFILE_TEXT = """\
+profile: per-phase self time
+  phase  count  self ms  incl ms  self %
+-------  -----  -------  -------  ------
+  pass1      1    20.00    20.00   57.1%
+profile      1    10.00    10.00   28.6%
+compile      1     5.00    35.00   14.3%
+
+folded stacks (ms):
+compile;pass1 20.000
+compile;profile 10.000
+compile 5.000"""
+
+
+def test_profile_text_ranks_phases_by_self_time_and_folds_stacks():
+    clock = FakeClock()
+    telemetry = Telemetry(clock=clock)
+    run_workload(telemetry, clock)
+    assert profile_text(telemetry) == PROFILE_TEXT
+
+
+def test_profile_text_counts_and_sums_repeated_phases():
+    clock = FakeClock()
+    telemetry = Telemetry(clock=clock)
+    with telemetry.span("compile"):
+        for _ in range(2):
+            with telemetry.span("search"):
+                clock.advance(0.25)
+    lines = profile_text(telemetry).splitlines()
+    assert lines[3].split() == ["search", "2", "500.00", "500.00", "100.0%"]
+    assert lines[4].split() == ["compile", "1", "0.00", "500.00", "0.0%"]
+    assert lines[-2:] == ["compile;search 500.000", "compile 0.000"]
+
+
+def test_profile_text_empty():
+    assert profile_text(Telemetry(clock=FakeClock())) == (
+        "profile: no spans recorded"
+    )
 
 def test_check_trace_script(tmp_path):
     """scripts/check_trace.py accepts a real trace and rejects a broken one."""

@@ -1,6 +1,13 @@
-"""Telemetry core: spans, counters, gauges, events, null object."""
+"""Telemetry core: spans, counters, gauges, events, null object, and
+the self-time views of the span tree."""
 
-from repro.obs import NULL_TELEMETRY, NullTelemetry, Telemetry
+from repro.obs import (
+    NULL_TELEMETRY,
+    NullTelemetry,
+    Telemetry,
+    folded_stacks,
+    self_durations,
+)
 
 
 class FakeClock:
@@ -127,7 +134,6 @@ def test_sinks_see_spans_and_events_in_order():
 
 def test_null_telemetry_is_inert():
     assert NULL_TELEMETRY.enabled is False
-    assert NULL_TELEMETRY.detail is False
     with NULL_TELEMETRY.span("anything", x=1) as span:
         assert span is None
     NULL_TELEMETRY.count("c")
@@ -145,3 +151,92 @@ def test_phase_durations_sums_spans_of_same_name():
         with telemetry.span("loop"):
             clock.advance(0.5)
     assert telemetry.phase_durations() == {"loop": 1.5}
+
+
+# -- self times and folded stacks ---------------------------------------------
+
+
+def three_level_run():
+    """compile > analyze > search, with time spent at every level."""
+    telemetry, clock = make_telemetry()
+    with telemetry.span("compile"):
+        clock.advance(0.25)
+        with telemetry.span("analyze"):
+            clock.advance(0.125)
+            with telemetry.span("search"):
+                clock.advance(0.5)
+        clock.advance(0.25)
+    return telemetry
+
+
+def test_self_durations_subtract_only_direct_children():
+    telemetry = three_level_run()
+    assert self_durations(telemetry.spans) == {
+        "compile": 0.5,
+        "analyze": 0.125,
+        "search": 0.5,
+    }
+    assert telemetry.phase_self_durations() == self_durations(telemetry.spans)
+
+
+def test_self_durations_sum_repeated_spans_and_add_up_to_the_root():
+    telemetry, clock = make_telemetry()
+    with telemetry.span("compile"):
+        for _ in range(3):
+            with telemetry.span("analyze_loop"):
+                clock.advance(0.125)
+                with telemetry.span("search"):
+                    clock.advance(0.25)
+        clock.advance(0.5)
+    selfs = self_durations(telemetry.spans)
+    assert selfs == {"compile": 0.5, "analyze_loop": 0.375, "search": 0.75}
+    (root,) = telemetry.spans_named("compile")
+    # Unlike the inclusive phase durations, nothing is counted twice.
+    assert sum(selfs.values()) == root.duration
+    assert sum(telemetry.phase_durations().values()) > root.duration
+
+
+def test_folded_stacks_join_span_names_from_the_root():
+    telemetry = three_level_run()
+    assert folded_stacks(telemetry.spans) == {
+        "compile": 0.5,
+        "compile;analyze": 0.125,
+        "compile;analyze;search": 0.5,
+    }
+    assert telemetry.folded_stacks() == folded_stacks(telemetry.spans)
+
+
+def test_folded_stacks_keep_one_name_apart_under_different_parents():
+    telemetry, clock = make_telemetry()
+    with telemetry.span("compile"):
+        for phase, seconds in (("profile", 0.25), ("svp", 0.5), ("svp", 0.5)):
+            with telemetry.span(phase):
+                with telemetry.span("interp"):
+                    clock.advance(seconds)
+    folded = folded_stacks(telemetry.spans)
+    assert folded == {
+        "compile": 0.0,
+        "compile;profile": 0.0,
+        "compile;svp": 0.0,
+        "compile;profile;interp": 0.25,
+        "compile;svp;interp": 1.0,
+    }
+    # The per-name view merges what the stacks keep apart.
+    selfs = self_durations(telemetry.spans)
+    assert selfs["interp"] == 1.25
+    assert sum(folded.values()) == sum(selfs.values())
+
+
+def test_folded_stacks_start_at_the_outermost_finished_span():
+    telemetry, clock = make_telemetry()
+    with telemetry.span("compile"):
+        with telemetry.span("profile"):
+            clock.advance(0.25)
+        # Only finished spans are recorded, so mid-run the open parent is
+        # not part of the tree yet.
+        assert folded_stacks(telemetry.spans) == {"profile": 0.25}
+        clock.advance(0.125)
+    assert folded_stacks(telemetry.spans) == {
+        "compile": 0.125,
+        "compile;profile": 0.25,
+    }

@@ -3,6 +3,7 @@ store built on :class:`repro.util.ContentStore`, key compatibility, and
 the :class:`repro.util.JsonlLog` append/load discipline."""
 
 import json
+import multiprocessing
 import os
 import threading
 
@@ -235,3 +236,33 @@ def test_jsonl_log_concurrent_appends_stay_whole(tmp_path):
         thread.join()
     records = log.load()
     assert len(records) == 200 and log.skipped == 0
+
+
+def _append_records(path, writer, appends):
+    log = JsonlLog(path, "repro-test/1")
+    for seq in range(appends):
+        log.append({"writer": writer, "seq": seq, "pad": "x" * 512})
+
+
+def test_jsonl_log_appends_from_several_processes_stay_whole(tmp_path):
+    """Forked writers never tear each other's lines: every raw line
+    parses, every record survives, and each writer's records keep their
+    order."""
+    path = str(tmp_path / "log.jsonl")
+    writers, appends = 4, 12
+    ctx = multiprocessing.get_context("spawn" if os.name == "nt" else "fork")
+    procs = [
+        ctx.Process(target=_append_records, args=(path, writer, appends))
+        for writer in range(writers)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle]
+    assert len(records) == writers * appends
+    for writer in range(writers):
+        seqs = [r["seq"] for r in records if r["writer"] == writer]
+        assert seqs == list(range(appends))
