@@ -29,7 +29,12 @@ import subprocess
 import sys
 import tempfile
 
-CORPUS = os.path.join("tests", "golden", "corpus")
+#: The golden corpus, found from this script's location (any working
+#: directory will do).
+CORPUS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "golden", "corpus",
+)
 
 #: (fault spec, extra CLI flags) -- raise and hang in each phase the
 #: acceptance matrix names.

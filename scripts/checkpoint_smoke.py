@@ -33,7 +33,12 @@ import sys
 import tempfile
 import time
 
-CORPUS = os.path.join("tests", "golden", "corpus")
+#: The golden corpus, found from this script's location (any working
+#: directory will do).
+CORPUS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "golden", "corpus",
+)
 ARTIFACTS = "checkpoint-smoke-artifacts"
 
 

@@ -26,13 +26,19 @@ Rounds are interleaved and best-of-N per side, so load drift on the
 runner hits both configurations equally.
 """
 
+import os
 import sys
 import time
 
 from repro.batch.driver import run_batch
 from repro.batch.manifest import manifest_to_bytes
 
-CORPUS = "tests/golden/corpus"
+#: The golden corpus, found from this script's location (any working
+#: directory will do).
+CORPUS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "golden", "corpus",
+)
 BATCH_ARGS = (96,)
 ROUNDS = 3
 MIN_SPEEDUP = 1.5

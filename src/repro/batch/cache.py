@@ -22,8 +22,15 @@ loop's completed partition search, written by ``--checkpoint-phases``;
 see :mod:`repro.checkpoint.phases`).  Batch entries are written without
 ``fsync`` -- an entry lost to a crash is recomputed on the next miss.
 
+In front of the program key sits the cache's :class:`SourceIndex`
+(``<cache-dir>/sources``): ``source`` entries map a **source key** --
+the raw source bytes x the frontend's own digest x config x workload --
+to the program key that source canonicalizes to, so a warm program is
+found without lowering it.
+
 Bumping :data:`CACHE_FORMAT_VERSION` invalidates everything at once:
-the version participates in the digest *and* namespaces the directory.
+the version participates in every digest *and* namespaces both
+directories.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from repro.util.store import ContentStore, content_key
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "ResultCache",
+    "SourceIndex",
     "default_cache_dir",
 ]
 
@@ -61,6 +69,49 @@ def _program_payload(payload: Dict) -> Dict:
     return payload
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _indexed_key(payload: Dict) -> str:
+    key = payload["program_key"]
+    if not (isinstance(key, str) and len(key) == 64
+            and _HEX_DIGITS.issuperset(key)):
+        raise ValueError("source entry without a program key")
+    return key
+
+
+class SourceIndex(ContentStore):
+    """Source key -> program key: which program entry a source names.
+
+    Kept apart from the program entries (its own directory and
+    :class:`~repro.util.store.StoreStats`), so program-entry counts,
+    hit rates and ``--cache-max-entries`` mean what they always did."""
+
+    @property
+    def version(self) -> int:
+        return CACHE_FORMAT_VERSION
+
+    @staticmethod
+    def source_key(frontend_digest: str, config_fingerprint: str,
+                   workload_token: str, source: str) -> str:
+        """The raw source under one frontend, config and workload.  No
+        canonicalization: byte-different sources get different keys
+        even where they share a program entry."""
+        return content_key(
+            f"repro-batch-source/{CACHE_FORMAT_VERSION}",
+            frontend_digest,
+            config_fingerprint,
+            workload_token,
+            source,
+        )
+
+    def get_program_key(self, key: str) -> Optional[str]:
+        return self.get(key, "source", decode=_indexed_key)
+
+    def put_program_key(self, key: str, program_key: str) -> None:
+        self.put(key, "source", {"program_key": program_key})
+
+
 class ResultCache(ContentStore):
     """A persistent, content-addressed store of compilation results."""
 
@@ -68,6 +119,9 @@ class ResultCache(ContentStore):
                  fsync: bool = False, fault_site: Optional[str] = None):
         super().__init__(cache_dir or default_cache_dir(), fsync=fsync,
                          fault_site=fault_site)
+        #: The source index in front of the program keys.
+        self.sources = SourceIndex(os.path.join(self.root, "sources"),
+                                   fsync=fsync)
 
     @property
     def version(self) -> int:

@@ -50,6 +50,8 @@ class BatchResult:
         self.entries = entries
         #: Run-dependent measurements (wall time, jobs, cache rates).
         self.stats = stats
+        #: Program-entry traffic; ``stats["source_index"]`` holds the
+        #: source index's.
         self.cache_stats = cache_stats
 
     @property
@@ -222,7 +224,7 @@ def run_batch(
 
     started = time.perf_counter()
     with telemetry.span("batch", jobs=jobs, programs=len(tasks)):
-        entries, cache_stats, tracker = _execute(
+        entries, cache_stats, source_stats, tracker = _execute(
             tasks, jobs, effective_cache_dir, telemetry, progress,
             stall_timeout,
             progress_path=progress_path,
@@ -232,15 +234,18 @@ def run_batch(
             resumed_entries=resumed_entries,
         )
 
-    evicted = 0
     if effective_cache_dir and cache_max_entries is not None:
+        # Both stores keep their N newest entries, so the source index
+        # stays bounded too.
         cache = ResultCache(effective_cache_dir)
-        evicted = cache.prune(cache_max_entries)
-        cache_stats.evictions += evicted
+        cache_stats.evictions += cache.prune(cache_max_entries)
+        source_stats.evictions += cache.sources.prune(cache_max_entries)
     wall = time.perf_counter() - started
 
     if telemetry.enabled:
         telemetry.merge_counters(cache_stats.as_counters("batch.cache"))
+        telemetry.merge_counters(
+            source_stats.as_counters("batch.source_index"))
         telemetry.count("batch.programs", len(entries))
         telemetry.count(
             "batch.programs_failed",
@@ -270,6 +275,7 @@ def run_batch(
         "wall_seconds": round(wall, 4),
         "cache_dir": effective_cache_dir,
         "cache": cache_stats.to_dict(),
+        "source_index": source_stats.to_dict(),
         "heartbeats": tracker.heartbeats,
     }
     return BatchResult(manifest, entries, stats, cache_stats)
@@ -279,7 +285,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
              progress_path=None, heartbeat_s=None, status=None,
              journal=None, resumed_entries=None):
     """Drive the worker pool; returns (entries in task order,
-    StoreStats, ProgressTracker).
+    program-entry StoreStats, source-index StoreStats, ProgressTracker).
 
     ``stall_timeout`` is the backstop for the tiny window where a worker
     dies between dequeue and claim: after that long without any
@@ -300,6 +306,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
         heartbeat_s = max(0.05, min(HEARTBEAT_S, stall_timeout / 4.0))
 
     cache_stats = StoreStats()
+    source_stats = StoreStats()
     tracker = ProgressTracker(len(tasks), jobs)
     for index in sorted((resumed_entries or {})):
         tracker.on_done(None, entries[index])
@@ -349,6 +356,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
                 )
             return
         cache_stats.merge(event["stats"])
+        source_stats.merge(event["stats"]["source_index"])
         if telemetry.enabled:
             telemetry.merge_counters(event.get("counters") or {})
             for name, value in (event.get("gauges") or {}).items():
@@ -393,4 +401,4 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
         publish(force=True)
 
     return ([entry for entry in entries if entry is not None], cache_stats,
-            tracker)
+            source_stats, tracker)

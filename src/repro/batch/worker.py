@@ -8,14 +8,21 @@ and never lets a per-program exception escape -- failures become
 ``status: "error"`` entries, and an overrunning program gets one retry
 on the degraded ladder before it becomes ``status: "timeout"``.
 
+A warm program is found through the cache's source index without
+lowering it; only a source the index does not know is lowered -- once,
+under its own name -- keyed by its canonical IR and, on a program-entry
+miss, compiled from that same module.
+
 The worker processes themselves -- their main loop, heartbeats, crash
 attribution and respawn -- are :mod:`repro.batch.lifecycle`'s.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import signal
 import traceback
 from contextlib import contextmanager
@@ -28,12 +35,13 @@ from repro.frontend import compile_minic
 from repro.ir import format_module, parse_module
 from repro.resilience.ladder import degraded_retry_overrides
 from repro.resilience.watchdog import ProgramTimeout
-from repro.util.store import StoreStats
+from repro.util.store import StoreStats, content_key
 
 __all__ = [
     "canonical_module_text",
     "compile_program_task",
     "config_from_task",
+    "frontend_digest",
     "program_key",
     "workload_from_task",
 ]
@@ -47,7 +55,38 @@ def canonical_module_text(source: str) -> str:
     parsed and re-printed.  Comments, whitespace and declaration
     formatting all wash out, so cosmetically different files hit the
     same cache entries."""
-    return format_module(_load_module(source, "m"), name="m")
+    return _canonical_text(_load_module(source, "m"))
+
+
+def _canonical_text(module) -> str:
+    # The module name is the only trace the file name leaves in the IR.
+    return format_module(module, name="m")
+
+
+@functools.lru_cache(maxsize=None)
+def frontend_digest() -> str:
+    """A digest of the code that decides a source's canonical IR: the
+    text of every module of :mod:`repro.frontend` and :mod:`repro.ir`.
+
+    Part of every source key, so an edited frontend never serves the
+    program key an older one derived.  Computed once per process."""
+    import repro.frontend
+    import repro.ir
+
+    parts = []
+    for package in (repro.frontend, repro.ir):
+        root = os.path.dirname(package.__file__)
+        for directory, dirs, files in os.walk(root):
+            dirs.sort()
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(directory, name)
+                with open(path, "rb") as handle:
+                    digest = hashlib.sha256(handle.read()).hexdigest()
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                parts.append(f"{package.__name__}/{relative}={digest}")
+    return content_key(*parts)
 
 
 def config_from_task(task: Dict) -> SptConfig:
@@ -139,17 +178,27 @@ def _degraded_retry(
     return out
 
 
+def _stats_delta(before: Dict, after: Dict) -> Dict:
+    return {
+        name: after.get(name, 0) - before.get(name, 0)
+        for name in StoreStats.__slots__
+    }
+
+
 def compile_program_task(
     task: Dict, cache: Optional[ResultCache], telemetry=None
 ) -> Tuple[Dict, Dict]:
     """Compile one program (consulting ``cache``), returning
     ``(manifest_entry, cache_stats_dict)``.
 
-    ``telemetry`` is an optional worker-side observing Telemetry whose
-    counters the caller ships back to the driver.  The manifest entry
-    is byte-for-byte identical whether it was recomputed or served
-    warm: the cache stores the exact summary the cold path produced."""
+    The stats dict counts program-entry traffic, plus the source
+    index's own under ``"source_index"``.  ``telemetry`` is an optional
+    worker-side observing Telemetry whose counters the caller ships
+    back to the driver.  The manifest entry is byte-for-byte identical
+    whether it was recomputed or served warm: the cache stores the
+    exact summary the cold path produced."""
     stats_before = cache.stats.to_dict() if cache else {}
+    sources_before = cache.sources.stats.to_dict() if cache else {}
     source = task["source"]
     entry: Dict = {
         "path": task["path"],
@@ -170,24 +219,28 @@ def compile_program_task(
             "message": str(exc),
         }
         entry["traceback"] = traceback.format_exc(limit=8)
-    stats_after = cache.stats.to_dict() if cache else {}
-    delta = {
-        name: stats_after.get(name, 0) - stats_before.get(name, 0)
-        for name in StoreStats.__slots__
-    }
+    delta = _stats_delta(
+        stats_before, cache.stats.to_dict() if cache else {})
+    delta["source_index"] = _stats_delta(
+        sources_before, cache.sources.stats.to_dict() if cache else {})
     return entry, delta
+
+
+def _workload_token(workload: Workload) -> str:
+    return ResultCache.workload_token(
+        workload.entry, workload.args, workload.fuel
+    )
 
 
 def program_key(task: Dict, config: SptConfig, workload: Workload) -> str:
     """The cache key of a task's program: canonical module IR x config
-    fingerprint x workload token.  The one derivation both readers of
-    the cache (batch workers and ``explain --cache-dir``) use."""
+    fingerprint x workload token -- what ``explain --cache-dir`` probes.
+    A batch worker derives the same key from the module it lowers for
+    compilation anyway (:func:`_compile_with_cache`)."""
     return ResultCache.program_key(
         canonical_module_text(task["source"]),
         config.fingerprint(),
-        ResultCache.workload_token(
-            workload.entry, workload.args, workload.fuel
-        ),
+        _workload_token(workload),
     )
 
 
@@ -196,30 +249,52 @@ def _compile_with_cache(
 ) -> Dict:
     config = config_from_task(task)
     workload = workload_from_task(task)
+    if cache is None:
+        module = _load_module(task["source"], task["name"])
+        summary = _compile(module, config, workload, telemetry)
+        return {"status": "ok", "summary": summary, "cached": False}
 
-    if cache is not None:
-        key = program_key(task, config, workload)
-        cached = cache.get_program(key)
+    fingerprint = config.fingerprint()
+    token = _workload_token(workload)
+    source_key = cache.sources.source_key(
+        frontend_digest(), fingerprint, token, task["source"])
+    indexed = cache.sources.get_program_key(source_key)
+    if indexed is not None:
+        cached = cache.get_program(indexed)
         if cached is not None:
-            return {
-                "status": "ok",
-                "summary": cached["summary"],
-                "cached": True,
-                "program_key": key,
-            }
+            return _served(indexed, cached)
 
+    # The canonical path: a source the index does not know (or whose
+    # program entry is gone).  Lower it once and key the module before
+    # compile_spt mutates it.
     module = _load_module(task["source"], task["name"])
+    key = ResultCache.program_key(_canonical_text(module), fingerprint, token)
+    # A dangling index entry already missed this very program entry.
+    cached = cache.get_program(key) if key != indexed else None
+    if cached is not None:
+        out = _served(key, cached)
+    else:
+        summary = _compile(module, config, workload, telemetry)
+        cache.put_program(key, {"summary": summary})
+        out = {"status": "ok", "summary": summary, "cached": False,
+               "program_key": key}
+    cache.sources.put_program_key(source_key, key)
+    return out
+
+
+def _served(key: str, cached: Dict) -> Dict:
+    return {"status": "ok", "summary": cached["summary"], "cached": True,
+            "program_key": key}
+
+
+def _compile(module, config: SptConfig, workload: Workload,
+             telemetry) -> Dict:
     result = compile_spt(module, config, workload, telemetry=telemetry)
     # Normalize through JSON immediately so cold results are the same
     # Python objects a cache round-trip yields (tuples become lists,
     # keys become strings) -- warm and cold entries must compare equal,
     # not just serialize equal.
-    summary = json.loads(json.dumps(result.to_dict()))
-    out = {"status": "ok", "summary": summary, "cached": False}
-    if cache is not None:
-        cache.put_program(key, {"summary": summary})
-        out["program_key"] = key
-    return out
+    return json.loads(json.dumps(result.to_dict()))
 
 
 def probe_cache(

@@ -219,7 +219,7 @@ def find_optimal_partition(
         optimistic.update(range(cursor + 1, len(vcdep)))
         return evaluator.cost(vc_keys(optimistic))
 
-    def search(selected: Set[int], cursor: int) -> None:
+    def search(selected: Set[int], cursor: int, mask: int) -> None:
         nonlocal best_cost, best_set, search_nodes, pruned_size, \
             pruned_bound, budget_exhausted, deadline_exhausted
         for index in vcdep.addable(selected, cursor):
@@ -238,7 +238,8 @@ def find_optimal_partition(
             # containment deadline can break a runaway search too.
             Watchdog.poll_current()
             child = selected | {index}
-            size = vcdep.partition_size(child)
+            child_mask = mask | vcdep.masks[index]
+            size = vcdep.mask_size(child_mask)
             if size > size_threshold:
                 # Pruning heuristic 1: size is monotone along the path.
                 pruned_size += 1
@@ -254,9 +255,9 @@ def find_optimal_partition(
                 # Pruning heuristic 2: no offspring can improve.
                 pruned_bound += 1
                 continue
-            search(child, index)
+            search(child, index, child_mask)
 
-    search(set(), -1)
+    search(set(), -1, 0)
 
     prefork_vcs = [vcdep.candidates[i] for i in sorted(best_set)]
     prefork_stmts = vcdep.union_closure(best_set)

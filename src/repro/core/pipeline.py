@@ -561,6 +561,7 @@ def compile_spt(
             ),
             telemetry=telemetry,
             deadline_ms=config.phase_deadline_ms,
+            span=False,
         )
         if record is not None:
             result.degradations.append(record)
@@ -611,6 +612,7 @@ def compile_spt(
                 ),
                 telemetry=telemetry,
                 deadline_ms=config.phase_deadline_ms,
+                span=False,
             )
             if record is not None:
                 result.degradations.append(record)
@@ -646,6 +648,7 @@ def compile_spt(
                     telemetry=telemetry,
                     deadline_ms=config.phase_deadline_ms,
                     loop=candidate.key,
+                    span=False,
                 )
                 if record is not None:
                     result.degradations.append(record)
@@ -688,6 +691,7 @@ def compile_spt(
                 telemetry=telemetry,
                 deadline_ms=config.phase_deadline_ms,
                 loop=candidate.key,
+                span=False,
             )
             if record is not None:
                 candidate.selected = False

@@ -18,7 +18,7 @@ statement is dragged in (or not) by this closure.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.depgraph import LoopDepGraph
 from repro.core.violation import ViolationCandidate
@@ -78,13 +78,16 @@ def closure_size(graph: LoopDepGraph, closure: Iterable[Instr]) -> float:
     # ``closure`` is a set whose iteration order varies per process, so
     # an unordered sum could flip partition decisions that sit within
     # the search's 1e-12 tie tolerance from one run to the next.
-    terms = []
-    for instr in closure:
-        info = graph.info.get(instr)
-        reach = info.reach if info is not None else 1.0
-        order = info.order if info is not None else -1
-        terms.append((order, instr.cost * reach))
-    return sum(term for _, term in sorted(terms))
+    terms = sorted(_size_term(graph, instr) for instr in closure)
+    return sum(term for _, term in terms)
+
+
+def _size_term(graph: LoopDepGraph, instr: Instr) -> Tuple[int, float]:
+    """``(topological order, expected size)`` of one statement."""
+    info = graph.info.get(instr)
+    reach = info.reach if info is not None else 1.0
+    order = info.order if info is not None else -1
+    return order, instr.cost * reach
 
 
 class VCDepGraph:
@@ -118,6 +121,22 @@ class VCDepGraph:
                     self.preds[i].add(j)
                     self.succs[j].add(i)
 
+        # Sizes by bitmask: one bit per closure statement, ranked as
+        # closure_size sorts them, so summing a union's set bits from
+        # the lowest up repeats closure_size's additions exactly.
+        terms = {
+            instr: _size_term(graph, instr)
+            for closure in self.closures for instr in closure
+        }
+        ranked = sorted(terms, key=terms.__getitem__)
+        bit = {instr: 1 << rank for rank, instr in enumerate(ranked)}
+        self._weights = [terms[instr][1] for instr in ranked]
+        #: masks[i] = candidate i's closure as a bitmask over the ranking.
+        self.masks: List[int] = [
+            sum(bit[instr] for instr in closure) for closure in self.closures
+        ]
+        self._sizes: Dict[int, float] = {}
+
     def __len__(self) -> int:
         return len(self.candidates)
 
@@ -144,5 +163,23 @@ class VCDepGraph:
             result |= self.closures[i]
         return result
 
+    def mask_size(self, mask: int) -> float:
+        """Pre-fork size of the statements in ``mask``: bit for bit
+        ``closure_size`` of the same statements, memoized per mask."""
+        size = self._sizes.get(mask)
+        if size is None:
+            weights = self._weights
+            size = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                size += weights[low.bit_length() - 1]
+                rest ^= low
+            self._sizes[mask] = size
+        return size
+
     def partition_size(self, selected: Iterable[int]) -> float:
-        return closure_size(self.graph, self.union_closure(selected))
+        mask = 0
+        for i in selected:
+            mask |= self.masks[i]
+        return self.mask_size(mask)

@@ -33,8 +33,10 @@ Two further layers stack on top of the block-compiled path:
   compiled into single superblock functions with guarded side exits
   (:mod:`repro.profiling.traces`) -- everywhere when no per-op observer
   (``on_instr``, ``on_def``, ``on_load``, ``on_store``, ``on_call``) is
-  attached, and otherwise on the blocks whose observers all record
-  them from trace code (:meth:`_CompiledFunction._eligibility`);
+  attached; when one is, only if some observer records blocks from
+  trace code, and then on every block outside all per-op scopes and
+  on those whose observers all record them
+  (:meth:`_CompiledFunction._eligibility`);
 * a **vectorized timing engine** (``timing_engine=...``): block-batched
   cycle accounting that replaces a per-op
   :class:`~repro.machine.timing.TimingTracer`
@@ -263,7 +265,7 @@ class _CompiledFunction:
         if hooks.recording:
             self._eligibility()
         #: Whether any block of this function may trace.
-        self.tracing = not hooks.per_op or bool(self.recorders)
+        self.tracing = not hooks.per_op or hooks.recording
         #: Installed-trace budget; untraceable labels sit in ``traces``
         #: as blacklisted entries on top of it.
         self.trace_budget = _TRACE_MAX_PER_FUNC + len(self.untraceable)
@@ -272,11 +274,10 @@ class _CompiledFunction:
                 self.traces[label] = _BLACKLISTED
 
     def _eligibility(self) -> None:
-        """With per-op tracers attached, a block may trace only where
-        some tracer's per-op hooks reach it and every such tracer offers
-        a :class:`~repro.profiling.interp.TraceRecorder` for it.  Blocks
-        outside every scope keep the block path: tracing them was
-        measured to gain nothing in observed runs."""
+        """With per-op tracers attached, a block their per-op hooks
+        reach may trace only where every such tracer offers a
+        :class:`~repro.profiling.interp.TraceRecorder` for it; a block
+        outside every scope traces as in an unobserved run."""
         func = self.func
         module = self.machine.module
         engine = self.machine.timing_engine
@@ -291,7 +292,9 @@ class _CompiledFunction:
                 if id(t) not in scopes
                 or label in scopes[id(t)].get(func.name, ())
             )
-            if offers and all(offer is not None for offer in offers):
+            if not offers:
+                continue
+            if all(offer is not None for offer in offers):
                 self.recorders[label] = offers
             else:
                 untraceable.add(label)
@@ -781,10 +784,10 @@ class _CompiledFunction:
         traces = self.traces if self.tracing else None
         hot_counts = self.hot_counts
         hot_threshold = machine.trace_hot_threshold
-        if self.recorders:
-            # A recorded trace costs several times a plain one to
-            # compile: admit only blocks that stay hot for longer.
-            hot_threshold *= _RECORDED_HOT_FACTOR
+        # A recorded trace costs several times a plain one to compile:
+        # admit only entries that stay hot for longer.
+        recorded_threshold = hot_threshold * _RECORDED_HOT_FACTOR
+        recorders = self.recorders
         trace_budget = self.trace_budget
         untraceable = self.untraceable
         recording: Optional[List[str]] = None
@@ -806,6 +809,8 @@ class _CompiledFunction:
                         count >= hot_threshold
                         and recording is None
                         and len(traces) < trace_budget
+                        and (label not in recorders
+                             or count >= recorded_threshold)
                     ):
                         hot_counts[label] = 0
                         recording = [label]
@@ -943,7 +948,7 @@ class _CompiledFunction:
                     del path[index + 1:]
                     cyclic = False
                     break
-        if self.recorders:
+        if entry in self.recorders:
             # A recorded trace costs several plain ones to compile, and
             # a path through data-dependent branches is rarely taken
             # twice: record the entry twice and compile what the two

@@ -17,6 +17,7 @@ and ``SystemExit`` derive from ``BaseException`` and are never caught.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Optional, Tuple
 
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -38,6 +39,7 @@ def run_contained(
     deadline_ms: Optional[float] = None,
     loop: Optional[str] = None,
     rung: Optional[str] = None,
+    span: bool = True,
 ) -> Tuple[object, Optional[DegradationRecord]]:
     """Run ``fn(watchdog)`` inside the ``phase`` firewall.
 
@@ -46,6 +48,8 @@ def run_contained(
     None when no ``deadline_ms`` is configured) so it can thread it
     into interpreters and searches; the same watchdog is also published
     on the ambient stack for :meth:`Watchdog.poll_current` callers.
+    The firewall opens the ``phase`` span itself, unless ``span=False``
+    says the caller already holds it open.
     """
     watchdog: Optional[Watchdog] = None
     if deadline_ms is not None:
@@ -56,7 +60,7 @@ def run_contained(
     if rung is not None:
         attrs["rung"] = rung
     try:
-        with telemetry.span(phase, **attrs):
+        with telemetry.span(phase, **attrs) if span else nullcontext():
             maybe_inject(phase)
             return fn(watchdog), None
     except PASSTHROUGH:

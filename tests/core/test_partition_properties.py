@@ -1,16 +1,24 @@
 """Property-based partition-search tests: on randomly generated loops
 the branch-and-bound must match the brute-force optimum under any size
-threshold, and its prunings must never change the answer."""
+threshold, and its prunings must never change the answer; on the
+suite's loops its memoized bitmask sizes equal ``closure_size``."""
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.depgraph import build_dep_graph
 from repro.analysis.loops import LoopNest
-from repro.core.config import SptConfig
+from repro.benchsuite import SUITE
+from repro.core import partition
+from repro.core.config import SptConfig, best_config
 from repro.core.partition import brute_force_partition, find_optimal_partition
+from repro.core.pipeline import Workload, compile_spt
+from repro.core.vcdep import VCDepGraph, closure_size
+from repro.frontend import compile_minic
 from repro.ir import parse_module
 from repro.ssa import build_ssa
 
@@ -107,3 +115,41 @@ def test_threshold_monotonicity(source):
         costs.append(result.cost)
     assert costs[0] >= costs[1] - 1e-9
     assert costs[1] >= costs[2] - 1e-9
+
+
+@pytest.fixture(scope="module")
+def suite_vcdeps():
+    """The VC dependence graph of every loop the suite's best-config
+    compiles search, as the search built it."""
+    built = []
+
+    class Recorded(VCDepGraph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition, "VCDepGraph", Recorded)
+        for bench in SUITE:
+            compile_spt(compile_minic(bench.source, name=bench.name),
+                        best_config(), Workload("main", (bench.train_n,)))
+    return built
+
+
+def test_partition_size_is_closure_size_bit_for_bit(suite_vcdeps):
+    """The memoized bitmask size of a selection repeats closure_size's
+    sorted sum exactly (same float, same int 0 for the empty set) over
+    random downward-closed selections of every searched suite loop."""
+    assert sum(len(vcdep) > 10 for vcdep in suite_vcdeps) >= 3
+    rng = random.Random(0)
+    for vcdep in suite_vcdeps:
+        for _ in range(40):
+            share = rng.random()
+            selected = set()
+            for i in range(len(vcdep)):
+                if vcdep.preds[i] <= selected and rng.random() < share:
+                    selected.add(i)
+            assert vcdep.downward_closed(selected)
+            expected = closure_size(vcdep.graph,
+                                    vcdep.union_closure(selected))
+            assert repr(vcdep.partition_size(selected)) == repr(expected)

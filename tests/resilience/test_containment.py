@@ -1,7 +1,12 @@
 """Unit tests for the phase firewall (``run_contained``)."""
 
+import os
+
 import pytest
 
+from repro.core.config import best_config
+from repro.core.pipeline import Workload, compile_spt
+from repro.frontend import compile_minic
 from repro.obs.telemetry import Telemetry
 from repro.resilience.containment import PASSTHROUGH, run_contained
 from repro.resilience.degradation import (
@@ -110,3 +115,23 @@ def test_chaos_spec_fires_inside_the_firewall(monkeypatch):
     result, record = run_contained("depgraph", lambda wd: "fine")
     assert result == "fine"
     assert record is None
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "golden", "corpus")
+
+
+@pytest.mark.parametrize("program", sorted(os.listdir(CORPUS)))
+def test_each_compile_phase_is_one_span_level(program):
+    """A firewalled phase the pipeline already spans (profile, svp,
+    region_splits, transform) is not opened a second time inside."""
+    with open(os.path.join(CORPUS, program)) as handle:
+        module = compile_minic(handle.read(), name="m")
+    telemetry = Telemetry()
+    compile_spt(module, best_config(), Workload("main", (96,)),
+                telemetry=telemetry)
+    telemetry.close()
+    names = {span.span_id: span.name for span in telemetry.spans}
+    assert {"profile", "svp", "transform"} <= set(names.values())
+    nested = [span.name for span in telemetry.spans
+              if names.get(span.parent) == span.name]
+    assert nested == []
