@@ -508,14 +508,14 @@ COMPILE_PHASES = (
 )
 
 
-def _generated_compile_golden():
+def _golden_module(name: str):
+    """The test module ``tests/golden/<name>.py``, loaded by path."""
     import importlib.util
 
     path = os.path.join(
-        os.path.dirname(__file__), "..", "tests", "golden",
-        "test_generated_compile.py",
+        os.path.dirname(__file__), "..", "tests", "golden", f"{name}.py"
     )
-    spec = importlib.util.spec_from_file_location("generated_compile", path)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -525,14 +525,16 @@ def test_compile_trajectory():
     """The compile trajectory: the generated-compile golden's programs
     compiled under best in one process.  Emits BENCH_compile.json with
     the total seconds, per-phase self seconds aggregated from the
-    compilation spans as ``--metrics-out`` aggregates them, and the
-    time ``repro.cli`` takes to parse one ``simulate`` command line
-    (best of 20); no speed floor is asserted."""
+    compilation spans as ``--metrics-out`` aggregates them, the time
+    ``repro.cli`` takes to parse one ``simulate`` command line (best of
+    20), and a ``search_heavy`` block: per program of the heavy-search
+    golden, its search nodes and the search phase's self seconds (best
+    of three compiles); no speed floor is asserted."""
     from repro.cli import parse_args
     from repro.core.pipeline import Workload, compile_spt
     from repro.obs.telemetry import Telemetry, self_durations
 
-    golden = _generated_compile_golden()
+    golden = _golden_module("test_generated_compile")
     phase_s = dict.fromkeys(COMPILE_PHASES, 0.0)
     total_s = 0.0
     for index in range(golden.PROGRAM_COUNT):
@@ -554,6 +556,23 @@ def test_compile_trajectory():
         assert parse_args(argv).command == "simulate"
         parse_s = min(parse_s, time.perf_counter() - start)
 
+    search_heavy = {}
+    for tag, (source, train) in _golden_module(
+        "test_heavy_search"
+    ).heavy_programs().items():
+        search_s = float("inf")
+        for _ in range(3):
+            telemetry = Telemetry()
+            compile_spt(compile_minic(source, name="heavy"), best_config(),
+                        Workload(args=(train,)), telemetry=telemetry)
+            search_s = min(
+                search_s, self_durations(telemetry.spans)["search"]
+            )
+        search_heavy[tag] = {
+            "search_nodes": telemetry.counters["partition.search_nodes"],
+            "search_self_seconds": round(search_s, 4),
+        }
+
     payload = {
         "config": "best",
         "programs": golden.PROGRAM_COUNT,
@@ -563,6 +582,7 @@ def test_compile_trajectory():
             name: round(seconds, 4) for name, seconds in phase_s.items()
         },
         "parse_simulate_ms": round(parse_s * 1e3, 3),
+        "search_heavy": search_heavy,
     }
     emit_json("BENCH_compile", payload)
     print(f"\ncompile trajectory: {payload}")

@@ -29,6 +29,8 @@ the profile).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis import alias as alias_mod
@@ -100,6 +102,13 @@ class StmtInfo:
         self.order = order
         #: Probability the statement executes in an iteration.
         self.reach = reach
+
+
+def expected_size(infos: Iterable[StmtInfo]) -> float:
+    """Expected size of statements in elementary operations: their
+    ``cost * reach`` folded left in the given order.  Never builtin
+    sum(), which compensates float rounding from Python 3.12 on."""
+    return reduce(add, (info.instr.cost * info.reach for info in infos), 0)
 
 
 class LoopDepGraph:

@@ -361,6 +361,13 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
             telemetry.merge_counters(event.get("counters") or {})
             for name, value in (event.get("gauges") or {}).items():
                 telemetry.gauge(name, value)
+            # Each program's compile phases, summed as metrics_snapshot
+            # exports the driver's own spans.
+            for name, seconds in (event.get("phases") or {}).items():
+                gauge = f"span.self_ms.{name}"
+                telemetry.gauge(
+                    gauge, telemetry.gauges.get(gauge, 0.0) + seconds * 1e3
+                )
 
     try:
         publish(force=True)

@@ -122,8 +122,8 @@ def worker_main(
     rebuilt from the task, so no configuration state leaks between the
     items a process compiles.  ``heartbeat_s`` paces the liveness
     thread; ``observe=True`` runs each compilation under a fresh
-    observing telemetry and ships its counter/gauge totals back in the
-    ``done`` message."""
+    observing telemetry and ships its counter/gauge totals and its
+    self seconds per span name back in the ``done`` message."""
     parent = os.getppid()
     cache = ResultCache(cache_dir) if cache_dir else None
     stop_heartbeat = _start_heartbeat_thread(
@@ -162,6 +162,7 @@ def worker_main(
                 telemetry.close()
                 message["counters"] = dict(telemetry.counters)
                 message["gauges"] = dict(telemetry.gauges)
+                message["phases"] = telemetry.phase_self_durations()
             result_queue.put(message)
             claim.value = NO_CLAIM
     finally:

@@ -28,22 +28,19 @@ Two evaluators serve the search:
   re-propagated (precomputed reachability + per-state memo).  The
   propagated probabilities are bitwise identical to a full recompute,
   so both evaluators drive the search to the same optimum.
+
+Both take a pre-fork set either as candidate keys (:meth:`cost`) or as
+an int bitmask over the graph's pseudo nodes (:meth:`cost_mask`, what
+the search carries); :meth:`mask_of` converts the one into the other.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from functools import reduce
+from heapq import heappop, heappush
+from operator import add, mul
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.costgraph import CostGraph
 
@@ -57,7 +54,13 @@ class _Propagation:
 
     :func:`misspeculation_cost` and :func:`reexecution_probabilities`
     run it once and both evaluators inherit it, so the incremental
-    evaluator is held bit for bit to this one routine, not a copy."""
+    evaluator is held bit for bit to this one routine, not a copy.
+
+    The graph is numbered once into flat vectors: slot ``i < N`` is the
+    ``i``-th operation node in topological order, slot ``N + j`` the
+    pseudo node of the graph's ``j``-th candidate (bit ``j`` of a
+    pre-fork mask), and the last slot stays 0.0 for predecessors the
+    graph does not hold."""
 
     def __init__(self, cg: CostGraph):
         self.cg = cg
@@ -67,6 +70,28 @@ class _Propagation:
         self.cache_hits = 0
         #: Cost-graph nodes visited by propagation.
         self.node_visits = 0
+
+        topo = cg.topo_nodes
+        slot: Dict[object, int] = {node: i for i, node in enumerate(topo)}
+        for j, pseudo in enumerate(cg.pseudos.values(), len(topo)):
+            slot[pseudo] = j
+        unknown = len(topo) + len(cg.pseudos)
+        #: per operation node: its in-edges as (predecessor slot, r)
+        self._in_edges: List[List[Tuple[int, float]]] = [
+            [
+                (slot.get(pred, unknown), r)
+                for pred, r in cg.in_edges.get(node, ())
+            ]
+            for node in topo
+        ]
+        self._costs: List[float] = [cg.costs[node] for node in topo]
+        self._violation: List[float] = [
+            pseudo.violation_prob for pseudo in cg.pseudos.values()
+        ]
+        #: candidate key -> its bit in a pre-fork mask
+        self._bits: Dict[Hashable, int] = {
+            key: 1 << j for j, key in enumerate(cg.pseudos)
+        }
 
     @property
     def hit_rate(self) -> float:
@@ -82,38 +107,58 @@ class _Propagation:
             "node_visits": self.node_visits,
         }
 
-    def _propagate(self, prefork: AbstractSet[Hashable]) -> Dict[object, float]:
-        """Every node's re-execution probability, pseudo nodes keyed by
-        their :class:`~repro.core.costgraph.PseudoNode`."""
-        cg = self.cg
-        v: Dict[object, float] = {}
-        for key, pseudo in cg.pseudos.items():
-            v[pseudo] = 0.0 if key in prefork else pseudo.violation_prob
-        for node in cg.topo_nodes:
+    def mask_of(self, prefork: Iterable[Hashable]) -> int:
+        """The pre-fork mask of a set of candidate keys.  A key without
+        a pseudo node gets a bit of its own above the graph's, so it
+        keys its own states as a set element would, but moves no
+        probability."""
+        bits = self._bits
+        mask = 0
+        for key in prefork:
+            bit = bits.get(key)
+            if bit is None:
+                bit = bits[key] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def cost(self, prefork: Iterable[Hashable]) -> float:
+        """The misspeculation cost of a set of pre-fork candidate keys."""
+        return self.cost_mask(self.mask_of(prefork))
+
+    def cost_mask(self, mask: int) -> float:
+        """The misspeculation cost of a pre-fork mask (see
+        :meth:`mask_of`); each evaluator memoizes it its own way."""
+        raise NotImplementedError
+
+    def _propagate(self, mask: int) -> List[float]:
+        """Every slot's re-execution probability under ``mask``."""
+        v = [0.0] * len(self._costs)
+        v.extend(
+            0.0 if mask >> j & 1 else prob
+            for j, prob in enumerate(self._violation)
+        )
+        v.append(0.0)
+        for i, edges in enumerate(self._in_edges):
             x = 0.0
-            for pred, r in cg.in_edges.get(node, ()):
-                x = 1.0 - (1.0 - x) * (1.0 - r * v.get(pred, 0.0))
-            v[node] = x
-        self.node_visits += cg.size
+            for pred, r in edges:
+                x = 1.0 - (1.0 - x) * (1.0 - r * v[pred])
+            v[i] = x
+        self.node_visits += len(self._costs)
         return v
 
-    def _total(self, v: Dict) -> float:
-        # Summed in one fixed (topological) order, so every evaluator's
-        # cost of the same vector agrees bitwise.
-        cg = self.cg
-        total = 0.0
-        for node in cg.topo_nodes:
-            total += v[node] * cg.costs[node]
-        return total
+    def _total(self, v: List[float]) -> float:
+        # A left fold in topological order, so every evaluator's cost of
+        # the same vector agrees bitwise.  Never builtin sum(): from
+        # Python 3.12 on it compensates float rounding, so its result
+        # would differ from this fold and from earlier Pythons.
+        return reduce(add, map(mul, v, self._costs), 0.0)
 
-    def _rekeyed(self, v: Dict) -> Dict[Hashable, float]:
-        """``v`` for external consumption: pseudo entries re-keyed as
-        ``("pseudo", candidate key)``."""
-        result: Dict[Hashable, float] = {}
-        for node in self.cg.topo_nodes:
-            result[node] = v[node]
-        for key, pseudo in self.cg.pseudos.items():
-            result[("pseudo", key)] = v[pseudo]
+    def _rekeyed(self, v: List[float]) -> Dict[Hashable, float]:
+        """``v`` for external consumption: operation nodes under their
+        own keys, pseudo entries as ``("pseudo", candidate key)``."""
+        result: Dict[Hashable, float] = dict(zip(self.cg.topo_nodes, v))
+        for j, key in enumerate(self.cg.pseudos, len(self._costs)):
+            result[("pseudo", key)] = v[j]
         return result
 
 
@@ -126,39 +171,42 @@ def reexecution_probabilities(
     pre-fork region.
     """
     propagation = _Propagation(cg)
-    return propagation._rekeyed(propagation._propagate(set(prefork)))
+    return propagation._rekeyed(
+        propagation._propagate(propagation.mask_of(prefork))
+    )
 
 
 def misspeculation_cost(cg: CostGraph, prefork: Iterable[Hashable]) -> float:
     """Expected re-executed computation per speculative iteration
     (§4.2.4)."""
     propagation = _Propagation(cg)
-    return propagation._total(propagation._propagate(set(prefork)))
+    return propagation._total(
+        propagation._propagate(propagation.mask_of(prefork))
+    )
 
 
 class CostEvaluator(_Propagation):
     """Memoized full-recompute misspeculation-cost evaluation.
 
     The branch-and-bound search evaluates many nearby partitions; the
-    evaluator caches results by frozen pre-fork set.  The cache is
+    evaluator caches results by pre-fork mask.  The cache is
     LRU-bounded so large VC sets cannot grow it without limit.
     """
 
     def __init__(self, cg: CostGraph, max_size: int = DEFAULT_CACHE_SIZE):
         super().__init__(cg)
         self.max_size = max_size
-        self._cache: "OrderedDict[FrozenSet, float]" = OrderedDict()
+        self._cache: "OrderedDict[int, float]" = OrderedDict()
 
-    def cost(self, prefork: Iterable[Hashable]) -> float:
-        key = frozenset(prefork)
-        cached = self._cache.get(key)
+    def cost_mask(self, mask: int) -> float:
+        cached = self._cache.get(mask)
         if cached is not None:
             self.cache_hits += 1
-            self._cache.move_to_end(key)
+            self._cache.move_to_end(mask)
             return cached
         self.evaluations += 1
-        value = self._total(self._propagate(key))
-        self._cache[key] = value
+        value = self._total(self._propagate(mask))
+        self._cache[mask] = value
         if len(self._cache) > self.max_size:
             self._cache.popitem(last=False)
         return value
@@ -168,12 +216,19 @@ class IncrementalCostEvaluator(_Propagation):
     """Incremental misspeculation-cost evaluation over nearby subsets.
 
     The search's moves are tiny: a child subset adds one VC to the
-    pre-fork set, and ``lower_bound`` sweeps a suffix in.  Zeroing a
+    pre-fork set, and the lower bound sweeps a suffix in.  Zeroing a
     pseudo node's probability can only change nodes *downstream* of
-    that pseudo, so the evaluator keeps, per cached pre-fork set, the
-    full probability vector, and re-propagates only the union of the
-    changed pseudos' downstream cones (precomputed per pseudo) relative
-    to the nearest cached state.
+    that pseudo, so the evaluator keeps, per cached pre-fork mask, the
+    flat probability vector and its cost, and re-propagates from the
+    nearest cached state only where a changed pseudo's value actually
+    moves something.
+
+    The nearest state is found by a probe over parents one candidate
+    away, walked in a fixed order: by the size of the changed pseudo's
+    downstream cone, then one-removed before one-added, then by
+    candidate order; the first parent present wins.  The most recently
+    used state is considered last and wins only when its estimate (the
+    summed cones of every pseudo it differs in) is strictly smaller.
 
     Because un-affected nodes keep their exact values and affected
     nodes are recomputed in topological order from them, every cached
@@ -184,45 +239,64 @@ class IncrementalCostEvaluator(_Propagation):
     def __init__(self, cg: CostGraph, max_states: int = DEFAULT_CACHE_SIZE):
         super().__init__(cg)
         self.max_states = max_states
-        #: frozen pre-fork set -> (probability vector, cost)
-        self._states: "OrderedDict[FrozenSet, Tuple[Dict, float]]" = OrderedDict()
-
-        #: successor adjacency: PseudoNode or node key -> [op nodes]
-        self._succs: Dict[object, List[Hashable]] = {}
-        for node, edges in cg.in_edges.items():
+        #: pre-fork mask -> (probability vector, cost)
+        self._states: "OrderedDict[int, Tuple[List[float], float]]" = (
+            OrderedDict()
+        )
+        n = len(self._costs)
+        pseudos = len(self._violation)
+        self._pseudo_mask = (1 << pseudos) - 1
+        #: slot -> the operation-node slots it feeds
+        self._succs: List[List[int]] = [[] for _ in range(n + pseudos + 1)]
+        for i, edges in enumerate(self._in_edges):
             for pred, _r in edges:
-                self._succs.setdefault(pred, []).append(node)
-        self._topo_index: Dict[Hashable, int] = {
-            node: i for i, node in enumerate(cg.topo_nodes)
-        }
-        #: vc key -> topo-sorted list of operation nodes downstream of
-        #: its pseudo node (computed lazily, memoized).
-        self._downstream: Dict[Hashable, List[Hashable]] = {}
+                self._succs[pred].append(i)
+        #: per pseudo: the number of operation nodes downstream of it
+        self._cones = [self._cone_size(n + j) for j in range(pseudos)]
+        self._probe = self._probe_order()
 
-    # -- reachability ---------------------------------------------------
-
-    def _downstream_of(self, vc_key: Hashable) -> List[Hashable]:
-        cached = self._downstream.get(vc_key)
-        if cached is not None:
-            return cached
-        pseudo = self.cg.pseudos[vc_key]
-        seen: Set[Hashable] = set()
-        stack = list(self._succs.get(pseudo, ()))
+    def _cone_size(self, slot: int) -> int:
+        succs = self._succs
+        seen: Set[int] = set()
+        stack = list(succs[slot])
         while stack:
             node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self._succs.get(node, ()))
-        ordered = sorted(seen, key=self._topo_index.__getitem__)
-        self._downstream[vc_key] = ordered
-        return ordered
+            if node not in seen:
+                seen.add(node)
+                stack.extend(succs[node])
+        return len(seen)
+
+    def _probe_order(self) -> List[Tuple[int, Tuple, Tuple]]:
+        """``(cone size, removable bits, addable bits)`` groups by
+        ascending cone size, bits in candidate order.  Bits without a
+        pseudo node have an empty cone and are only ever removed."""
+        groups: Dict[int, List[int]] = {}
+        for j, cone in enumerate(self._cones):
+            groups.setdefault(cone, []).append(1 << j)
+        extra = [
+            bit for bit in self._bits.values() if not bit & self._pseudo_mask
+        ]
+        if extra:
+            groups.setdefault(0, [])
+        return [
+            (cone, tuple(bits + extra) if cone == 0 else tuple(bits),
+             tuple(bits))
+            for cone, bits in sorted(groups.items())
+        ]
+
+    def mask_of(self, prefork: Iterable[Hashable]) -> int:
+        # A key without a pseudo node joins the probe as a new bit.
+        known = len(self._bits)
+        mask = super().mask_of(prefork)
+        if len(self._bits) != known:
+            self._probe = self._probe_order()
+        return mask
 
     # -- state construction ---------------------------------------------
 
     def _incremental_state(
-        self, parent: Tuple[Dict, float], parent_key: FrozenSet, key: FrozenSet
-    ) -> Tuple[Dict, float]:
+        self, parent: Tuple[List[float], float], changed: int, mask: int
+    ) -> Tuple[List[float], float]:
         """Change-driven re-propagation from ``parent``'s vector.
 
         A node is recomputed only when a predecessor's value actually
@@ -231,112 +305,112 @@ class IncrementalCostEvaluator(_Propagation):
         whose inputs are bitwise unchanged keep bitwise-unchanged
         values, which is what makes skipping them sound.
         """
-        from heapq import heappop, heappush
-
-        cg = self.cg
-        topo_nodes = cg.topo_nodes
-        topo_index = self._topo_index
-        v = dict(parent[0])
+        v = parent[0][:]
+        succs = self._succs
+        in_edges = self._in_edges
+        violation = self._violation
+        n = len(self._costs)
 
         heap: List[int] = []
         queued: Set[int] = set()
 
-        def enqueue_succs(obj) -> None:
-            for succ in self._succs.get(obj, ()):
-                index = topo_index[succ]
-                if index not in queued:
-                    queued.add(index)
-                    heappush(heap, index)
+        def enqueue_succs(slot: int) -> None:
+            for succ in succs[slot]:
+                if succ not in queued:
+                    queued.add(succ)
+                    heappush(heap, succ)
 
-        for vc_key in parent_key ^ key:
-            pseudo = cg.pseudos.get(vc_key)
-            if pseudo is None:
-                continue
-            value = 0.0 if vc_key in key else pseudo.violation_prob
-            if value != v[pseudo]:
-                v[pseudo] = value
-                enqueue_succs(pseudo)
+        changed &= self._pseudo_mask
+        while changed:
+            low = changed & -changed
+            changed ^= low
+            j = low.bit_length() - 1
+            value = 0.0 if mask & low else violation[j]
+            if value != v[n + j]:
+                v[n + j] = value
+                enqueue_succs(n + j)
 
         visits = 0
         while heap:
-            node = topo_nodes[heappop(heap)]
+            i = heappop(heap)
             x = 0.0
-            for pred, r in cg.in_edges.get(node, ()):
-                x = 1.0 - (1.0 - x) * (1.0 - r * v.get(pred, 0.0))
+            for pred, r in in_edges[i]:
+                x = 1.0 - (1.0 - x) * (1.0 - r * v[pred])
             visits += 1
-            if x != v[node]:
-                v[node] = x
-                enqueue_succs(node)
+            if x != v[i]:
+                v[i] = x
+                enqueue_succs(i)
         self.node_visits += visits
         return v, self._total(v)
 
     # -- parent selection ------------------------------------------------
 
-    def _estimate(self, parent_key: FrozenSet, key: FrozenSet) -> int:
-        """Upper bound on nodes re-propagated from ``parent_key``."""
+    def _estimate(self, changed: int, bound: int) -> int:
+        """Summed cones of the pseudos in ``changed`` (an upper bound on
+        the nodes re-propagated), or any value >= ``bound`` once it
+        reaches ``bound``."""
+        cones = self._cones
         total = 0
-        for k in parent_key ^ key:
-            if k in self.cg.pseudos:
-                total += len(self._downstream_of(k))
+        changed &= self._pseudo_mask
+        while changed and total < bound:
+            low = changed & -changed
+            changed ^= low
+            total += cones[low.bit_length() - 1]
         return total
 
-    def _find_parent(
-        self, key: FrozenSet
-    ) -> Optional[Tuple[FrozenSet, Tuple[Dict, float]]]:
+    def _find_parent(self, mask: int) -> Optional[int]:
         states = self._states
         if not states:
             return None
-        best: Optional[Tuple[int, FrozenSet]] = None
-
-        def consider(candidate: FrozenSet) -> None:
-            nonlocal best
-            estimate = self._estimate(candidate, key)
-            if best is None or estimate < best[0]:
-                best = (estimate, candidate)
-
-        # One-removed parents (the search's child moves), one-added
-        # parents (consecutive lower_bound suffixes), and the
-        # most-recently-used state (whatever the search just touched).
-        for element in key:
-            parent = key - {element}
-            if parent in states:
-                consider(parent)
-        for vc_key in self.cg.pseudos:
-            if vc_key not in key:
-                parent = key | {vc_key}
-                if parent in states:
-                    consider(parent)
-        consider(next(reversed(states)))
-        return best[1], states[best[1]]
+        parent = None
+        for cone, removable, addable in self._probe:
+            for bit in removable:
+                if mask & bit and mask ^ bit in states:
+                    parent = mask ^ bit
+                    break
+            if parent is None:
+                for bit in addable:
+                    if not mask & bit and mask | bit in states:
+                        parent = mask | bit
+                        break
+            if parent is not None:
+                break
+        recent = next(reversed(states))
+        if parent is None or (
+            recent != parent and self._estimate(recent ^ mask, cone) < cone
+        ):
+            return recent
+        return parent
 
     # -- the public evaluation API ---------------------------------------
 
-    def cost(self, prefork: Iterable[Hashable]) -> float:
-        key = frozenset(prefork)
-        state = self._states.get(key)
+    def cost_mask(self, mask: int) -> float:
+        states = self._states
+        state = states.get(mask)
         if state is not None:
             self.cache_hits += 1
-            self._states.move_to_end(key)
+            states.move_to_end(mask)
             return state[1]
         self.evaluations += 1
-        parent = self._find_parent(key)
+        parent = self._find_parent(mask)
         if parent is None:
-            v = self._propagate(key)
+            v = self._propagate(mask)
             state = v, self._total(v)
         else:
-            parent_key, parent_state = parent
-            state = self._incremental_state(parent_state, parent_key, key)
-        self._states[key] = state
-        if len(self._states) > self.max_states:
-            self._states.popitem(last=False)
+            state = self._incremental_state(
+                states[parent], parent ^ mask, mask
+            )
+        states[mask] = state
+        if len(states) > self.max_states:
+            states.popitem(last=False)
         return state[1]
 
     def probabilities(self, prefork: Iterable[Hashable]) -> Dict[Hashable, float]:
         """The re-execution probability vector behind :meth:`cost`
         (re-keyed like :func:`reexecution_probabilities`)."""
-        key = frozenset(prefork)
-        self.cost(key)
-        return self._rekeyed(self._states[key][0])
+        mask = self.mask_of(prefork)
+        self.cost_mask(mask)
+        return self._rekeyed(self._states[mask][0])
 
 
 def make_cost_evaluator(cg: CostGraph, config=None):

@@ -191,13 +191,19 @@ def find_optimal_partition(
     vcdep = VCDepGraph(graph, searchable)
     size_threshold = config.prefork_size_threshold(body_size)
 
-    def vc_keys(indices) -> Set[Instr]:
-        keys = {vcdep.candidates[i].instr for i in indices}
-        keys |= forced
-        return keys
+    # The search carries the evaluator's pre-fork mask next to the
+    # selection: bits[i] is candidate i's bit, suffix[i] the bits of
+    # candidates i and later, so a child's mask is its parent's OR one
+    # bit and its lower bound ORs a suffix in.
+    forced_mask = evaluator.mask_of(forced)
+    bits = [evaluator.mask_of((vc.instr,)) for vc in vcdep.candidates]
+    suffix = [0] * (len(bits) + 1)
+    for i in reversed(range(len(bits))):
+        suffix[i] = suffix[i + 1] | bits[i]
 
-    best_cost = evaluator.cost(forced)
+    best_cost = evaluator.cost_mask(forced_mask)
     best_set: Set[int] = set()
+    best_prefork = forced_mask
     search_nodes = 1
     node_budget = config.max_search_nodes
     pruned_size = 0
@@ -213,15 +219,11 @@ def find_optimal_partition(
         else None
     )
 
-    def lower_bound(selected: Set[int], cursor: int) -> float:
-        """Cost if every candidate beyond ``cursor`` also moved pre-fork."""
-        optimistic = set(selected)
-        optimistic.update(range(cursor + 1, len(vcdep)))
-        return evaluator.cost(vc_keys(optimistic))
-
-    def search(selected: Set[int], cursor: int, mask: int) -> None:
-        nonlocal best_cost, best_set, search_nodes, pruned_size, \
-            pruned_bound, budget_exhausted, deadline_exhausted
+    def search(
+        selected: Set[int], cursor: int, mask: int, prefork: int
+    ) -> None:
+        nonlocal best_cost, best_set, best_prefork, search_nodes, \
+            pruned_size, pruned_bound, budget_exhausted, deadline_exhausted
         for index in vcdep.addable(selected, cursor):
             if search_nodes >= node_budget:
                 # The flag marks an actually-suppressed expansion, so a
@@ -245,19 +247,24 @@ def find_optimal_partition(
                 pruned_size += 1
                 continue
             search_nodes += 1
-            cost = evaluator.cost(vc_keys(child))
+            child_prefork = prefork | bits[index]
+            cost = evaluator.cost_mask(child_prefork)
             if cost < best_cost - 1e-12 or (
                 abs(cost - best_cost) <= 1e-12 and len(child) < len(best_set)
             ):
                 best_cost = cost
                 best_set = set(child)
-            if use_pruning and lower_bound(child, index) >= best_cost - 1e-12:
-                # Pruning heuristic 2: no offspring can improve.
+                best_prefork = child_prefork
+            # Pruning heuristic 2: no offspring can improve on the cost
+            # with every candidate beyond ``index`` also moved pre-fork.
+            if use_pruning and evaluator.cost_mask(
+                child_prefork | suffix[index + 1]
+            ) >= best_cost - 1e-12:
                 pruned_bound += 1
                 continue
-            search(child, index, child_mask)
+            search(child, index, child_mask, child_prefork)
 
-    search(set(), -1, 0)
+    search(set(), -1, 0, forced_mask)
 
     prefork_vcs = [vcdep.candidates[i] for i in sorted(best_set)]
     prefork_stmts = vcdep.union_closure(best_set)
@@ -279,7 +286,7 @@ def find_optimal_partition(
         deadline_exhausted=deadline_exhausted,
     )
     result.vc_breakdown = _vc_breakdown(
-        candidates, best_set, best_cost, evaluator, vc_keys
+        candidates, best_prefork, best_cost, evaluator
     )
     if telemetry.enabled:
         telemetry.count("partition.loops_searched")
@@ -297,26 +304,27 @@ def find_optimal_partition(
 
 
 def _vc_breakdown(
-    candidates, best_set, best_cost, evaluator, vc_keys
+    candidates, best_prefork, best_cost, evaluator
 ) -> List[Tuple[ViolationCandidate, bool, float]]:
     """Marginal misspeculation-cost attribution per violation candidate.
 
-    Relative to the optimal pre-fork set: for a pre-fork candidate the
-    cost increase of evicting it, for a post-fork candidate the saving
-    of admitting it (the legality closure is ignored here -- this is an
-    attribution, not a feasibility statement).  The evaluator's memo
-    makes these |VC| extra evaluations cheap next to the search.
+    Relative to the optimal pre-fork set (``best_prefork``, an evaluator
+    mask): for a pre-fork candidate the cost increase of evicting it,
+    for a post-fork candidate the saving of admitting it (the legality
+    closure is ignored here -- this is an attribution, not a feasibility
+    statement).  The evaluator's memo makes these |VC| extra evaluations
+    cheap next to the search.
     """
     if best_cost == float("inf"):
         return [(vc, False, 0.0) for vc in candidates]
-    best_keys = vc_keys(best_set)
     breakdown: List[Tuple[ViolationCandidate, bool, float]] = []
     for vc in candidates:
-        in_prefork = vc.instr in best_keys
+        bit = evaluator.mask_of((vc.instr,))
+        in_prefork = bool(best_prefork & bit)
         if in_prefork:
-            marginal = evaluator.cost(best_keys - {vc.instr}) - best_cost
+            marginal = evaluator.cost_mask(best_prefork ^ bit) - best_cost
         else:
-            marginal = best_cost - evaluator.cost(best_keys | {vc.instr})
+            marginal = best_cost - evaluator.cost_mask(best_prefork | bit)
         breakdown.append((vc, in_prefork, marginal))
     return breakdown
 

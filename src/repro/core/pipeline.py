@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG
-from repro.analysis.depgraph import LoopDepGraph, build_dep_graph
+from repro.analysis.depgraph import (
+    LoopDepGraph,
+    build_dep_graph,
+    expected_size,
+)
 from repro.analysis.loops import Loop, LoopNest
 from repro.analysis.modref import ModRefSummaries
 from repro.core.config import SptConfig
@@ -338,9 +342,7 @@ def _analyze_loop_inner(
 
     # -- cost-graph + partition-search phase (firewalled) ----------------
     def _search(watchdog):
-        dynamic_size = sum(
-            info.instr.cost * info.reach for info in graph.info.values()
-        )
+        dynamic_size = expected_size(graph.info.values())
         if phase_checkpoints is not None:
             from repro.checkpoint.phases import load_search
 

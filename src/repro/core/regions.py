@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG
-from repro.analysis.depgraph import LoopDepGraph
+from repro.analysis.depgraph import LoopDepGraph, expected_size
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import Loop
 from repro.core.config import SptConfig
@@ -182,9 +182,7 @@ def find_region_splits(
     """Evaluate every spine split of the loop body, best first."""
     cfg = CFG.build(func)
     domtree = DominatorTree.build(func, cfg=cfg)
-    total_size = sum(
-        info.instr.cost * info.reach for info in graph.info.values()
-    )
+    total_size = expected_size(graph.info.values())
 
     splits: List[RegionSplit] = []
     for split_label in spine_blocks(func, loop, cfg):
@@ -196,10 +194,8 @@ def find_region_splits(
             for info in graph.info.values()
             if info.block in b_labels
         }
-        size_b = sum(
-            info.instr.cost * info.reach
-            for info in graph.info.values()
-            if id(info.instr) in b_instrs
+        size_b = expected_size(
+            info for info in graph.info.values() if id(info.instr) in b_instrs
         )
         size_a = total_size - size_b
         if size_a <= 0 or size_b <= 0:

@@ -18,6 +18,9 @@ statement is dragged in (or not) by this closure.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import add, itemgetter
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.depgraph import LoopDepGraph
@@ -26,6 +29,9 @@ from repro.ir.instr import Instr, Phi
 
 #: Dependence kinds that constrain statement ordering (legality).
 ORDERING_KINDS = ("true", "anti", "output", "control")
+
+#: bytes.translate table from binary digits to compress() selectors.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def statement_closure(
@@ -74,12 +80,14 @@ def closure_size(graph: LoopDepGraph, closure: Iterable[Instr]) -> float:
     Weighted by reaching probability so a rarely executed conditional
     statement contributes its expected (dynamic) size.
     """
-    # Sum in topological order: float addition is not associative, and
-    # ``closure`` is a set whose iteration order varies per process, so
-    # an unordered sum could flip partition decisions that sit within
-    # the search's 1e-12 tie tolerance from one run to the next.
+    # A left fold in topological order: float addition is not
+    # associative, and ``closure`` is a set whose iteration order varies
+    # per process, so an unordered sum could flip partition decisions
+    # that sit within the search's 1e-12 tie tolerance from one run to
+    # the next.  Builtin sum() would compensate the rounding from Python
+    # 3.12 on and so disagree with mask_size and with earlier Pythons.
     terms = sorted(_size_term(graph, instr) for instr in closure)
-    return sum(term for _, term in terms)
+    return reduce(add, map(itemgetter(1), terms), 0)
 
 
 def _size_term(graph: LoopDepGraph, instr: Instr) -> Tuple[int, float]:
@@ -165,16 +173,14 @@ class VCDepGraph:
 
     def mask_size(self, mask: int) -> float:
         """Pre-fork size of the statements in ``mask``: bit for bit
-        ``closure_size`` of the same statements, memoized per mask."""
+        ``closure_size`` of the same statements, memoized per mask.
+        The set bits' weights are folded from the lowest rank up."""
         size = self._sizes.get(mask)
         if size is None:
-            weights = self._weights
-            size = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                size += weights[low.bit_length() - 1]
-                rest ^= low
+            # bin() reversed lists the bits lowest first; the table
+            # turns its digits into the 0/1 selectors compress() takes.
+            selectors = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+            size = reduce(add, compress(self._weights, selectors), 0)
             self._sizes[mask] = size
         return size
 

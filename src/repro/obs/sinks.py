@@ -303,11 +303,13 @@ METRICS_SCHEMA = "repro-metrics/1"
 def metrics_snapshot(telemetry: Telemetry) -> Dict:
     """The canonical, JSON-serializable metric set of one run: its
     counters, its gauges plus one ``span.self_ms.<name>`` gauge per span
-    name (total self time, :func:`self_durations`), and its
+    name (total self time, :func:`self_durations`, added to any such
+    gauge a batch driver summed from its workers), and its
     histograms."""
     gauges = dict(telemetry.gauges)
     for name, seconds in self_durations(telemetry.spans).items():
-        gauges[f"span.self_ms.{name}"] = seconds * 1e3
+        gauge = f"span.self_ms.{name}"
+        gauges[gauge] = gauges.get(gauge, 0.0) + seconds * 1e3
     counters = telemetry.counters
     histograms = telemetry.histograms
     return {

@@ -118,3 +118,68 @@ def test_cache_bound_is_respected():
         ev.cost(prefork)
     assert len(ev._cache) <= 4
     assert 0.0 <= ev.hit_rate <= 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_cost_mask_matches_cost_of_keys(seed):
+    """A pre-fork mask (bit j = the graph's j-th candidate) costs
+    bitwise what the same set of keys costs, on both evaluators."""
+    rng = random.Random(seed)
+    cg, vcs = _random_cost_graph(
+        rng, n_vcs=rng.randint(1, 8), n_ops=rng.randint(2, 40)
+    )
+    for evaluator in (CostEvaluator(cg), IncrementalCostEvaluator(cg)):
+        keyed = type(evaluator)(cg)
+        for _ in range(30):
+            mask = rng.getrandbits(len(vcs))
+            keys = [vc for j, vc in enumerate(vcs) if mask >> j & 1]
+            assert evaluator.mask_of(keys) == mask
+            assert evaluator.cost_mask(mask) == keyed.cost(keys)
+            assert evaluator.cost_mask(mask) == misspeculation_cost(cg, keys)
+
+
+def test_keys_without_pseudo_nodes_get_zero_cone_bits():
+    """A key the graph has no pseudo node for moves no probability but
+    still keys a state of its own, re-propagated from its one-removed
+    parent without visiting a node."""
+    rng = random.Random(13)
+    cg, vcs = _random_cost_graph(rng, n_vcs=4, n_ops=20)
+    prefork = {vcs[0], vcs[2]}
+    expected = misspeculation_cost(cg, prefork)
+    for evaluator in (CostEvaluator(cg), IncrementalCostEvaluator(cg)):
+        assert evaluator.cost(prefork) == expected
+        visits = evaluator.node_visits
+        stranger = evaluator.mask_of({"stranger"})
+        assert stranger == 1 << len(vcs)
+        assert evaluator.cost(prefork | {"stranger"}) == expected
+        assert (evaluator.evaluations, evaluator.cache_hits) == (2, 0)
+        assert evaluator.cost_mask(evaluator.mask_of(prefork) | stranger) == (
+            expected
+        )
+        assert evaluator.cache_hits == 1
+        if isinstance(evaluator, IncrementalCostEvaluator):
+            assert evaluator.node_visits == visits
+            assert evaluator.probabilities(prefork | {"stranger"}) == (
+                reexecution_probabilities(cg, prefork)
+            )
+
+
+def test_parent_probe_prefers_the_smallest_cone():
+    """With a one-added parent one node away and the most recent state
+    ten nodes away, the query re-propagates from the one-added parent."""
+    cg = CostGraph()
+    cg.add_pseudo("wide", 0.5)
+    cg.add_pseudo("narrow", 0.25)
+    for i in range(11):
+        cg.add_node(f"op{i}", 1.0)
+    cg.add_edge_from_pseudo("wide", "op0", 0.5)
+    for i in range(9):
+        cg.add_edge(f"op{i}", f"op{i + 1}", 0.5)
+    cg.add_edge_from_pseudo("narrow", "op10", 0.5)
+    inc = IncrementalCostEvaluator(cg)
+    inc.cost({"wide", "narrow"})
+    inc.cost(set())  # the most recent state: "wide" (10 nodes) away
+    visits = inc.node_visits
+    assert inc.cost({"wide"}) == misspeculation_cost(cg, {"wide"})
+    assert inc.node_visits - visits == 1

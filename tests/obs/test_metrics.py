@@ -411,6 +411,35 @@ def test_batch_metrics_out_sums_each_programs_compile_counters(
     assert document["histograms"]["span.batch.ms"]["count"] == 1
 
 
+def test_batch_metrics_out_sums_each_programs_compile_phases(
+    tmp_path, capsys
+):
+    """Batch workers ship each program's phase self-times too: a batch
+    over the golden corpus exports every ``span.self_ms.<phase>`` gauge
+    that any of its programs' own ``repro compile --metrics-out``
+    exports."""
+    corpus = os.path.dirname(NESTED_C)
+    expected = set()
+    for name in sorted(os.listdir(corpus)):
+        out = tmp_path / f"{name}.json"
+        assert main(["compile", os.path.join(corpus, name), "--args", "32",
+                     "--metrics-out", str(out)]) == 0
+        expected.update(
+            gauge for gauge in json.loads(out.read_text())["gauges"]
+            if gauge.startswith("span.self_ms.")
+        )
+    batch_out = tmp_path / "batch.json"
+    assert main(["batch", corpus, "--args", "32", "--jobs", "1",
+                 "--no-cache", "--quiet",
+                 "--metrics-out", str(batch_out)]) == 0
+    capsys.readouterr()
+
+    gauges = json.loads(batch_out.read_text())["gauges"]
+    assert "span.self_ms.search" in expected
+    assert expected <= set(gauges), sorted(expected - set(gauges))
+    assert gauges["span.self_ms.search"] > 0.0
+
+
 def test_null_telemetry_metric_paths_are_inert():
     from repro.obs import NULL_TELEMETRY
 
