@@ -2,25 +2,18 @@
 
 A :class:`~repro.util.store.ContentStore` of compilation results.
 Every key is a SHA-256 digest over *content*, never over file names or
-timestamps:
+timestamps.  The **program key** hashes the cache format version, the
+:meth:`~repro.core.config.SptConfig.fingerprint` of the active
+configuration, the profiling workload (entry, args, fuel), and the
+canonicalized textual IR of the whole module (comments, whitespace and
+the source file name do not matter -- two byte-different files that
+lower to the same IR share one entry).  Loop analyses depend on
+profiles gathered over the whole module under one workload, so no key
+narrower than the program key is sound.
 
-* the **program key** hashes the cache format version, the
-  :meth:`~repro.core.config.SptConfig.fingerprint` of the active
-  configuration, the profiling workload (entry, args, fuel), and the
-  canonicalized textual IR of the whole module (comments, whitespace
-  and the source file name do not matter -- two byte-different files
-  that lower to the same IR share one entry);
-* the **loop key** extends the program key with the function name and
-  loop header label, and a **search key** extends that with the
-  search's own config and the post-SSA function text.  Loop analyses
-  depend on profiles gathered over the whole module under one
-  workload, so no key narrower than the program key is sound.
-
-Two entry kinds live here: ``program`` entries (a batch run's
-whole-module summary, ``{"summary": ...}``) and ``search`` entries (one
-loop's completed partition search, written by ``--checkpoint-phases``;
-see :mod:`repro.checkpoint.phases`).  Batch entries are written without
-``fsync`` -- an entry lost to a crash is recomputed on the next miss.
+Each entry is a ``program`` entry: a batch run's whole-module summary,
+``{"summary": ...}``.  Entries are written without ``fsync`` -- an
+entry lost to a crash is recomputed on the next miss.
 
 In front of the program key sits the cache's :class:`SourceIndex`
 (``<cache-dir>/sources``): ``source`` entries map a **source key** --
@@ -115,13 +108,11 @@ class SourceIndex(ContentStore):
 class ResultCache(ContentStore):
     """A persistent, content-addressed store of compilation results."""
 
-    def __init__(self, cache_dir: Optional[str] = None, *,
-                 fsync: bool = False, fault_site: Optional[str] = None):
-        super().__init__(cache_dir or default_cache_dir(), fsync=fsync,
-                         fault_site=fault_site)
+    def __init__(self, cache_dir: Optional[str] = None):
+        super().__init__(cache_dir or default_cache_dir(), fsync=False)
         #: The source index in front of the program keys.
         self.sources = SourceIndex(os.path.join(self.root, "sources"),
-                                   fsync=fsync)
+                                   fsync=False)
 
     @property
     def version(self) -> int:
@@ -147,22 +138,6 @@ class ResultCache(ContentStore):
             config_fingerprint,
             workload_token,
             canonical_ir,
-        )
-
-    @staticmethod
-    def loop_key(program_key: str, function: str, header: str) -> str:
-        return content_key(program_key, function, header)
-
-    @staticmethod
-    def search_key(program_key: str, function: str, header: str,
-                   config_fingerprint: str, function_text: str) -> str:
-        """One partition search: the loop key x the (ladder-rung) config
-        x the post-SSA function text, which separates the pass-1 search
-        from the re-search after an SVP rewrite."""
-        return content_key(
-            ResultCache.loop_key(program_key, function, header),
-            config_fingerprint,
-            function_text,
         )
 
     # -- program entries ---------------------------------------------------

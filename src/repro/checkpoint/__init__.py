@@ -9,10 +9,7 @@ Layers (bottom up):
   (``repro-checkpoint/3``), a :class:`repro.util.ContentStore` written
   with atomic rename + fsync, corruption-tolerant on load;
 * :mod:`repro.checkpoint.runner` -- the checkpointing simulation
-  driver behind ``repro simulate --checkpoint-every/--resume-from``;
-* :mod:`repro.checkpoint.phases` -- the compile-side partition-search
-  entries (kept in a :class:`repro.batch.ResultCache`) a re-run resumes
-  from.
+  driver behind ``repro simulate --checkpoint-every/--resume-from``.
 
 See docs/checkpointing.md for the format, keys, and resume semantics.
 """

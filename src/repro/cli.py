@@ -21,6 +21,7 @@ Every command accepts MiniC source (``.c``-style) or textual IR
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -192,35 +193,12 @@ def cmd_dump_ir(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compile_checkpointed(args: argparse.Namespace, module, config,
-                          workload, telemetry):
-    """``compile_spt`` for the commands with ``--checkpoint-phases``:
-    returns the result and the phase cache (None when the flag is off),
-    whose counters are merged into ``telemetry``."""
-    phase_checkpoints = None
-    if getattr(args, "checkpoint_phases", False):
-        from repro.checkpoint.phases import phase_cache
-
-        phase_checkpoints = phase_cache(getattr(args, "checkpoint_dir", None))
-    result = compile_spt(
-        module, config, workload, telemetry=telemetry,
-        phase_checkpoints=phase_checkpoints,
-    )
-    if phase_checkpoints is not None and telemetry is not None:
-        telemetry.merge_counters(
-            phase_checkpoints.stats.as_counters("checkpoint")
-        )
-    return result, phase_checkpoints
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     config = _config_from_args(args)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
     telemetry = _telemetry_from_args(args)
-    result, phase_checkpoints = _compile_checkpointed(
-        args, module, config, workload, telemetry
-    )
+    result = compile_spt(module, config, workload, telemetry=telemetry)
 
     print(f"configuration: {args.config}")
     print(f"loop candidates: {len(result.candidates)}")
@@ -245,12 +223,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if result.svp_infos:
         print(f"value predictions: {result.svp_infos}")
     _print_degradations(result)
-    if phase_checkpoints is not None:
-        stats = phase_checkpoints.stats
-        print(
-            f"phase checkpoints: saves={stats.writes} "
-            f"restores={stats.hits} corrupt={stats.corrupt}"
-        )
     if args.emit_ir:
         print()
         print(format_module(module), end="")
@@ -269,30 +241,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # The evaluation run must fit the entry too: fail before compiling.
     check_workload(module, Workload(entry=args.entry, args=tuple(eval_args)))
     telemetry = _telemetry_from_args(args)
-    result, _ = _compile_checkpointed(args, module, config, workload, telemetry)
+    result = compile_spt(module, config, workload, telemetry=telemetry)
     if not result.spt_loops:
         print("no SPT loops selected; nothing to simulate")
         _print_degradations(result)
         _finish_telemetry(telemetry, args)
         return 1
 
-    checkpoint_every = getattr(args, "checkpoint_every", 0) or 0
-    resume_from = getattr(args, "resume_from", None)
     with _workload_run():
-        if checkpoint_every or resume_from is not None:
+        if args.checkpoint_every or args.resume_from is not None:
             from repro.checkpoint import run_checkpointed_simulation
 
             outcome, report = run_checkpointed_simulation(
                 module, result, config, entry=args.entry,
                 args=tuple(eval_args), fuel=args.fuel,
-                checkpoint_every=checkpoint_every, resume_from=resume_from,
-                checkpoint_dir=getattr(args, "checkpoint_dir", None),
+                checkpoint_every=args.checkpoint_every,
+                resume_from=args.resume_from,
+                checkpoint_dir=args.checkpoint_dir,
                 telemetry=telemetry,
             )
             if report.resumed_from is not None:
                 print(f"resumed from snapshot at {report.resumed_from} "
                       f"executed instructions")
-            if checkpoint_every:
+            if args.checkpoint_every:
                 print(f"snapshots saved: {len(report.saved_at)} "
                       f"(key {report.key[:12]}..., dir {report.directory})")
         else:
@@ -624,6 +595,34 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 # -- argument parsing ------------------------------------------------------
 
+def _bounded(parse, accept, expected: str):
+    """An argparse ``type=``: ``parse`` the text, then require
+    ``accept`` of the value, so an out-of-range value is a usage error
+    (exit 2) before any work starts."""
+    def convert(raw: str):
+        try:
+            value = parse(raw)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+
+    return convert
+
+
+_positive_float = _bounded(
+    float, lambda v: 0 < v < math.inf, "a positive number"
+)
+_positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_resume_point = _bounded(
+    lambda raw: raw if raw == "latest" else int(raw),
+    lambda v: v == "latest" or v >= 0,
+    "'latest' or a non-negative integer",
+)
+
+
 def _add_source(p):
     p.add_argument("source", help="MiniC or textual-IR file ('-' for stdin)")
     p.add_argument("--entry", default="main", help="entry function")
@@ -644,12 +643,14 @@ def _add_config_options(p):
         help="use full-recompute cost evaluation in the partition search",
     )
     p.add_argument(
-        "--search-deadline-ms", type=float, default=None, metavar="MS",
+        "--search-deadline-ms", type=_positive_float, default=None,
+        metavar="MS",
         help="anytime partition-search deadline: on expiry keep the "
              "best-so-far legal partition (flagged optimal=false)",
     )
     p.add_argument(
-        "--phase-deadline-ms", type=float, default=None, metavar="MS",
+        "--phase-deadline-ms", type=_positive_float, default=None,
+        metavar="MS",
         help="wall-clock watchdog per firewalled pipeline phase; an "
              "overrunning phase degrades its loop instead of wedging",
     )
@@ -682,20 +683,6 @@ def _add_obs_options(p):
     )
 
 
-def _add_checkpoint_options(p):
-    p.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
-             "else <cache-dir>/checkpoints)",
-    )
-    p.add_argument(
-        "--checkpoint-phases", action="store_true",
-        help="durably checkpoint completed compile phases (the "
-             "partition search per loop) so a crashed or killed "
-             "compile resumes past them on re-run",
-    )
-
-
 def _run_arguments(p):
     _add_source(p)
     p.add_argument("--timing", action="store_true", help="report cycles/IPC")
@@ -713,7 +700,6 @@ def _compile_arguments(p):
     _add_source(p)
     _add_config_options(p)
     _add_obs_options(p)
-    _add_checkpoint_options(p)
     p.add_argument(
         "--emit-ir", action="store_true", help="print the transformed IR"
     )
@@ -724,16 +710,21 @@ def _simulate_arguments(p):
     _add_source(p)
     _add_config_options(p)
     _add_obs_options(p)
-    _add_checkpoint_options(p)
     p.add_argument("--train-args", default=None,
                    help="profiling args (defaults to --args)")
     p.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-dir", default=None, metavar="DIR",
+        help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
+             "else <cache-dir>/checkpoints)",
+    )
+    p.add_argument(
+        "--checkpoint-every", type=_non_negative_int, default=0,
+        metavar="N",
         help="durably snapshot the whole simulation every N executed "
              "instructions (at the next block boundary); 0 disables",
     )
     p.add_argument(
-        "--resume-from", default=None, metavar="WHEN",
+        "--resume-from", type=_resume_point, default=None, metavar="WHEN",
         help="resume the simulation from a stored snapshot: 'latest' "
              "or an executed-instruction index upper bound",
     )
@@ -776,7 +767,7 @@ def _batch_arguments(p):
     _add_config_options(p)
     _add_obs_options(p)
     p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_positive_int, default=None, metavar="N",
         help="worker processes (default: os.cpu_count())",
     )
     p.add_argument(
@@ -789,7 +780,8 @@ def _batch_arguments(p):
         help="compile everything cold; do not read or write the cache",
     )
     p.add_argument(
-        "--cache-max-entries", type=int, default=None, metavar="N",
+        "--cache-max-entries", type=_non_negative_int, default=None,
+        metavar="N",
         help="evict oldest cache entries beyond N after the batch",
     )
     p.add_argument(
@@ -805,12 +797,13 @@ def _batch_arguments(p):
         help="suppress the per-program progress lines",
     )
     p.add_argument(
-        "--stall-timeout", type=float, default=None, metavar="S",
+        "--stall-timeout", type=_positive_float, default=None, metavar="S",
         help="seconds of total pool silence before remaining tasks are "
              "declared lost (default: config batch_stall_timeout_s, 60)",
     )
     p.add_argument(
-        "--program-timeout", type=float, default=None, metavar="S",
+        "--program-timeout", type=_positive_float, default=None,
+        metavar="S",
         help="per-program wall-clock budget in each worker; an "
              "overrunning program is retried once on the degraded "
              "ladder configuration, then reported as status=timeout",
@@ -865,7 +858,7 @@ def _fuzz_arguments(p):
         help="campaign base seed (default: $REPRO_TEST_SEED or 0)",
     )
     p.add_argument(
-        "--iterations", type=int, default=100,
+        "--iterations", type=_non_negative_int, default=100,
         help="number of generated programs (default 100)",
     )
     p.add_argument(

@@ -291,9 +291,11 @@ def find_optimal_partition(
     if telemetry.enabled:
         telemetry.count("partition.loops_searched")
         telemetry.count("partition.search_nodes", search_nodes)
-        telemetry.count("partition.cost_evaluations", evaluator.evaluations)
-        telemetry.count("partition.cost_cache_hits", evaluator.cache_hits)
-        telemetry.count("partition.cost_node_visits", evaluator.node_visits)
+        # The search's own queries, as on the result: the breakdown's
+        # attribution queries above are not search work.
+        telemetry.count("partition.cost_evaluations", result.evaluations)
+        telemetry.count("partition.cost_cache_hits", result.cache_hits)
+        telemetry.count("partition.cost_node_visits", result.cost_node_visits)
         telemetry.count("partition.pruned_size", pruned_size)
         telemetry.count("partition.pruned_bound", pruned_bound)
         if budget_exhausted:

@@ -46,7 +46,6 @@ from repro.core.transform import (
     transform_loop,
 )
 from repro.core.unroll import UnrollReport, unroll_function
-from repro.core.violation import find_violation_candidates
 from repro.ir.function import Module
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.profiling.compiled import make_machine
@@ -55,7 +54,6 @@ from repro.resilience.degradation import DegradationRecord, KIND_SEARCH_BUDGET
 from repro.resilience.ladder import RUNG_FULL, RUNG_SKIP, ladder_rungs
 from repro.profiling.dep_profile import DependenceProfile
 from repro.profiling.edge_profile import EdgeProfile
-from repro.profiling.interp import Machine
 from repro.profiling.value_profile import ValueProfile
 from repro.ssa.construct import build_ssa
 from repro.ssa.optimize import optimize
@@ -128,9 +126,6 @@ class CompilationResult:
     def category_histogram(self) -> Dict[str, int]:
         return category_histogram(self.candidates)
 
-    def spt_loop_keys(self) -> List[Tuple[str, str]]:
-        return [(c.func_name, c.loop.header) for c in self.selected]
-
     @staticmethod
     def candidate_dict(c: LoopCandidate) -> Dict:
         """The JSON-serializable record for one loop candidate.
@@ -172,7 +167,8 @@ class CompilationResult:
         return {
             "candidates": candidates,
             "selected": [
-                {"function": f, "header": h} for f, h in self.spt_loop_keys()
+                {"function": c.func_name, "header": c.loop.header}
+                for c in self.selected
             ],
             "categories": self.category_histogram(),
             "svp": [
@@ -235,9 +231,7 @@ def _analyze_loop(
     modref: Optional[ModRefSummaries],
     telemetry=NULL_TELEMETRY,
     rung: str = RUNG_FULL,
-    phase_checkpoints=None,
     prebuilt_graph: Optional[LoopDepGraph] = None,
-    program_key: Optional[str] = None,
 ) -> Tuple[Optional[LoopCandidate], Optional[LoopDepGraph],
            Optional[DegradationRecord]]:
     """Run the pass-1 core (Figure 3) on one loop.
@@ -248,160 +242,120 @@ def _analyze_loop(
 
     ``prebuilt_graph`` is a dependence graph a previous (faulted) rung
     already built for this loop: the dep-graph phase is then skipped --
-    sound because ladder rungs only vary search-phase knobs.
-    ``phase_checkpoints`` is an optional :class:`repro.batch.cache.
-    ResultCache`; when set, a completed search restores from its
-    ``search`` entry under ``program_key`` and a fresh search is durably
-    recorded into it."""
+    sound because ladder rungs only vary search-phase knobs."""
     with telemetry.span("analyze_loop", function=func.name, loop=loop.header):
-        return _analyze_loop_inner(
-            module, func, loop, config, edge_profile, dep_profile, modref,
-            telemetry, rung, phase_checkpoints, prebuilt_graph, program_key,
+        loop_name = f"{func.name}:{loop.header}"
+        rung_label = None if rung == RUNG_FULL else rung
+
+        # -- dep-graph phase (firewalled): CFG, trip counts, the
+        # transformability check, and the annotated dependence graph.
+        def _build(watchdog):
+            cfg = CFG.build(func)
+            trip = edge_profile.trip_count(func, loop, cfg)
+            iterations = edge_profile.loop_iterations(func, loop, cfg)
+            if prebuilt_graph is not None:
+                # A previous rung already built (and transformability-
+                # checked) this loop's graph; only the trip statistics
+                # are recomputed.
+                return prebuilt_graph, trip, iterations, None
+            try:
+                check_transformable(func, loop, cfg)
+            except TransformError as exc:
+                # An untransformable loop is an expected §6.1 category,
+                # not a fault -- report it as data, don't let the
+                # firewall degrade it.
+                return None, trip, iterations, str(exc)
+            dep_view = (
+                dep_profile.view(func.name, loop) if dep_profile else None
+            )
+            graph = build_dep_graph(
+                module,
+                func,
+                loop,
+                edge_profile=edge_profile,
+                dep_profile=dep_view,
+                static_mem_prob=config.static_mem_prob,
+                static_call_prob=config.static_call_prob,
+                modref=modref,
+            )
+            if config.enable_privatization:
+                privatize(graph)
+            return graph, trip, iterations, None
+
+        built, record = run_contained(
+            "depgraph", _build, telemetry=telemetry,
+            deadline_ms=config.phase_deadline_ms, loop=loop_name, rung=rung,
         )
+        if record is not None:
+            return None, None, record
+        graph, trip, iterations, transform_error = built
+        if graph is None:
+            candidate = LoopCandidate(
+                func.name,
+                loop,
+                partition=None,
+                dynamic_body_size=loop.body_size(func),
+                trip_count=trip,
+                total_iterations=iterations,
+                irregular=True,
+            )
+            candidate.transform_error = transform_error
+            if telemetry.enabled:
+                telemetry.count("pipeline.loops_irregular")
+                telemetry.event(
+                    "transform.rejected",
+                    function=func.name,
+                    loop=loop.header,
+                    stage="check_transformable",
+                    error=transform_error,
+                )
+            return candidate, None, None
 
+        # -- cost-graph + partition-search phase (firewalled) ------------
+        def _search(watchdog):
+            dynamic_size = expected_size(graph.info.values())
+            partition = find_optimal_partition(
+                graph, config, telemetry=telemetry
+            )
+            return dynamic_size, partition
 
-def _analyze_loop_inner(
-    module: Module,
-    func,
-    loop: Loop,
-    config: SptConfig,
-    edge_profile: EdgeProfile,
-    dep_profile: Optional[DependenceProfile],
-    modref: Optional[ModRefSummaries],
-    telemetry=NULL_TELEMETRY,
-    rung: str = RUNG_FULL,
-    phase_checkpoints=None,
-    prebuilt_graph: Optional[LoopDepGraph] = None,
-    program_key: Optional[str] = None,
-) -> Tuple[Optional[LoopCandidate], Optional[LoopDepGraph],
-           Optional[DegradationRecord]]:
-    loop_key = f"{func.name}:{loop.header}"
-    rung_label = None if rung == RUNG_FULL else rung
-
-    # -- dep-graph phase (firewalled): CFG, trip counts, the
-    # transformability check, and the annotated dependence graph.
-    def _build(watchdog):
-        cfg = CFG.build(func)
-        trip = edge_profile.trip_count(func, loop, cfg)
-        iterations = edge_profile.loop_iterations(func, loop, cfg)
-        if prebuilt_graph is not None:
-            # A previous rung already built (and transformability-
-            # checked) this loop's graph; only the trip statistics are
-            # recomputed.
-            return prebuilt_graph, trip, iterations, None
-        try:
-            check_transformable(func, loop, cfg)
-        except TransformError as exc:
-            # An untransformable loop is an expected §6.1 category, not
-            # a fault -- report it as data, don't let the firewall
-            # degrade it.
-            return None, trip, iterations, str(exc)
-        dep_view = dep_profile.view(func.name, loop) if dep_profile else None
-        graph = build_dep_graph(
-            module,
-            func,
-            loop,
-            edge_profile=edge_profile,
-            dep_profile=dep_view,
-            static_mem_prob=config.static_mem_prob,
-            static_call_prob=config.static_call_prob,
-            modref=modref,
+        searched, record = run_contained(
+            "search", _search, telemetry=telemetry,
+            deadline_ms=config.phase_deadline_ms, loop=loop_name, rung=rung,
         )
-        if config.enable_privatization:
-            privatize(graph)
-        return graph, trip, iterations, None
+        if record is not None:
+            return None, graph, record
+        dynamic_size, partition = searched
 
-    built, record = run_contained(
-        "depgraph", _build, telemetry=telemetry,
-        deadline_ms=config.phase_deadline_ms, loop=loop_key, rung=rung,
-    )
-    if record is not None:
-        return None, None, record
-    graph, trip, iterations, transform_error = built
-    if graph is None:
         candidate = LoopCandidate(
             func.name,
             loop,
-            partition=None,
-            dynamic_body_size=loop.body_size(func),
+            partition=partition,
+            dynamic_body_size=dynamic_size,
             trip_count=trip,
             total_iterations=iterations,
-            irregular=True,
         )
-        candidate.transform_error = transform_error
+        if partition.budget_exhausted or partition.deadline_exhausted:
+            # The anytime machinery truncated the search: the partition
+            # is legal but possibly sub-optimal.  Surface that as a
+            # search_budget degradation without changing the
+            # candidate's selection category.
+            budget_record = DegradationRecord(
+                phase="search",
+                kind=KIND_SEARCH_BUDGET,
+                message=(
+                    "anytime deadline expired; best-so-far partition kept"
+                    if partition.deadline_exhausted
+                    else "node budget exhausted; best-so-far partition kept"
+                ),
+                loop=loop_name,
+                rung=rung_label,
+            )
+            candidate.degradation = budget_record
+            telemetry.record_degradation(budget_record)
         if telemetry.enabled:
-            telemetry.count("pipeline.loops_irregular")
-            telemetry.event(
-                "transform.rejected",
-                function=func.name,
-                loop=loop.header,
-                stage="check_transformable",
-                error=transform_error,
-            )
-        return candidate, None, None
-
-    # -- cost-graph + partition-search phase (firewalled) ----------------
-    def _search(watchdog):
-        dynamic_size = expected_size(graph.info.values())
-        if phase_checkpoints is not None:
-            from repro.checkpoint.phases import load_search
-
-            restored = load_search(
-                phase_checkpoints, program_key, func, loop.header, config,
-                graph,
-            )
-            if restored is not None:
-                return dynamic_size, restored, True
-        partition = find_optimal_partition(graph, config, telemetry=telemetry)
-        return dynamic_size, partition, False
-
-    searched, record = run_contained(
-        "search", _search, telemetry=telemetry,
-        deadline_ms=config.phase_deadline_ms, loop=loop_key, rung=rung,
-    )
-    if record is not None:
-        return None, graph, record
-    dynamic_size, partition, restored = searched
-    if phase_checkpoints is not None and not restored:
-        # Durably record the completed search (outside the firewall:
-        # save suppresses its own failures) so a crashed/killed compile
-        # resumes here instead of searching this loop again.
-        from repro.checkpoint.phases import save_search
-
-        save_search(
-            phase_checkpoints, program_key, func, loop.header, config,
-            graph, partition,
-        )
-
-    candidate = LoopCandidate(
-        func.name,
-        loop,
-        partition=partition,
-        dynamic_body_size=dynamic_size,
-        trip_count=trip,
-        total_iterations=iterations,
-    )
-    if partition.budget_exhausted or partition.deadline_exhausted:
-        # The anytime machinery truncated the search: the partition is
-        # legal but possibly sub-optimal.  Surface that as a
-        # search_budget degradation without changing the candidate's
-        # selection category.
-        budget_record = DegradationRecord(
-            phase="search",
-            kind=KIND_SEARCH_BUDGET,
-            message=(
-                "anytime deadline expired; best-so-far partition kept"
-                if partition.deadline_exhausted
-                else "node budget exhausted; best-so-far partition kept"
-            ),
-            loop=loop_key,
-            rung=rung_label,
-        )
-        candidate.degradation = budget_record
-        telemetry.record_degradation(budget_record)
-    if telemetry.enabled:
-        telemetry.count("pipeline.loops_analyzed")
-    return candidate, graph, None
+            telemetry.count("pipeline.loops_analyzed")
+        return candidate, graph, None
 
 
 def _analyze_loop_resilient(
@@ -413,8 +367,6 @@ def _analyze_loop_resilient(
     dep_profile: Optional[DependenceProfile],
     modref: Optional[ModRefSummaries],
     telemetry=NULL_TELEMETRY,
-    phase_checkpoints=None,
-    program_key: Optional[str] = None,
 ) -> Tuple[LoopCandidate, Optional[LoopDepGraph], List[DegradationRecord]]:
     """The degradation-ladder driver around :func:`_analyze_loop`.
 
@@ -425,20 +377,15 @@ def _analyze_loop_resilient(
     PASSTHROUGH` excepted); always returns a candidate, plus every
     degradation record the attempts produced.
 
-    Phase outputs checkpoint across rungs: a dependence graph built by
-    a rung whose *search* then faulted is handed to the next rung
-    instead of being rebuilt, and (with ``phase_checkpoints``) a
-    completed search is durably recorded so a crashed process resumes
-    past it."""
-    loop_key = f"{func.name}:{loop.header}"
+    A dependence graph built by a rung whose *search* then faulted is
+    handed to the next rung instead of being rebuilt."""
+    loop_name = f"{func.name}:{loop.header}"
     records: List[DegradationRecord] = []
     built_graph: Optional[LoopDepGraph] = None
     for rung, rung_config in ladder_rungs(config):
         candidate, graph, record = _analyze_loop(
             module, func, loop, rung_config, edge_profile, dep_profile,
-            modref, telemetry, rung=rung,
-            phase_checkpoints=phase_checkpoints, prebuilt_graph=built_graph,
-            program_key=program_key,
+            modref, telemetry, rung=rung, prebuilt_graph=built_graph,
         )
         if graph is not None and built_graph is None:
             built_graph = graph
@@ -453,7 +400,7 @@ def _analyze_loop_resilient(
                 telemetry.count("resilience.ladder.recovered")
                 telemetry.event(
                     "resilience.ladder",
-                    loop=loop_key,
+                    loop=loop_name,
                     rung=rung,
                     outcome="recovered",
                 )
@@ -463,7 +410,7 @@ def _analyze_loop_resilient(
             telemetry.count(f"resilience.ladder.{rung}")
             telemetry.event(
                 "resilience.ladder",
-                loop=loop_key,
+                loop=loop_name,
                 rung=rung,
                 outcome="faulted",
                 kind=record.kind,
@@ -472,7 +419,7 @@ def _analyze_loop_resilient(
     if telemetry.enabled:
         telemetry.count(f"resilience.ladder.{RUNG_SKIP}")
         telemetry.event(
-            "resilience.ladder", loop=loop_key, rung=RUNG_SKIP,
+            "resilience.ladder", loop=loop_name, rung=RUNG_SKIP,
             outcome="skipped",
         )
     try:
@@ -496,7 +443,6 @@ def _analyze_loop_resilient(
 
 def compile_spt(
     module: Module, config: SptConfig, workload: Workload, telemetry=None,
-    phase_checkpoints=None,
 ) -> CompilationResult:
     """Run the full two-pass SPT compilation on ``module`` in place.
 
@@ -505,23 +451,11 @@ def compile_spt(
     the search/profiling layers below report counters.  The caller owns
     the telemetry lifecycle (``close()`` flushes the sinks).
 
-    ``phase_checkpoints`` is an optional :class:`repro.batch.cache.
-    ResultCache`: completed partition searches are durably recorded
-    there as ``search`` entries keyed by this module, config and
-    workload, and restored on a re-run, so a compile that crashed or
-    hung mid-search resumes from its last finished phase (see
-    docs/checkpointing.md).
-
     Raises :class:`WorkloadError` before any work when the workload
     cannot call its entry function."""
     check_workload(module, workload)
     telemetry = telemetry or NULL_TELEMETRY
     result = CompilationResult(module, config)
-    program_key = None
-    if phase_checkpoints is not None:
-        from repro.checkpoint.phases import module_key
-
-        program_key = module_key(module, config, workload)
 
     # -- loop preprocessing: unrolling (pre-SSA, §7.1) -------------------
     with telemetry.span("unroll"):
@@ -583,8 +517,7 @@ def compile_spt(
             for loop in nest.loops:
                 candidate, graph, records = _analyze_loop_resilient(
                     module, func, loop, config, edge_profile, dep_profile,
-                    modref, telemetry, phase_checkpoints=phase_checkpoints,
-                    program_key=program_key,
+                    modref, telemetry,
                 )
                 result.degradations.extend(records)
                 candidates.append(candidate)
@@ -599,18 +532,8 @@ def compile_spt(
             svp_out, record = run_contained(
                 "svp",
                 lambda wd: _svp_round(
-                    module,
-                    config,
-                    workload,
-                    candidates,
-                    graphs,
-                    edge_profile,
-                    dep_profile,
-                    modref,
-                    result,
-                    telemetry,
-                    phase_checkpoints,
-                    program_key,
+                    module, config, workload, candidates, graphs,
+                    edge_profile, dep_profile, modref, result, telemetry,
                 ),
                 telemetry=telemetry,
                 deadline_ms=config.phase_deadline_ms,
@@ -722,18 +645,8 @@ def compile_spt(
 
 
 def _svp_round(
-    module,
-    config,
-    workload,
-    candidates,
-    graphs,
-    edge_profile,
-    dep_profile,
-    modref,
-    result,
-    telemetry=NULL_TELEMETRY,
-    phase_checkpoints=None,
-    program_key=None,
+    module, config, workload, candidates, graphs, edge_profile, dep_profile,
+    modref, result, telemetry=NULL_TELEMETRY,
 ):
     """Value-profile critical VCs of high-cost loops, apply SVP, and
     re-analyze the loops that changed."""
@@ -801,8 +714,7 @@ def _svp_round(
             continue
         refreshed, graph, records = _analyze_loop_resilient(
             module, func, matching[0], config, edge_profile, dep_profile,
-            modref, telemetry, phase_checkpoints=phase_checkpoints,
-            program_key=program_key,
+            modref, telemetry,
         )
         result.degradations.extend(records)
         refreshed.svp_applied = True

@@ -2,13 +2,12 @@
 append-only JSONL log.
 
 Every on-disk store in the system is a :class:`ContentStore` -- the
-batch result cache (program entries, and the partition-search entries
-``--checkpoint-phases`` keeps) and the simulation snapshot store -- and
-the one log, the batch resume journal, is a :class:`JsonlLog`.  Each
-owns its idiom once:
+batch result cache (program entries and the source index in front of
+them) and the simulation snapshot store -- and the one log, the batch
+resume journal, is a :class:`JsonlLog`.  Each owns its idiom once:
 
 * :func:`content_key` -- SHA-256 over ``\\x1f``-joined string parts;
-  every key in the system (program, loop, search, snapshot run, batch
+  every key in the system (program, source, snapshot run, batch
   journal) is one of these.
 * :class:`ContentStore` -- entries live at
   ``<root>/v<N>/<k[:2]>/<k>.json``, or ``<root>/v<N>/<k[:2]>/<k>/

@@ -118,6 +118,37 @@ def test_workload_change_invalidates(cache):
     assert entry["cached"] is False
 
 
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "golden", "corpus")
+
+
+@pytest.mark.parametrize(
+    "program", sorted(p for p in os.listdir(CORPUS) if p.endswith(".c"))
+)
+def test_corpus_entries_are_workload_keyed(cache, program):
+    """Pass 1 takes its probabilities from one training run, so an entry
+    cached under one workload must never answer for another, while the
+    same workload again is served what a fresh compile produces."""
+    with open(os.path.join(CORPUS, program)) as handle:
+        source = handle.read()
+
+    compile_program_task(make_task(source=source, args=[8]), cache)
+    other, stats = compile_program_task(
+        make_task(source=source, args=[200]), cache
+    )
+    assert other["status"] == "ok" and other["cached"] is False
+    assert stats["hits"] == 0 and stats["corrupt"] == 0
+
+    fresh, _ = compile_program_task(make_task(source=source, args=[200]), None)
+    again, stats = compile_program_task(
+        make_task(source=source, args=[200]), cache
+    )
+    assert again["cached"] is True and stats["misses"] == 0
+    assert again["summary"] == other["summary"] == fresh["summary"]
+    assert again["sha256"] == other["sha256"] == fresh["sha256"]
+    other.pop("cached"), again.pop("cached")
+    assert entry_bytes(other) == entry_bytes(again)
+
+
 def test_version_bump_invalidates(cache, monkeypatch):
     compile_program_task(make_task(), cache)
     monkeypatch.setattr(cache_mod, "CACHE_FORMAT_VERSION", 999)

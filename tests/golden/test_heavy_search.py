@@ -110,3 +110,26 @@ def test_heavy_searches_stay_heavy(actual):
     snapshot stops guarding the evaluator's parent probe."""
     for tag, entry in actual.items():
         assert entry["counters"]["partition.search_nodes"] >= 5000, tag
+
+
+#: Each summed ``partition.`` counter and the ``PartitionResult.to_dict()``
+#: field it sums over the searched loops.
+SUMMED_COUNTERS = {
+    "partition.search_nodes": "search_nodes",
+    "partition.cost_evaluations": "evaluations",
+    "partition.cost_cache_hits": "cache_hits",
+    "partition.cost_node_visits": "cost_node_visits",
+    "partition.pruned_size": "pruned_size",
+    "partition.pruned_bound": "pruned_bound",
+}
+
+
+def test_counters_are_the_sums_of_the_per_loop_results(actual):
+    """The telemetry counters and the per-loop numbers count the same
+    queries: none from the post-search cost breakdown."""
+    for tag, entry in actual.items():
+        loops = entry["loops"].values()
+        assert entry["counters"]["partition.loops_searched"] == len(loops)
+        for counter, field in SUMMED_COUNTERS.items():
+            total = sum(loop["result"][field] for loop in loops)
+            assert entry["counters"][counter] == total, (tag, counter)

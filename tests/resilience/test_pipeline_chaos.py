@@ -83,6 +83,17 @@ def test_ladder_recovers_after_bounded_fault(monkeypatch):
     assert "recovered" in outcomes
 
 
+def test_ladder_reuses_depgraph_across_rungs(monkeypatch):
+    """A search fault on the full rung must not rebuild the dependence
+    graph on the retry rung."""
+    monkeypatch.setenv(FAULT_ENV_VAR, "search:raise:1")
+    telemetry = Telemetry()
+    result = compile_program(telemetry=telemetry)
+    telemetry.close()
+    assert result.spt_loops  # recovered on a later rung
+    assert telemetry.counters.get("resilience.ladder.graph_reused", 0) > 0
+
+
 def test_persistent_fault_descends_ladder_to_skip(monkeypatch):
     monkeypatch.setenv(FAULT_ENV_VAR, "search:raise")
     telemetry = Telemetry()

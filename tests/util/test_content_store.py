@@ -11,30 +11,9 @@ import pytest
 
 from repro.batch.cache import ResultCache
 from repro.batch.journal import JOURNAL_SCHEMA, batch_key
-from repro.checkpoint.phases import phase_cache
 from repro.checkpoint.store import CheckpointStore
-from repro.core.config import best_config
-from repro.core.pipeline import Workload, compile_spt
-from repro.frontend import compile_minic
 from repro.resilience.faults import reset_fault_state
 from repro.util import JsonlLog, content_key
-
-SOURCE = """
-global int data[512];
-global int out[512];
-
-int main(int n) {
-    int s = 0;
-    for (int i = 0; i < n; i++) {
-        int x = data[i & 511];
-        int a = x * 3 + i;
-        int b = (a << 2) ^ x;
-        out[i & 511] = b & 1023;
-        s += b & 31;
-    }
-    return s;
-}
-"""
 
 KEY = content_key("test", "entry")
 
@@ -62,14 +41,6 @@ CORRUPTORS = {
     "wrong-name": _rewrite(lambda d: d.update(name="00000000000000000007")),
     "bad-payload": _rewrite(lambda d: d.update(payload=None)),
 }
-
-
-def _compiled(store=None):
-    result = compile_spt(
-        compile_minic(SOURCE), best_config(), Workload(args=(48,)),
-        phase_checkpoints=store,
-    )
-    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 class ProgramEntries:
@@ -104,27 +75,9 @@ class SnapshotEntries:
         return None
 
 
-class SearchEntries:
-    """``--checkpoint-phases`` search entries: a corrupt entry makes the
-    compile search again, to the same answer."""
-
-    def open(self, root):
-        return phase_cache(root)
-
-    def fill(self, store):
-        _compiled(store)
-
-    def read(self, store):
-        return _compiled(store)
-
-    def miss(self):
-        return _compiled()
-
-
 STORES = {
     "result-cache": ProgramEntries(),
     "snapshot": SnapshotEntries(),
-    "search": SearchEntries(),
 }
 
 
@@ -169,9 +122,6 @@ def test_keys_are_unit_separated_sha256():
 
     program = ResultCache.program_key("module m", "fp", "wl")
     assert program == sha("repro-batch-cache/1\x1ffp\x1fwl\x1fmodule m")
-    assert ResultCache.loop_key(program, "main", "h") == sha(
-        f"{program}\x1fmain\x1fh"
-    )
     assert CheckpointStore.run_key("module m", "fp", "wl") == sha(
         "repro-checkpoint/3\x1ffp\x1fwl\x1fmodule m"
     )
