@@ -1,8 +1,7 @@
-"""Classic compiler analyses: CFG, dominators, loops, def-use, aliasing,
-and the loop data-dependence graph used by the SPT cost model."""
+"""Classic compiler analyses: CFG, dominators, loops, aliasing, and the
+loop data-dependence graph used by the SPT cost model."""
 
 from repro.analysis.cfg import CFG, split_edge
-from repro.analysis.defuse import DefUse
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import (
     InductionVariable,
@@ -14,7 +13,6 @@ from repro.analysis.loops import (
 
 __all__ = [
     "CFG",
-    "DefUse",
     "DominatorTree",
     "InductionVariable",
     "Loop",

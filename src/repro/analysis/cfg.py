@@ -7,11 +7,11 @@ the dominator and loop analyses need.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.block import Block
 from repro.ir.function import Function
-from repro.ir.instr import Branch, Jump, Phi
+from repro.ir.instr import Branch, Jump
 
 Edge = Tuple[str, str]
 
@@ -130,10 +130,3 @@ def split_edge(func: Function, src_label: str, dst_label: str, label_hint: str =
         if src_label in phi.incomings:
             phi.incomings[new_label] = phi.incomings.pop(src_label)
     return new_block
-
-
-def retarget_phis(block: Block, old_pred: str, new_pred: str) -> None:
-    """Rename a predecessor label in all of ``block``'s phi nodes."""
-    for phi in block.phis():
-        if old_pred in phi.incomings:
-            phi.incomings[new_pred] = phi.incomings.pop(old_pred)

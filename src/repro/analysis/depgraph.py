@@ -40,7 +40,7 @@ from repro.analysis.loops import Loop
 from repro.analysis.loopsummary import DEFAULT_INNER_TRIP, LoopSummary
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
-from repro.ir.instr import Branch, Call, Instr, Load, Phi, Store
+from repro.ir.instr import Branch, Call, Instr, Phi
 from repro.ir.values import Const, Var
 
 #: Default probability for a may-alias (but unproven) memory dependence,
@@ -144,10 +144,6 @@ class LoopDepGraph:
 
     def cross_true_edges(self) -> List[DepEdge]:
         return [e for e in self.edges if e.cross and e.kind == "true"]
-
-    def intra_edges(self, kinds: Iterable[str] = ("true",)) -> List[DepEdge]:
-        kind_set = set(kinds)
-        return [e for e in self.edges if not e.cross and e.kind in kind_set]
 
     def intra_preds(self, instr: Instr, kinds: Iterable[str]) -> List[DepEdge]:
         kind_set = set(kinds)

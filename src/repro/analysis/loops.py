@@ -121,9 +121,6 @@ class LoopNest:
             loop.loop_id = loop_id
         return cls(func, loops, cfg)
 
-    def top_level(self) -> List[Loop]:
-        return [loop for loop in self.loops if loop.parent is None]
-
     def loop_of_block(self, label: str) -> Optional[Loop]:
         """The innermost loop containing ``label``, if any."""
         best: Optional[Loop] = None

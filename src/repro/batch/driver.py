@@ -4,10 +4,11 @@ Programs are expanded from directories/globs, sorted, and submitted
 to the compile-worker pool (:class:`repro.batch.lifecycle.WorkerPool`).
 Results arrive in completion order and are merged back into task
 order, so the manifest is deterministic regardless of ``--jobs`` or
-scheduling.  The pool charges a hard worker death to the program the
-worker claimed (a structured ``status: "crashed"`` entry) and respawns
-the worker, so one bad program can never take down the batch; the
-driver adds the stall backstop, live progress and the resume journal.
+scheduling.  The pool hands each worker one program at a time, so it
+charges a worker's death to exactly the program that worker held (a
+structured ``status: "crashed"`` entry) and respawns the worker: one
+bad program can never take down the batch.  The driver adds live
+progress and the resume journal.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ import time
 from typing import Dict, List, Optional
 
 from repro.batch.cache import ResultCache, default_cache_dir
-from repro.batch.lifecycle import WorkerPool, crashed_entry
+from repro.batch.lifecycle import WorkerPool
 from repro.batch.manifest import build_manifest
 from repro.batch.progress import ProgressTracker
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.util.store import StoreStats
 
 __all__ = ["BatchResult", "expand_inputs", "run_batch"]
-
-#: Default seconds between worker heartbeats (clamped to a quarter of
-#: the stall window so a healthy pool beats several times per window).
-HEARTBEAT_S = 0.5
 
 _SOURCE_SUFFIXES = (".c", ".minic", ".ir")
 
@@ -149,10 +146,8 @@ def run_batch(
     cache_max_entries: Optional[int] = None,
     telemetry=None,
     progress=None,
-    stall_timeout: Optional[float] = None,
     program_timeout: Optional[float] = None,
     progress_path: Optional[str] = None,
-    heartbeat_s: Optional[float] = None,
     status=None,
     resume: bool = False,
     journal_dir: Optional[str] = None,
@@ -162,17 +157,13 @@ def run_batch(
     ``progress`` is an optional callable receiving one finished entry
     at a time (completion order), for CLI streaming output.
 
-    ``stall_timeout`` overrides the driver's liveness backstop (default:
-    the config's ``batch_stall_timeout_s``); the backstop fires only
-    after that long without any worker heartbeat, start, or result.
     ``program_timeout`` arms a per-program SIGALRM in each worker -- an
     overrunning program is retried once on the degraded ladder
     configuration and only then reported with ``status: "timeout"``.
 
-    Live progress: workers heartbeat every ``heartbeat_s`` seconds
-    (default 0.5); ``status`` is an optional callable receiving the
+    Live progress: ``status`` is an optional callable receiving the
     refreshed one-line status string, and ``progress_path`` names a
-    ``progress.json`` document (schema ``repro-batch-progress/1``)
+    ``progress.json`` document (schema ``repro-batch-progress/2``)
     rewritten atomically as the batch advances.
 
     ``resume=True`` makes the run crash-resumable: every finished entry
@@ -182,12 +173,8 @@ def run_batch(
     recompiled.  The final manifest is byte-identical to an
     uninterrupted run's."""
     telemetry = telemetry or NULL_TELEMETRY
-    if stall_timeout is not None and stall_timeout <= 0:
-        raise ValueError("stall_timeout must be positive when set")
     if program_timeout is not None and program_timeout <= 0:
         raise ValueError("program_timeout must be positive when set")
-    if heartbeat_s is not None and heartbeat_s <= 0:
-        raise ValueError("heartbeat_s must be positive when set")
     paths = expand_inputs(list(inputs))
     if not paths:
         raise FileNotFoundError("no input programs found")
@@ -204,8 +191,6 @@ def run_batch(
     from repro.batch.worker import config_from_task
 
     config = config_from_task(tasks[0])
-    if stall_timeout is None:
-        stall_timeout = config.batch_stall_timeout_s
 
     journal = None
     resumed_entries: Dict[int, Dict] = {}
@@ -224,11 +209,9 @@ def run_batch(
 
     started = time.perf_counter()
     with telemetry.span("batch", jobs=jobs, programs=len(tasks)):
-        entries, cache_stats, source_stats, tracker = _execute(
+        entries, cache_stats, source_stats = _execute(
             tasks, jobs, effective_cache_dir, telemetry, progress,
-            stall_timeout,
             progress_path=progress_path,
-            heartbeat_s=heartbeat_s,
             status=status,
             journal=journal,
             resumed_entries=resumed_entries,
@@ -261,7 +244,7 @@ def run_batch(
         "programs": len(entries),
         "ok": statuses.count("ok"),
         "errors": statuses.count("error"),
-        "crashed": statuses.count("crashed") + statuses.count("lost"),
+        "crashed": statuses.count("crashed"),
         "timeouts": statuses.count("timeout"),
         "degraded_programs": sum(1 for e in entries if e.get("degraded")),
         # Total contained-fault records across the batch (the summaries'
@@ -276,21 +259,15 @@ def run_batch(
         "cache_dir": effective_cache_dir,
         "cache": cache_stats.to_dict(),
         "source_index": source_stats.to_dict(),
-        "heartbeats": tracker.heartbeats,
     }
     return BatchResult(manifest, entries, stats, cache_stats)
 
 
-def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
-             progress_path=None, heartbeat_s=None, status=None,
+def _execute(tasks, jobs, cache_dir, telemetry, progress,
+             progress_path=None, status=None,
              journal=None, resumed_entries=None):
     """Drive the worker pool; returns (entries in task order,
-    program-entry StoreStats, source-index StoreStats, ProgressTracker).
-
-    ``stall_timeout`` is the backstop for the tiny window where a worker
-    dies between dequeue and claim: after that long without any
-    heartbeat, start or result, the unfinished tasks are declared lost.
-    Normal batches never get near it."""
+    program-entry StoreStats, source-index StoreStats)."""
     entries: List[Optional[Dict]] = [None] * len(tasks)
     pending = set(range(len(tasks)))
 
@@ -301,9 +278,6 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
         pending.discard(index)
 
     jobs = max(1, min(jobs, len(pending))) if pending else 0
-    if heartbeat_s is None:
-        # Several beats per backstop window, without busy-beating.
-        heartbeat_s = max(0.05, min(HEARTBEAT_S, stall_timeout / 4.0))
 
     cache_stats = StoreStats()
     source_stats = StoreStats()
@@ -312,8 +286,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
         tracker.on_done(None, entries[index])
         if progress is not None:
             progress(entries[index])
-    pool = WorkerPool(jobs, cache_dir, heartbeat_s=heartbeat_s,
-                      observe=bool(telemetry.enabled))
+    pool = WorkerPool(jobs, cache_dir, observe=bool(telemetry.enabled))
     for index in sorted(pending):
         pool.submit(index, tasks[index])
 
@@ -332,7 +305,8 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
         if progress_path is not None:
             tracker.write(progress_path)
 
-    def finish(index: int, entry: Dict, worker: Optional[int] = None) -> None:
+    def absorb(event: Dict) -> None:
+        index, entry = event["id"], event["entry"]
         entries[index] = entry
         pending.discard(index)
         if journal is not None:
@@ -340,12 +314,9 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
             # entry counts as done, so a SIGKILL can lose at most work
             # that was never reported finished.
             journal.record(index, tasks[index], entry)
-        tracker.on_done(worker, entry)
+        tracker.on_done(event["worker"], entry)
         if progress is not None:
             progress(entry)
-
-    def absorb(event: Dict) -> None:
-        finish(event["id"], event["entry"], event["worker"])
         if event["kind"] == "crashed":
             if telemetry.enabled:
                 telemetry.event(
@@ -373,39 +344,15 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress, stall_timeout,
         publish(force=True)
         while pending:
             for event in pool.poll():
-                kind = event["kind"]
-                if kind in ("done", "crashed"):
-                    if event["id"] in pending:
-                        absorb(event)
-                elif kind == "start":
+                if event["kind"] == "start":
                     tracker.on_start(event["worker"], event["id"],
                                      tasks[event["id"]]["path"])
-                elif kind == "heartbeat":
-                    tracker.on_heartbeat(event["worker"], event["id"])
-                elif kind == "exit":
-                    tracker.on_worker_dead(event["worker"])
-                    if event["exitcode"] != 0:
-                        # A crash was attributed and the worker respawned.
-                        tracker.note_activity()
+                elif event["kind"] in ("done", "crashed"):
+                    absorb(event)
             publish()
-            if pending and tracker.seconds_since_heartbeat() > stall_timeout:
-                # Backstop: the pool shows no sign of life -- no
-                # heartbeat, start, or result for a whole window.  A
-                # slow-but-alive worker keeps heartbeating and never
-                # trips this; a hung *program* is the per-program
-                # timeout's job, not the backstop's.
-                for index in sorted(pending):
-                    finish(
-                        index,
-                        crashed_entry(
-                            tasks[index], None,
-                            "task lost: no worker claimed or finished it "
-                            f"within {stall_timeout:g}s",
-                        ),
-                    )
     finally:
         pool.close()
         publish(force=True)
 
     return ([entry for entry in entries if entry is not None], cache_stats,
-            source_stats, tracker)
+            source_stats)

@@ -20,7 +20,7 @@ truncate the *last* line, and unparsable lines are skipped on replay.
 
 Only deterministic outcomes resume (``status: "ok"`` and the
 compile-error statuses); run-shape-dependent failures (``crashed``,
-``timeout``, ``lost``) are re-queued for another attempt.
+``timeout``) are re-queued for another attempt.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ __all__ = ["JOURNAL_SCHEMA", "BatchJournal", "batch_key", "default_journal_dir"]
 JOURNAL_SCHEMA = "repro-batch-journal/1"
 
 #: Statuses that are deterministic functions of (source, config) and
-#: may therefore be replayed from the journal.  Crash/timeout/lost
-#: entries depend on the run that produced them; resume retries those.
+#: may therefore be replayed from the journal.  Crash/timeout entries
+#: depend on the run that produced them; resume retries those.
 RESUMABLE_STATUSES = ("ok", "error")
 
 

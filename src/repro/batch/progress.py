@@ -1,19 +1,12 @@
-"""Live batch progress: heartbeat bookkeeping, the one-line status
-display, and the machine-readable ``progress.json`` document.
+"""Live batch progress: the one-line status display and the
+machine-readable ``progress.json`` document.
 
-Workers send ``{"kind": "heartbeat", "worker": w, "id": i}``
-messages over the result queue while a program is in flight (the
-``start`` claim message counts as the first heartbeat).  The driver
-feeds every pool event into one :class:`ProgressTracker`, renders
+The driver feeds the pool's ``start``, ``done`` and ``crashed`` events
+into one :class:`ProgressTracker` (a program is in flight from the
+moment the pool hands it to a worker until its entry arrives), renders
 :meth:`ProgressTracker.status_line` for humans, and serializes
-:meth:`ProgressTracker.snapshot` -- schema ``repro-batch-progress/1``
+:meth:`ProgressTracker.snapshot` -- schema ``repro-batch-progress/2``
 -- for external watchers (CI tails, dashboards).
-
-The tracker is also the liveness authority: the driver's stall
-backstop asks :meth:`ProgressTracker.seconds_since_heartbeat` instead
-of inferring stalls from result-queue silence, so a slow-but-alive
-worker (still heartbeating) never trips the backstop, while a pool
-that lost its workers (no heartbeats, no results) still does.
 """
 
 from __future__ import annotations
@@ -25,11 +18,11 @@ from repro.util.atomicio import atomic_write_json
 
 __all__ = ["PROGRESS_SCHEMA", "ProgressTracker", "validate_progress"]
 
-PROGRESS_SCHEMA = "repro-batch-progress/1"
+PROGRESS_SCHEMA = "repro-batch-progress/2"
 
 
 class ProgressTracker:
-    """Aggregates worker start/heartbeat/done messages into batch state."""
+    """Aggregates the pool's start/done/crashed events into batch state."""
 
     def __init__(self, total: int, jobs: int, clock=time.monotonic):
         self.total = total
@@ -40,35 +33,17 @@ class ProgressTracker:
         self.ok = 0
         self.failed = 0
         self.cached = 0
-        self.heartbeats = 0
-        #: worker id -> {"index", "path", "since", "last_beat"}
+        #: worker id -> {"index", "path", "since"}
         self.in_flight: Dict[int, Dict] = {}
-        #: per-worker heartbeat counts (includes the start message).
-        self.worker_beats: Dict[int, int] = {}
-        self._last_beat = clock()
 
-    # -- message intake -------------------------------------------------
+    # -- event intake ---------------------------------------------------
 
     def on_start(self, worker: int, index: int, path: str) -> None:
-        now = self._clock()
         self.in_flight[worker] = {
             "index": index,
             "path": path,
-            "since": now,
-            "last_beat": now,
+            "since": self._clock(),
         }
-        self.worker_beats[worker] = self.worker_beats.get(worker, 0) + 1
-        self.heartbeats += 1
-        self._last_beat = now
-
-    def on_heartbeat(self, worker: int, index: int) -> None:
-        now = self._clock()
-        state = self.in_flight.get(worker)
-        if state is not None and state["index"] == index:
-            state["last_beat"] = now
-        self.worker_beats[worker] = self.worker_beats.get(worker, 0) + 1
-        self.heartbeats += 1
-        self._last_beat = now
 
     def on_done(self, worker: Optional[int], entry: Dict) -> None:
         self.done += 1
@@ -80,22 +55,6 @@ class ProgressTracker:
             self.cached += 1
         if worker is not None:
             self.in_flight.pop(worker, None)
-        self._last_beat = self._clock()
-
-    def on_worker_dead(self, worker: int) -> None:
-        self.in_flight.pop(worker, None)
-
-    def note_activity(self) -> None:
-        """Reset the liveness clock for driver-side progress (e.g. a
-        crashed worker was attributed and respawned)."""
-        self._last_beat = self._clock()
-
-    # -- liveness -------------------------------------------------------
-
-    def seconds_since_heartbeat(self) -> float:
-        """Seconds since the pool last showed any sign of life (a
-        start, heartbeat, or finished result)."""
-        return self._clock() - self._last_beat
 
     # -- rendering ------------------------------------------------------
 
@@ -137,7 +96,6 @@ class ProgressTracker:
             "ok": self.ok,
             "failed": self.failed,
             "cached": self.cached,
-            "heartbeats": self.heartbeats,
             "elapsed_s": round(self.elapsed_s, 3),
             "eta_s": (
                 None if self.eta_s() is None else round(self.eta_s(), 3)
@@ -148,7 +106,6 @@ class ProgressTracker:
                     "index": state["index"],
                     "path": state["path"],
                     "running_s": round(now - state["since"], 3),
-                    "heartbeat_age_s": round(now - state["last_beat"], 3),
                 }
                 for worker, state in sorted(self.in_flight.items())
             ],
@@ -169,8 +126,7 @@ def validate_progress(document: Dict) -> List[str]:
         problems.append(
             f"schema {document.get('schema')!r} != {PROGRESS_SCHEMA!r}"
         )
-    for field in ("total", "jobs", "done", "ok", "failed", "cached",
-                  "heartbeats"):
+    for field in ("total", "jobs", "done", "ok", "failed", "cached"):
         value = document.get(field)
         if not isinstance(value, int) or value < 0:
             problems.append(f"{field} must be a non-negative int, got"

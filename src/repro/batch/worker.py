@@ -13,8 +13,9 @@ lowering it; only a source the index does not know is lowered -- once,
 under its own name -- keyed by its canonical IR and, on a program-entry
 miss, compiled from that same module.
 
-The worker processes themselves -- their main loop, heartbeats, crash
-attribution and respawn -- are :mod:`repro.batch.lifecycle`'s.
+The worker processes themselves -- their main loop, the pipe that
+feeds each one program at a time, crash charging and respawn -- are
+:mod:`repro.batch.lifecycle`'s.
 """
 
 from __future__ import annotations

@@ -72,6 +72,12 @@ def _parse_args_list(raw: Optional[str]) -> List[int]:
         ) from None
 
 
+def _workload_from_args(args: argparse.Namespace) -> Workload:
+    """The run a command's ``--entry`` / ``--args`` / ``--fuel`` name."""
+    return Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)),
+                    fuel=args.fuel)
+
+
 def _config_from_args(args: argparse.Namespace) -> SptConfig:
     """Build the SptConfig for a compile-like command, applying the
     fast-path opt-out flags on top of the named preset."""
@@ -162,7 +168,7 @@ def _print_degradations(result) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     module = load_module(args.source)
-    workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
+    workload = _workload_from_args(args)
     check_workload(module, workload)
     if args.timing:
         from repro.perf.runner import timed_machine
@@ -196,7 +202,7 @@ def cmd_dump_ir(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     config = _config_from_args(args)
-    workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
+    workload = _workload_from_args(args)
     telemetry = _telemetry_from_args(args)
     result = compile_spt(module, config, workload, telemetry=telemetry)
 
@@ -236,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     config = _config_from_args(args)
     train = _parse_args_list(args.train_args or args.args)
-    workload = Workload(entry=args.entry, args=tuple(train))
+    workload = Workload(entry=args.entry, args=tuple(train), fuel=args.fuel)
     eval_args = _parse_args_list(args.args)
     # The evaluation run must fit the entry too: fail before compiling.
     check_workload(module, Workload(entry=args.entry, args=tuple(eval_args)))
@@ -339,7 +345,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
 
     module = load_module(args.source)
     config = _config_from_args(args)
-    workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
+    workload = _workload_from_args(args)
     telemetry = _telemetry_from_args(args)
     result = compile_spt(module, config, workload, telemetry=telemetry)
     summary = result.to_dict()
@@ -358,7 +364,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     source = _read_source(args.source)
     module = load_module(args.source, source=source)
     config = _config_from_args(args)
-    workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
+    workload = _workload_from_args(args)
     telemetry = _telemetry_from_args(args)
     if args.profile and telemetry is None:
         # --profile needs a span tree even when no sink flag was given.
@@ -434,7 +440,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             cache_max_entries=args.cache_max_entries,
             telemetry=telemetry,
             progress=progress if not args.quiet else None,
-            stall_timeout=args.stall_timeout,
             program_timeout=args.program_timeout,
             progress_path=args.progress_json,
             status=status,
@@ -623,11 +628,19 @@ _resume_point = _bounded(
 )
 
 
-def _add_source(p):
-    p.add_argument("source", help="MiniC or textual-IR file ('-' for stdin)")
+def _add_workload(p):
     p.add_argument("--entry", default="main", help="entry function")
     p.add_argument("--args", default="", help="comma-separated int args")
-    p.add_argument("--fuel", type=int, default=50_000_000)
+    p.add_argument(
+        "--fuel", type=_positive_int, default=50_000_000, metavar="N",
+        help="dynamic-instruction budget of each run of the program "
+             "(default: 50000000)",
+    )
+
+
+def _add_source(p):
+    p.add_argument("source", help="MiniC or textual-IR file ('-' for stdin)")
+    _add_workload(p)
 
 
 def _add_config_options(p):
@@ -761,9 +774,7 @@ def _batch_arguments(p):
         "inputs", nargs="+",
         help="program files, directories, or glob patterns",
     )
-    p.add_argument("--entry", default="main", help="entry function")
-    p.add_argument("--args", default="", help="comma-separated int args")
-    p.add_argument("--fuel", type=int, default=50_000_000)
+    _add_workload(p)
     _add_config_options(p)
     _add_obs_options(p)
     p.add_argument(
@@ -797,11 +808,6 @@ def _batch_arguments(p):
         help="suppress the per-program progress lines",
     )
     p.add_argument(
-        "--stall-timeout", type=_positive_float, default=None, metavar="S",
-        help="seconds of total pool silence before remaining tasks are "
-             "declared lost (default: config batch_stall_timeout_s, 60)",
-    )
-    p.add_argument(
         "--program-timeout", type=_positive_float, default=None,
         metavar="S",
         help="per-program wall-clock budget in each worker; an "
@@ -811,7 +817,7 @@ def _batch_arguments(p):
     p.add_argument(
         "--progress-json", default=None, metavar="PATH",
         help="continuously (re)write a machine-readable progress "
-             "document (schema repro-batch-progress/1) for external "
+             "document (schema repro-batch-progress/2) for external "
              "watchers",
     )
     p.add_argument(

@@ -44,10 +44,6 @@ class SptConfig:
     #: Retry a faulted loop analysis on cheaper configurations
     #: (no_incremental → small_budget) before skipping the loop.
     enable_degradation_ladder: bool = True
-    #: Batch-driver stall backstop in seconds: total silence (no
-    #: results, no live claimed work) for this long marks the remaining
-    #: tasks lost (``repro batch --stall-timeout``).
-    batch_stall_timeout_s: float = 60.0
 
     # -- §6.1: SPT loop selection ------------------------------------------
     #: Misspeculation cost threshold, as a fraction of loop body size
@@ -155,8 +151,6 @@ class SptConfig:
             raise ValueError("search_deadline_ms must be positive when set")
         if self.phase_deadline_ms is not None and self.phase_deadline_ms <= 0:
             raise ValueError("phase_deadline_ms must be positive when set")
-        if self.batch_stall_timeout_s <= 0:
-            raise ValueError("batch_stall_timeout_s must be positive")
 
     def with_overrides(self, **kwargs) -> "SptConfig":
         """A copy with selected fields replaced."""

@@ -47,12 +47,6 @@ class Block:
             else:
                 break
 
-    def non_phi_instrs(self) -> Iterator[Instr]:
-        """Instructions after the phi prefix."""
-        for instr in self.instrs:
-            if not isinstance(instr, Phi):
-                yield instr
-
     # -- mutation ----------------------------------------------------
 
     def append(self, instr: Instr) -> Instr:

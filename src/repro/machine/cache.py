@@ -213,11 +213,6 @@ class MemoryHierarchy:
             while len(d3) > l3.capacity_lines:
                 d3.popitem(last=False)
 
-    def miss_rate(self, level_index: int = 0) -> float:
-        level = self.levels[level_index]
-        total = level.hits + level.misses
-        return level.misses / total if total else 0.0
-
     def reset(self) -> None:
         self.accesses = 0
         for level in self.levels:

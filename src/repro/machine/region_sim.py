@@ -116,16 +116,8 @@ class RegionLoopStats:
         return self.seq_ticks / TICKS_PER_CYCLE
 
     @property
-    def region_cycles(self) -> float:
-        return self.region_ticks / TICKS_PER_CYCLE
-
-    @property
     def reexec_cycles(self) -> float:
         return self.reexec_ticks / TICKS_PER_CYCLE
-
-    @property
-    def a_cycles(self) -> float:
-        return self.a_ticks / TICKS_PER_CYCLE
 
     @property
     def b_cycles(self) -> float:

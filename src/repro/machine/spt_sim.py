@@ -979,10 +979,6 @@ class SptLoopStats:
         return self.spec_ticks / TICKS_PER_CYCLE
 
     @property
-    def prefork_cycles(self) -> float:
-        return self.prefork_ticks / TICKS_PER_CYCLE
-
-    @property
     def key(self) -> Tuple[str, str]:
         return (self.func_name, self.header)
 

@@ -371,10 +371,6 @@ class Telemetry:
         for sink in self.sinks:
             sink.on_span(span)
 
-    @property
-    def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     # -- counters / gauges ----------------------------------------------
 
     def count(self, name: str, n: float = 1) -> None:
@@ -424,9 +420,6 @@ class Telemetry:
         self.event("resilience.degradation", **record.to_dict())
 
     # -- lifecycle --------------------------------------------------------
-
-    def add_sink(self, sink) -> None:
-        self.sinks.append(sink)
 
     def close(self) -> None:
         """Close any open spans and flush every sink (idempotent)."""

@@ -6,6 +6,8 @@ must report a structured per-program failure and finish everything
 else -- one poisoned program can never take down the run.
 """
 
+import warnings
+
 import pytest
 
 from repro.batch import CRASH_ENV_VAR, CRASH_EXIT_CODE, run_batch
@@ -89,3 +91,23 @@ def test_every_worker_crashing_still_terminates(corpus, tmp_path, monkeypatch):
     statuses = [p["status"] for p in result.manifest["programs"]]
     assert statuses == ["crashed"] * 6
     assert result.stats["crashed"] == 6
+
+
+def test_a_respawn_never_forks_a_multi_threaded_driver(
+    corpus, tmp_path, monkeypatch
+):
+    # From Python 3.12 on, os.fork() in a multi-threaded process warns
+    # (the child may deadlock on a lock another thread held).  The
+    # driver runs no second thread, so the respawn after the crash
+    # must not warn; earlier Pythons never warn, so there this checks
+    # nothing.
+    monkeypatch.setenv(CRASH_ENV_VAR, "poison")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_batch(
+            [str(corpus)], args=(32,), jobs=1,
+            cache_dir=str(tmp_path / "cache"),
+        )
+    assert result.stats["crashed"] == 1
+    assert result.stats["ok"] == 5
+    assert not [w for w in caught if "use of fork()" in str(w.message)]

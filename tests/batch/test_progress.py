@@ -1,11 +1,11 @@
 """Live batch progress: the tracker's bookkeeping, the progress.json
-schema validator, and the heartbeat acceptance loop through run_batch."""
+schema validator, and the status/progress.json loop through run_batch."""
 
 import json
 
 import pytest
 
-from repro.batch import run_batch
+from repro.batch import CRASH_ENV_VAR, run_batch
 from repro.batch.progress import (
     PROGRESS_SCHEMA,
     ProgressTracker,
@@ -60,35 +60,11 @@ def test_tracker_counts_and_in_flight_lifecycle():
     tracker.on_start(0, 0, "a.c")
     tracker.on_start(1, 1, "b.c")
     assert len(tracker.in_flight) == 2
-    assert tracker.heartbeats == 2  # start counts as the first heartbeat
-    clock.advance(1.0)
-    tracker.on_heartbeat(0, 0)
-    assert tracker.worker_beats[0] == 2
     tracker.on_done(0, {"status": "ok", "cached": True})
     tracker.on_done(1, {"status": "error"})
     assert (tracker.done, tracker.ok, tracker.failed, tracker.cached) == (
         2, 1, 1, 1,
     )
-    assert tracker.in_flight == {}
-
-
-def test_tracker_liveness_clock():
-    clock = FakeClock()
-    tracker = ProgressTracker(total=1, jobs=1, clock=clock)
-    clock.advance(5.0)
-    assert tracker.seconds_since_heartbeat() == pytest.approx(5.0)
-    tracker.on_heartbeat(0, 0)
-    assert tracker.seconds_since_heartbeat() == 0.0
-    clock.advance(2.0)
-    tracker.note_activity()
-    assert tracker.seconds_since_heartbeat() == 0.0
-
-
-def test_stale_heartbeat_for_finished_task_does_not_resurrect_slot():
-    tracker = ProgressTracker(total=2, jobs=1, clock=FakeClock())
-    tracker.on_start(0, 0, "a.c")
-    tracker.on_done(0, {"status": "ok"})
-    tracker.on_heartbeat(0, 0)  # late beat from the finished task
     assert tracker.in_flight == {}
 
 
@@ -140,12 +116,10 @@ def test_validate_progress_flags_broken_documents():
 # -- acceptance: live progress through run_batch -----------------------------
 
 
-def test_run_batch_emits_heartbeats_and_valid_progress_json(
-    corpus, tmp_path
-):
-    """Every worker that runs a program must heartbeat at least once,
-    the final progress.json must validate against the schema, and the
-    one-line status must have been rendered."""
+def test_run_batch_emits_status_and_valid_progress_json(corpus, tmp_path):
+    """The final progress.json must validate against the schema and
+    count every program, and the one-line status must have been
+    rendered."""
     progress_path = tmp_path / "progress.json"
     lines = []
     telemetry = Telemetry()
@@ -156,18 +130,15 @@ def test_run_batch_emits_heartbeats_and_valid_progress_json(
         cache_dir=str(tmp_path / "cache"),
         telemetry=telemetry,
         progress_path=str(progress_path),
-        heartbeat_s=0.05,
         status=lines.append,
     )
     assert all(p["status"] == "ok" for p in result.manifest["programs"])
-    assert result.stats["heartbeats"] >= 3  # >= one per started program
 
     document = json.loads(progress_path.read_text())
     assert validate_progress(document) == []
     assert document["done"] == document["total"] == 3
     assert document["ok"] == 3
     assert document["in_flight"] == []
-    assert document["heartbeats"] == result.stats["heartbeats"]
 
     assert lines, "status callback never invoked"
     assert lines[-1].startswith("batch 3/3 | ok 3")
@@ -179,11 +150,28 @@ def test_run_batch_emits_heartbeats_and_valid_progress_json(
     )
 
 
-def test_run_batch_rejects_bad_heartbeat_interval(corpus, tmp_path):
-    with pytest.raises(ValueError):
-        run_batch(
-            [str(corpus)],
-            jobs=1,
-            cache_dir=str(tmp_path / "cache"),
-            heartbeat_s=0.0,
-        )
+def test_a_crashed_program_leaves_the_in_flight_set(
+    corpus, tmp_path, monkeypatch
+):
+    # The pool's ``crashed`` event is what frees the dead worker's slot:
+    # no separate death notice reaches the tracker.
+    monkeypatch.setenv(CRASH_ENV_VAR, "prog1")
+    progress_path = tmp_path / "progress.json"
+    lines = []
+    result = run_batch(
+        [str(corpus)],
+        args=(48,),
+        jobs=1,
+        cache_dir=str(tmp_path / "cache"),
+        progress_path=str(progress_path),
+        status=lines.append,
+    )
+    assert [p["status"] for p in result.manifest["programs"]] == [
+        "ok", "crashed", "ok"
+    ]
+
+    document = json.loads(progress_path.read_text())
+    assert validate_progress(document) == []
+    assert (document["done"], document["ok"], document["failed"]) == (3, 2, 1)
+    assert document["in_flight"] == []
+    assert lines[-1].startswith("batch 3/3 | ok 2 | failed 1 | in-flight 0")

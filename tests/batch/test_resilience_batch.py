@@ -1,10 +1,10 @@
-"""Batch-layer resilience: per-program timeouts and the stall backstop.
+"""Batch-layer resilience: per-program timeouts and exact crash charging.
 
 ``--program-timeout`` arms a SIGALRM in each worker; an overrunning
 program gets exactly one retry on the degraded ladder configuration
-before it is reported as ``status: "timeout"``.  ``--stall-timeout``
-(or ``SptConfig.batch_stall_timeout_s``) bounds how long the driver
-waits for silent progress before declaring unclaimed tasks lost.
+before it is reported as ``status: "timeout"``.  A worker that exits
+-- cleanly or not -- while it holds a program has that program charged
+to it at once: there is no silence to wait out.
 """
 
 import os
@@ -100,51 +100,38 @@ def test_double_timeout_reports_timeout_status(prog, tmp_path, monkeypatch):
     assert result.stats["ok"] == 0
 
 
-def _task_swallowing_worker(task_queue, result_queue, worker_id, cache_dir,
-                            claim, *extra):
-    # Pathological worker: dequeues a task, reports nothing, exits
-    # cleanly.  The driver sees a clean exit (no crash to attribute)
-    # and the task can only be recovered by the stall backstop.
-    task_queue.get()
+def _program_swallowing_worker(conn, *args):
+    # Pathological worker: takes a program, reports nothing and exits
+    # cleanly.
+    conn.recv()
     os._exit(0)
 
 
-def test_stall_timeout_flags_lost_tasks(prog, tmp_path, monkeypatch):
+def test_a_clean_exit_while_holding_a_program_is_charged_at_once(
+    prog, tmp_path, monkeypatch
+):
     monkeypatch.setattr(
-        "repro.batch.lifecycle.worker_main", _task_swallowing_worker
-    )
-    result = run_batch(
-        [str(prog)], args=(32,), jobs=1,
-        cache_dir=str(tmp_path / "cache"), stall_timeout=0.75,
-    )
-    entry = result.manifest["programs"][0]
-    assert entry["status"] == "crashed"
-    assert "task lost" in entry["error"]["message"]
-    assert "within 0.75s" in entry["error"]["message"]
-    assert result.stats["crashed"] == 1
-
-
-def test_stall_timeout_comes_from_config(prog, tmp_path, monkeypatch):
-    # Satellite: with no explicit override the driver reads the
-    # configurable SptConfig.batch_stall_timeout_s, not a constant.
-    monkeypatch.setattr(
-        "repro.batch.lifecycle.worker_main", _task_swallowing_worker
+        "repro.batch.lifecycle.worker_main", _program_swallowing_worker
     )
     result = run_batch(
         [str(prog)], args=(32,), jobs=1,
         cache_dir=str(tmp_path / "cache"),
-        config_overrides={"batch_stall_timeout_s": 0.6},
     )
     entry = result.manifest["programs"][0]
     assert entry["status"] == "crashed"
-    assert "within 0.6s" in entry["error"]["message"]
+    assert entry["error"] == {
+        "exitcode": 0,
+        "message": "worker process died (exit code 0) while compiling "
+                   "this program",
+    }
+    assert result.stats["crashed"] == 1
+    # Charged when the exit is seen, not after some silence window.
+    assert result.stats["wall_seconds"] < 20
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"stall_timeout": 0},
-        {"stall_timeout": -1.0},
         {"program_timeout": 0},
         {"program_timeout": -5.0},
     ],

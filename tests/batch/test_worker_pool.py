@@ -8,15 +8,17 @@ the driver's bookkeeping in between.
 
 import hashlib
 import multiprocessing
+import os
+import signal
+import threading
 import time
 
 import pytest
 
 from repro.batch import CRASH_ENV_VAR, CRASH_EXIT_CODE, WorkerPool
 from repro.batch.driver import _build_tasks
-from repro.batch.lifecycle import _should_crash, crashed_entry
+from repro.batch.lifecycle import _should_crash, crashed_entry, worker_main
 from repro.batch.worker import compile_program_task
-from repro.resilience.faults import FAULT_ENV_VAR
 
 PROGRAM = """
 global int data[64];
@@ -54,9 +56,8 @@ def tasks(tmp_path):
 def make_pool():
     pools = []
 
-    def make(size, heartbeat_s=0.5, observe=False):
-        pool = WorkerPool(size, None, heartbeat_s=heartbeat_s,
-                          observe=observe)
+    def make(size, observe=False):
+        pool = WorkerPool(size, None, observe=observe)
         pools.append(pool)
         return pool
 
@@ -96,9 +97,8 @@ def test_an_item_starts_then_finishes_with_its_in_process_entry(
     pool = make_pool(1)
     pool.submit(0, tasks[0])
     events = poll_until(pool, resolved([0]))
-    kinds = [e["kind"] for e in events if e["kind"] != "heartbeat"]
-    assert kinds == ["start", "done"]
-    start, done = [e for e in events if e["kind"] != "heartbeat"]
+    assert [e["kind"] for e in events] == ["start", "done"]
+    start, done = events
     assert start["worker"] == done["worker"] == 0
     assert done["entry"]["status"] == "ok"
     assert done["entry"] == compile_program_task(tasks[0], None)[0]
@@ -123,6 +123,88 @@ def test_interleaved_items_each_resolve_once_to_their_own_entry(
     for event in done:
         assert event["entry"] == expected[event["id"]]
     assert not [e for e in events if e["kind"] in ("crashed", "exit")]
+
+
+def test_each_worker_holds_one_program_at_a_time(tasks, make_pool):
+    pool = make_pool(2)
+    for item_id, task in enumerate(tasks):
+        pool.submit(item_id, task)
+    events = poll_until(pool, resolved(range(len(tasks))))
+    held = {}
+    for event in events:
+        if event["kind"] == "start":
+            assert event["worker"] not in held, events
+            held[event["worker"]] = event["id"]
+        else:
+            assert event["kind"] == "done", events
+            assert held.pop(event["worker"]) == event["id"], events
+    assert held == {}
+    started = sorted(e["id"] for e in events if e["kind"] == "start")
+    assert started == list(range(len(tasks)))
+
+
+def _answer_then_exit_worker(conn, worker_id, *args):
+    # Finishes its program, then dies non-zero before asking for more.
+    item = conn.recv()
+    if item is None:
+        return
+    item_id, task = item
+    conn.send({"kind": "done", "worker": worker_id, "id": item_id,
+               "entry": {"path": task["path"], "status": "ok"},
+               "stats": {}})
+    os._exit(7)
+
+
+def test_a_program_answered_before_the_worker_dies_is_not_charged(
+    tasks, make_pool, monkeypatch
+):
+    monkeypatch.setattr(
+        "repro.batch.lifecycle.worker_main", _answer_then_exit_worker
+    )
+    pool = make_pool(1)
+    pool.submit(0, tasks[0])
+    events = poll_until(
+        pool, lambda events: any(e["kind"] == "exit" for e in events)
+    )
+    assert [e["kind"] for e in events] == ["start", "done", "exit"]
+    assert events[1]["entry"] == {"path": "a.c", "status": "ok"}
+    assert events[2] == {"kind": "exit", "worker": 0, "exitcode": 7}
+    # A non-zero exit is replaced even though it held nothing.
+    pool.submit(1, tasks[1])
+    events = poll_until(pool, resolved([1]))
+    assert [(e["kind"], e["worker"]) for e in events[:2]] == [
+        ("start", 1), ("done", 1)
+    ]
+    assert not [e for e in events if e["kind"] == "crashed"]
+
+
+def test_worker_main_answers_each_item_in_order(tasks):
+    # Run in this process: the worker's loop, without a fork around it.
+    driver, child = multiprocessing.Pipe()
+    driver.send((4, tasks[0]))
+    driver.send((9, tasks[1]))
+    driver.send(None)
+    worker_main(child, 3, None)
+    answers = [driver.recv(), driver.recv()]
+    assert [(a["kind"], a["worker"], a["id"]) for a in answers] == [
+        ("done", 3, 4), ("done", 3, 9)
+    ]
+    assert answers[0]["entry"] == compile_program_task(tasks[0], None)[0]
+    assert answers[1]["entry"] == compile_program_task(tasks[1], None)[0]
+    assert not driver.poll()
+
+
+@pytest.mark.parametrize("ending", ["sentinel", "end-of-pipe"])
+def test_worker_main_returns_on_the_sentinel_or_the_end_of_its_pipe(ending):
+    driver, child = multiprocessing.Pipe()
+    if ending == "sentinel":
+        driver.send(None)
+    else:
+        driver.close()
+    started = time.monotonic()
+    assert worker_main(child, 0, None) is None
+    # Returned at once, not after the one-second idle poll.
+    assert time.monotonic() - started < 0.5
 
 
 def test_a_hard_death_is_charged_to_the_claimed_item(
@@ -163,19 +245,44 @@ def test_a_dead_worker_is_replaced_and_the_queue_drains(
     assert len(live_workers()) == 1
 
 
-def test_heartbeats_name_the_item_in_flight(tasks, make_pool, monkeypatch):
-    # A slowed profiling phase keeps the item in flight for 0.3 s.
-    monkeypatch.setenv(FAULT_ENV_VAR, "profile:slow:0.3")
-    pool = make_pool(1, heartbeat_s=0.02)
-    pool.submit(4, tasks[0])
-    events = poll_until(pool, resolved([4]))
-    kinds = [e["kind"] for e in events]
-    beats = [i for i, kind in enumerate(kinds) if kind == "heartbeat"]
-    assert all((events[i]["worker"], events[i]["id"]) == (0, 4) for i in beats)
-    # The claim slot is set just before ``start`` is sent and cleared
-    # just after ``done``, so only the beats in between are certain.
-    assert [i for i in beats
-            if kinds.index("start") < i < kinds.index("done")]
+def test_an_idle_death_charges_nothing_and_is_replaced(tasks, make_pool):
+    pool = make_pool(1)
+    pool.submit(0, tasks[0])
+    poll_until(pool, resolved([0]))
+    (worker,) = live_workers()
+    os.kill(worker.pid, signal.SIGKILL)
+    events = poll_until(
+        pool, lambda events: any(e["kind"] == "exit" for e in events)
+    )
+    assert events == [
+        {"kind": "exit", "worker": 0, "exitcode": -signal.SIGKILL}
+    ]
+    pool.submit(1, tasks[1])
+    events = poll_until(pool, resolved([1]))
+    assert [(e["kind"], e["worker"]) for e in events] == [
+        ("start", 1), ("done", 1)
+    ]
+    assert events[1]["entry"]["status"] == "ok"
+
+
+def test_the_driver_runs_no_second_thread(tasks, make_pool, monkeypatch):
+    # The pool's pipes need no feeder thread, so no worker is ever
+    # forked from a multi-threaded driver -- a respawn included.
+    monkeypatch.setenv(CRASH_ENV_VAR, "poison")
+    before = sorted(t.name for t in threading.enumerate())
+    pool = make_pool(1)
+    pool.submit(0, tasks[4])
+    pool.submit(1, tasks[0])
+    seen = []
+
+    def finished(events):
+        seen.append(sorted(t.name for t in threading.enumerate()))
+        return resolved([0, 1])(events)
+
+    events = poll_until(pool, finished)
+    crash = [e["kind"] for e in events if e["kind"] in ("exit", "crashed")]
+    assert crash == ["exit", "crashed"]
+    assert all(names == before for names in seen), seen
 
 
 def test_observing_workers_ship_their_counters_and_gauges(tasks, make_pool):
@@ -206,14 +313,14 @@ def test_close_ends_every_worker(tasks, make_pool):
     assert live_workers() == []
 
 
-def test_crashed_entry_hashes_the_source_and_defaults_the_exit_code(tasks):
+def test_crashed_entry_hashes_the_source_and_keeps_the_exit_code(tasks):
     task = tasks[0]
-    entry = crashed_entry(task, None, "task lost")
+    entry = crashed_entry(task, 0, "worker exited")
     assert entry == {
         "path": "a.c",
         "sha256": hashlib.sha256(task["source"].encode("utf-8")).hexdigest(),
         "status": "crashed",
-        "error": {"exitcode": -1, "message": "task lost"},
+        "error": {"exitcode": 0, "message": "worker exited"},
     }
     assert crashed_entry(task, 13, "x")["error"]["exitcode"] == 13
 

@@ -81,14 +81,16 @@ def _bad_value(command, option, *value):
         _bad_value("compile", "--search-deadline-ms", "-1"),
         _bad_value("compile", "--phase-deadline-ms", "0"),
         _bad_value("compile", "--checkpoint-phases"),
-        _bad_value("batch", "--stall-timeout", "0"),
+        _bad_value("batch", "--stall-timeout"),
         _bad_value("batch", "--program-timeout", "-1"),
         _bad_value("batch", "--jobs", "-3"),
         _bad_value("batch", "--jobs", "0"),
         _bad_value("batch", "--cache-max-entries", "-1"),
         _bad_value("fuzz", "--iterations", "-1"),
         _bad_value("compile", "--search-deadline-ms", "inf"),
-        _bad_value("batch", "--stall-timeout", "nan"),
+        _bad_value("batch", "--program-timeout", "nan"),
+        _bad_value("compile", "--fuel", "0"),
+        _bad_value("compile", "--fuel", "-5"),
     ],
 )
 def test_bad_option_value_is_a_usage_error_before_any_work(
@@ -125,11 +127,11 @@ def _boundary(command, option, value, expected):
         _boundary("simulate", "--checkpoint-every", "0", 0),
         _boundary("compile", "--search-deadline-ms", "0.5", 0.5),
         _boundary("compile", "--phase-deadline-ms", "1e-3", 0.001),
-        _boundary("batch", "--stall-timeout", "0.25", 0.25),
         _boundary("batch", "--program-timeout", "2", 2.0),
         _boundary("batch", "--jobs", "1", 1),
         _boundary("batch", "--cache-max-entries", "0", 0),
         _boundary("fuzz", "--iterations", "0", 0),
+        _boundary("compile", "--fuel", "1", 1),
     ],
 )
 def test_in_range_boundary_value_parses_to_its_type(argv, dest, expected):

@@ -142,6 +142,16 @@ def test_faulting_run_is_a_one_line_usage_error(
     assert lines == [f"repro {command}: the run failed: {message}"]
 
 
+def test_fuel_bounds_the_profiling_run(capsys):
+    # Over its --fuel budget the profiling run is a contained
+    # degradation, not a usage error: the compilation still finishes.
+    assert main(["compile", NESTED, "--args", "96", "--fuel", "1000"]) == 0
+    assert (
+        "resilience: 1 contained degradation(s)\n"
+        "  profile/profile_budget: exceeded 1000 dynamic instructions\n"
+    ) in capsys.readouterr().out
+
+
 def test_compile_spt_rejects_before_any_work():
     module = compile_minic(PROGRAM)
     with pytest.raises(WorkloadError, match=r"expects 1 argument\(s\), got 0"):

@@ -1,11 +1,9 @@
-"""Value, type, and def-use chain unit tests."""
+"""Value and type unit tests."""
 
 import pytest
 
-from repro.analysis.defuse import DefUse
-from repro.ir import BOOL, FLOAT, INT, PTR, Const, Var, as_value, parse_function
+from repro.ir import BOOL, FLOAT, INT, PTR, Const, Var, as_value
 from repro.ir.types import BY_NAME, join
-from repro.ssa import build_ssa
 
 
 def test_type_singletons():
@@ -45,45 +43,6 @@ def test_as_value_coercion():
     assert as_value(Var("a")) == Var("a")
     with pytest.raises(TypeError):
         as_value("nope")
-
-
-def test_defuse_chains():
-    func = parse_function(
-        """\
-func f(n) {
-entry:
-  a = add n, 1
-  b = mul a, a
-  call sink(b)
-  ret b
-}
-"""
-    )
-    build_ssa(func)
-    du = DefUse(func)
-    a = next(v for v in du.defs if v.base == "a")
-    b = next(v for v in du.defs if v.base == "b")
-    assert du.def_of(a).instr.opcode == "binop"
-    assert len(du.uses_of(a)) == 2  # both operands of the mul
-    assert len(du.uses_of(b)) == 2  # call arg + return
-    assert not du.is_dead(b)
-    n = next(p for p in func.params)
-    assert len(du.uses_of(n)) == 1
-
-
-def test_defuse_rejects_non_ssa():
-    func = parse_function(
-        """\
-func f() {
-entry:
-  x = copy 1
-  x = copy 2
-  ret x
-}
-"""
-    )
-    with pytest.raises(ValueError, match="not in SSA"):
-        DefUse(func)
 
 
 def test_config_validation():
