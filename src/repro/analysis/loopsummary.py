@@ -23,7 +23,7 @@ from typing import List, Optional, Set
 
 from repro.analysis.loops import Loop
 from repro.ir.function import Function
-from repro.ir.instr import Call, Instr, Load, Phi, Store
+from repro.ir.instr import Call, Instr, Load, Store
 from repro.ir.values import Value, Var
 
 #: Trip count assumed for inner loops with no profile data.

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Set
 
 from repro.analysis import alias as alias_mod
 from repro.ir.function import Function, Module
-from repro.ir.instr import Call, Instr, Load, LoadAddr, Store
+from repro.ir.instr import Call, Instr, Load, Store
 from repro.ir.values import Const
 
 SymSet = Set[Optional[str]]

@@ -109,10 +109,9 @@ class ResultCache(ContentStore):
     """A persistent, content-addressed store of compilation results."""
 
     def __init__(self, cache_dir: Optional[str] = None):
-        super().__init__(cache_dir or default_cache_dir(), fsync=False)
+        super().__init__(cache_dir or default_cache_dir())
         #: The source index in front of the program keys.
-        self.sources = SourceIndex(os.path.join(self.root, "sources"),
-                                   fsync=False)
+        self.sources = SourceIndex(os.path.join(self.root, "sources"))
 
     @property
     def version(self) -> int:

@@ -167,7 +167,7 @@ def run_batch(
     rewritten atomically as the batch advances.
 
     ``resume=True`` makes the run crash-resumable: every finished entry
-    is durably journaled (:mod:`repro.batch.journal`, under
+    is journaled (:mod:`repro.batch.journal`, under
     ``journal_dir``), and entries a previous -- possibly SIGKILLed --
     run of the *same* batch already journaled are replayed instead of
     recompiled.  The final manifest is byte-identical to an
@@ -310,7 +310,7 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
         entries[index] = entry
         pending.discard(index)
         if journal is not None:
-            # Durable before visible: the journal line lands before the
+            # Journaled before visible: the journal line lands before the
             # entry counts as done, so a SIGKILL can lose at most work
             # that was never reported finished.
             journal.record(index, tasks[index], entry)

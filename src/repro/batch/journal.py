@@ -2,9 +2,11 @@
 
 The manifest is written once, at the end -- a driver SIGKILLed mid-run
 leaves nothing but ``progress.json`` counts behind.  The journal fixes
-that: as each program finishes, the driver durably appends its raw
-entry as one JSON line (``repro-batch-journal/1``), so the journal is
-an incrementally-materialized partial manifest.  A re-run with
+that: as each program finishes, the driver appends its raw entry as
+one JSON line (``repro-batch-journal/1``), so the journal is an
+incrementally-materialized partial manifest.  Appends are not
+``fsync``ed: a line survives a SIGKILL of the driver, and a host crash
+can drop the tail, which resume simply re-runs.  A re-run with
 ``--resume`` replays it, seeds the finished entries, and queues only
 the unfinished programs; the final manifest is byte-identical to an
 uninterrupted run's because entries carry everything the manifest
@@ -29,6 +31,7 @@ import hashlib
 import os
 from typing import Dict, List, Optional
 
+from repro.batch.cache import default_cache_dir
 from repro.util.store import JsonlLog, content_key
 
 __all__ = ["JOURNAL_SCHEMA", "BatchJournal", "batch_key", "default_journal_dir"]
@@ -42,9 +45,8 @@ RESUMABLE_STATUSES = ("ok", "error")
 
 
 def default_journal_dir() -> str:
-    from repro.checkpoint.store import default_checkpoint_dir
-
-    return os.path.join(default_checkpoint_dir(), "batches")
+    """``<default_cache_dir()>/journals``."""
+    return os.path.join(default_cache_dir(), "journals")
 
 
 def _source_digest(task: Dict) -> str:
@@ -75,8 +77,8 @@ class BatchJournal:
         self.skipped = 0
 
     def record(self, index: int, task: Dict, entry: Dict) -> None:
-        """Durably append one finished entry; failures are swallowed
-        (losing a journal line only costs recompute on resume)."""
+        """Append one finished entry; failures are swallowed (losing a
+        journal line only costs recompute on resume)."""
         try:
             self._log.append({
                 "index": index,

@@ -255,28 +255,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 1
 
     with _workload_run():
-        if args.checkpoint_every or args.resume_from is not None:
-            from repro.checkpoint import run_checkpointed_simulation
-
-            outcome, report = run_checkpointed_simulation(
-                module, result, config, entry=args.entry,
-                args=tuple(eval_args), fuel=args.fuel,
-                checkpoint_every=args.checkpoint_every,
-                resume_from=args.resume_from,
-                checkpoint_dir=args.checkpoint_dir,
-                telemetry=telemetry,
-            )
-            if report.resumed_from is not None:
-                print(f"resumed from snapshot at {report.resumed_from} "
-                      f"executed instructions")
-            if args.checkpoint_every:
-                print(f"snapshots saved: {len(report.saved_at)} "
-                      f"(key {report.key[:12]}..., dir {report.directory})")
-        else:
-            outcome = simulate_program(
-                module, result, entry=args.entry, args=eval_args,
-                fuel=args.fuel, fast=config.fast_interp, telemetry=telemetry,
-            )
+        outcome = simulate_program(
+            module, result, entry=args.entry, args=eval_args,
+            fuel=args.fuel, fast=config.fast_interp, telemetry=telemetry,
+        )
     print(f"result: {outcome.result}")
     print(f"single-core cycles: {outcome.seq_cycles:.0f}"
           f"  (IPC {outcome.ipc:.3f})")
@@ -372,7 +354,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
         telemetry = Telemetry()
     result = compile_spt(module, config, workload, telemetry=telemetry)
-    print(explain_text(result, config, loop=args.loop, verbose=not args.brief))
+    report = explain_text(result, config, loop=args.loop,
+                          verbose=not args.brief)
+    if args.loop is not None and all(
+        candidate.key != args.loop for candidate in result.candidates
+    ):
+        # Naming no loop is a user mistake, as for ``repro dot --loop``.
+        print(report, file=sys.stderr)
+        return 2
+    print(report)
     if args.cache_dir is not None:
         from repro.batch import ResultCache
         from repro.batch.worker import probe_cache
@@ -585,11 +575,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if args.corpus_dir:
             path = save_reproducer(args.corpus_dir, failure)
             print(f"  reproducer written to {path}")
-            if failure.snapshot is not None:
-                print(
-                    f"  snapshot anchor at {failure.snapshot['executed']} "
-                    f"executed instructions written alongside"
-                )
         else:
             print("  minimized program:")
             for line in failure.reproducer.source().splitlines():
@@ -621,11 +606,6 @@ _positive_float = _bounded(
 )
 _positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
-_resume_point = _bounded(
-    lambda raw: raw if raw == "latest" else int(raw),
-    lambda v: v == "latest" or v >= 0,
-    "'latest' or a non-negative integer",
-)
 
 
 def _add_workload(p):
@@ -725,22 +705,6 @@ def _simulate_arguments(p):
     _add_obs_options(p)
     p.add_argument("--train-args", default=None,
                    help="profiling args (defaults to --args)")
-    p.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
-             "else <cache-dir>/checkpoints)",
-    )
-    p.add_argument(
-        "--checkpoint-every", type=_non_negative_int, default=0,
-        metavar="N",
-        help="durably snapshot the whole simulation every N executed "
-             "instructions (at the next block boundary); 0 disables",
-    )
-    p.add_argument(
-        "--resume-from", type=_resume_point, default=None, metavar="WHEN",
-        help="resume the simulation from a stored snapshot: 'latest' "
-             "or an executed-instruction index upper bound",
-    )
     p.set_defaults(fn=cmd_simulate)
 
 
@@ -822,14 +786,14 @@ def _batch_arguments(p):
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="journal every finished program durably and replay a "
-             "previous (crashed or killed) run of this exact batch, "
-             "re-queueing only unfinished programs",
+        help="journal every finished program and replay a previous "
+             "(crashed or killed) run of this exact batch, re-queueing "
+             "only unfinished programs",
     )
     p.add_argument(
         "--journal-dir", default=None, metavar="DIR",
-        help="where --resume journals live (default: "
-             "<checkpoint-dir>/batches)",
+        help="where --resume journals live (default: journals/ under "
+             "$REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     p.set_defaults(fn=cmd_batch)
 
@@ -870,7 +834,7 @@ def _fuzz_arguments(p):
     p.add_argument(
         "--oracle", action="append", default=None, metavar="NAME",
         help="restrict to one oracle (repeatable): "
-             "checkpoint, cost, interp, partition, spt",
+             "cost, interp, partition, spt",
     )
     p.add_argument(
         "--corpus-dir", default=None, metavar="DIR",

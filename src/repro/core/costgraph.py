@@ -19,7 +19,7 @@ dependences always point forward in the iteration's topological order.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.analysis.depgraph import LoopDepGraph
 from repro.core.violation import ViolationCandidate

@@ -24,7 +24,7 @@ re-execution cost.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.cfg import CFG
 from repro.analysis.depgraph import LoopDepGraph, expected_size
@@ -34,7 +34,6 @@ from repro.core.config import SptConfig
 from repro.core.costgraph import CostGraph
 from repro.core.costmodel import misspeculation_cost
 from repro.ir.function import Function
-from repro.ir.instr import Phi
 
 
 class RegionSplit:

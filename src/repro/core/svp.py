@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.analysis.cfg import CFG
-from repro.analysis.depgraph import LoopDepGraph
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import Loop
 from repro.core.costgraph import CostGraph
@@ -34,7 +33,7 @@ from repro.core.violation import ViolationCandidate
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
 from repro.ir.instr import BinOp, Branch, Jump, Phi
-from repro.ir.values import Const, Var
+from repro.ir.values import Const
 from repro.ir.verify import verify_function
 from repro.profiling.value_profile import ValuePattern
 

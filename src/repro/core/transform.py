@@ -28,7 +28,7 @@ machine model), which is how the test suite establishes correctness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.analysis.cfg import CFG
 from repro.analysis.controldep import immediate_postdominators
@@ -38,7 +38,7 @@ from repro.analysis.loopsummary import LoopSummary
 from repro.core.partition import PartitionResult
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
-from repro.ir.instr import Branch, Instr, Jump, Phi, SptFork, SptKill
+from repro.ir.instr import Branch, Jump, Phi, SptFork, SptKill
 from repro.ir.values import Const
 from repro.ir.verify import verify_function
 from repro.ssa.optimize import (

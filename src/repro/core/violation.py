@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.depgraph import DepEdge, LoopDepGraph
+from repro.analysis.depgraph import LoopDepGraph
 from repro.ir.instr import Instr, Phi
-from repro.ir.values import Var
 
 
 class ViolationCandidate:

@@ -10,7 +10,7 @@ C expression syntax.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 KEYWORDS = {
     "int",

@@ -20,10 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.frontend import ast
-from repro.frontend.sema import ProgramInfo, SemaError, analyze
+from repro.frontend.sema import ProgramInfo, analyze
 from repro.ir.builder import Builder
 from repro.ir.function import Function, Module
-from repro.ir.instr import Branch, Call, Jump, Return
 from repro.ir.values import Const, Value, Var
 
 

@@ -19,7 +19,7 @@ lowering consumes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.frontend import ast
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 import copy as _copy
 from typing import Dict, List, Optional
 
-from repro.ir.types import BOOL, FLOAT, INT, PTR, Type, join
-from repro.ir.values import Const, Value, Var
+from repro.ir.values import Value, Var
 
 #: Comparison opcodes (produce BOOL).
 COMPARISONS = ("lt", "le", "gt", "ge", "eq", "ne")

@@ -22,7 +22,7 @@ from typing import List
 
 from repro.ir.function import Function, Module
 from repro.ir.instr import Load, Phi, Store
-from repro.ir.values import Const, Var
+from repro.ir.values import Var
 
 
 class VerificationError(ValueError):

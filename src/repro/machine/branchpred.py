@@ -45,27 +45,3 @@ class BranchPredictor:
         self._counters.clear()
         self.predictions = 0
         self.mispredictions = 0
-
-    # -- checkpointing ------------------------------------------------
-
-    def snapshot_state(self, key_of) -> Dict:
-        """Plain-data snapshot; ``key_of`` maps an ``id(instr)`` branch
-        key to a process-independent instruction key
-        (:class:`repro.checkpoint.state.InstrIndex`)."""
-        return {
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-            "counters": sorted(
-                [key_of(branch_key), counter]
-                for branch_key, counter in self._counters.items()
-            ),
-        }
-
-    def restore_state(self, state: Dict, id_of) -> None:
-        """Inverse of :meth:`snapshot_state`; ``id_of`` maps an
-        instruction key back to the live ``id(instr)``."""
-        self.predictions = int(state["predictions"])
-        self.mispredictions = int(state["mispredictions"])
-        self._counters = {
-            id_of(key): int(counter) for key, counter in state["counters"]
-        }

@@ -217,33 +217,3 @@ class MemoryHierarchy:
         self.accesses = 0
         for level in self.levels:
             level.reset()
-
-    # -- checkpointing ------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot: counters plus each level's resident
-        lines in LRU order (head = coldest), which is the *entire*
-        replacement state -- restoring the same line sequence rebuilds
-        a bit-identical OrderedDict."""
-        return {
-            "accesses": self.accesses,
-            "levels": [
-                {
-                    "hits": level.hits,
-                    "misses": level.misses,
-                    "lines": list(level._lines.keys()),
-                }
-                for level in self.levels
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (same geometry assumed;
-        the checkpoint key pins the configuration)."""
-        self.accesses = int(state["accesses"])
-        for level, entry in zip(self.levels, state["levels"]):
-            level.hits = int(entry["hits"])
-            level.misses = int(entry["misses"])
-            level._lines = OrderedDict(
-                (int(line), True) for line in entry["lines"]
-            )

@@ -37,7 +37,7 @@ plots against the compiler's misspeculation cost estimates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -823,113 +823,6 @@ class SptTraceCollector(Tracer):
             MISPREDICT_TICKS,
         )
 
-    # -- checkpointing ------------------------------------------------
-
-    @staticmethod
-    def _encode_row(row, key_of) -> List:
-        template = row[0]
-        fields = [key_of(id(template.instr)), template.header_op, template.pred]
-        if template.kind == CALL:
-            fields += [
-                row[1], row[2], row[3], sorted(row[4]),
-                sorted([addr, old, new] for addr, (old, new) in row[5].items()),
-            ]
-        else:
-            fields += row[1:]
-        return fields
-
-    def _decode_row(self, fields: List, instr_of) -> List:
-        instr = instr_of(fields[0])
-        header_op, pred = bool(fields[1]), fields[2]
-        if isinstance(instr, Phi):
-            template = self._phi_templates_of(instr, header_op)[pred]
-        else:
-            template = self._templates.get(instr)
-            if template is None:
-                template = self._templates[instr] = _OpTemplate(
-                    self, instr, header_op
-                )
-        row = [template] + list(fields[3:])
-        if template.kind == CALL:
-            row[4] = set(row[4])
-            row[5] = {addr: (old, new) for addr, old, new in row[5]}
-        return row
-
-    def snapshot_state(self, key_of) -> Dict:
-        """Plain-data snapshot at an entry-frame block boundary.
-
-        At such a boundary no call is in flight (calls complete within
-        their block), so the call-aggregation stack must be empty.  The
-        folded totals, the unpaired iteration, the in-progress iteration
-        (``_current``) and the collector's private branch predictor are
-        captured; finished rounds are already folded away, and the cache
-        is the run's own (snapshotted with the timing accounting), so
-        the snapshot does not grow with the run.  ``_pending_op`` is
-        transient (only consulted while its instruction's events are
-        still being delivered) and restores as None."""
-        if self._call_stack or self._depth_in_target:
-            raise ValueError(
-                "SptTraceCollector snapshot outside a block boundary "
-                "(call in flight)"
-            )
-
-        def encode(trace: Optional[IterationTrace]) -> Optional[Dict]:
-            if trace is None:
-                return None
-            return {
-                "pre": [self._encode_row(row, key_of) for row in trace.pre],
-                "post": [self._encode_row(row, key_of) for row in trace.post],
-            }
-
-        current = self._current
-        return {
-            "stats": asdict(self.stats),
-            "counts": dict(self.counts),
-            "unpaired": encode(self._unpaired),
-            "round": self._round,
-            "opened": self._opened,
-            "current": encode(current),
-            "in_pre_fork": current is not None and self._rows is current.pre,
-            "reg_values": dict(self._reg_values),
-            "prev_label": self._prev_label,
-            "entered_body": self._entered_body,
-            "frame_is_target": list(self._frame_is_target),
-            "predictor": self.predictor.snapshot_state(key_of),
-        }
-
-    def restore_state(self, state: Dict, instr_of, id_of) -> None:
-        """Inverse of :meth:`snapshot_state`.  ``instr_of`` maps an
-        instruction key to the live instruction; ``id_of`` to its id."""
-
-        def decode(rows: Optional[Dict]) -> Optional[IterationTrace]:
-            if rows is None:
-                return None
-            trace = IterationTrace()
-            trace.pre = [self._decode_row(f, instr_of) for f in rows["pre"]]
-            trace.post = [self._decode_row(f, instr_of) for f in rows["post"]]
-            return trace
-
-        self.stats = SptLoopStats(**state["stats"])
-        self.counts = dict(state["counts"])
-        self._unpaired = decode(state["unpaired"])
-        if self._unpaired is not None:
-            self._unpaired.seal()
-        self._round = int(state["round"])
-        self._opened = bool(state["opened"])
-        current = self._current = decode(state["current"])
-        if current is None:
-            self._rows = None
-        else:
-            self._rows = current.pre if state["in_pre_fork"] else current.post
-        self._reg_values = dict(state["reg_values"])
-        self._prev_label = state["prev_label"]
-        self._entered_body = bool(state["entered_body"])
-        self._frame_is_target = [bool(f) for f in state["frame_is_target"]]
-        self._depth_in_target = 0
-        self._call_stack = []
-        self._pending_op = None
-        self.predictor.restore_state(state["predictor"], id_of)
-
 
 def _callees(blocks: Iterable[Block]) -> List[str]:
     return [
@@ -1121,9 +1014,7 @@ def simulate_spt_loop(collector: SptTraceCollector, telemetry=None) -> SptLoopSt
     unpaired iteration and return the loop's sequential vs. SPT totals.
 
     With enabled ``telemetry`` the fork/commit/misspeculation totals of
-    every folded round accumulate as ``spt.*`` counters.  They come from
-    the folded totals, so a run resumed from a snapshot reports the
-    same counters as an uninterrupted one.
+    every folded round accumulate as ``spt.*`` counters.
     """
     collector._flush()
     if telemetry is not None and telemetry.enabled:

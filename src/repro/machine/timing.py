@@ -155,22 +155,6 @@ class TimingModel:
         nops"): phis, jumps and SPT markers do not."""
         return not isinstance(instr, (Phi, Jump, SptFork, SptKill))
 
-    # -- checkpointing ------------------------------------------------
-
-    def snapshot_state(self, key_of) -> Dict:
-        """Plain-data snapshot of cache + predictor state.
-
-        ``_tick_memo`` is a pure derived cache (recomputed from the
-        instruction alone) and is deliberately not captured."""
-        return {
-            "hierarchy": self.hierarchy.snapshot_state(),
-            "predictor": self.predictor.snapshot_state(key_of),
-        }
-
-    def restore_state(self, state: Dict, id_of) -> None:
-        self.hierarchy.restore_state(state["hierarchy"])
-        self.predictor.restore_state(state["predictor"], id_of)
-
 
 class TimingTracer(Tracer):
     """Accumulates program cycles, instruction counts, and per-loop
@@ -292,49 +276,3 @@ class TimingTracer(Tracer):
         if self._ticks == 0:
             return 0.0
         return self._loop_ticks.get(key, 0) / self._ticks
-
-    # -- checkpointing ------------------------------------------------
-
-    def snapshot_state(self, key_of) -> Dict:
-        """Plain-data snapshot, taken at an entry-frame block boundary.
-
-        At such a boundary ``on_edge`` has already consumed any pending
-        branch, so ``_current_branch`` must be None -- a non-None value
-        means the caller snapshotted mid-instruction, which can never
-        round-trip.  ``_nests`` is a derived cache and is skipped."""
-        if self._current_branch is not None:
-            raise ValueError(
-                "TimingTracer snapshot outside a block boundary "
-                "(unresolved branch)"
-            )
-        return {
-            "ticks": self._ticks,
-            "instructions": self.instructions,
-            "loop_ticks": sorted(
-                [fn, header, ticks]
-                for (fn, header), ticks in self._loop_ticks.items()
-            ),
-            "loop_entries": sorted(
-                [fn, header, count]
-                for (fn, header), count in self.loop_entries.items()
-            ),
-            "loop_stack": [[fn, header] for fn, header in self._loop_stack],
-            "frame_depths": list(self._frame_depths),
-            "model": self.model.snapshot_state(key_of),
-        }
-
-    def restore_state(self, state: Dict, id_of) -> None:
-        self._ticks = int(state["ticks"])
-        self.instructions = int(state["instructions"])
-        self._loop_ticks = {
-            (fn, header): int(ticks)
-            for fn, header, ticks in state["loop_ticks"]
-        }
-        self.loop_entries = {
-            (fn, header): int(count)
-            for fn, header, count in state["loop_entries"]
-        }
-        self._loop_stack = [(fn, header) for fn, header in state["loop_stack"]]
-        self._frame_depths = [int(d) for d in state["frame_depths"]]
-        self._current_branch = None
-        self.model.restore_state(state["model"], id_of)

@@ -5,10 +5,9 @@ tiers with bitwise-identical outcomes: the fast tier (a
 :class:`~repro.profiling.compiled.CompiledMachine` with hot traces and a
 :class:`~repro.machine.vector_timing.VectorTimingEngine`), or the
 reference tier (:class:`~repro.profiling.interp.Machine` with a per-op
-:class:`~repro.machine.timing.TimingTracer`), which is the oracle and
-the only tier that checkpoints.  ``repro simulate``, the suite
-evaluation, the checkpoint runner and the fuzz oracles all simulate
-through :func:`build_simulation` / :func:`simulate_program`;
+:class:`~repro.machine.timing.TimingTracer`), which is the oracle.
+``repro simulate``, the suite evaluation and the fuzz oracles all
+simulate through :func:`build_simulation` / :func:`simulate_program`;
 ``repro run --timing`` and the suite's base run take a bare
 :func:`timed_machine`.
 """
@@ -92,12 +91,7 @@ def build_simulation(
     attached after it.  They emit their ``spt.round`` events into
     ``telemetry`` as the run folds them; ``collector_type`` lets a
     checker substitute a
-    :class:`~repro.machine.spt_sim.SptTraceCollector` subclass.
-
-    Deterministic: the same module and sites always build the same
-    collector sequence, which is what lets a checkpoint restored in a
-    fresh process (:mod:`repro.checkpoint`) line up its per-collector
-    state positionally."""
+    :class:`~repro.machine.spt_sim.SptTraceCollector` subclass."""
     machine, accounting = timed_machine(
         module, fuel=fuel, fast=fast, telemetry=telemetry
     )

@@ -261,13 +261,6 @@ class Machine:
         self.regions: List = []
         self.intrinsics: Dict[str, Callable] = {}
         self.tracers: List[Tracer] = []
-        #: Optional ``hook(machine, frame)`` fired at every block
-        #: boundary of the *entry* frame (call depth 1) -- the only
-        #: points where the full interpreter state is plain data, which
-        #: is where checkpoints are taken (repro.checkpoint).  None
-        #: keeps the hot loop at a single attribute load per block.
-        self.checkpoint_hook: Optional[Callable] = None
-        self._call_depth = 0
         self._allocate_statics()
 
     # -- setup -------------------------------------------------------
@@ -356,82 +349,20 @@ class Machine:
         for tracer in self.tracers:
             tracer.on_enter_function(func, args)
         frame.block = func.entry
-        return self._run_frame(frame)
-
-    def _run_frame(self, frame: Frame):
-        """Drive ``frame`` block-to-block until it returns.
-
-        Shared by the normal call path and :meth:`resume_frame`; the
-        latter enters with a frame rebuilt from a checkpoint, for which
-        ``on_enter_function`` already fired before the snapshot."""
-        func = frame.func
-        self._call_depth += 1
-        try:
-            result = None
-            while frame.block is not None:
-                hook = self.checkpoint_hook
-                if hook is not None and self._call_depth == 1:
-                    hook(self, frame)
-                next_label = self._exec_block(frame)
-                if next_label is None:
-                    result = frame.env.get("$ret")
-                    break
-                for tracer in self.tracers:
-                    tracer.on_edge(func, frame.block.label, next_label)
-                frame.prev_label = frame.block.label
-                frame.block = func.block(next_label)
-        finally:
-            self._call_depth -= 1
+        result = None
+        while frame.block is not None:
+            next_label = self._exec_block(frame)
+            if next_label is None:
+                result = frame.env.get("$ret")
+                break
+            for tracer in self.tracers:
+                tracer.on_edge(func, frame.block.label, next_label)
+            frame.prev_label = frame.block.label
+            frame.block = func.block(next_label)
 
         for tracer in self.tracers:
             tracer.on_exit_function(func, result)
         return result
-
-    # -- checkpointing ------------------------------------------------
-
-    def snapshot_state(self, frame: Frame) -> Dict:
-        """Plain-data snapshot of this machine at an entry-frame block
-        boundary (see :mod:`repro.checkpoint.state` for the contract).
-
-        Valid only at the points :attr:`checkpoint_hook` fires: the
-        frame's block is pending (``on_block`` has not run for it), no
-        call is in flight, and every value is an int/float/bool/None.
-        """
-        return {
-            "func": frame.func.name,
-            "block": frame.block.label if frame.block is not None else None,
-            "prev_label": frame.prev_label,
-            "env": dict(frame.env),
-            "memory": list(self.memory),
-            "executed": self.executed,
-            "fuel": self.fuel,
-        }
-
-    def restore_state(self, state: Dict) -> Frame:
-        """Rebuild the entry frame a :meth:`snapshot_state` captured.
-
-        Returns the frame; run it with :meth:`resume_frame`.  The
-        machine must have been constructed over the same module (the
-        checkpoint store's content-addressed key guarantees it)."""
-        func = self.module.function(state["func"])
-        frame = Frame(func)
-        frame.env = dict(state["env"])
-        frame.block = (
-            func.block(state["block"]) if state["block"] is not None else None
-        )
-        frame.prev_label = state["prev_label"]
-        self.memory = list(state["memory"])
-        self.executed = int(state["executed"])
-        self.fuel = int(state["fuel"])
-        return frame
-
-    def resume_frame(self, frame: Frame):
-        """Continue a restored entry frame to completion.
-
-        Does not re-fire ``on_enter_function`` (the tracers observed it
-        before the snapshot was taken); ``on_exit_function`` fires
-        normally when the frame returns."""
-        return self._run_frame(frame)
 
     def _eval(self, frame: Frame, value: Value):
         if isinstance(value, Const):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.depgraph import LoopDepGraph
-from repro.core.costgraph import CostGraph, PseudoNode
+from repro.core.costgraph import CostGraph
 from repro.core.vcdep import VCDepGraph
 from repro.ir.function import Function
 from repro.ir.instr import Instr

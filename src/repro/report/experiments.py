@@ -10,7 +10,7 @@ paper reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.benchsuite.programs import SUITE, Benchmark
 from repro.benchsuite.runner import BenchmarkRun, run_benchmark

@@ -6,12 +6,10 @@ individual firewalled phases.  The spec grammar is::
 
     REPRO_FAULT = spec[,spec...]
     spec        = phase ":" mode [":" arg]
-    mode        = "raise" | "hang" | "slow" | "torn"
+    mode        = "raise" | "hang" | "slow"
 
 ``phase`` names a containment scope ("profile", "depgraph", "search",
-"svp", "transform", "region_splits") or a checkpoint IO site
-("checkpoint.save" / "checkpoint.restore", fired by the snapshot
-store around each write/read).  Modes:
+"svp", "transform", "region_splits").  Modes:
 
 ``raise``
     Raise :class:`FaultInjected` at phase entry.  ``arg`` bounds how
@@ -30,13 +28,6 @@ store around each write/read).  Modes:
 ``slow``
     Sleep ``arg`` seconds (default 0.05) at phase entry, for deadline
     and anytime-search tests.
-``torn``
-    Not raised at phase entry at all: write sites that support it
-    (the checkpoint store, via :mod:`repro.util.atomicio`) ask
-    :func:`consume_torn_fault` whether to publish a deliberately
-    truncated document instead of the real one.  ``arg`` bounds the
-    fire count like ``raise`` (default: fire once -- a forever-torn
-    writer would starve any retry loop).
 
 Injection sites call :func:`maybe_inject` with their phase name; the
 disabled path is one environment lookup.
@@ -54,7 +45,6 @@ __all__ = [
     "FAULT_ENV_VAR",
     "FaultInjected",
     "HANG_ENV_VAR",
-    "consume_torn_fault",
     "maybe_inject",
     "parse_fault_specs",
     "reset_fault_state",
@@ -63,7 +53,7 @@ __all__ = [
 FAULT_ENV_VAR = "REPRO_FAULT"
 HANG_ENV_VAR = "REPRO_FAULT_HANG_S"
 
-_MODES = ("raise", "hang", "slow", "torn")
+_MODES = ("raise", "hang", "slow")
 
 
 class FaultInjected(RuntimeError):
@@ -156,32 +146,3 @@ def maybe_inject(phase: str) -> None:
                     pass
             _fired[spec] = _fired.get(spec, 0) + 1
             time.sleep(delay)
-        # "torn" is never fired here: write sites pull it explicitly
-        # through consume_torn_fault.
-
-
-def consume_torn_fault(site: str) -> bool:
-    """Whether a ``<site>:torn`` spec wants the next write truncated.
-
-    Fires at most ``arg`` times per process (default once), so a
-    store's cold-start retry after detecting the corrupt file is not
-    itself torn again."""
-    raw = os.environ.get(FAULT_ENV_VAR)
-    if not raw:
-        return False
-    for spec in parse_fault_specs(raw):
-        spec_phase, mode, arg = spec
-        if spec_phase != site or mode != "torn":
-            continue
-        limit = 1
-        if arg is not None:
-            try:
-                limit = int(arg)
-            except ValueError:
-                limit = 1
-        count = _fired.get(spec, 0)
-        if count >= limit:
-            continue
-        _fired[spec] = count + 1
-        return True
-    return False

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set
 from repro.analysis.cfg import CFG
 from repro.analysis.dominators import DominatorTree
 from repro.ir.function import Function
-from repro.ir.instr import Instr, Phi
+from repro.ir.instr import Phi
 from repro.ir.values import Const, Value, Var
 
 

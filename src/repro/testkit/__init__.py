@@ -1,20 +1,17 @@
 """Differential-oracle fuzzing testkit.
 
 A seeded MiniC program generator (:mod:`~repro.testkit.generator`), a
-battery of five differential oracles cross-checking the framework's
+battery of four differential oracles cross-checking the framework's
 paired implementations (:mod:`~repro.testkit.oracles`), a structural
 delta-debugging shrinker (:mod:`~repro.testkit.shrink`), the campaign
-driver behind ``repro fuzz`` (:mod:`~repro.testkit.runner`), the
-regression corpus format (:mod:`~repro.testkit.corpus`), and snapshot
-anchors that let reproducers replay from the checkpoint nearest their
-failure (:mod:`~repro.testkit.anchor`).  All randomness flows through
-:mod:`~repro.testkit.seeding`.
+driver behind ``repro fuzz`` (:mod:`~repro.testkit.runner`), and the
+regression corpus format (:mod:`~repro.testkit.corpus`).  All
+randomness flows through :mod:`~repro.testkit.seeding`.
 
 Hypothesis strategies live in :mod:`repro.testkit.strategies`, which is
 not imported here so the core testkit works without hypothesis.
 """
 
-from repro.testkit.anchor import capture_anchor, replay_anchor
 from repro.testkit.corpus import (
     CorpusEntry,
     load_corpus,
@@ -46,14 +43,12 @@ __all__ = [
     "ProgramSpec",
     "SEED_ENV",
     "base_seed",
-    "capture_anchor",
     "derive_rng",
     "derive_seed",
     "generate_program",
     "load_corpus",
     "oracle_predicate",
     "random_gen_config",
-    "replay_anchor",
     "replay_entry",
     "run_campaign",
     "run_oracle",

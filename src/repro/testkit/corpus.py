@@ -14,18 +14,10 @@ the RNG re-derived from the recorded coordinates -- byte-identical to
 the campaign run that found it.  The checked-in corpus under
 ``tests/testkit/corpus/`` is replayed as ordinary pytest cases, so a
 once-found bug can never quietly return.
-
-When the campaign captured a snapshot anchor for the failure
-(:mod:`repro.testkit.anchor`), it is saved as a ``<name>.snapshot.json``
-sidecar next to the ``.c`` file, and replay additionally resumes the
-reproducer *from the snapshot*, cross-checking against a cold run
-before the oracle re-runs.  Sidecars are advisory: a missing, corrupt,
-or no-longer-applicable one silently degrades to a cold replay.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import List, Optional
@@ -38,11 +30,6 @@ __all__ = ["CorpusEntry", "load_corpus", "replay_entry", "save_reproducer"]
 _MAGIC = "// repro-fuzz reproducer"
 
 
-def _snapshot_sidecar(path: str) -> str:
-    """``foo.c`` -> ``foo.snapshot.json``."""
-    return os.path.splitext(path)[0] + ".snapshot.json"
-
-
 @dataclass
 class CorpusEntry:
     """One reproducer: MiniC source plus its replay coordinates."""
@@ -53,9 +40,6 @@ class CorpusEntry:
     iteration: int
     source: str
     detail: str = ""
-    #: Parsed ``<name>.snapshot.json`` sidecar, when one exists and is
-    #: well-formed; replay resumes from it before running the oracle.
-    snapshot: Optional[dict] = None
 
     @property
     def name(self) -> str:
@@ -84,11 +68,6 @@ def save_reproducer(directory: str, failure) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(header))
         handle.write(spec.source())
-    snapshot = getattr(failure, "snapshot", None)
-    if snapshot is not None:
-        with open(_snapshot_sidecar(path), "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return path
 
 
@@ -135,49 +114,12 @@ def load_corpus(directory: str) -> List[CorpusEntry]:
             text = handle.read()
         entry = _parse_entry(path, text)
         if entry is not None:
-            entry.snapshot = _load_sidecar(path)
             entries.append(entry)
     return entries
 
 
-def _load_sidecar(path: str) -> Optional[dict]:
-    """Best-effort parse of the snapshot sidecar; anything unreadable
-    or foreign is treated as absent (anchors are advisory)."""
-    from .anchor import SNAPSHOT_SCHEMA
-
-    try:
-        with open(_snapshot_sidecar(path), "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception:  # noqa: BLE001 - missing/corrupt sidecar => no anchor
-        return None
-    if (
-        not isinstance(document, dict)
-        or document.get("schema") != SNAPSHOT_SCHEMA
-    ):
-        return None
-    return document
-
-
 def replay_entry(entry: CorpusEntry) -> Optional[str]:
     """Re-run the entry's oracle on its source; None means it passes
-    (i.e. the bug it once reproduced stays fixed).
-
-    Entries with a snapshot sidecar first replay *from the snapshot*:
-    the recorded state is restored and resumed, and divergence from a
-    cold run is itself a failure.  A sidecar that no longer applies
-    (edited source, stale schema) is skipped, never fatal."""
-    if entry.snapshot is not None:
-        from repro.checkpoint.state import CheckpointError
-
-        from .anchor import replay_anchor
-
-        try:
-            detail = replay_anchor(entry.source, entry.snapshot)
-        except CheckpointError:
-            detail = None  # anchor no longer applies: cold replay only
-        if detail is not None:
-            return f"snapshot replay: {detail}"
+    (i.e. the bug it once reproduced stays fixed)."""
     rng = derive_rng(entry.seed, entry.iteration, entry.oracle)
     return run_oracle(entry.oracle, entry.source, rng)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 __all__ = [

@@ -3,7 +3,7 @@
 Each oracle takes one generated program plus a private RNG (used only
 for workload arguments and edit sequences, so a re-run with the same
 RNG state replays exactly) and returns ``None`` on success or a short
-failure-detail string.  The five oracles cross-check every pair of
+failure-detail string.  The four oracles cross-check every pair of
 implementations the framework keeps:
 
 ``interp``
@@ -30,30 +30,16 @@ implementations the framework keeps:
     per-loop totals against the sum over those rounds, and the
     simulation driver's fast tier against its reference tier: **bitwise**
     equal outcomes.
-``checkpoint``
-    Uninterrupted vs snapshot-and-resumed simulation: the full SPT
-    machine model (interpreter + timing tracer + trace collectors) is
-    snapshotted at every Nth entry-frame boundary, each snapshot is
-    restored into freshly built components, and every resumed run must
-    reproduce the uninterrupted outcome **bitwise** -- result, memory,
-    fuel, cycles, and per-loop statistics.  The uninterrupted
-    (reference-tier) outcome must also equal the fast tier's.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG
 from repro.analysis.depgraph import build_dep_graph
 from repro.analysis.loops import LoopNest
-from repro.checkpoint.state import (
-    InstrIndex,
-    restore_simulation,
-    snapshot_simulation,
-)
 from repro.core.config import SptConfig
 from repro.core.costgraph import build_cost_graph
 from repro.core.costmodel import (
@@ -88,15 +74,12 @@ from repro.perf.runner import (
     build_simulation,
     finalize_simulation,
     run_machine,
-    simulate_program,
     spt_loop_sites,
 )
 from repro.profiling.compiled import make_machine
 from repro.profiling.interp import Machine, Tracer
 from repro.ssa.construct import build_ssa
 from repro.ssa.optimize import optimize
-
-from .generator import ProgramSpec
 
 __all__ = ["ORACLE_NAMES", "ORACLES", "RetainingCollector", "run_oracle"]
 
@@ -602,120 +585,11 @@ def _check_spt_equivalence(
     return None
 
 
-# -- oracle 5: uninterrupted vs snapshot-and-resumed simulation -------------
-
-#: Upper bound on resume points checked per workload; snapshots beyond
-#: it are thinned deterministically (every k-th) so pathological long
-#: runs cannot stall the campaign.
-MAX_RESUME_POINTS = 12
-
-
-def oracle_checkpoint(spec, rng: random.Random) -> Optional[str]:
-    """Snapshot/resume exactness over the full SPT machine model.
-
-    Runs the compiled pipeline's simulation once with the checkpoint
-    hook armed (cadence drawn from the oracle RNG), then resumes from
-    every captured snapshot in freshly built components.  Each resumed
-    run -- and every snapshot, which is JSON round-tripped exactly as
-    the on-disk store would -- must reproduce the uninterrupted
-    outcome bitwise."""
-    source = _source_of(spec)
-    train, n = _workload_args(rng)
-    every = rng.randint(32, 256)
-
-    module = compile_minic(source)
-    compiled = compile_spt(module, _eager_config(), Workload(args=(train,)))
-    index = InstrIndex(module)
-    loops = spt_loop_sites(compiled)
-
-    machine, tracer, collectors = build_simulation(
-        module, loops, fuel=FUEL, fast=False
-    )
-    snapshots: List[Tuple[int, Dict]] = []
-    hook_errors: List[str] = []
-    last_saved = [-every]
-
-    def hook(m, frame):
-        if m.executed - last_saved[0] < every:
-            return
-        last_saved[0] = m.executed
-        try:
-            state = snapshot_simulation(m, frame, tracer, collectors, index)
-            snapshots.append((m.executed, json.loads(json.dumps(state))))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # noqa: BLE001 - a snapshot contract break IS the failure
-            hook_errors.append(f"at {m.executed}: {exc}")
-
-    machine.checkpoint_hook = hook
-    result = machine.run("main", [n])
-    machine.checkpoint_hook = None
-    if hook_errors:
-        return (
-            f"n={n}: snapshot failed at an entry-frame boundary "
-            f"({hook_errors[0]})"
-        )
-    reference = (
-        finalize_simulation(result, tracer, collectors),
-        machine.memory,
-        machine.executed,
-    )
-    fast = simulate_program(module, compiled, args=[n], fuel=FUEL)
-    if fast != reference[0]:
-        return (
-            f"n={n}: fast-tier simulation {fast!r} != reference tier "
-            f"{reference[0]!r}"
-        )
-
-    if len(snapshots) > MAX_RESUME_POINTS:
-        step = -(-len(snapshots) // MAX_RESUME_POINTS)
-        snapshots = snapshots[::step]
-    for executed, state in snapshots:
-        re_machine, re_tracer, re_collectors = build_simulation(
-            module, loops, fuel=FUEL, fast=False
-        )
-        try:
-            frame = restore_simulation(
-                re_machine, state, re_tracer, re_collectors, index
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # noqa: BLE001 - own snapshot must restore
-            return (
-                f"n={n}: snapshot taken at {executed} failed to "
-                f"restore: {exc}"
-            )
-        resumed_result = re_machine.resume_frame(frame)
-        resumed = (
-            finalize_simulation(resumed_result, re_tracer, re_collectors),
-            re_machine.memory,
-            re_machine.executed,
-        )
-        if resumed != reference:
-            what = "outcome"
-            if resumed[2] != reference[2]:
-                what = (
-                    f"executed {resumed[2]} != {reference[2]} instructions"
-                )
-            elif resumed[1] != reference[1]:
-                what = "final memory image"
-            elif resumed[0] != reference[0]:
-                what = (
-                    f"simulated outcome {resumed[0]!r} != {reference[0]!r}"
-                )
-            return (
-                f"n={n}: resume from snapshot at {executed} diverges "
-                f"from the uninterrupted run ({what})"
-            )
-    return None
-
-
 ORACLES = {
     "interp": oracle_interp,
     "cost": oracle_cost,
     "partition": oracle_partition,
     "spt": oracle_spt,
-    "checkpoint": oracle_checkpoint,
 }
 
 ORACLE_NAMES = tuple(sorted(ORACLES))

@@ -35,11 +35,6 @@ class FuzzFailure:
     spec: ProgramSpec
     shrunk: Optional[ProgramSpec] = None
     shrunk_detail: Optional[str] = None
-    #: Snapshot anchor nearest the failure (a ``repro-fuzz-snapshot/1``
-    #: document from :mod:`repro.testkit.anchor`), captured over the
-    #: minimized reproducer; None when the program finishes before the
-    #: first checkpoint boundary or anchoring itself failed.
-    snapshot: Optional[dict] = None
 
     @property
     def reproducer(self) -> ProgramSpec:
@@ -87,26 +82,6 @@ def oracle_predicate(
         return run_oracle(oracle, spec, derive_rng(seed, iteration, oracle)) is not None
 
     return predicate
-
-
-def _anchor_failure(failure: FuzzFailure) -> Optional[dict]:
-    """Capture the snapshot nearest the failure, over the minimized
-    reproducer and the failing oracle's own workload draw.
-
-    Anchors are best-effort decoration of a failure already in hand --
-    any error here (the reproducer crashes the interpreter, say) must
-    not mask the failure itself, so it degrades to None."""
-    from .anchor import anchor_workload, capture_anchor
-
-    try:
-        n = anchor_workload(
-            derive_rng(failure.seed, failure.iteration, failure.oracle)
-        )
-        return capture_anchor(failure.reproducer.source(), n)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception:  # noqa: BLE001 - anchoring never masks the failure
-        return None
 
 
 def run_campaign(
@@ -174,7 +149,6 @@ def run_campaign(
                             failure.shrunk,
                             derive_rng(seed, iteration, name),
                         )
-                failure.snapshot = _anchor_failure(failure)
                 report.failures.append(failure)
                 if max_failures and len(report.failures) >= max_failures:
                     return report

@@ -19,7 +19,7 @@ the failure's seed coordinates on every call (see
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .generator import (
     Assign,
@@ -33,7 +33,6 @@ from .generator import (
     LoadExpr,
     Num,
     ProgramSpec,
-    Ref,
     Stmt,
     StoreStmt,
     WhileStmt,

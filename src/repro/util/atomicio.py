@@ -14,11 +14,6 @@ the write helper directly, so a SIGKILL at any instant can leave behind
 * :func:`append_line` -- append one whole line via a single ``write``
   on an ``O_APPEND`` descriptor under an exclusive ``flock``, so
   concurrent appenders interleave whole records, never fragments.
-
-Torn-write fault injection (``REPRO_FAULT=<site>:torn``) is honoured by
-the write helpers when the caller passes its fault site: the helper
-deliberately publishes a *truncated* document through the same rename
-path, which is exactly what readers must survive.
 """
 
 from __future__ import annotations
@@ -55,31 +50,13 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _maybe_tear(data: bytes, fault_site: Optional[str]) -> bytes:
-    """Truncate ``data`` when a ``<fault_site>:torn`` fault is armed."""
-    if fault_site is None:
-        return data
-    from repro.resilience.faults import consume_torn_fault
-
-    if consume_torn_fault(fault_site):
-        return data[: max(1, len(data) // 2)]
-    return data
-
-
-def atomic_write_bytes(
-    path: str,
-    data: bytes,
-    *,
-    fsync: bool = True,
-    fault_site: Optional[str] = None,
-) -> None:
+def atomic_write_bytes(path: str, data: bytes, *, fsync: bool = True) -> None:
     """Atomically publish ``data`` at ``path`` (temp + fsync + rename).
 
     Concurrent writers racing on the same path are harmless when they
     write identical content (content-addressed stores) and last-wins
     otherwise; readers never observe a partial file.
     """
-    data = _maybe_tear(data, fault_site)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -107,15 +84,12 @@ def atomic_write_json(
     *,
     indent: Optional[int] = None,
     fsync: bool = True,
-    fault_site: Optional[str] = None,
 ) -> None:
     """Atomically publish ``document`` as sorted-key JSON at ``path``."""
     text = json.dumps(document, indent=indent, sort_keys=True)
     if indent is not None:
         text += "\n"
-    atomic_write_bytes(
-        path, text.encode("utf-8"), fsync=fsync, fault_site=fault_site
-    )
+    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
 def append_line(path: str, line: str) -> None:

@@ -2,30 +2,24 @@
 append-only JSONL log.
 
 Every on-disk store in the system is a :class:`ContentStore` -- the
-batch result cache (program entries and the source index in front of
-them) and the simulation snapshot store -- and the one log, the batch
-resume journal, is a :class:`JsonlLog`.  Each owns its idiom once:
+batch result cache's program entries and the source index in front of
+them -- and the one log, the batch resume journal, is a
+:class:`JsonlLog`.  Each owns its idiom once:
 
 * :func:`content_key` -- SHA-256 over ``\\x1f``-joined string parts;
-  every key in the system (program, source, snapshot run, batch
-  journal) is one of these.
+  every key in the system (program, source, batch journal) is one of
+  these.
 * :class:`ContentStore` -- entries live at
-  ``<root>/v<N>/<k[:2]>/<k>.json``, or ``<root>/v<N>/<k[:2]>/<k>/
-  <name>.json`` for the named entries of one key (the snapshot store
-  keeps one per fuel-odometer reading).  Each file is the envelope
-  ``{"format", "kind", "key", ["name",] "payload"}``.  Writes are
-  atomic (:func:`~repro.util.atomicio.atomic_write_json`), with
-  ``fsync`` on or off per store; reads validate the envelope, and any
-  unreadable or mismatched file is a counted corrupt miss that is
-  removed best-effort -- the caller recomputes, never crashes.
+  ``<root>/v<N>/<k[:2]>/<k>.json``, each file the envelope
+  ``{"format", "kind", "key", "payload"}``.  Writes are atomic
+  (:func:`~repro.util.atomicio.atomic_write_json`) without ``fsync``:
+  an entry a host crash loses is recomputed on the next miss.  Reads
+  validate the envelope, and any unreadable or mismatched file is a
+  counted corrupt miss that is removed best-effort -- the caller
+  recomputes, never crashes.
 * :class:`JsonlLog` -- schema-stamped whole-line appends through
   :func:`~repro.util.atomicio.append_line`, and a tolerant load that
   skips (and counts) blank, torn and foreign-schema lines.
-
-A store with a ``fault_site`` is a ``REPRO_FAULT`` chaos target:
-``<site>.save`` fires before each write (``torn`` mode publishes a
-truncated document) and ``<site>.restore`` before each read, where an
-injected fault misses *without* touching the healthy entry.
 """
 
 from __future__ import annotations
@@ -44,6 +38,9 @@ __all__ = ["ContentStore", "JsonlLog", "StoreStats", "content_key"]
 #: worker's ``ProgramTimeout`` alarm must pass through a store read.
 _UNREADABLE = (OSError, ValueError, TypeError, KeyError, IndexError,
                AttributeError)
+
+#: The exact key set of an entry file's envelope.
+_ENVELOPE = {"format", "kind", "key", "payload"}
 
 
 def content_key(*parts: str) -> str:
@@ -106,86 +103,51 @@ class ContentStore:
     #: so old and new formats never see each other's files.
     version = 1
 
-    def __init__(self, root: str, *, fsync: bool = True,
-                 fault_site: Optional[str] = None):
+    def __init__(self, root: str):
         self.root = root
-        self.fsync = fsync
-        self.fault_site = fault_site
         self.stats = StoreStats()
 
     @property
     def version_dir(self) -> str:
         return os.path.join(self.root, f"v{self.version}")
 
-    def path(self, key: str, name: Optional[str] = None) -> str:
-        shard = os.path.join(self.version_dir, key[:2])
-        if name is None:
-            return os.path.join(shard, f"{key}.json")
-        return os.path.join(shard, key, f"{name}.json")
+    def path(self, key: str) -> str:
+        return os.path.join(self.version_dir, key[:2], f"{key}.json")
 
-    def _faulted(self, action: str) -> bool:
-        """Fire ``REPRO_FAULT`` at ``<fault_site>.<action>``; True when
-        an injected fault was raised."""
-        if self.fault_site is None:
-            return False
-        from repro.resilience.faults import FaultInjected, maybe_inject
-
-        try:
-            maybe_inject(f"{self.fault_site}.{action}")
-        except FaultInjected:
-            return True
-        return False
-
-    def put(self, key: str, kind: str, payload, name: Optional[str] = None
-            ) -> Optional[str]:
-        """Atomically publish ``payload``; returns the entry path, or None
-        when a fault or IO error suppressed the write (counted in
-        ``write_failures``: a lost entry is recomputed, never fatal).
+    def put(self, key: str, kind: str, payload) -> None:
+        """Atomically publish ``payload``.  An IO error suppresses the
+        write and is counted in ``write_failures``: a lost entry is
+        recomputed, never fatal.
 
         Concurrent writers of one key are harmless: the key digests
         every input, so they write identical content, and the publish
         rename is atomic."""
         document = {"format": self.version, "kind": kind, "key": key,
                     "payload": payload}
-        if name is not None:
-            document["name"] = name
-        path = self.path(key, name)
-        if self._faulted("save"):
-            self.stats.write_failures += 1
-            return None
         try:
-            atomic_write_json(
-                path, document, fsync=self.fsync,
-                fault_site=self.fault_site and f"{self.fault_site}.save",
-            )
+            atomic_write_json(self.path(key), document, fsync=False)
         except (OSError, TypeError, ValueError):
             self.stats.write_failures += 1
-            return None
+            return
         self.stats.writes += 1
-        return path
 
-    def get(self, key: str, kind: str, name: Optional[str] = None,
-            decode: Optional[Callable] = None):
+    def get(self, key: str, kind: str, decode: Optional[Callable] = None):
         """The payload stored under ``key`` (passed through ``decode``
         when given), or None on a miss.
 
         A missing file is a plain miss.  A file that is unreadable, has
         the wrong envelope, or whose payload ``decode`` rejects is a
         corrupt miss, and is removed so the rewrite is clean."""
-        if self._faulted("restore"):
-            self.stats.misses += 1
-            return None
-        path = self.path(key, name)
+        path = self.path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
             if (
                 not isinstance(document, dict)
-                or document.get("format") != self.version
-                or document.get("kind") != kind
-                or document.get("key") != key
-                or document.get("name") != name
-                or "payload" not in document
+                or document.keys() != _ENVELOPE
+                or document["format"] != self.version
+                or document["kind"] != kind
+                or document["key"] != key
             ):
                 raise ValueError("malformed store entry")
             payload = document["payload"]
@@ -200,17 +162,6 @@ class ContentStore:
             return None
         self.stats.hits += 1
         return value
-
-    def names(self, key: str) -> List[str]:
-        """The names of the stored named entries of ``key``, sorted."""
-        try:
-            files = os.listdir(os.path.join(self.version_dir, key[:2], key))
-        except OSError:
-            return []
-        return sorted(
-            f[: -len(".json")] for f in files
-            if f.endswith(".json") and not f.startswith(".tmp-")
-        )
 
     def entry_paths(self) -> List[str]:
         """Every entry file in the current-format namespace."""

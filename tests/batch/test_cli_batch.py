@@ -1,5 +1,6 @@
 """CLI tests for ``repro batch`` and ``repro explain --cache-dir``."""
 
+import glob
 import io
 import json
 import os
@@ -136,3 +137,28 @@ def test_explain_cache_dir_probe(corpus, tmp_path, capsys, monkeypatch):
     assert main(["explain", "-", "--args", "48",
                  "--cache-dir", cache_dir]) == 0
     assert "HIT" in capsys.readouterr().out
+
+
+def test_batch_resume_journals_under_the_default_cache_dir(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    """Without ``--journal-dir``, ``--resume`` journals under
+    ``$REPRO_CACHE_DIR/journals`` whatever ``--cache-dir`` says, and a
+    re-run replays every program from there."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    cache_dir = str(tmp_path / "cache")
+    argv = ["batch", str(corpus), "--args", "48", "--resume",
+            "--cache-dir", cache_dir]
+    assert main(argv) == 0
+    assert "resumed from journal" not in capsys.readouterr().out
+    journals = glob.glob(
+        os.path.join(str(tmp_path), "env", "journals", "v1", "*.journal")
+    )
+    assert len(journals) == 1
+    assert not glob.glob(os.path.join(cache_dir, "**", "*.journal"),
+                         recursive=True)
+    with open(journals[0]) as handle:
+        assert len(handle.readlines()) == 3
+
+    assert main(argv) == 0
+    assert "3 resumed from journal" in capsys.readouterr().out

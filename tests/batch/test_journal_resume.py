@@ -50,6 +50,41 @@ def test_batch_key_tracks_identity_not_order_of_definition():
     )
 
 
+def test_journal_defaults_under_the_cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    key = "k" * 64
+    assert BatchJournal(None, key).path == os.path.join(
+        str(tmp_path), "journals", "v1", f"{key}.journal"
+    )
+
+
+def test_journal_default_follows_the_cache_dir_fallback(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert BatchJournal(None, "k" * 64).directory == os.path.join(
+        str(tmp_path), "repro", "journals"
+    )
+
+
+def test_journal_dir_overrides_the_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    journal = BatchJournal(str(tmp_path / "mine"), "k" * 64)
+    assert journal.path == os.path.join(
+        str(tmp_path), "mine", "v1", "k" * 64 + ".journal"
+    )
+
+
+def test_journal_write_failure_only_costs_a_recompute(tmp_path):
+    """A line that cannot be written is dropped, not raised: the batch
+    goes on, and resume recompiles that program."""
+    blocked = tmp_path / "journals"
+    blocked.write_text("a file where the journal directory should be")
+    tasks = _tasks(["int main(int n) { return n; }"])
+    journal = BatchJournal(str(blocked), "k" * 64)
+    journal.record(0, tasks[0], {"status": "ok"})
+    assert journal.load(tasks) == {} and journal.skipped == 0
+
+
 def test_journal_roundtrip_and_validation(tmp_path):
     tasks = _tasks(["int main(int n) { return n; }", "int f() { return 1; }"])
     journal = BatchJournal(str(tmp_path), "k" * 64)

@@ -274,8 +274,27 @@ def test_explain_reports_rejection_criteria(minic_file, capsys):
 
 
 def test_explain_loop_filter_and_unknown_loop(minic_file, capsys):
-    assert main(["explain", minic_file, "--args", "200", "--loop", "zz:nope"]) == 0
-    assert "no loop candidate" in capsys.readouterr().out
+    assert main(["explain", minic_file, "--args", "200", "--loop", "zz:nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no loop candidate 'zz:nope' (known: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_explain_known_loop_prints_that_loop_alone(minic_file, capsys):
+    assert main(["explain", minic_file, "--args", "200"]) == 0
+    headers = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("loop ")
+    ]
+    assert headers
+    key = headers[-1].split()[1]
+    assert main(["explain", minic_file, "--args", "200", "--loop", key]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [
+        line for line in captured.out.splitlines() if line.startswith("loop ")
+    ] == [headers[-1]]
 
 
 def test_explain_profile_leaves_the_explanation_unchanged(minic_file, capsys):

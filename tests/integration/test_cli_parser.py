@@ -32,6 +32,7 @@ ARGVS = (
     + [[name, "prog.c", "--no-such-flag"] for name in COMMANDS]
     + [
         ["simulate", "prog.c", "--config", "nope"],
+        ["simulate", "prog.c", "--fuel", "0"],
         ["fuzz", "--iterations", "many"],
         ["dot", "prog.c", "nope"],
         # Parses cleanly: the namespaces must agree.
@@ -64,8 +65,8 @@ PROGRAM = os.path.join(
 
 
 def _bad_value(command, option, *value):
-    """One command line whose ``option`` value is out of range (or, with
-    no value, whose option no longer exists)."""
+    """One command line whose ``option`` value is out of range, or whose
+    option no longer exists."""
     program = [] if command == "fuzz" else [PROGRAM, "--args", "96"]
     return pytest.param(
         [command, *program, option, *value], option,
@@ -76,8 +77,12 @@ def _bad_value(command, option, *value):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        _bad_value("simulate", "--resume-from", "banana"),
-        _bad_value("simulate", "--checkpoint-every", "-5"),
+        _bad_value("simulate", "--resume-from", "latest"),
+        _bad_value("simulate", "--checkpoint-every", "5"),
+        _bad_value("simulate", "--checkpoint-dir", "ckpt"),
+        _bad_value("simulate", "--fuel", "0"),
+        _bad_value("simulate", "--search-deadline-ms", "-1"),
+        _bad_value("simulate", "--phase-deadline-ms", "0"),
         _bad_value("compile", "--search-deadline-ms", "-1"),
         _bad_value("compile", "--phase-deadline-ms", "0"),
         _bad_value("compile", "--checkpoint-phases"),
@@ -98,7 +103,6 @@ def test_bad_option_value_is_a_usage_error_before_any_work(
 ):
     # Should a value slip through, the run it starts stays in tmp_path.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -122,9 +126,9 @@ def _boundary(command, option, value, expected):
 @pytest.mark.parametrize(
     "argv, dest, expected",
     [
-        _boundary("simulate", "--resume-from", "latest", "latest"),
-        _boundary("simulate", "--resume-from", "0", 0),
-        _boundary("simulate", "--checkpoint-every", "0", 0),
+        _boundary("simulate", "--fuel", "1", 1),
+        _boundary("simulate", "--search-deadline-ms", "0.5", 0.5),
+        _boundary("simulate", "--phase-deadline-ms", "1e-3", 0.001),
         _boundary("compile", "--search-deadline-ms", "0.5", 0.5),
         _boundary("compile", "--phase-deadline-ms", "1e-3", 0.001),
         _boundary("batch", "--program-timeout", "2", 2.0),

@@ -12,7 +12,7 @@ CORPUS = os.path.join(HERE, "..", "golden", "corpus")
 
 
 @pytest.mark.parametrize(
-    "script", ["chaos_smoke", "checkpoint_smoke", "trace_perf_smoke"]
+    "script", ["chaos_smoke", "resume_smoke", "trace_perf_smoke"]
 )
 def test_corpus_resolves_from_another_directory(script, tmp_path,
                                                 monkeypatch):

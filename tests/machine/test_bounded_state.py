@@ -1,12 +1,10 @@
 """Simulation state stays bounded: the SPT collector folds each round as
-its iterations complete, so neither its memory nor its checkpoint
-payload grows with the length of the run."""
+its iterations complete, so its memory does not grow with the length
+of the run."""
 
 import gc
-import json
 import weakref
 
-from repro.checkpoint import InstrIndex
 from repro.core.config import best_config
 from repro.core.pipeline import Workload, compile_spt
 from repro.frontend import compile_minic
@@ -41,43 +39,21 @@ def _compiled():
     return module, loops
 
 
-def test_snapshot_payload_does_not_grow_with_the_run():
-    """Collector payloads early and late in a long loop are about the
-    same size; retained iterations would grow them linearly."""
-    module, loops = _compiled()
-    index = InstrIndex(module)
-    machine, _, collectors = build_simulation(
-        module, loops, fuel=FUEL, fast=False
-    )
-    sizes = []
-    last = [-400]
-
-    def hook(m, frame):
-        if m.executed - last[0] < 400:
-            return
-        last[0] = m.executed
-        sizes.append(len(json.dumps(
-            [c.snapshot_state(index.key_of) for c in collectors]
-        )))
-
-    machine.checkpoint_hook = hook
-    machine.run("main", [1500])
-    assert len(sizes) >= 40
-    tenth = len(sizes) // 10
-    # Skip the first snapshots: the collector's branch predictor is
-    # still meeting new branches there.  Each window's maximum holds
-    # one unpaired iteration plus the one in flight.
-    early = max(sizes[tenth:2 * tenth])
-    late = max(sizes[-tenth:])
-    assert late <= early * 1.1, (early, late)
-
-
 def test_folded_rounds_free_their_rows(monkeypatch):
     """Without the cyclic collector, a finished iteration and its row
     lists are freed as soon as its round folds: once an iteration
     completes, every earlier one is gone (the new one is either the
     unpaired iteration or folded with it)."""
+    _check_folded_rounds_free_their_rows(monkeypatch, fast=False, n=200)
 
+
+def test_fast_tier_folded_rounds_free_their_rows(monkeypatch):
+    """The same bound holds on the fast tier, whose collectors record
+    the loop body from trace code once it is hot."""
+    _check_folded_rounds_free_their_rows(monkeypatch, fast=True, n=2000)
+
+
+def _check_folded_rounds_free_their_rows(monkeypatch, fast, n):
     class Rows(list):
         """A row list that a weak reference can watch."""
 
@@ -110,9 +86,14 @@ def test_folded_rounds_free_their_rows(monkeypatch):
     gc.disable()
     try:
         machine, _, collectors = build_simulation(
-            module, loops, fuel=FUEL, fast=False, collector_type=Watching
+            module, loops, fuel=FUEL, fast=fast, collector_type=Watching
         )
-        machine.run("main", [200])
+        machine.run("main", [n])
+        if fast:
+            # The loop body ran on recorded traces, not the block path.
+            assert any(
+                entry["compiles"] for entry in machine.trace_report().values()
+            )
         # After the run at most the unpaired iteration is left...
         alive_after_run = sum(
             any(ref() is not None for ref in refs) for refs in finished

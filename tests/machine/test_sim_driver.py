@@ -51,6 +51,21 @@ def test_observed_fast_tier_runs_on_hot_traces(nested):
     assert 0 < counters["trace.ops_on_trace"] < counters["interp.instructions"]
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(CORPUS) if n.endswith(".c"))
+)
+def test_a_simulation_run_again_is_bitwise_identical(name):
+    """Running again is how a killed ``repro simulate`` recovers: a
+    second run in one process, after the first has warmed every trace
+    and code cache, gives the identical outcome, and so does the
+    reference tier."""
+    module = load_module(os.path.join(CORPUS, name))
+    result = compile_spt(module, best_config(), Workload(args=(96,)))
+    first = simulate_program(module, result, args=[96])
+    assert simulate_program(module, result, args=[96]) == first
+    assert simulate_program(module, result, args=[96], fast=False) == first
+
+
 def _counting(calls, original):
     def wrapper(*args, **kwargs):
         calls.append((args, kwargs))
@@ -68,6 +83,20 @@ def test_cli_simulate_calls_the_package_simulate_program(monkeypatch, capsys):
     assert main(["simulate", NESTED_C, "--args", "96"]) == 0
     capsys.readouterr()
     assert [kwargs["args"] for _, kwargs in calls] == [[96]]
+
+
+def test_cli_reference_tier_is_the_same_driver(monkeypatch, capsys):
+    """``--no-fast-interp`` selects the reference tier of the one
+    driver; there is no second simulation path."""
+    calls = []
+    monkeypatch.setattr(
+        repro.perf, "simulate_program",
+        _counting(calls, repro.perf.simulate_program),
+    )
+    assert main(["simulate", NESTED_C, "--args", "96",
+                 "--no-fast-interp"]) == 0
+    capsys.readouterr()
+    assert [kwargs["fast"] for _, kwargs in calls] == [False]
 
 
 def test_simulate_program_builds_through_the_runner_module(

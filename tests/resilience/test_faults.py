@@ -32,6 +32,7 @@ def test_parse_fault_specs_grammar():
         "",
         "search",  # no mode
         "search:explode",  # unknown mode
+        "search:torn",  # retired mode
         ":raise",  # empty phase
         "a:raise:b:c",  # too many fields
         ",,",

@@ -16,6 +16,12 @@ def test_fuzz_clean_run(capsys):
     assert "spt: 2 checked, 0 failed" in out
 
 
+def test_fuzz_runs_the_four_oracles_by_default(capsys):
+    assert main(["fuzz", "--seed", "0", "--iterations", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "oracles=cost,interp,partition,spt" in out.splitlines()[0]
+
+
 def test_fuzz_oracle_subset(capsys):
     assert main(["fuzz", "--seed", "1", "--iterations", "1",
                  "--oracle", "interp", "--oracle", "cost"]) == 0
@@ -28,6 +34,17 @@ def test_fuzz_rejects_unknown_oracle(capsys):
     assert main(["fuzz", "--oracle", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "unknown oracle" in err
+
+
+def test_fuzz_rejects_the_retired_checkpoint_oracle(capsys):
+    assert main(["fuzz", "--oracle", "checkpoint"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "unknown oracle(s) checkpoint; choose from "
+        + ", ".join(ORACLE_NAMES)
+    )
+    assert ORACLE_NAMES == ("cost", "interp", "partition", "spt")
 
 
 def test_fuzz_help_lists_every_oracle(capsys):

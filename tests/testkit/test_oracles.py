@@ -145,3 +145,21 @@ def test_spt_oracle_catches_replay_rule_change(monkeypatch):
         for seed in range(10)
     )
     assert found, "no generated program triggered a misspeculation"
+
+
+def test_spt_oracle_catches_fast_tier_divergence(monkeypatch):
+    """The spt oracle's cross-tier check: sabotage one opcode of the
+    trace compiler only (the reference tier keeps ``lt``), and the fast
+    tier's simulated outcome must differ from the reference tier's."""
+    from repro.profiling import traces
+
+    monkeypatch.setitem(traces._BINOP_TEMPLATES, "lt", "({} <= {})")
+    monkeypatch.setattr(traces, "_CODE_CACHE", {})
+    details = [
+        run_oracle("spt", _spec_for(seed), derive_rng("bad-tier", seed))
+        for seed in range(6)
+    ]
+    assert any(
+        detail is not None and "fast-tier simulation" in detail
+        for detail in details
+    ), details

@@ -9,11 +9,9 @@ import threading
 
 import pytest
 
-from repro.batch.cache import ResultCache
+from repro.batch.cache import ResultCache, SourceIndex
 from repro.batch.journal import JOURNAL_SCHEMA, batch_key
-from repro.checkpoint.store import CheckpointStore
-from repro.resilience.faults import reset_fault_state
-from repro.util import JsonlLog, content_key
+from repro.util import JsonlLog, StoreStats, content_key
 
 KEY = content_key("test", "entry")
 
@@ -59,17 +57,17 @@ class ProgramEntries:
         return None
 
 
-class SnapshotEntries:
-    """Named snapshot entries of one simulated run."""
+class SourceEntries:
+    """Source-index entries, each naming the program key of one source."""
 
     def open(self, root):
-        return CheckpointStore(root)
+        return SourceIndex(root)
 
     def fill(self, store):
-        store.save(KEY, 5, {"interp": {"executed": 5}})
+        store.put_program_key(KEY, content_key("test", "program"))
 
     def read(self, store):
-        return store.load(KEY, 5)
+        return store.get_program_key(KEY)
 
     def miss(self):
         return None
@@ -77,14 +75,8 @@ class SnapshotEntries:
 
 STORES = {
     "result-cache": ProgramEntries(),
-    "snapshot": SnapshotEntries(),
+    "source-index": SourceEntries(),
 }
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT", raising=False)
-    reset_fault_state()
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTORS.values(), ids=CORRUPTORS.keys())
@@ -113,6 +105,58 @@ def test_corrupt_entry_is_a_counted_miss(tmp_path, entries, corrupt):
     assert healed.stats.hits == len(paths) and healed.stats.corrupt == 0
 
 
+@pytest.mark.parametrize("entries", STORES.values(), ids=STORES.keys())
+def test_absent_entry_is_a_plain_miss(tmp_path, entries):
+    store = entries.open(str(tmp_path))
+    assert entries.read(store) == entries.miss()
+    assert (store.stats.hits, store.stats.misses, store.stats.corrupt) == (
+        0, 1, 0,
+    )
+    assert store.entry_paths() == []
+
+
+@pytest.mark.parametrize("entries", STORES.values(), ids=STORES.keys())
+def test_entry_file_is_exactly_the_envelope(tmp_path, entries):
+    """An entry is ``v<N>/<k[:2]>/<k>.json`` holding the four envelope
+    fields and nothing else -- the key set a read insists on."""
+    store = entries.open(str(tmp_path))
+    entries.fill(store)
+    [path] = store.entry_paths()
+    assert os.path.relpath(path, str(tmp_path)) == os.path.join(
+        f"v{store.version}", KEY[:2], f"{KEY}.json"
+    )
+    with open(path) as handle:
+        document = json.load(handle)
+    assert sorted(document) == ["format", "key", "kind", "payload"]
+    assert document["format"] == store.version and document["key"] == KEY
+
+
+def _block_root(root):
+    """A regular file where the store's directory should be."""
+    with open(root, "w") as handle:
+        handle.write("not a directory")
+    return ResultCache(root), {"summary": {}}
+
+
+def _unserializable_payload(root):
+    return ResultCache(root), {"summary": {"candidates": object()}}
+
+
+@pytest.mark.parametrize(
+    "setup", [_block_root, _unserializable_payload],
+    ids=["root-is-a-file", "unserializable-payload"],
+)
+def test_failed_write_is_counted_not_raised(tmp_path, setup):
+    """A lost write costs a recompute on the next miss, never the run."""
+    root = str(tmp_path / "store")
+    store, payload = setup(root)
+    store.put_program(KEY, payload)
+    assert store.stats.write_failures == 1 and store.stats.writes == 0
+    assert store.get_program(KEY) is None
+    # Nothing half-written is left behind, not even a temp file.
+    assert [files for _, _, files in os.walk(root) if files] == []
+
+
 def test_keys_are_unit_separated_sha256():
     """Existing keys survive the move to ``content_key``."""
     import hashlib
@@ -122,9 +166,6 @@ def test_keys_are_unit_separated_sha256():
 
     program = ResultCache.program_key("module m", "fp", "wl")
     assert program == sha("repro-batch-cache/1\x1ffp\x1fwl\x1fmodule m")
-    assert CheckpointStore.run_key("module m", "fp", "wl") == sha(
-        "repro-checkpoint/3\x1ffp\x1fwl\x1fmodule m"
-    )
     # The journal key was an incremental hasher over the same parts.
     tasks = [{"path": "a.c", "source": "x"}, {"path": "b.c", "source": "y"}]
     digests = [sha("x"), sha("y")]
@@ -132,6 +173,41 @@ def test_keys_are_unit_separated_sha256():
         f"{JOURNAL_SCHEMA}\x1ffp\x1fmain\x1f(96,)\x1f1000"
         f"\x1fa.c\x1f{digests[0]}\x1fb.c\x1f{digests[1]}"
     )
+
+
+def test_key_parts_never_run_together():
+    import hashlib
+
+    assert content_key("ab", "c") != content_key("a", "bc")
+    assert content_key("ab", "c") == hashlib.sha256(b"ab\x1fc").hexdigest()
+
+
+def test_entry_paths_skip_a_killed_writer_s_temp_file(tmp_path):
+    """A writer killed between its temp write and the rename leaves a
+    ``.tmp-`` file beside the entries; it is neither an entry to read
+    nor one to prune."""
+    cache = ResultCache(str(tmp_path))
+    cache.put_program(KEY, {"summary": {}})
+    [entry] = cache.entry_paths()
+    litter = os.path.join(os.path.dirname(entry), ".tmp-killed")
+    with open(litter, "w") as handle:
+        handle.write('{"format": 1, "ki')
+    assert cache.entry_paths() == [entry]
+    assert cache.prune(1) == 0 and os.path.exists(entry)
+
+
+def test_store_stats_merge_a_worker_s_counts():
+    stats = StoreStats()
+    stats.hits, stats.misses = 1, 1
+    worker = StoreStats()
+    worker.hits, worker.misses, worker.corrupt = 2, 4, 1
+    stats.merge(worker.to_dict())
+    assert (stats.hits, stats.misses, stats.corrupt) == (3, 5, 1)
+    assert stats.to_dict()["hit_rate"] == 0.375
+    assert stats.as_counters("cache")["cache.misses"] == 5
+    assert set(stats.as_counters("cache")) == {
+        f"cache.{name}" for name in StoreStats.__slots__
+    }
 
 
 def test_legacy_program_entry_with_loop_keys_still_hits(tmp_path):
@@ -144,14 +220,6 @@ def test_legacy_program_entry_with_loop_keys_still_hits(tmp_path):
                    "payload": legacy}, handle, sort_keys=True)
     assert cache.get_program(KEY) == legacy
     assert cache.stats.hits == 1 and cache.stats.corrupt == 0
-
-
-def test_prune_covers_named_entries(tmp_path):
-    store = CheckpointStore(str(tmp_path))
-    for executed in range(6):
-        store.save(KEY, executed, {"n": executed})
-    assert store.prune(2) == 4 and store.stats.evictions == 4
-    assert len(store.entry_paths()) == 2
 
 
 def test_jsonl_log_skips_and_counts_damaged_lines(tmp_path):
